@@ -220,27 +220,6 @@ const Row* find_row(const std::vector<Row>& rows, const char* store,
 
 // ---- --faults: degraded-mode grid and resilience gates ------------------
 
-// Poison up to `max_lines` nonzero XPLines of the namespace image, so
-// the injected faults sit under live store data.
-unsigned poison_live_lines(hw::PmemNamespace& ns, unsigned max_lines,
-                           unsigned stride = 1) {
-  std::vector<std::uint8_t> img(ns.size());
-  ns.peek(0, img);
-  hw::FaultInjector inj(ns.platform());
-  unsigned planted = 0, seen = 0;
-  for (std::uint64_t off = 0; off + hw::Platform::kXpLineBytes <= img.size();
-       off += hw::Platform::kXpLineBytes) {
-    bool live = false;
-    for (unsigned b = 0; b < hw::Platform::kXpLineBytes && !live; ++b)
-      live = img[off + b] != 0;
-    if (!live) continue;
-    if (seen++ % stride != 0) continue;
-    inj.poison(ns, off);
-    if (++planted >= max_lines) break;
-  }
-  return planted;
-}
-
 struct FaultRow {
   std::string name;
   double kops = 0;
@@ -282,7 +261,8 @@ FaultRow run_fault_point(const char* name, bool degraded, unsigned replicas,
     // is pulled from service and its DIMM carries at-rest poison the
     // online rebuild must scrub and heal.
     store.quarantine_shard(setup, 0);
-    poison_live_lines(*shard_ns[0], 16, /*stride=*/4);
+    hw::FaultInjector(platform).poison_live(*shard_ns[0], 16,
+                                            /*stride=*/4);
   }
   platform.reset_timing();
 

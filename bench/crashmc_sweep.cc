@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(points),
         static_cast<unsigned long long>(poison_points),
         static_cast<unsigned long long>(seed), checksums ? "on" : "off");
-    std::printf("%-14s %10s %10s %10s %10s %11s %12s\n", "store", "reads",
+    std::printf("%-16s %10s %10s %10s %10s %11s %12s\n", "store", "reads",
                 "points", "fired", "poisoned", "violations", "points/sec");
 
     bool failed = false;
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
       if (fopts.sink) sink.begin_store(target->name());
       const xp::crashmc::FaultResult r =
           xp::crashmc::explore_faults(*target, fopts);
-      std::printf("%-14s %10llu %10llu %10llu %10llu %11zu %12.1f\n",
+      std::printf("%-16s %10llu %10llu %10llu %10llu %11zu %12.1f\n",
                   target->name().c_str(),
                   static_cast<unsigned long long>(r.total_reads),
                   static_cast<unsigned long long>(r.points_explored),
@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
   std::printf("# crashmc_sweep: <= %llu crash points per store, seed %llu\n",
               static_cast<unsigned long long>(points),
               static_cast<unsigned long long>(seed));
-  std::printf("%-14s %10s %10s %10s %11s %12s\n", "store", "events",
+  std::printf("%-16s %10s %10s %10s %11s %12s\n", "store", "events",
               "points", "fired", "violations", "points/sec");
 
   bool failed = false;
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     if (!only.empty() && target->name() != only) continue;
     if (opts.sink) sink.begin_store(target->name());
     const xp::crashmc::Result r = xp::crashmc::explore(*target, opts);
-    std::printf("%-14s %10llu %10llu %10llu %11zu %12.1f\n",
+    std::printf("%-16s %10llu %10llu %10llu %11zu %12.1f\n",
                 target->name().c_str(),
                 static_cast<unsigned long long>(r.total_events),
                 static_cast<unsigned long long>(r.points_explored),

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   }
 
   benchutil::banner("schedmc", "Schedule exploration x linearizability");
-  benchutil::row("%-10s %10s %9s %10s %10s %12s %10s %6s", "store",
+  benchutil::row("%-14s %10s %9s %10s %10s %12s %10s %6s", "store",
                  "schedules", "distinct", "crash_runs", "histories",
                  "chk_states", "sched/s", "viol");
 
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     if (!only.empty() && only != target->name()) continue;
     const schedmc::Result r = schedmc::explore(*target, opts);
     benchutil::row(
-        "%-10s %10llu %9llu %10llu %10llu %12llu %10.0f %6zu",
+        "%-14s %10llu %9llu %10llu %10llu %12llu %10.0f %6zu",
         target->name(), static_cast<unsigned long long>(r.schedules_run),
         static_cast<unsigned long long>(r.distinct_schedules),
         static_cast<unsigned long long>(r.crash_runs),

@@ -71,10 +71,10 @@ class Target {
   // crash trigger is armed — setup persist events are not crash points.
   virtual hw::Platform& reset() = 0;
 
-  // The namespace holding the store's persistent image (valid after
-  // reset()); tests use it to snapshot the durable image between
-  // recoveries.
-  virtual hw::PmemNamespace& nspace() = 0;
+  // The namespaces holding the store's persistent image (valid after
+  // reset()); tests snapshot the durable image from them, and the fault
+  // campaign rotates at-rest poison over them.
+  virtual std::vector<hw::PmemNamespace*> namespaces() = 0;
 
   // Run the mutation workload to completion. CrashPointHit may unwind it
   // at any durability boundary; the target must not catch it.

@@ -72,7 +72,9 @@ FaultResult explore_faults(Target& target, const FaultOptions& opts) {
     platform.reset_timing();
     hw::FaultInjector injector(platform, opts.seed + 0x9e37 * (i + 1));
     const unsigned lines = 1 + static_cast<unsigned>(i % 3);
-    injector.poison_random(target.nspace(), 0, target.nspace().size(), lines);
+    const auto ns = target.namespaces();
+    hw::PmemNamespace& victim = *ns[i % ns.size()];
+    injector.poison_random(victim, 0, victim.size(), lines);
     r.lines_poisoned += lines;
     ++r.points_explored;
     if (std::string err = target.repair_and_check(); !err.empty())

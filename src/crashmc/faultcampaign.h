@@ -36,7 +36,8 @@ struct FaultOptions {
   std::uint64_t samples = 256;
   std::uint64_t seed = 1;
   // Second phase: this many at-rest points — run the workload cleanly,
-  // then scatter 1-3 seeded poison lines across the namespace and demand
+  // then scatter 1-3 seeded poison lines across one of the target's
+  // namespaces (point i hits namespace i mod count) and demand
   // the same contract from repair. These points target the *recovery*
   // read sites (and lines the workload itself never re-reads), which the
   // armed-read phase cannot reach. 0 skips the phase.

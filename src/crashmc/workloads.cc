@@ -5,14 +5,11 @@
 #include <set>
 #include <string>
 
-#include "lsmkv/db.h"
 #include "novafs/novafs.h"
-#include "pmemkv/cmap.h"
-#include "pmemkv/stree.h"
 #include "pmemlib/pmem_ops.h"
 #include "pmemlib/pool.h"
 #include "sim/rng.h"
-#include "workload/shard.h"
+#include "workload/store_desc.h"
 #include "xpsim/fault.h"
 
 namespace xp::crashmc {
@@ -52,7 +49,7 @@ class PmemlibTarget final : public Target {
     return *platform_;
   }
 
-  hw::PmemNamespace& nspace() override { return *ns_; }
+  std::vector<hw::PmemNamespace*> namespaces() override { return {ns_}; }
 
   void run() override {
     pmem::Pool pool(*ns_);
@@ -68,54 +65,42 @@ class PmemlibTarget final : public Target {
     }
   }
 
-  std::string recover_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) return "open() found no valid pool";
-    if (Status st = pool.check(ctx); !st.ok()) return st.to_string();
-    for (unsigned s = 0; s < kSlots; ++s) {
-      const auto v = ns_->load_pod<std::uint64_t>(ctx, root_ + s * 8);
-      if (v != encode(s, acked_[s]) && v != encode(s, attempted_[s]))
-        return "slot " + std::to_string(s) + ": recovered " +
-               std::to_string(v) + ", want version " +
-               std::to_string(acked_[s]) + " or " +
-               std::to_string(attempted_[s]);
-    }
-    return "";
-  }
-
-  std::string repair_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    pmem::Pool pool(*ns_);
-    // Both header copies gone is a typed, reported total loss — only
-    // *silent* corruption violates the containment contract.
-    if (!pool.open(ctx)) return "";
-    pool.repair(ctx);
-    if (Status st = pool.check(ctx); !st.ok()) return st.to_string();
-    const bool reported = pool.recovery().damaged();
-    for (unsigned s = 0; s < kSlots; ++s) {
-      const auto v = ns_->load_pod<std::uint64_t>(ctx, root_ + s * 8);
-      if (v == encode(s, acked_[s]) || v == encode(s, attempted_[s]))
-        continue;
-      // Off the crash-consistent window: allowed only as *reported* media
-      // loss, and only to a value the slot actually held (or scrub zeros)
-      // — anything else is silent corruption.
-      bool historical = v == 0;
-      for (std::uint64_t q = 0; q <= attempted_[s] && !historical; ++q)
-        historical = v == encode(s, q);
-      if (!reported || !historical)
-        return "slot " + std::to_string(s) + ": silent corruption (holds " +
-               std::to_string(v) + ", damage reported: " +
-               (reported ? "yes" : "no") + ")";
-    }
-    return "";
-  }
+  std::string recover_and_check() override { return check(false); }
+  std::string repair_and_check() override { return check(true); }
 
  private:
   static constexpr unsigned kSlots = 16;
 
   static std::uint64_t encode(unsigned slot, std::uint64_t seq) {
     return (static_cast<std::uint64_t>(slot) << 32) | seq;
+  }
+
+  // Re-open from the durable image (and, after media damage, repair).
+  std::string check(bool repair) {
+    sim::ThreadCtx ctx = make_thread(5);
+    pmem::Pool pool(*ns_);
+    // After media damage, both header copies gone is a typed, reported
+    // total loss — only *silent* corruption breaks the contract.
+    if (!pool.open(ctx)) return repair ? "" : "open() found no valid pool";
+    if (repair) pool.repair(ctx);
+    if (Status st = pool.check(ctx); !st.ok()) return st.to_string();
+    const bool reported = repair && pool.recovery().damaged();
+    for (unsigned s = 0; s < kSlots; ++s) {
+      const auto v = ns_->load_pod<std::uint64_t>(ctx, root_ + s * 8);
+      if (v == encode(s, acked_[s]) || v == encode(s, attempted_[s]))
+        continue;
+      // Off the crash-consistent window: allowed only as *reported* media
+      // loss, and only to a value the slot actually held (or scrub zeros).
+      bool historical = v == 0;
+      for (std::uint64_t q = 0; q <= attempted_[s] && !historical; ++q)
+        historical = v == encode(s, q);
+      if (!reported || !historical)
+        return "slot " + std::to_string(s) + ": holds " + std::to_string(v) +
+               ", want version " + std::to_string(acked_[s]) + " or " +
+               std::to_string(attempted_[s]) +
+               (repair ? " (silent corruption)" : "");
+    }
+    return "";
   }
 
   void do_round(pmem::Pool& pool, sim::ThreadCtx& ctx, unsigned base,
@@ -148,170 +133,6 @@ class PmemlibTarget final : public Target {
   std::uint64_t root_ = 0;
   std::uint64_t acked_[kSlots] = {};
   std::uint64_t attempted_[kSlots] = {};
-};
-
-// --------------------------------------------------------------- lsmkv --
-
-// Every operation is WAL-synced before it returns, so the recovered
-// logical state (over the whole key universe) must byte-match the state
-// before or after the single in-flight operation. Small memtable and a
-// low L0 trigger pull flushes and a compaction into the crash window.
-class LsmkvTarget final : public Target {
- public:
-  LsmkvTarget(kv::WalMode mode, bool wal_checksum, bool group_commit)
-      : mode_(mode), wal_checksum_(wal_checksum),
-        group_commit_(group_commit) {}
-
-  std::string name() const override {
-    std::string n = mode_ == kv::WalMode::kPosix ? "lsmkv-posix"
-                                                 : "lsmkv-flex";
-    if (group_commit_) n += "-group";
-    return n;
-  }
-
-  hw::Platform& reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(32 << 20);
-    opts_ = kv::DbOptions{};
-    opts_.wal = mode_;
-    opts_.wal_checksum = wal_checksum_;
-    opts_.memtable = kv::MemtableMode::kVolatile;
-    opts_.wal_capacity = 1 << 20;
-    opts_.memtable_bytes = 512;
-    opts_.l0_compaction_trigger = 2;
-    opts_.sync_every_op = true;
-    opts_.wal_group_commit = group_commit_;
-    db_ = std::make_unique<kv::Db>(*ns_, opts_);
-    sim::ThreadCtx ctx = make_thread(0);
-    db_->create(ctx);
-    prev_.clear();
-    cur_.clear();
-    history_.clear();
-    platform_->reset_timing();
-    return *platform_;
-  }
-
-  hw::PmemNamespace& nspace() override { return *ns_; }
-
-  void run() override {
-    sim::ThreadCtx ctx = make_thread(0);
-    sim::Rng rng(11);
-    if (group_commit_) {
-      // Batched mode: the acknowledged unit is a put_batch group. A crash
-      // anywhere inside the group must roll back to the previous group
-      // boundary — the group appears atomically or not at all — so the
-      // model state advances a whole batch at a time. Groups coalesce
-      // several records into one persist burst, so run 2x the ops to keep
-      // the crash-point count comparable to the per-record target.
-      const unsigned ops = 2 * kOps;
-      for (unsigned op = 0; op < ops;) {
-        const unsigned batch = std::min<unsigned>(
-            ops - op, 1 + static_cast<unsigned>(rng.uniform(3)));
-        prev_ = cur_;
-        std::vector<std::string> keys(batch), vals(batch);
-        std::vector<kv::WalRecord> recs(batch);
-        for (unsigned i = 0; i < batch; ++i, ++op) {
-          keys[i] = "key" + std::to_string(rng.uniform(kKeys));
-          if (rng.uniform(4) == 0 && cur_.count(keys[i]) != 0) {
-            cur_.erase(keys[i]);
-            recs[i] = {keys[i], {}, /*tombstone=*/true};
-          } else {
-            vals[i] = keys[i] + "#" + std::to_string(op) +
-                      std::string(4 + rng.uniform(16),
-                                  'a' + static_cast<char>(op % 26));
-            cur_[keys[i]] = vals[i];
-            history_[keys[i]].insert(vals[i]);
-            recs[i] = {keys[i], vals[i], false};
-          }
-        }
-        db_->put_batch(ctx, recs);
-      }
-      return;
-    }
-    for (unsigned op = 0; op < kOps; ++op) {
-      const std::string key = "key" + std::to_string(rng.uniform(kKeys));
-      prev_ = cur_;
-      if (rng.uniform(4) == 0 && cur_.count(key) != 0) {
-        cur_.erase(key);
-        db_->del(ctx, key);
-      } else {
-        const std::string val =
-            key + "#" + std::to_string(op) +
-            std::string(4 + rng.uniform(16), 'a' + static_cast<char>(op % 26));
-        cur_[key] = val;
-        history_[key].insert(val);
-        db_->put(ctx, key, val);
-      }
-    }
-  }
-
-  std::string recover_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    kv::Db db(*ns_, opts_);
-    if (!db.open(ctx)) return "open() found no valid database";
-    if (Status st = db.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "key" + std::to_string(k);
-      std::string v;
-      if (db.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got != prev_ && got != cur_)
-      return "recovered state matches neither the pre-op nor the post-op "
-             "state (" +
-             std::to_string(got.size()) + " live keys)";
-    return "";
-  }
-
-  std::string repair_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    kv::Db db(*ns_, opts_);
-    bool opened = false;
-    try {
-      opened = db.open(ctx);
-    } catch (const hw::MediaError&) {
-      // Unreadable critical metadata even after the built-in fallbacks: a
-      // typed, reported total loss — the contract forbids only *silent*
-      // corruption. Nothing left to verify.
-      return "";
-    }
-    if (!opened) return "";  // reported total loss (backup invalid too)
-    db.repair(ctx);
-    if (Status st = db.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "key" + std::to_string(k);
-      std::string v;
-      if (db.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got == prev_ || got == cur_) return "";
-    if (!db.recovery().damaged() && !db.pool().recovery().damaged())
-      return "silent corruption: recovered state diverges from the pre-/"
-             "post-op states with no damage reported";
-    // Reported loss may drop committed records, but every surviving value
-    // must be one this key actually held.
-    for (const auto& [key, val] : got) {
-      const auto it = history_.find(key);
-      if (it == history_.end() || it->second.count(val) == 0)
-        return "silent corruption: key " + key + " holds a never-written "
-               "value";
-    }
-    return "";
-  }
-
- private:
-  static constexpr unsigned kKeys = 8;
-  static constexpr unsigned kOps = 48;
-
-  kv::WalMode mode_;
-  bool wal_checksum_;
-  bool group_commit_;
-  std::unique_ptr<hw::Platform> platform_;
-  hw::PmemNamespace* ns_ = nullptr;
-  kv::DbOptions opts_;
-  std::unique_ptr<kv::Db> db_;
-  std::map<std::string, std::string> prev_, cur_;
-  std::map<std::string, std::set<std::string>> history_;
 };
 
 // -------------------------------------------------------------- novafs --
@@ -348,7 +169,7 @@ class NovafsTarget final : public Target {
     return *platform_;
   }
 
-  hw::PmemNamespace& nspace() override { return *ns_; }
+  std::vector<hw::PmemNamespace*> namespaces() override { return {ns_}; }
 
   void run() override {
     sim::ThreadCtx ctx = make_thread(0);
@@ -418,39 +239,26 @@ class NovafsTarget final : public Target {
     }
   }
 
-  std::string recover_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    nova::NovaFs fs(*ns_, opt_);
-    if (!fs.mount(ctx)) return "mount() found no valid file system";
-    if (Status st = fs.fsck(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (const char* name : {"alpha", "beta", "gamma"}) {
-      const int ino = fs.open(ctx, name);
-      if (ino < 0) continue;
-      const std::uint64_t size = fs.size(ctx, ino);
-      std::string content(size, '\0');
-      fs.read(ctx, ino, 0,
-              std::span<std::uint8_t>(
-                  reinterpret_cast<std::uint8_t*>(content.data()), size));
-      got[name] = std::move(content);
-    }
-    if (got != prev_ && got != cur_)
-      return "recovered file set matches neither the pre-op nor the "
-             "post-op state";
-    return "";
-  }
+  std::string recover_and_check() override { return check(false); }
+  std::string repair_and_check() override { return check(true); }
 
-  std::string repair_and_check() override {
+ private:
+  static constexpr unsigned kOps = 28;
+
+  // Re-mount from the durable image (and, after media damage, repair).
+  std::string check(bool repair) {
     sim::ThreadCtx ctx = make_thread(5);
     nova::NovaFs fs(*ns_, opt_);
     bool mounted = false;
     try {
       mounted = fs.mount(ctx);
     } catch (const hw::MediaError&) {
-      return "";  // typed, reported total loss
+      if (!repair) throw;
     }
-    if (!mounted) return "";  // both superblock copies gone: reported loss
-    fs.repair(ctx);
+    // After media damage, an unmountable file system (both superblock
+    // copies gone) is a typed, reported total loss.
+    if (!mounted) return repair ? "" : "mount() found no valid file system";
+    if (repair) fs.repair(ctx);
     if (Status st = fs.fsck(ctx); !st.ok()) return st.to_string();
     std::map<std::string, std::string> got;
     for (const char* name : {"alpha", "beta", "gamma"}) {
@@ -463,17 +271,15 @@ class NovafsTarget final : public Target {
                   reinterpret_cast<std::uint8_t*>(content.data()), size));
       got[name] = std::move(content);
     }
-    if (got == prev_ || got == cur_) return "";
     // Repair may legally drop overlays/log suffixes (older committed
     // bytes resurface) — but only as *reported* damage.
-    if (!fs.recovery().damaged())
-      return "silent corruption: recovered file set diverges from the "
-             "pre-/post-op states with no damage reported";
-    return "";
+    if (got == prev_ || got == cur_ || (repair && fs.recovery().damaged()))
+      return "";
+    return repair ? "silent corruption: recovered file set diverges from "
+                    "the pre-/post-op states with no damage reported"
+                  : "recovered file set matches neither the pre-op nor the "
+                    "post-op state";
   }
-
- private:
-  static constexpr unsigned kOps = 28;
 
   void write_model(const std::string& name, std::uint64_t off,
                    std::uint64_t len, char fill) {
@@ -491,531 +297,288 @@ class NovafsTarget final : public Target {
   std::map<std::string, std::string> prev_, cur_;
 };
 
-// ---------------------------------------------------------------- cmap --
+// ------------------------------------------------------------------ kv --
 
-// Values stay short enough (header + key + value inside one 64 B line)
-// that the in-place update path is a single-line atomic persist; length
-// changes exercise the transactional insert path and removes the
-// transactional unlink. Recovered state is pre- or post-op.
-class CmapTarget final : public Target {
+// The op mix a KvTarget runs against its StoreDesc, one sequential
+// thread. Every op draws a key; a live key is deleted with probability
+// 1/del_one_in, else it gets a fresh value. With probability
+// 1/batch_one_in the op is instead one try_apply_batch of 1-3 such
+// writes.
+struct KvWorkload {
+  std::string name;
+  workload::StoreDesc store;
+  unsigned ops = 40;
+  std::uint64_t seed = 1;
+  unsigned del_one_in = 4;
+  unsigned batch_one_in = 0;  // 0: single writes only
+  unsigned poison_at = 0;     // >0: poison namespace 0 before this op
+};
+
+// Background turns a drain may take before it counts as not settling.
+constexpr unsigned kMaxDrainTurns = 2000;
+
+bool drain(workload::StoreIface& store, sim::ThreadCtx& ctx) {
+  for (unsigned i = 0; i < kMaxDrainTurns; ++i)
+    if (!store.background_turn(ctx)) return true;
+  return false;
+}
+
+using State = std::map<std::string, std::string>;
+
+class KvTarget final : public Target {
  public:
-  std::string name() const override { return "pmemkv-cmap"; }
+  explicit KvTarget(KvWorkload w) : w_(std::move(w)) {}
+
+  std::string name() const override { return w_.name; }
 
   hw::Platform& reset() override {
     platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(8 << 20);
-    pool_ = std::make_unique<pmem::Pool>(*ns_);
+    ns_ = w_.store.make_namespaces(*platform_);
+    store_ = w_.store.build(ns_);
     sim::ThreadCtx ctx = make_thread(0);
-    pool_->create(ctx, 64);
-    map_ = std::make_unique<pmemkv::CMap>(*pool_);
-    map_->create(ctx);
-    prev_.clear();
-    cur_.clear();
+    store_->create(ctx);
+    cur_.assign(w_.store.domains(), State{});
+    prev_ = cur_;
     history_.clear();
     platform_->reset_timing();
     return *platform_;
   }
 
-  hw::PmemNamespace& nspace() override { return *ns_; }
+  std::vector<hw::PmemNamespace*> namespaces() override { return ns_; }
 
   void run() override {
     sim::ThreadCtx ctx = make_thread(0);
-    sim::Rng rng(17);
-    for (unsigned op = 0; op < kOps; ++op) {
-      const std::string key = "k" + std::to_string(rng.uniform(kKeys));
+    sim::Rng rng(w_.seed);
+    sim::Rng reads(w_.seed + 1);  // its own stream: writes stay as drawn
+    std::uint64_t seq = 0;
+    for (unsigned op = 0; op < w_.ops; ++op) {
+      if (w_.poison_at != 0 && op == w_.poison_at)
+        hw::FaultInjector(*platform_, 7)
+            .poison_random(*ns_[0], 0, ns_[0]->size(), 3);
       prev_ = cur_;
-      if (rng.uniform(5) == 0 && cur_.count(key) != 0) {
-        cur_.erase(key);
-        map_->remove(ctx, key);
-      } else {
-        // Two sizes: matching size -> in-place update, differing size ->
-        // transactional replace.
-        const std::size_t len = rng.uniform(2) == 0 ? 8 : 24;
-        std::string val = key + "#" + std::to_string(op);
-        val.resize(len, 'x');
-        cur_[key] = val;
-        history_[key].insert(val);
-        map_->put(ctx, key, val);
-      }
-    }
-  }
-
-  std::string recover_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) return "open() found no valid pool";
-    if (Status st = pool.check(ctx); !st.ok()) return st.to_string();
-    pmemkv::CMap map(pool);
-    map.open(ctx);
-    if (Status st = map.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "k" + std::to_string(k);
-      std::string v;
-      if (map.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got != prev_ && got != cur_)
-      return "recovered map matches neither the pre-op nor the post-op "
-             "state";
-    return "";
-  }
-
-  std::string repair_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) return "";  // reported total loss
-    pmemkv::CMap map(pool);
-    try {
-      map.open(ctx);
-    } catch (const hw::MediaError&) {
-      // The root pointer to the bucket table is gone: reported total
-      // loss. Scrub so the namespace is at least readable again.
-      pool.repair(ctx);
-      return "";
-    }
-    map.repair(ctx);   // quarantine chain damage, then scrub
-    pool.repair(ctx);  // revalidate the free list over the scrubbed lines
-    if (Status st = pool.check(ctx); !st.ok()) return st.to_string();
-    if (Status st = map.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "k" + std::to_string(k);
-      std::string v;
-      if (map.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got == prev_ || got == cur_) return "";
-    if (!map.recovery().damaged() && !pool.recovery().damaged())
-      return "silent corruption: recovered map diverges from the pre-/"
-             "post-op states with no damage reported";
-    for (const auto& [key, val] : got) {
-      const auto it = history_.find(key);
-      if (it == history_.end() || it->second.count(val) == 0)
-        return "silent corruption: key " + key + " holds a never-written "
-               "value";
-    }
-    return "";
-  }
-
- private:
-  static constexpr unsigned kKeys = 12;
-  static constexpr unsigned kOps = 40;
-
-  std::unique_ptr<hw::Platform> platform_;
-  hw::PmemNamespace* ns_ = nullptr;
-  std::unique_ptr<pmem::Pool> pool_;
-  std::unique_ptr<pmemkv::CMap> map_;
-  std::map<std::string, std::string> prev_, cur_;
-  std::map<std::string, std::set<std::string>> history_;
-};
-
-// --------------------------------------------------------------- stree --
-
-// Enough keys to force leaf splits (transactional); inserts commit via
-// the bitmap persist, updates via the val_off persist, removes via the
-// bitmap persist — all atomic, so recovered state is pre- or post-op.
-class StreeTarget final : public Target {
- public:
-  std::string name() const override { return "pmemkv-stree"; }
-
-  hw::Platform& reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(8 << 20);
-    pool_ = std::make_unique<pmem::Pool>(*ns_);
-    sim::ThreadCtx ctx = make_thread(0);
-    pool_->create(ctx, 64);
-    tree_ = std::make_unique<pmemkv::STree>(*pool_);
-    tree_->create(ctx);
-    prev_.clear();
-    cur_.clear();
-    history_.clear();
-    platform_->reset_timing();
-    return *platform_;
-  }
-
-  hw::PmemNamespace& nspace() override { return *ns_; }
-
-  void run() override {
-    sim::ThreadCtx ctx = make_thread(0);
-    sim::Rng rng(19);
-    for (unsigned op = 0; op < kOps; ++op) {
-      char key[8];
-      std::snprintf(key, sizeof(key), "key%02u",
-                    static_cast<unsigned>(rng.uniform(kKeys)));
-      prev_ = cur_;
-      if (rng.uniform(6) == 0 && cur_.count(key) != 0) {
-        cur_.erase(key);
-        tree_->remove(ctx, key);
-      } else {
-        const std::string val =
-            std::string(key) + "=" + std::to_string(op) +
-            std::string(rng.uniform(12), 'v');
-        cur_[key] = val;
-        history_[key].insert(val);
-        tree_->put(ctx, key, val);
-      }
-    }
-  }
-
-  std::string recover_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) return "open() found no valid pool";
-    if (Status st = pool.check(ctx); !st.ok()) return st.to_string();
-    pmemkv::STree tree(pool);
-    tree.open(ctx);
-    if (Status st = tree.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      char key[8];
-      std::snprintf(key, sizeof(key), "key%02u", k);
-      std::string v;
-      if (tree.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got != prev_ && got != cur_)
-      return "recovered tree matches neither the pre-op nor the post-op "
-             "state";
-    return "";
-  }
-
-  std::string repair_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) return "";  // reported total loss
-    pmemkv::STree tree(pool);
-    try {
-      tree.open(ctx);
-    } catch (const hw::MediaError&) {
-      // repair() below copes with a half-built index (it re-reads the
-      // root via the durable image once the damage is mapped).
-    }
-    tree.repair(ctx);  // quarantine chain damage, scrub, rebuild index
-    pool.repair(ctx);  // revalidate the free list over the scrubbed lines
-    if (Status st = pool.check(ctx); !st.ok()) return st.to_string();
-    if (Status st = tree.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      char key[8];
-      std::snprintf(key, sizeof(key), "key%02u", k);
-      std::string v;
-      if (tree.get(ctx, key, &v)) got[key] = v;
-    }
-    if (got == prev_ || got == cur_) return "";
-    if (!tree.recovery().damaged() && !pool.recovery().damaged())
-      return "silent corruption: recovered tree diverges from the pre-/"
-             "post-op states with no damage reported";
-    for (const auto& [key, val] : got) {
-      const auto it = history_.find(key);
-      if (it == history_.end() || it->second.count(val) == 0)
-        return "silent corruption: key " + key + " holds a never-written "
-               "value";
-    }
-    return "";
-  }
-
- private:
-  static constexpr unsigned kKeys = 48;
-  static constexpr unsigned kOps = 60;
-
-  std::unique_ptr<hw::Platform> platform_;
-  hw::PmemNamespace* ns_ = nullptr;
-  std::unique_ptr<pmem::Pool> pool_;
-  std::unique_ptr<pmemkv::STree> tree_;
-  std::map<std::string, std::string> prev_, cur_;
-  std::map<std::string, std::set<std::string>> history_;
-};
-
-// ------------------------------------------------------------- sharded --
-
-// ShardedStore over two per-DIMM lsmkv shards, write-combining and
-// deferred background compaction on. The workload mixes single-key
-// puts/deletes, cross-shard batched dispatches, and donated compaction
-// turns. Crash-atomicity is per (dispatch, shard): a shard's slice of a
-// batch is one WAL group burst, but the batch does not commit across
-// shards as a unit — so the model keeps per-shard pre/post states and
-// recovery is checked shard by shard.
-class ShardedTarget final : public Target {
- public:
-  std::string name() const override { return "sharded-lsmkv"; }
-
-  hw::Platform& reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = workload::ShardedStore::make_namespaces(*platform_, kShards,
-                                                  16ull << 20);
-    store_ = std::make_unique<workload::ShardedStore>(ns_, shard_options());
-    sim::ThreadCtx ctx = make_thread(0);
-    store_->create(ctx);
-    for (unsigned s = 0; s < kShards; ++s) {
-      prev_[s].clear();
-      cur_[s].clear();
-    }
-    platform_->reset_timing();
-    return *platform_;
-  }
-
-  hw::PmemNamespace& nspace() override { return *ns_[0]; }
-
-  void run() override {
-    sim::ThreadCtx ctx = make_thread(0);
-    sim::Rng rng(13);
-    for (unsigned op = 0; op < kOps; ++op) {
-      if (rng.uniform(3) == 0) {
-        // Cross-shard batched dispatch: 2-4 ops, partitioned by the
-        // router; each involved shard's slice commits atomically, and
-        // the shard's model state advances by the whole slice.
-        const unsigned n = 2 + static_cast<unsigned>(rng.uniform(3));
-        std::vector<workload::BatchOp> batch;
-        for (unsigned i = 0; i < n; ++i) {
-          workload::BatchOp b;
-          b.key = "key" + std::to_string(rng.uniform(kKeys));
-          const unsigned s = workload::shard_of(b.key, kShards);
-          b.del = rng.uniform(4) == 0 && cur_[s].count(b.key) != 0;
-          if (!b.del)
-            b.value = b.key + "#" + std::to_string(op) + "_" +
-                      std::string(4 + rng.uniform(12),
-                                  'a' + static_cast<char>(op % 26));
-          batch.push_back(std::move(b));
-        }
-        bool involved[kShards] = {};
-        for (const auto& b : batch)
-          involved[workload::shard_of(b.key, kShards)] = true;
-        for (unsigned s = 0; s < kShards; ++s)
-          if (involved[s]) prev_[s] = cur_[s];
-        for (const auto& b : batch) {
-          const unsigned s = workload::shard_of(b.key, kShards);
-          if (b.del)
-            cur_[s].erase(b.key);
-          else
-            cur_[s][b.key] = b.value;
-        }
-        store_->apply_batch(ctx, batch);
-      } else {
-        const std::string key = "key" + std::to_string(rng.uniform(kKeys));
-        const unsigned s = workload::shard_of(key, kShards);
-        prev_[s] = cur_[s];
-        if (rng.uniform(4) == 0 && cur_[s].count(key) != 0) {
-          cur_[s].erase(key);
-          store_->del(ctx, key);
-        } else {
-          const std::string val =
-              key + "#" + std::to_string(op) +
-              std::string(4 + rng.uniform(12),
-                          'a' + static_cast<char>(op % 26));
-          cur_[s][key] = val;
-          store_->put(ctx, key, val);
-        }
-      }
-      // Donate a compaction turn so crash points land inside deferred
-      // L0 merges too (a merge never changes the logical state).
-      if (op % 4 == 3) store_->background_turn(ctx);
-    }
-    store_->flush_pending(ctx);
-  }
-
-  std::string recover_and_check() override {
-    sim::ThreadCtx ctx = make_thread(5);
-    workload::ShardedStore store(ns_, shard_options());
-    if (!store.open(ctx)) return "sharded open() failed";
-    if (Status st = store.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got[kShards];
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "key" + std::to_string(k);
-      std::string v;
-      if (store.get(ctx, key, &v))
-        got[workload::shard_of(key, kShards)][key] = v;
-    }
-    for (unsigned s = 0; s < kShards; ++s)
-      if (got[s] != prev_[s] && got[s] != cur_[s])
-        return "shard " + std::to_string(s) +
-               ": recovered state matches neither its pre-op nor its "
-               "post-op state (" +
-               std::to_string(got[s].size()) + " live keys)";
-    return "";
-  }
-
- private:
-  static constexpr unsigned kShards = 2;
-  static constexpr unsigned kKeys = 8;
-  static constexpr unsigned kOps = 40;
-
-  workload::ShardOptions shard_options() const {
-    workload::ShardOptions so;
-    so.kind = workload::StoreKind::kLsmkv;
-    // Singles must be durable at return for the per-op pre/post model,
-    // so no group-commit buffering; batches still commit as one WAL
-    // group burst per shard (Db::put_batch groups unconditionally).
-    so.tuning.write_combine = false;
-    so.tuning.background_compaction = true;
-    so.tuning.memtable_bytes = 1 << 10;  // flush + merge under the run
-    so.writer_lanes = true;
-    return so;
-  }
-
-  std::unique_ptr<hw::Platform> platform_;
-  std::vector<hw::PmemNamespace*> ns_;
-  std::unique_ptr<workload::ShardedStore> store_;
-  std::map<std::string, std::string> prev_[kShards], cur_[kShards];
-};
-
-// ----------------------------------------------------------- resilient --
-
-// Self-healing replicated frontend under combined media damage and
-// crash points: ShardedStore over two per-DIMM lsmkv shards with
-// replicas=2, so every key is mirrored on both stores. Mid-run, store
-// 0's namespace takes at-rest poison; the typed request path contains
-// the resulting MediaErrors, quarantines the store, and donated
-// background turns drive the online rebuild (ARS scrub, full-line
-// ntstore heals, reformat, re-silver from the replica, verify) while
-// writes keep flowing. Every persist event inside those heal/re-silver
-// bursts is a crash point; recovery re-opens a fresh replicas=2
-// frontend (whose open() re-derives quarantine from the media state via
-// ARS), drives it back to healthy, and requires the served state to
-// match the pre- or post-op model — run twice for double-recovery
-// idempotence.
-class ResilientTarget final : public Target {
- public:
-  std::string name() const override { return "resilient-lsmkv"; }
-
-  hw::Platform& reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = workload::ShardedStore::make_namespaces(*platform_, kShards,
-                                                  16ull << 20);
-    store_ = std::make_unique<workload::ShardedStore>(ns_, shard_options());
-    sim::ThreadCtx ctx = make_thread(0);
-    store_->create(ctx);
-    prev_.clear();
-    cur_.clear();
-    platform_->reset_timing();
-    return *platform_;
-  }
-
-  hw::PmemNamespace& nspace() override { return *ns_[0]; }
-
-  void run() override {
-    sim::ThreadCtx ctx = make_thread(0);
-    sim::Rng rng(29);
-    for (unsigned op = 0; op < kOps; ++op) {
-      if (op == kPoisonAt) {
-        hw::FaultInjector inj(*platform_, 7);
-        inj.poison_random(*ns_[0], 0, ns_[0]->size(), 3);
-      }
-      const std::string key = "key" + std::to_string(rng.uniform(kKeys));
-      prev_ = cur_;
-      workload::OpResult r;
-      if (rng.uniform(4) == 0 && cur_.count(key) != 0) {
-        cur_.erase(key);
-        r = store_->try_del(ctx, key);
-      } else {
-        const std::string val =
-            key + "#" + std::to_string(op) +
-            std::string(4 + rng.uniform(12),
-                        'a' + static_cast<char>(op % 26));
-        cur_[key] = val;
-        r = store_->try_put(ctx, key, val);
-      }
-      // An op no copy took was not acknowledged and had no effect.
+      const bool batch =
+          w_.batch_one_in != 0 && rng.uniform(w_.batch_one_in) == 0;
+      const unsigned n = batch ? 1 + static_cast<unsigned>(rng.uniform(3)) : 1;
+      std::vector<workload::BatchOp> writes;
+      for (unsigned i = 0; i < n; ++i) writes.push_back(next_write(rng, seq));
+      const workload::BatchOp& w = writes.front();
+      const workload::OpResult r =
+          batch    ? store_->try_apply_batch(ctx, writes)
+          : w.del  ? store_->try_del(ctx, w.key)
+                   : store_->try_put(ctx, w.key, w.value);
       if (r.status == workload::OpStatus::kUnavailable) cur_ = prev_;
-      // A few reads per op keep the degraded->quarantined budget moving.
+      // A read of a random key per op reaches on-media data, so poison
+      // surfaces and moves a frontend's health state machine; one donated
+      // turn per op runs deferred merges and rebuild steps inside the
+      // crash window.
       std::string v;
-      (void)store_->try_get(ctx, key, &v);
-      // Donated turns drive the scrub/heal/re-silver pipeline, so crash
-      // points land inside its WAL bursts and full-line heal ntstores.
-      store_->background_turn(ctx);
+      (void)store_->try_get(
+          ctx, workload::StoreDesc::key(
+                   static_cast<unsigned>(reads.uniform(w_.store.keys))),
+          &v);
       store_->background_turn(ctx);
     }
-    // Finish any in-flight rebuild under continued service.
-    for (unsigned i = 0; i < 400 && !store_->all_healthy(); ++i)
-      store_->background_turn(ctx);
+    drain(*store_, ctx);
     store_->flush_pending(ctx);
   }
 
   std::string recover_and_check() override {
-    // Twice: recovering a recovered image must be a fixed point.
-    for (unsigned round = 0; round < 2; ++round) {
-      const std::string err = recover_once(round);
-      if (!err.empty()) return err;
-    }
+    for (unsigned round = 0; round < 2; ++round)
+      if (std::string err = recover(round, /*repair=*/false); !err.empty())
+        return err + " (recovery " + std::to_string(round + 1) + ")";
     return "";
+  }
+
+  std::string repair_and_check() override {
+    return recover(0, /*repair=*/true);
   }
 
  private:
-  std::string recover_once(unsigned round) {
-    sim::ThreadCtx ctx = make_thread(5 + round);
-    workload::ShardedStore store(ns_, shard_options());
-    if (!store.open(ctx))
-      return "resilient open() failed (round " + std::to_string(round) + ")";
-    // Health is re-derived from the media state at open (ARS), so a
-    // crash mid-rebuild lands back in quarantine here; drive the rebuild
-    // to completion before judging state.
-    for (unsigned i = 0; i < 800 && !store.all_healthy(); ++i)
-      store.background_turn(ctx);
-    if (!store.all_healthy()) return "rebuild did not converge";
-    if (Status st = store.check(ctx); !st.ok()) return st.to_string();
-    std::map<std::string, std::string> got;
-    for (unsigned k = 0; k < kKeys; ++k) {
-      const std::string key = "key" + std::to_string(k);
-      std::string v;
-      const workload::OpResult r = store.try_get(ctx, key, &v);
-      if (r.ok())
-        got[key] = v;
-      else if (r.status != workload::OpStatus::kNotFound)
-        return std::string("typed error after rebuild: ") +
-               workload::op_status_name(r.status) + " for " + key;
+  // Draws one write, applies it to the model and returns it.
+  workload::BatchOp next_write(sim::Rng& rng, std::uint64_t& seq) {
+    workload::BatchOp b;
+    b.key = workload::StoreDesc::key(
+        static_cast<unsigned>(rng.uniform(w_.store.keys)));
+    State& dom = cur_[w_.store.domain_of(b.key)];
+    b.del = rng.uniform(w_.del_one_in) == 0 && dom.count(b.key) != 0;
+    if (b.del) {
+      dom.erase(b.key);
+    } else {
+      b.value = w_.store.shape_value(b.key + "#" + std::to_string(seq++), rng);
+      dom[b.key] = b.value;
+      history_[b.key].insert(b.value);
     }
-    if (got != prev_ && got != cur_)
-      return "recovered state matches neither the pre-op nor the post-op "
-             "model (" + std::to_string(got.size()) + " live keys, round " +
-             std::to_string(round) + ")";
+    return b;
+  }
+
+  std::string recover(unsigned round, bool repair) {
+    sim::ThreadCtx ctx = make_thread(5 + round);
+    const auto store = w_.store.build(ns_);
+    bool opened = false, half_open = false;
+    try {
+      opened = store->open(ctx);
+    } catch (const hw::MediaError& e) {
+      if (!repair) return std::string("open(): ") + e.what();
+      opened = half_open = true;  // repair_media salvages or reports it
+    }
+    // After media damage an unopenable store is a typed, reported total
+    // loss: the contract forbids only *silent* corruption.
+    if (!opened) return repair ? "" : "open() found no valid store";
+    Status repaired;
+    if (repair) {
+      repaired = store->repair_media(ctx);
+      if (half_open && repaired.code() == ErrorCode::kMediaError) return "";
+      if (!repaired.ok() && repaired.code() != ErrorCode::kDataLoss)
+        return repaired.to_string();
+    }
+    if (!drain(*store, ctx)) return "background work did not settle";
+    if (Status st = store->check(ctx); !st.ok()) return st.to_string();
+
+    std::vector<State> got(w_.store.domains());
+    for (unsigned k = 0; k < w_.store.keys; ++k) {
+      const std::string key = workload::StoreDesc::key(k);
+      std::string v;
+      const workload::OpResult r = store->try_get(ctx, key, &v);
+      if (r.ok())
+        got[w_.store.domain_of(key)][key] = v;
+      else if (r.status != workload::OpStatus::kNotFound)
+        return key + ": read returned " + workload::op_status_name(r.status);
+    }
+    for (unsigned d = 0; d < got.size(); ++d) {
+      if (got[d] == prev_[d] || got[d] == cur_[d]) continue;
+      if (repaired.code() != ErrorCode::kDataLoss)
+        return "domain " + std::to_string(d) +
+               ": recovered state matches neither its pre-op nor its "
+               "post-op state (" + std::to_string(got[d].size()) +
+               " live keys" + (repair ? ", no damage reported)" : ")");
+      // Reported loss may drop committed writes, but every surviving
+      // value must be one its key actually held.
+      for (const auto& [key, val] : got[d]) {
+        const auto it = history_.find(key);
+        if (it == history_.end() || it->second.count(val) == 0)
+          return "silent corruption: key " + key + " holds a never-written "
+                 "value";
+      }
+    }
     return "";
   }
 
-  static constexpr unsigned kShards = 2;
-  static constexpr unsigned kKeys = 8;
-  static constexpr unsigned kOps = 30;
-  static constexpr unsigned kPoisonAt = 10;
-
-  workload::ShardOptions shard_options() const {
-    workload::ShardOptions so;
-    so.kind = workload::StoreKind::kLsmkv;
-    so.replicas = 2;
-    // Singles must be durable at return for the per-op pre/post model.
-    so.tuning.write_combine = false;
-    so.tuning.memtable_bytes = 1 << 10;  // flush + merge under the run
-    so.writer_lanes = true;
-    so.quarantine_after = 1;  // fail fast: one read error quarantines
-    return so;
-  }
-
+  KvWorkload w_;
   std::unique_ptr<hw::Platform> platform_;
   std::vector<hw::PmemNamespace*> ns_;
-  std::unique_ptr<workload::ShardedStore> store_;
-  std::map<std::string, std::string> prev_, cur_;
+  std::unique_ptr<workload::StoreIface> store_;
+  std::vector<State> prev_, cur_;  // per atomic domain
+  std::map<std::string, std::set<std::string>> history_;
 };
+
+kv::DbOptions lsmkv_options(kv::WalMode mode, bool wal_checksum,
+                            bool group_commit) {
+  kv::DbOptions o;
+  o.wal = mode;
+  o.wal_checksum = wal_checksum;
+  o.wal_group_commit = group_commit;
+  o.wal_capacity = 1 << 20;
+  o.memtable_bytes = 512;
+  o.l0_compaction_trigger = 2;
+  return o;
+}
+
+// Two per-DIMM lsmkv shards with deferred compaction. Singles stay
+// durable at return (no write combining); a batch commits one WAL group
+// per shard.
+workload::StoreDesc lsmkv_frontend(unsigned replicas) {
+  workload::ShardOptions so;
+  so.kind = workload::StoreKind::kLsmkv;
+  so.replicas = replicas;
+  so.quarantine_after = 1;  // fail fast: one read error quarantines
+  so.tuning.memtable_bytes = 256;  // flushes and merges under the run
+  so.tuning.background_compaction = true;
+  workload::StoreDesc d;
+  d.options = so;
+  d.shards = 2;
+  d.ns_bytes = 16ull << 20;
+  d.value_min = 12;
+  d.value_choices = 12;
+  return d;
+}
 
 }  // namespace
 
 std::unique_ptr<Target> make_pmemlib_target(bool inject_commit_fault) {
   return std::make_unique<PmemlibTarget>(inject_commit_fault);
 }
+
 std::unique_ptr<Target> make_lsmkv_target(kv::WalMode mode,
                                           bool wal_checksum,
                                           bool group_commit) {
-  return std::make_unique<LsmkvTarget>(mode, wal_checksum, group_commit);
+  KvWorkload w;
+  w.name = mode == kv::WalMode::kPosix ? "lsmkv-posix" : "lsmkv-flex";
+  w.store.options = lsmkv_options(mode, wal_checksum, group_commit);
+  w.store.ns_bytes = 32ull << 20;
+  w.store.value_min = 11;
+  w.store.value_choices = 16;
+  w.ops = 48;
+  w.seed = 11;
+  if (group_commit) {
+    // Every op is a put_batch group of 1-3 records: groups coalesce
+    // records into one persist burst, so twice the records keep the
+    // crash-point count comparable to the per-record target.
+    w.name += "-group";
+    w.batch_one_in = 1;
+  }
+  return std::make_unique<KvTarget>(std::move(w));
 }
+
 std::unique_ptr<Target> make_novafs_target(bool log_checksum,
                                            bool batch_appends) {
   return std::make_unique<NovafsTarget>(log_checksum, batch_appends);
 }
+
 std::unique_ptr<Target> make_cmap_target() {
-  return std::make_unique<CmapTarget>();
+  KvWorkload w;
+  w.name = "pmemkv-cmap";
+  w.store.options = pmemkv::CMapOptions{};
+  w.store.keys = 12;
+  // 8 bytes keeps header + key + value in one 64 B line (in-place update);
+  // a length change takes the transactional replace path.
+  w.store.value_min = 8;
+  w.store.value_step = 16;
+  w.store.value_choices = 2;
+  w.seed = 17;
+  w.del_one_in = 5;
+  return std::make_unique<KvTarget>(std::move(w));
 }
-std::unique_ptr<Target> make_sharded_target() {
-  return std::make_unique<ShardedTarget>();
-}
-std::unique_ptr<Target> make_resilient_target() {
-  return std::make_unique<ResilientTarget>();
-}
+
 std::unique_ptr<Target> make_stree_target() {
-  return std::make_unique<StreeTarget>();
+  KvWorkload w;
+  w.name = "pmemkv-stree";
+  w.store.options = pmemkv::STreeOptions{};
+  w.store.keys = 48;
+  w.store.value_min = 8;
+  w.store.value_choices = 12;
+  w.ops = 60;
+  w.seed = 19;
+  w.del_one_in = 6;
+  return std::make_unique<KvTarget>(std::move(w));
+}
+
+std::unique_ptr<Target> make_sharded_target() {
+  KvWorkload w;
+  w.name = "sharded-lsmkv";
+  w.store = lsmkv_frontend(1);
+  w.seed = 13;
+  w.batch_one_in = 3;
+  return std::make_unique<KvTarget>(std::move(w));
+}
+
+std::unique_ptr<Target> make_resilient_target() {
+  KvWorkload w;
+  w.name = "resilient-lsmkv";
+  w.store = lsmkv_frontend(2);
+  w.ops = 32;
+  w.seed = 29;
+  w.poison_at = 10;
+  return std::make_unique<KvTarget>(std::move(w));
 }
 
 std::vector<std::unique_ptr<Target>> all_targets(bool checksums) {
@@ -1028,6 +591,8 @@ std::vector<std::unique_ptr<Target>> all_targets(bool checksums) {
   targets.push_back(make_novafs_target(checksums, /*batch_appends=*/true));
   targets.push_back(make_cmap_target());
   targets.push_back(make_stree_target());
+  targets.push_back(make_sharded_target());
+  targets.push_back(make_resilient_target());
   return targets;
 }
 

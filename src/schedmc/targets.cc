@@ -1,19 +1,17 @@
 #include "schedmc/targets.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <span>
 #include <string>
 
 #include "lsmkv/db.h"
 #include "novafs/novafs.h"
-#include "pmemkv/cmap.h"
-#include "pmemkv/stree.h"
 #include "pmemlib/pmem_ops.h"
 #include "pmemlib/pool.h"
 #include "sim/rng.h"
-#include "workload/shard.h"
+#include "workload/store_desc.h"
 #include "xpsim/platform.h"
 
 namespace xp::schedmc {
@@ -43,6 +41,64 @@ bool elide(const TargetOptions& o) {
   return o.fault == TestFault::kElideRmwLock;
 }
 
+// recover()'s failure exit: sets *error.
+bool fail(std::string* error, std::string what) {
+  *error = std::move(what);
+  return false;
+}
+
+// The frame every target here shares: a fresh platform per run, a
+// History, and one worker thread per TargetOptions::threads running
+// body(ctx, t).
+class WorkerTarget : public Target {
+ public:
+  explicit WorkerTarget(const TargetOptions& o) : opts_(o) {}
+
+  hw::Platform& platform() override { return *platform_; }
+  History& history() override { return history_; }
+
+  std::vector<ThreadSpec> specs() override {
+    std::vector<ThreadSpec> v;
+    for (unsigned t = 0; t < opts_.threads; ++t)
+      v.push_back({worker_opts(opts_, t),
+                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
+    return v;
+  }
+
+ protected:
+  virtual void body(sim::ThreadCtx& ctx, unsigned t) = 0;
+
+  // The counter RMW on "ctr": read(&v), then write(id, v + 1), both in
+  // one critical(fn) section — or, with kElideRmwLock, in two: the lock
+  // is dropped between the read and the write (the seeded lost update).
+  template <typename Critical, typename Read, typename Write>
+  void bump_counter(sim::ThreadCtx& ctx, unsigned t, Critical critical,
+                    Read read, Write write) {
+    const std::size_t id = history_.invoke(t, OpKind::kRmw, "ctr");
+    std::string v;
+    bool found = false;
+    auto update = [&] {
+      const std::string nv = std::to_string((found ? std::stoll(v) : 0) + 1);
+      history_.stage_write(id, found, found ? v : std::string(), nv);
+      write(id, nv);
+    };
+    if (elide(opts_)) {
+      critical([&] { found = read(&v); });
+      ctx.sched_point(sim::SchedPoint::kHandoff);
+      critical(update);
+    } else {
+      critical([&] {
+        found = read(&v);
+        update();
+      });
+    }
+  }
+
+  TargetOptions opts_;
+  std::unique_ptr<hw::Platform> platform_;
+  History history_;
+};
+
 // ------------------------------------------------------------- pmemlib --
 
 // Four 8-byte counters in the root object, each guarded by its own
@@ -50,9 +106,9 @@ bool elide(const TargetOptions& o) {
 // transaction (lane = thread id). No allocator churn: the pool free list
 // is shared state the Tx layer does not lock, and this workload models
 // an implementation that partitions data, not the allocator.
-class PmemlibTarget final : public Target {
+class PmemlibTarget final : public WorkerTarget {
  public:
-  explicit PmemlibTarget(const TargetOptions& o) : opts_(o) {}
+  using WorkerTarget::WorkerTarget;
 
   const char* name() const override { return "pmemlib"; }
 
@@ -69,17 +125,6 @@ class PmemlibTarget final : public Target {
     history_.clear();
   }
 
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
-  std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
-    return v;
-  }
-
   std::map<std::string, std::string> live_state() override {
     sim::ThreadCtx ctx = service_ctx();
     return read_slots(ctx);
@@ -89,14 +134,9 @@ class PmemlibTarget final : public Target {
                std::string* error) override {
     sim::ThreadCtx ctx = service_ctx(33);
     pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) {
-      *error = "pool.open() found no valid pool";
-      return false;
-    }
-    if (Status st = pool.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
+    if (!pool.open(ctx)) return fail(error, "pool.open() found no valid pool");
+    if (Status st = pool.check(ctx); !st.ok())
+      return fail(error, st.to_string());
     *out = read_slots(ctx);
     return true;
   }
@@ -120,7 +160,7 @@ class PmemlibTarget final : public Target {
     return s;
   }
 
-  void body(sim::ThreadCtx& ctx, unsigned t) {
+  void body(sim::ThreadCtx& ctx, unsigned t) override {
     sim::Rng rng = body_rng(opts_, t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned slot = static_cast<unsigned>(rng.uniform(kSlots));
@@ -162,13 +202,10 @@ class PmemlibTarget final : public Target {
     if (locked) locks_[slot].unlock(ctx);
   }
 
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
   hw::PmemNamespace* ns_ = nullptr;
   std::unique_ptr<pmem::Pool> pool_;
   std::uint64_t root_ = 0;
   SchedLock locks_[kSlots];
-  History history_;
 };
 
 // --------------------------------------------------------------- lsmkv --
@@ -178,9 +215,9 @@ class PmemlibTarget final : public Target {
 // protocol: every mutation joins the current group-commit window; when
 // pending_records() drains to zero the whole window became durable and
 // its ops are promoted to must-include.
-class LsmkvTarget final : public Target {
+class LsmkvTarget final : public WorkerTarget {
  public:
-  explicit LsmkvTarget(const TargetOptions& o) : opts_(o) {}
+  using WorkerTarget::WorkerTarget;
 
   const char* name() const override { return "lsmkv"; }
 
@@ -196,17 +233,6 @@ class LsmkvTarget final : public Target {
     window_id_ = 1;
   }
 
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
-  std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
-    return v;
-  }
-
   std::map<std::string, std::string> live_state() override {
     sim::ThreadCtx ctx = service_ctx();
     return read_all(*db_, ctx);
@@ -216,14 +242,8 @@ class LsmkvTarget final : public Target {
                std::string* error) override {
     sim::ThreadCtx ctx = service_ctx(33);
     kv::Db db(*ns_, db_options());
-    if (!db.open(ctx)) {
-      *error = "db.open() failed";
-      return false;
-    }
-    if (Status st = db.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
+    if (!db.open(ctx)) return fail(error, "db.open() failed");
+    if (Status st = db.check(ctx); !st.ok()) return fail(error, st.to_string());
     *out = read_all(db, ctx);
     return true;
   }
@@ -290,7 +310,7 @@ class LsmkvTarget final : public Target {
     }
   }
 
-  void body(sim::ThreadCtx& ctx, unsigned t) {
+  void body(sim::ThreadCtx& ctx, unsigned t) override {
     sim::Rng rng = body_rng(opts_, t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned r = static_cast<unsigned>(rng.uniform(8));
@@ -318,53 +338,26 @@ class LsmkvTarget final : public Target {
         db_->del(ctx, k);
         ack_write(id);
       } else {
-        bump_counter(ctx, t);
+        bump_counter(
+            ctx, t,
+            [&](auto&& fn) {
+              SchedLockGuard g(db_lock_, ctx);
+              fn();
+            },
+            [&](std::string* v) { return db_->get(ctx, "ctr", v); },
+            [&](std::size_t id, const std::string& nv) {
+              db_->put(ctx, "ctr", nv);
+              ack_write(id);
+            });
       }
     }
   }
 
-  // Counter increment: get + put composed into one atomic RMW under the
-  // db lock — unless the fault elides it into two separate critical
-  // sections, re-creating the classic lost-update race.
-  void bump_counter(sim::ThreadCtx& ctx, unsigned t) {
-    const std::size_t id = history_.invoke(t, OpKind::kRmw, "ctr");
-    if (elide(opts_)) {
-      bool found;
-      std::string v;
-      {
-        SchedLockGuard g(db_lock_, ctx);
-        found = db_->get(ctx, "ctr", &v);
-      }
-      // Lock dropped between read and write: the seeded regression.
-      ctx.sched_point(sim::SchedPoint::kHandoff);
-      const std::string nv = next_value(found, v);
-      history_.stage_write(id, found, found ? v : std::string(), nv);
-      SchedLockGuard g(db_lock_, ctx);
-      db_->put(ctx, "ctr", nv);
-      ack_write(id);
-    } else {
-      SchedLockGuard g(db_lock_, ctx);
-      std::string v;
-      const bool found = db_->get(ctx, "ctr", &v);
-      const std::string nv = next_value(found, v);
-      history_.stage_write(id, found, found ? v : std::string(), nv);
-      db_->put(ctx, "ctr", nv);
-      ack_write(id);
-    }
-  }
-
-  static std::string next_value(bool found, const std::string& v) {
-    return std::to_string((found ? std::stoll(v) : 0) + 1);
-  }
-
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
   hw::PmemNamespace* ns_ = nullptr;
   std::unique_ptr<kv::Db> db_;
   SchedLock db_lock_;
   std::vector<std::size_t> window_ops_;
   std::uint64_t window_id_ = 1;
-  History history_;
 };
 
 // -------------------------------------------------------------- novafs --
@@ -372,9 +365,9 @@ class LsmkvTarget final : public Target {
 // Files as map entries: a file's content (fixed-length writes at offset
 // 0) is its value, create is a put of "". One fs-wide lock — the
 // directory log, page allocator, and read staging are all shared.
-class NovafsTarget final : public Target {
+class NovafsTarget final : public WorkerTarget {
  public:
-  explicit NovafsTarget(const TargetOptions& o) : opts_(o) {}
+  using WorkerTarget::WorkerTarget;
 
   const char* name() const override { return "novafs"; }
 
@@ -388,17 +381,6 @@ class NovafsTarget final : public Target {
     history_.clear();
   }
 
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
-  std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
-    return v;
-  }
-
   std::map<std::string, std::string> live_state() override {
     sim::ThreadCtx ctx = service_ctx();
     return read_all(*fs_, ctx);
@@ -408,14 +390,8 @@ class NovafsTarget final : public Target {
                std::string* error) override {
     sim::ThreadCtx ctx = service_ctx(33);
     nova::NovaFs fs(*ns_, fs_options());
-    if (!fs.mount(ctx)) {
-      *error = "mount() failed";
-      return false;
-    }
-    if (Status st = fs.fsck(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
+    if (!fs.mount(ctx)) return fail(error, "mount() failed");
+    if (Status st = fs.fsck(ctx); !st.ok()) return fail(error, st.to_string());
     *out = read_all(fs, ctx);
     return true;
   }
@@ -436,24 +412,28 @@ class NovafsTarget final : public Target {
     return o;
   }
 
+  // The whole content of `name`; false if it does not exist.
+  static bool read_file(nova::NovaFs& fs, sim::ThreadCtx& ctx,
+                        const std::string& name, std::string* content) {
+    const int ino = fs.open(ctx, name);
+    if (ino < 0) return false;
+    content->assign(fs.size(ctx, ino), '\0');
+    if (!content->empty())
+      fs.read(ctx, ino, 0,
+              {reinterpret_cast<std::uint8_t*>(content->data()),
+               content->size()});
+    return true;
+  }
+
   std::map<std::string, std::string> read_all(nova::NovaFs& fs,
                                               sim::ThreadCtx& ctx) {
     std::map<std::string, std::string> s;
-    for (unsigned i = 0; i < kNames; ++i) {
-      const int ino = fs.open(ctx, fname(i));
-      if (ino < 0) continue;
-      const std::uint64_t sz = fs.size(ctx, ino);
-      std::string content(sz, '\0');
-      if (sz != 0)
-        fs.read(ctx, ino, 0,
-                std::span<std::uint8_t>(
-                    reinterpret_cast<std::uint8_t*>(content.data()), sz));
-      s[fname(i)] = content;
-    }
+    for (unsigned i = 0; i < kNames; ++i)
+      if (std::string c; read_file(fs, ctx, fname(i), &c)) s[fname(i)] = c;
     return s;
   }
 
-  void body(sim::ThreadCtx& ctx, unsigned t) {
+  void body(sim::ThreadCtx& ctx, unsigned t) override {
     sim::Rng rng = body_rng(opts_, t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned r = static_cast<unsigned>(rng.uniform(8));
@@ -479,19 +459,9 @@ class NovafsTarget final : public Target {
         history_.mark_must_include(id);
       } else {
         const std::size_t id = history_.invoke(t, OpKind::kGet, fname(fi));
-        const int ino = fs_->open(ctx, fname(fi));
-        if (ino < 0) {
-          history_.respond(id, false);
-        } else {
-          const std::uint64_t sz = fs_->size(ctx, ino);
-          std::string content(sz, '\0');
-          if (sz != 0)
-            fs_->read(ctx, ino, 0,
-                      std::span<std::uint8_t>(
-                          reinterpret_cast<std::uint8_t*>(content.data()),
-                          sz));
-          history_.respond(id, true, content);
-        }
+        std::string content;
+        const bool found = read_file(*fs_, ctx, fname(fi), &content);
+        history_.respond(id, found, content);
         history_.mark_must_include(id);
       }
     }
@@ -518,317 +488,80 @@ class NovafsTarget final : public Target {
     history_.mark_must_include(id);
   }
 
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
   hw::PmemNamespace* ns_ = nullptr;
   std::unique_ptr<nova::NovaFs> fs_;
   SchedLock fs_lock_;
-  History history_;
 };
 
-// ---------------------------------------------------------- pmemkv -----
+// ------------------------------------------------------------------ kv --
 
-// cmap: hashed buckets over a pool, bounded writer lanes per DIMM (the
-// lane admission/release points are schedmc yields). Value length picks
-// the engine path: 8 bytes stays in-place, 24 goes transactional.
-class CmapTarget final : public Target {
- public:
-  explicit CmapTarget(const TargetOptions& o) : opts_(o) {}
-
-  const char* name() const override { return "cmap"; }
-
-  void reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(8 << 20);
-    pool_ = std::make_unique<pmem::Pool>(*ns_);
-    sim::ThreadCtx ctx = service_ctx();
-    pool_->create(ctx, 64);
-    map_ = std::make_unique<pmemkv::CMap>(*pool_, map_options());
-    map_->create(ctx);
-    platform_->reset_timing();
-    history_.clear();
-  }
-
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
-  std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
-    return v;
-  }
-
-  std::map<std::string, std::string> live_state() override {
-    sim::ThreadCtx ctx = service_ctx();
-    return read_all(*map_, ctx);
-  }
-
-  bool recover(std::map<std::string, std::string>* out,
-               std::string* error) override {
-    sim::ThreadCtx ctx = service_ctx(33);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) {
-      *error = "pool.open() found no valid pool";
-      return false;
-    }
-    if (Status st = pool.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
-    pmemkv::CMap map(pool, map_options());
-    map.open(ctx);
-    if (Status st = map.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
-    *out = read_all(map, ctx);
-    return true;
-  }
-
- private:
-  static constexpr unsigned kKeys = 6;
-
-  static std::string key(unsigned i) { return "c" + std::to_string(i); }
-
-  pmemkv::CMapOptions map_options() const {
-    pmemkv::CMapOptions o;
-    o.max_writers_per_dimm = 2;
-    return o;
-  }
-
-  std::map<std::string, std::string> read_all(pmemkv::CMap& map,
-                                              sim::ThreadCtx& ctx) {
-    std::map<std::string, std::string> s;
-    for (unsigned i = 0; i < kKeys; ++i) {
-      std::string v;
-      if (map.get(ctx, key(i), &v)) s[key(i)] = v;
-    }
-    return s;
-  }
-
-  void body(sim::ThreadCtx& ctx, unsigned t) {
-    sim::Rng rng = body_rng(opts_, t);
-    for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
-      const unsigned r = static_cast<unsigned>(rng.uniform(8));
-      const std::string k = key(static_cast<unsigned>(rng.uniform(kKeys)));
-      ctx.sched_point(sim::SchedPoint::kOpBegin);
-      SchedLockGuard g(map_lock_, ctx);
-      if (r < 4) {
-        // 8-byte value = in-place update path; 24-byte = transactional.
-        const std::size_t len = (rng.uniform(2) == 0) ? 8 : 24;
-        std::string val = "w" + std::to_string(t) + "_" + std::to_string(op);
-        val.resize(len, 'x');
-        const std::size_t id = history_.invoke(t, OpKind::kPut, k, val);
-        history_.stage_write(id);
-        map_->put(ctx, k, val);
-        history_.respond(id);
-        history_.mark_must_include(id);
-      } else if (r < 6) {
-        const std::size_t id = history_.invoke(t, OpKind::kGet, k);
-        std::string v;
-        const bool found = map_->get(ctx, k, &v);
-        history_.respond(id, found, v);
-        history_.mark_must_include(id);
-      } else {
-        const std::size_t id = history_.invoke(t, OpKind::kDel, k);
-        history_.stage_write(id);
-        const bool ok = map_->remove(ctx, k);
-        history_.respond(id, ok);
-        history_.mark_must_include(id);
-      }
-    }
-  }
-
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
-  hw::PmemNamespace* ns_ = nullptr;
-  std::unique_ptr<pmem::Pool> pool_;
-  std::unique_ptr<pmemkv::CMap> map_;
-  SchedLock map_lock_;
-  History history_;
+// The op mix a KvTarget's worker threads draw from, as weights out of
+// their sum. A batch is one try_apply_batch of 2-3 writes; an RMW
+// increments the counter key "ctr".
+struct KvMix {
+  const char* name;
+  workload::StoreDesc store;
+  unsigned put = 4, get = 2, del = 2, batch = 0, rmw = 0;
 };
 
-// stree: sorted leaves with splits. Enough keys that the 3-thread run
-// splits at least one leaf mid-schedule.
-class StreeTarget final : public Target {
- public:
-  explicit StreeTarget(const TargetOptions& o) : opts_(o) {}
-
-  const char* name() const override { return "stree"; }
-
-  void reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(8 << 20);
-    pool_ = std::make_unique<pmem::Pool>(*ns_);
-    sim::ThreadCtx ctx = service_ctx();
-    pool_->create(ctx, 64);
-    tree_ = std::make_unique<pmemkv::STree>(*pool_);
-    tree_->create(ctx);
-    platform_->reset_timing();
-    history_.clear();
-  }
-
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
-  std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
-    return v;
-  }
-
-  std::map<std::string, std::string> live_state() override {
-    sim::ThreadCtx ctx = service_ctx();
-    return read_all(*tree_, ctx);
-  }
-
-  bool recover(std::map<std::string, std::string>* out,
-               std::string* error) override {
-    sim::ThreadCtx ctx = service_ctx(33);
-    pmem::Pool pool(*ns_);
-    if (!pool.open(ctx)) {
-      *error = "pool.open() found no valid pool";
-      return false;
-    }
-    if (Status st = pool.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
-    pmemkv::STree tree(pool);
-    tree.open(ctx);
-    if (Status st = tree.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
-    *out = read_all(tree, ctx);
-    return true;
-  }
-
- private:
-  static constexpr unsigned kKeys = 12;
-
-  static std::string key(unsigned i) {
-    return "t" + std::string(i < 10 ? "0" : "") + std::to_string(i);
-  }
-
-  std::map<std::string, std::string> read_all(pmemkv::STree& tree,
-                                              sim::ThreadCtx& ctx) {
-    std::map<std::string, std::string> s;
-    for (unsigned i = 0; i < kKeys; ++i) {
-      std::string v;
-      if (tree.get(ctx, key(i), &v)) s[key(i)] = v;
-    }
-    return s;
-  }
-
-  void body(sim::ThreadCtx& ctx, unsigned t) {
-    sim::Rng rng = body_rng(opts_, t);
-    for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
-      const unsigned r = static_cast<unsigned>(rng.uniform(8));
-      const std::string k = key(static_cast<unsigned>(rng.uniform(kKeys)));
-      ctx.sched_point(sim::SchedPoint::kOpBegin);
-      SchedLockGuard g(tree_lock_, ctx);
-      if (r < 5) {
-        const std::string val =
-            "n" + std::to_string(t) + "_" + std::to_string(op);
-        const std::size_t id = history_.invoke(t, OpKind::kPut, k, val);
-        history_.stage_write(id);
-        tree_->put(ctx, k, val);
-        history_.respond(id);
-        history_.mark_must_include(id);
-      } else if (r < 7) {
-        const std::size_t id = history_.invoke(t, OpKind::kGet, k);
-        std::string v;
-        const bool found = tree_->get(ctx, k, &v);
-        history_.respond(id, found, v);
-        history_.mark_must_include(id);
-      } else {
-        const std::size_t id = history_.invoke(t, OpKind::kDel, k);
-        history_.stage_write(id);
-        const bool ok = tree_->remove(ctx, k);
-        history_.respond(id, ok);
-        history_.mark_must_include(id);
-      }
-    }
-  }
-
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
-  hw::PmemNamespace* ns_ = nullptr;
-  std::unique_ptr<pmem::Pool> pool_;
-  std::unique_ptr<pmemkv::STree> tree_;
-  SchedLock tree_lock_;
-  History history_;
-};
-
-// ------------------------------------------------------------- sharded --
-
-// workload::ShardedStore over two per-DIMM lsmkv shards with deferred
-// background compaction. Locking model: each shard instance is
-// single-threaded code, so it gets its own SchedLock; single-key ops
-// take the owning shard's lock, cross-shard batches take every involved
-// lock in ascending shard order (no deadlock by construction) and hold
-// them across the whole dispatch. One extra logical thread donates
-// background-compaction turns, shard lock held — reset() pre-populates
-// enough data that both shards start with compaction debt pending, so
-// exploration interleaves real L0 merges with foreground traffic.
+// Any StoreIface configuration under the interleaver, driven through the
+// typed try_* calls. One SchedLock per physical store: a single-key op
+// takes its owning store's lock, a batch every involved store's lock in
+// ascending order (no deadlock by construction), each held across the
+// call. When the store defers compaction, reset() pre-populates enough
+// data to leave merge debt pending and one extra thread donates
+// background turns under every lock, so exploration interleaves real
+// merges with foreground traffic.
 //
-// Durability: sync_every_op is on and write-combining is off, so a
-// single put/del is durable when it returns, and a per-shard batch
-// group (Db::put_batch, one WAL group burst) is durable — atomically —
-// when the dispatch returns. History groups mirror exactly that unit:
-// one group id per (batch, shard), never one spanning shards.
-class ShardedTarget final : public Target {
+// Durability: the descriptors commit every single write at return (no
+// write combining), so each op is acknowledged durable when it returns.
+// A frontend commits a batch as one crash-atomic WAL group per shard, so
+// history groups are one id per (batch, shard), never one spanning
+// shards. Schedule targets run K=1 frontends: a key's one copy lives on
+// the store its lock guards.
+class KvTarget final : public WorkerTarget {
  public:
-  explicit ShardedTarget(const TargetOptions& o) : opts_(o) {}
+  KvTarget(KvMix mix, const TargetOptions& o)
+      : WorkerTarget(o), mix_(std::move(mix)),
+        locks_(mix_.store.domains()) {}
 
-  const char* name() const override { return "sharded-lsmkv"; }
+  const char* name() const override { return mix_.name; }
 
   void reset() override {
     platform_ = std::make_unique<hw::Platform>();
-    ns_ = workload::ShardedStore::make_namespaces(*platform_, kShards,
-                                                  16ull << 20);
-    store_ = std::make_unique<workload::ShardedStore>(ns_, shard_options());
+    ns_ = mix_.store.make_namespaces(*platform_);
+    store_ = mix_.store.build(ns_);
     sim::ThreadCtx ctx = service_ctx();
     store_->create(ctx);
-    // Pre-populate until every shard has scheduled (not run) a merge:
-    // the explorer then interleaves the donated compaction turns with
-    // live traffic instead of exploring an empty background thread.
     filler_.clear();
-    for (unsigned i = 0; i < kFillers; ++i) {
-      const std::string k = "f" + std::to_string(i);
-      const std::string v(400, 'a' + static_cast<char>(i % 26));
-      store_->put(ctx, k, v);
-      filler_[k] = v;
+    if (mix_.store.defers_compaction()) {
+      // Enough 400 B fillers to flush each shard's memtable past the L0
+      // trigger several times: merges are scheduled, not yet run.
+      for (unsigned i = 0; i < kFillers; ++i) {
+        std::string k = "f";
+        k += std::to_string(i);
+        const std::string v(400, 'a' + static_cast<char>(i % 26));
+        store_->try_put(ctx, k, v);
+        filler_[k] = v;
+      }
     }
     platform_->reset_timing();
     history_.clear();
     next_group_ = 1;
   }
 
-  hw::Platform& platform() override { return *platform_; }
-  History& history() override { return history_; }
-
   std::vector<ThreadSpec> specs() override {
-    std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
-                   [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
-    // The background-compaction donor: walks the shards a few times,
-    // paying one deferred merge per turn under that shard's lock.
-    v.push_back({worker_opts(opts_, opts_.threads),
-                 [this](sim::ThreadCtx& ctx) {
-                   for (unsigned round = 0; round < 3; ++round)
-                     for (unsigned s = 0; s < kShards; ++s) {
+    std::vector<ThreadSpec> v = WorkerTarget::specs();
+    if (mix_.store.defers_compaction())
+      v.push_back({worker_opts(opts_, opts_.threads),
+                   [this](sim::ThreadCtx& ctx) {
+                     std::vector<unsigned> all(locks_.size());
+                     for (unsigned s = 0; s < all.size(); ++s) all[s] = s;
+                     for (unsigned turn = 0; turn < 3 * all.size(); ++turn) {
                        ctx.sched_point(sim::SchedPoint::kOpBegin);
-                       SchedLockGuard g(locks_[s], ctx);
-                       store_->shard(s).background_turn(ctx);
+                       locked(ctx, all, [&] { store_->background_turn(ctx); });
                      }
-                 }});
+                   }});
     return v;
   }
 
@@ -840,16 +573,11 @@ class ShardedTarget final : public Target {
   bool recover(std::map<std::string, std::string>* out,
                std::string* error) override {
     sim::ThreadCtx ctx = service_ctx(33);
-    workload::ShardedStore store(ns_, shard_options());
-    if (!store.open(ctx)) {
-      *error = "sharded open() failed";
-      return false;
-    }
-    if (Status st = store.check(ctx); !st.ok()) {
-      *error = st.to_string();
-      return false;
-    }
-    *out = read_all(store, ctx);
+    const auto store = mix_.store.build(ns_);
+    if (!store->open(ctx)) return fail(error, "open() failed");
+    if (Status st = store->check(ctx); !st.ok())
+      return fail(error, st.to_string());
+    *out = read_all(*store, ctx);
     return true;
   }
 
@@ -858,159 +586,136 @@ class ShardedTarget final : public Target {
   }
 
  private:
-  static constexpr unsigned kShards = 2;
-  static constexpr unsigned kKeys = 6;
-  // 48 x 400 B spread over two 2 KB-memtable shards: ~9 flushes per
-  // shard, past the default l0_compaction_trigger, so both shards carry
-  // pending debt when the run starts.
   static constexpr unsigned kFillers = 48;
 
-  static std::string key(unsigned i) { return "k" + std::to_string(i); }
-
-  workload::ShardOptions shard_options() const {
-    workload::ShardOptions so;
-    so.kind = workload::StoreKind::kLsmkv;
-    so.tuning.memtable_bytes = 2 << 10;
-    so.tuning.background_compaction = true;
-    so.writer_lanes = true;
-    return so;
+  unsigned owner(std::string_view key) const {
+    return mix_.store.domain_of(key);
   }
 
-  std::map<std::string, std::string> read_all(workload::ShardedStore& s,
+  // Runs fn holding locks_[s] for every s in `stores` (ascending), each
+  // in its own guard scope so a release that aborts the run unwinds the
+  // rest cleanly.
+  template <typename Fn>
+  void locked(sim::ThreadCtx& ctx, std::span<const unsigned> stores,
+              Fn&& fn) {
+    if (stores.empty()) return fn();
+    SchedLockGuard g(locks_[stores.front()], ctx);
+    locked(ctx, stores.subspan(1), fn);
+  }
+  template <typename Fn>
+  void locked(sim::ThreadCtx& ctx, unsigned store, Fn&& fn) {
+    locked(ctx, std::span<const unsigned>(&store, 1), fn);
+  }
+
+  std::map<std::string, std::string> read_all(workload::StoreIface& s,
                                               sim::ThreadCtx& ctx) {
     std::map<std::string, std::string> out;
     auto probe = [&](const std::string& k) {
       std::string v;
-      if (s.get(ctx, k, &v)) out[k] = v;
+      if (s.try_get(ctx, k, &v).ok()) out[k] = v;
     };
-    for (unsigned i = 0; i < kKeys; ++i) probe(key(i));
+    for (unsigned i = 0; i < mix_.store.keys; ++i)
+      probe(workload::StoreDesc::key(i));
     probe("ctr");
     for (const auto& [k, v] : filler_) probe(k);
     return out;
   }
 
-  void body(sim::ThreadCtx& ctx, unsigned t) {
+  void body(sim::ThreadCtx& ctx, unsigned t) override {
     sim::Rng rng = body_rng(opts_, t);
+    const unsigned total =
+        mix_.put + mix_.get + mix_.del + mix_.batch + mix_.rmw;
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
-      const unsigned r = static_cast<unsigned>(rng.uniform(10));
-      const std::string k = key(static_cast<unsigned>(rng.uniform(kKeys)));
-      const unsigned s = workload::shard_of(k, kShards);
+      unsigned r = static_cast<unsigned>(rng.uniform(total));
+      const std::string k = workload::StoreDesc::key(
+          static_cast<unsigned>(rng.uniform(mix_.store.keys)));
       ctx.sched_point(sim::SchedPoint::kOpBegin);
-      if (r < 3) {
-        const std::string val =
-            "v" + std::to_string(t) + "_" + std::to_string(op);
-        SchedLockGuard g(locks_[s], ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kPut, k, val);
-        history_.stage_write(id);
-        store_->put(ctx, k, val);
-        history_.respond(id);
-        history_.mark_must_include(id);
-      } else if (r < 5) {
-        SchedLockGuard g(locks_[s], ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kGet, k);
-        std::string v;
-        const bool found = store_->get(ctx, k, &v);
-        history_.respond(id, found, v);
-        history_.mark_must_include(id);
-      } else if (r < 6) {
-        SchedLockGuard g(locks_[s], ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kDel, k);
-        history_.stage_write(id);
-        store_->del(ctx, k);
-        history_.respond(id);  // lsmkv dels are blind; no found to check
-        history_.mark_must_include(id);
-      } else if (r < 8) {
+      if (r < mix_.put) {
+        const std::string val = mix_.store.shape_value(
+            "v" + std::to_string(t) + "_" + std::to_string(op), rng);
+        locked(ctx, owner(k), [&] {
+          const std::size_t id = history_.invoke(t, OpKind::kPut, k, val);
+          history_.stage_write(id);
+          store_->try_put(ctx, k, val);
+          history_.respond(id);
+          history_.mark_must_include(id);
+        });
+      } else if ((r -= mix_.put) < mix_.get) {
+        locked(ctx, owner(k), [&] {
+          const std::size_t id = history_.invoke(t, OpKind::kGet, k);
+          std::string v;
+          const bool found = store_->try_get(ctx, k, &v).ok();
+          history_.respond(id, found, v);
+          history_.mark_must_include(id);
+        });
+      } else if ((r -= mix_.get) < mix_.del) {
+        locked(ctx, owner(k), [&] {
+          const std::size_t id = history_.invoke(t, OpKind::kDel, k);
+          history_.stage_write(id);
+          const bool found = store_->try_del(ctx, k).ok();
+          if (store_->del_reports_found())
+            history_.respond(id, found);
+          else
+            history_.respond(id);  // a blind tombstone: nothing to check
+          history_.mark_must_include(id);
+        });
+      } else if ((r -= mix_.del) < mix_.batch) {
         batch(ctx, t, op, rng);
       } else {
-        bump_counter(ctx, t);
+        bump_counter(
+            ctx, t, [&](auto&& fn) { locked(ctx, owner("ctr"), fn); },
+            [&](std::string* v) { return store_->try_get(ctx, "ctr", v).ok(); },
+            [&](std::size_t id, const std::string& nv) {
+              store_->try_put(ctx, "ctr", nv);
+              history_.respond(id);
+              history_.mark_must_include(id);
+            });
       }
     }
   }
 
-  // Cross-shard batched dispatch: 2-3 keys, locks taken in ascending
-  // shard order and held across the dispatch; ShardedStore::apply_batch
-  // commits one WAL group per involved shard, so each shard's slice of
-  // the history shares one group id and distinct shards never do.
   void batch(sim::ThreadCtx& ctx, unsigned t, unsigned op, sim::Rng& rng) {
     const unsigned n = 2 + static_cast<unsigned>(rng.uniform(2));
     std::vector<workload::BatchOp> ops;
+    std::vector<unsigned> stores;
     for (unsigned i = 0; i < n; ++i) {
       workload::BatchOp b;
-      b.key = key(static_cast<unsigned>(rng.uniform(kKeys)));
+      b.key = workload::StoreDesc::key(
+          static_cast<unsigned>(rng.uniform(mix_.store.keys)));
       b.del = rng.uniform(5) == 0;
       if (!b.del)
         b.value = "b" + std::to_string(t) + "_" + std::to_string(op) + "_" +
                   std::to_string(i);
+      stores.push_back(owner(b.key));
       ops.push_back(std::move(b));
     }
-    bool involved[kShards] = {};
-    for (const auto& b : ops) involved[workload::shard_of(b.key, kShards)] = true;
-    for (unsigned s = 0; s < kShards; ++s)
-      if (involved[s]) locks_[s].lock(ctx);
-    std::uint64_t group_of[kShards];
-    for (unsigned s = 0; s < kShards; ++s)
-      if (involved[s]) group_of[s] = next_group_++;
-    std::vector<std::size_t> ids;
-    for (const auto& b : ops) {
-      const std::size_t id = history_.invoke(
-          t, b.del ? OpKind::kDel : OpKind::kPut, b.key, b.value);
-      history_.stage_write(id);
-      history_.set_group(id, group_of[workload::shard_of(b.key, kShards)]);
-      ids.push_back(id);
-    }
-    store_->apply_batch(ctx, ops);
-    for (const std::size_t id : ids) {
-      history_.respond(id);
-      history_.mark_must_include(id);
-    }
-    for (unsigned s = kShards; s-- > 0;)
-      if (involved[s]) locks_[s].unlock(ctx);
-  }
-
-  // Counter RMW under the counter's owning shard lock — or, with the
-  // fault armed, split into two critical sections (the lost update the
-  // oracle must catch, now through the sharded frontend).
-  void bump_counter(sim::ThreadCtx& ctx, unsigned t) {
-    const unsigned s = workload::shard_of("ctr", kShards);
-    const std::size_t id = history_.invoke(t, OpKind::kRmw, "ctr");
-    if (elide(opts_)) {
-      bool found;
-      std::string v;
-      {
-        SchedLockGuard g(locks_[s], ctx);
-        found = store_->get(ctx, "ctr", &v);
+    std::sort(stores.begin(), stores.end());
+    stores.erase(std::unique(stores.begin(), stores.end()), stores.end());
+    locked(ctx, stores, [&] {
+      std::map<unsigned, std::uint64_t> group;
+      for (const unsigned s : stores) group[s] = next_group_++;
+      std::vector<std::size_t> ids;
+      for (const auto& b : ops) {
+        const std::size_t id = history_.invoke(
+            t, b.del ? OpKind::kDel : OpKind::kPut, b.key, b.value);
+        history_.stage_write(id);
+        history_.set_group(id, group[owner(b.key)]);
+        ids.push_back(id);
       }
-      ctx.sched_point(sim::SchedPoint::kHandoff);
-      const std::string nv = next_value(found, v);
-      history_.stage_write(id, found, found ? v : std::string(), nv);
-      SchedLockGuard g(locks_[s], ctx);
-      store_->put(ctx, "ctr", nv);
-      history_.respond(id, found, found ? v : std::string());
-      history_.mark_must_include(id);
-    } else {
-      SchedLockGuard g(locks_[s], ctx);
-      std::string v;
-      const bool found = store_->get(ctx, "ctr", &v);
-      const std::string nv = next_value(found, v);
-      history_.stage_write(id, found, found ? v : std::string(), nv);
-      store_->put(ctx, "ctr", nv);
-      history_.respond(id, found, found ? v : std::string());
-      history_.mark_must_include(id);
-    }
+      store_->try_apply_batch(ctx, ops);
+      for (const std::size_t id : ids) {
+        history_.respond(id);
+        history_.mark_must_include(id);
+      }
+    });
   }
 
-  static std::string next_value(bool found, const std::string& v) {
-    return std::to_string((found ? std::stoll(v) : 0) + 1);
-  }
-
-  TargetOptions opts_;
-  std::unique_ptr<hw::Platform> platform_;
+  KvMix mix_;
   std::vector<hw::PmemNamespace*> ns_;
-  std::unique_ptr<workload::ShardedStore> store_;
-  SchedLock locks_[kShards];
+  std::unique_ptr<workload::StoreIface> store_;
+  std::vector<SchedLock> locks_;
   std::map<std::string, std::string> filler_;
   std::uint64_t next_group_ = 1;
-  History history_;
 };
 
 }  // namespace
@@ -1025,13 +730,39 @@ std::unique_ptr<Target> make_novafs_target(const TargetOptions& opts) {
   return std::make_unique<NovafsTarget>(opts);
 }
 std::unique_ptr<Target> make_cmap_target(const TargetOptions& opts) {
-  return std::make_unique<CmapTarget>(opts);
+  pmemkv::CMapOptions o;
+  o.max_writers_per_dimm = 2;  // lane admission points are yields
+  KvMix mix{"cmap", {}};
+  mix.store.options = o;
+  mix.store.keys = 6;
+  // 8-byte values take the in-place update path, 24-byte the
+  // transactional one.
+  mix.store.value_min = 8;
+  mix.store.value_step = 16;
+  mix.store.value_choices = 2;
+  return std::make_unique<KvTarget>(std::move(mix), opts);
 }
+
 std::unique_ptr<Target> make_stree_target(const TargetOptions& opts) {
-  return std::make_unique<StreeTarget>(opts);
+  // Enough keys that a 3-thread run splits a leaf mid-schedule.
+  KvMix mix{"stree", {}, /*put=*/5, /*get=*/2, /*del=*/1};
+  mix.store.options = pmemkv::STreeOptions{};
+  mix.store.keys = 12;
+  return std::make_unique<KvTarget>(std::move(mix), opts);
 }
+
 std::unique_ptr<Target> make_sharded_target(const TargetOptions& opts) {
-  return std::make_unique<ShardedTarget>(opts);
+  workload::ShardOptions so;
+  so.kind = workload::StoreKind::kLsmkv;
+  so.tuning.memtable_bytes = 2 << 10;
+  so.tuning.background_compaction = true;
+  KvMix mix{"sharded-lsmkv", {}, /*put=*/3, /*get=*/2, /*del=*/1,
+            /*batch=*/2, /*rmw=*/2};
+  mix.store.options = so;
+  mix.store.shards = 2;
+  mix.store.ns_bytes = 16ull << 20;
+  mix.store.keys = 6;
+  return std::make_unique<KvTarget>(std::move(mix), opts);
 }
 
 std::vector<std::unique_ptr<Target>> all_targets(const TargetOptions& opts) {
@@ -1041,6 +772,7 @@ std::vector<std::unique_ptr<Target>> all_targets(const TargetOptions& opts) {
   v.push_back(make_novafs_target(opts));
   v.push_back(make_cmap_target(opts));
   v.push_back(make_stree_target(opts));
+  v.push_back(make_sharded_target(opts));
   return v;
 }
 

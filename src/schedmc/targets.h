@@ -1,19 +1,28 @@
-// Concurrent schedmc workloads for the four store families.
+// Concurrent schedmc workloads for every store configuration.
 //
 // Each factory builds a Target (schedmc/explorer.h) that runs a small
-// multi-threaded put/get/delete/rename workload against one store,
-// records every operation into a History, and knows how to rebuild the
-// store from the durable image after a crash. The workloads are
-// deterministic functions of (workload_seed, thread id), which is what
-// lets the explorer replay a recorded schedule exactly.
+// multi-threaded workload against one store, records every operation
+// into a History, and knows how to rebuild the store from the durable
+// image after a crash. The workloads are deterministic functions of
+// (workload_seed, thread id), which is what lets the explorer replay a
+// recorded schedule exactly.
+//
+// cmap, stree and the sharded frontend run through one generic target
+// that drives the store only through StoreIface's typed try_* calls,
+// configured by a small descriptor: how to build the store over its
+// namespaces (workload::StoreDesc), its key universe and value lengths,
+// and its op mix (put/get/delete/batch/counter-RMW weights). pmemlib
+// (transaction lanes), lsmkv (group-commit windows, read from
+// Db::pending_records(), which StoreIface does not expose) and novafs
+// (rename) stay bespoke.
 //
 // Locking model: the logical threads are strictly serialized by the
 // interleaver, but the stores themselves are single-threaded code, so
 // each target takes the SchedLocks a real concurrent implementation
 // would take (a per-slot lock for pmemlib's counters, one store-wide
-// lock where internal state is shared — the LSM memtable/WAL, the NOVA
-// directory log, the cmap/stree structures). The explored interleavings
-// then reorder whole critical sections and everything outside them.
+// lock for the LSM memtable/WAL and the NOVA directory log, one lock per
+// physical store in the generic target). The explored interleavings then
+// reorder whole critical sections and everything outside them.
 //
 // TestFault::kElideRmwLock deliberately breaks the read-modify-write
 // critical section — the lock is dropped between the read and the
@@ -63,19 +72,13 @@ std::unique_ptr<Target> make_cmap_target(const TargetOptions& opts = {});
 // pmemkv stree: put/get/remove over enough keys to split leaves.
 std::unique_ptr<Target> make_stree_target(const TargetOptions& opts = {});
 
-// Sharded frontend (workload::ShardedStore over per-DIMM lsmkv shards,
-// deferred background compaction on): puts/gets/deletes under per-shard
-// locks, cross-shard batched dispatch holding the involved shard locks
-// in ascending order (each shard's group is one crash-atomic WAL burst,
-// the cross-shard batch as a whole is not), a counter RMW under its
-// owning shard's lock, plus one extra thread donating background-
-// compaction turns shard by shard. reset() pre-populates enough data to
-// leave compaction debt pending, so exploration interleaves real merges
-// with foreground traffic. Not part of all_targets(): the five-family
-// panels (and their sweep baselines) stay as they were.
+// Sharded frontend (K=1 ShardedStore over two per-DIMM lsmkv shards,
+// deferred background compaction): puts/gets/deletes, cross-shard
+// batches, a counter RMW, and a background-compaction donor thread over
+// pre-populated merge debt.
 std::unique_ptr<Target> make_sharded_target(const TargetOptions& opts = {});
 
-// All five, in the order above.
+// All six, in the order above.
 std::vector<std::unique_ptr<Target>> all_targets(const TargetOptions& opts = {});
 
 }  // namespace xp::schedmc

@@ -43,10 +43,14 @@ struct PerThread {
 
 }  // namespace
 
-void load(StoreIface& store, const Spec& spec, sim::ThreadCtx& ctx) {
+std::uint64_t load(StoreIface& store, const Spec& spec, sim::ThreadCtx& ctx) {
+  std::uint64_t unacked = 0;
   for (std::uint64_t id = 0; id < spec.records; ++id)
-    store.put(ctx, key_name(id), make_value(id, 0, spec.value_len));
+    if (!store.try_put(ctx, key_name(id), make_value(id, 0, spec.value_len))
+             .ok())
+      ++unacked;
   store.flush_pending(ctx);
+  return unacked;
 }
 
 Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {

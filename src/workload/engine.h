@@ -59,8 +59,9 @@ struct Result {
 };
 
 // Preload keys 0..spec.records-1 (version-0 values), then force any
-// buffered group commits out.
-void load(StoreIface& store, const Spec& spec, sim::ThreadCtx& ctx);
+// buffered group commits out. Returns how many preload writes were not
+// acknowledged (typed errors; 0 on a healthy store).
+std::uint64_t load(StoreIface& store, const Spec& spec, sim::ThreadCtx& ctx);
 
 Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts);
 

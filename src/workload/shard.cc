@@ -140,6 +140,13 @@ bool ShardedStore::all_healthy() const {
   return true;
 }
 
+bool ShardedStore::last_copy(unsigned store) const {
+  for (unsigned r = 0; r < replicas_; ++r)
+    if (live_source((store + shards() - r) % shards(), store) >= 0)
+      return false;
+  return true;
+}
+
 int ShardedStore::live_source(unsigned logical, unsigned except) const {
   for (unsigned r = 0; r < replicas_; ++r) {
     const unsigned q = copy_store(logical, r);
@@ -542,9 +549,12 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
                                   {zeros, sizeof zeros});
           ++stats_.lines_healed;
         }
+        // The last copy of everything it hosts is salvaged in place:
+        // reformatting it would have nothing to re-silver from.
         if (job.cursor >= job.bad_lines.size())
-          job.phase = replicas_ > 1 ? RebuildJob::Phase::kReformat
-                                    : RebuildJob::Phase::kSalvage;
+          job.phase = replicas_ > 1 && !last_copy(p)
+                          ? RebuildJob::Phase::kReformat
+                          : RebuildJob::Phase::kSalvage;
         return true;
       }
       case RebuildJob::Phase::kReformat: {
@@ -646,16 +656,20 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
         return true;
       }
       case RebuildJob::Phase::kSalvage: {
-        // Single-copy mode: the lines are healed (zeroed); reopen in
-        // place and let the family's redundant metadata (lsmkv
-        // RecoveryInfo, pool backups) salvage what it can. Unsalvageable
-        // state is reformatted empty — bounded loss, never garbage.
+        // Single copy: the lines are healed (zeroed); reopen in place and
+        // let the family's redundant metadata (lsmkv RecoveryInfo, pool
+        // backups) salvage what it can. Unsalvageable state is
+        // reformatted empty — bounded loss, never garbage.
         shards_[p] = make_store(opts_.kind, *ns_[p], opts_.tuning);
         bool usable = false;
         {
           LaneGuard lane(ctx, opts_.writer_lanes, p);
-          usable = shards_[p]->open(ctx) &&
-                   shards_[p]->repair_media(ctx).ok();
+          if (shards_[p]->open(ctx)) {
+            // DataLoss is a consistent store minus what it reported
+            // dropped: usable, and the probe below types the loss.
+            const Status st = shards_[p]->repair_media(ctx);
+            usable = st.ok() || st.code() == ErrorCode::kDataLoss;
+          }
         }
         if (!usable) {
           shards_[p] = make_store(opts_.kind, *ns_[p], opts_.tuning);
@@ -666,12 +680,14 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
         // to bring back reads kDataLoss, never a silent kNotFound. The
         // registry only covers keys acked through this frontend (after
         // open() over pre-existing data coverage narrows, never lies).
-        for (const std::string& k : owned_[p]) {
-          std::string v;
-          // insert().second guards the counter: fresh damage mid-probe
-          // restarts salvage, which must not double-count a key.
-          if (!shards_[p]->get(ctx, k, &v) && lost_.insert(k).second)
-            ++stats_.keys_lost;
+        for (unsigned r = 0; r < replicas_; ++r) {
+          for (const std::string& k : owned_[(p + shards() - r) % shards()]) {
+            std::string v;
+            // insert().second guards the counter: fresh damage mid-probe
+            // restarts salvage, which must not double-count a key.
+            if (!shards_[p]->get(ctx, k, &v) && lost_.insert(k).second)
+              ++stats_.keys_lost;
+          }
         }
         health_[p] = ShardHealth::kHealthy;
         read_errors_[p] = 0;
@@ -711,6 +727,26 @@ bool ShardedStore::background_turn(sim::ThreadCtx& ctx) {
     }
   }
   return false;
+}
+
+Status ShardedStore::repair_media(sim::ThreadCtx& ctx) {
+  Status out;
+  for (unsigned s = 0; s < shards(); ++s) {
+    if (!serving(s)) continue;  // its rebuild re-derives it
+    Status st;
+    try {
+      LaneGuard lane(ctx, opts_.writer_lanes, s);
+      st = shards_[s]->repair_media(ctx);
+    } catch (const hw::MediaError& e) {
+      if (ns_[s]->platform().frozen()) throw;
+      note_media_error(ctx, s, /*is_write=*/true);
+      st = Status::MediaFault(e.what());
+    }
+    // A hard failure outranks DataLoss: the store is not consistent.
+    if (!st.ok() && (out.ok() || out.code() == ErrorCode::kDataLoss))
+      out = st;
+  }
+  return out;
 }
 
 Status ShardedStore::check(sim::ThreadCtx& ctx) {

@@ -31,7 +31,9 @@
 // background_turn calls: ARS enumerates the namespace's poisoned lines,
 // full-XPLine ntstores heal them, the store is reformatted and
 // re-silvered key by key from a healthy copy, verified, and returned to
-// service without stopping traffic. With replicas == 1 (the default)
+// service without stopping traffic (a store holding the last serving
+// copy of everything it hosts is salvaged in place, like K=1, rather
+// than reformatted empty). With replicas == 1 (the default)
 // every replication/health structure stays empty and the frontend is
 // byte-and-timing-identical to the pre-resilience frontend; a
 // quarantined store is instead salvaged in place through the family's
@@ -171,6 +173,9 @@ class ShardedStore final : public StoreIface {
   // Verifies the serving shards; shards under repair are skipped (their
   // state is transitional by construction).
   Status check(sim::ThreadCtx& ctx) override;
+  // Runs the family repair on every serving shard: the first hard
+  // failure, else DataLoss if any shard dropped data, else Ok.
+  Status repair_media(sim::ThreadCtx& ctx) override;
 
   // Typed request path: replication-aware routing, health tracking,
   // bounded retry + deadline budget (see file comment).
@@ -231,7 +236,7 @@ class ShardedStore final : public StoreIface {
       kReformat,  // K>1: fresh store instance + create
       kResilver,  // K>1: copy hosted keys back from a healthy copy
       kVerify,    // K>1: byte-compare rebuilt keys against the source
-      kSalvage,   // K==1: reopen in place + family repair_media
+      kSalvage,   // K==1 or last copy: reopen in place + repair_media
     };
     unsigned store = 0;
     Phase phase = Phase::kScrub;
@@ -268,6 +273,8 @@ class ShardedStore final : public StoreIface {
   std::vector<std::string> hosted_keys(sim::ThreadCtx& ctx, unsigned store);
   // First serving copy of `logical` other than `except`, or -1.
   int live_source(unsigned logical, unsigned except) const;
+  // No logical shard hosted by `store` has another serving copy.
+  bool last_copy(unsigned store) const;
   // Up to n rows of logical shard `s` from physical store `p`, in key
   // order from `start`, continuing past co-hosted shards' rows so the
   // cap never drops target-shard keys (replicated mode only).

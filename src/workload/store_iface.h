@@ -22,6 +22,17 @@
 #include "sim/status.h"
 #include "xpsim/platform.h"
 
+namespace xp::kv {
+struct DbOptions;
+}
+namespace xp::pmemkv {
+struct CMapOptions;
+struct STreeOptions;
+}  // namespace xp::pmemkv
+namespace xp::nova {
+struct NovaOptions;
+}
+
 namespace xp::workload {
 
 enum class StoreKind : unsigned char { kLsmkv, kCmap, kStree, kNova };
@@ -144,12 +155,29 @@ class StoreIface {
   // machine checks. Adapters over a single namespace return its platform.
   virtual hw::Platform* platform_of() const { return nullptr; }
 
-  // Family-specific media salvage after poisoned lines were healed
-  // (zero-filled): re-derive consistency from redundant metadata where
-  // the family keeps any (lsmkv RecoveryInfo repair), then re-verify.
+  // Family-specific media repair after open(): quarantine or scrub
+  // damaged structures, re-derive consistency from redundant metadata
+  // where the family keeps any (lsmkv RecoveryInfo, pool backups), then
+  // re-verify. Status::DataLoss means the store is consistent again but
+  // the repair (or the open before it) dropped damaged data. The stree,
+  // lsmkv and cmap adapters also accept a call after an open() that threw
+  // hw::MediaError: stree salvages the half-open image, lsmkv and cmap
+  // return MediaFault (a reported total loss).
   virtual Status repair_media(sim::ThreadCtx& ctx) { return check(ctx); }
 };
 
+// One adapter per family, configured by the family's own options (a
+// verification harness pins WAL mode, memtable size or checksums here).
+std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
+                                       const kv::DbOptions& opts);
+std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
+                                       const pmemkv::CMapOptions& opts);
+std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
+                                       const pmemkv::STreeOptions& opts);
+std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
+                                       const nova::NovaOptions& opts);
+
+// The StoreTuning knobs translated onto the family overloads above.
 std::unique_ptr<StoreIface> make_store(StoreKind kind, hw::PmemNamespace& ns,
                                        const StoreTuning& tuning = {});
 

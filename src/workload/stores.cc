@@ -100,31 +100,27 @@ OpResult StoreIface::try_apply_batch(sim::ThreadCtx& ctx,
 
 namespace {
 
+// Consistent after repair: DataLoss when open()/repair() had to drop
+// damaged data, else Ok.
+Status repaired(bool damaged) {
+  return damaged ? Status::DataLoss("repair dropped damaged data")
+                 : Status::Ok();
+}
+
 class LsmkvStore final : public StoreIface {
  public:
-  LsmkvStore(hw::PmemNamespace& ns, const StoreTuning& t)
-      : ns_(ns), db_(ns, make_opts(t)) {}
-
-  static kv::DbOptions make_opts(const StoreTuning& t) {
-    kv::DbOptions o;
-    // Shard namespaces are tens of MiB, not the 256 MiB single-store
-    // benches use; a WAL a few times the memtable is plenty (it is
-    // truncated at every flush).
-    o.wal_capacity = 4 << 20;
-    o.memtable_bytes = t.memtable_bytes;
-    o.wal_group_commit = t.write_combine;
-    o.wal_group_size = t.wal_group_size;
-    o.sst_residency = t.read_path;
-    o.read_combine = t.read_path;
-    o.read_cache_lines = t.read_path ? t.read_cache_lines : 0;
-    o.background_compaction = t.background_compaction;
-    return o;
-  }
+  LsmkvStore(hw::PmemNamespace& ns, const kv::DbOptions& o)
+      : ns_(ns), db_(ns, o) {}
 
   const char* name() const override { return "lsmkv"; }
   StoreKind kind() const override { return StoreKind::kLsmkv; }
   void create(sim::ThreadCtx& ctx) override { db_.create(ctx); }
-  bool open(sim::ThreadCtx& ctx) override { return db_.open(ctx); }
+  bool open(sim::ThreadCtx& ctx) override {
+    half_open_ = true;  // stays set if open() throws
+    const bool ok = db_.open(ctx);
+    half_open_ = false;
+    return ok;
+  }
   void put(sim::ThreadCtx& ctx, std::string_view k,
            std::string_view v) override {
     db_.put(ctx, k, v);
@@ -156,27 +152,24 @@ class LsmkvStore final : public StoreIface {
   Status check(sim::ThreadCtx& ctx) override { return db_.check(ctx); }
   hw::Platform* platform_of() const override { return &ns_.platform(); }
   Status repair_media(sim::ThreadCtx& ctx) override {
+    // open() threw past its manifest/header fallbacks: nothing to salvage.
+    if (half_open_) return Status::MediaFault("open() did not complete");
     db_.repair(ctx);  // RecoveryInfo-driven salvage: quarantine bad SSTs
-    return db_.check(ctx);
+    if (Status st = db_.check(ctx); !st.ok()) return st;
+    return repaired(db_.recovery().damaged() ||
+                    db_.pool().recovery().damaged());
   }
 
  private:
   hw::PmemNamespace& ns_;
   kv::Db db_;
+  bool half_open_ = false;
 };
 
 class CMapStore final : public StoreIface {
  public:
-  CMapStore(hw::PmemNamespace& ns, const StoreTuning& t)
-      : ns_(ns), pool_(ns), map_(pool_, make_opts(t)) {}
-
-  static pmemkv::CMapOptions make_opts(const StoreTuning& t) {
-    pmemkv::CMapOptions o;
-    o.max_writers_per_dimm = t.writers_per_dimm;
-    o.read_combine = t.read_path;
-    o.read_cache_lines = t.read_path ? t.read_cache_lines : 0;
-    return o;
-  }
+  CMapStore(hw::PmemNamespace& ns, const pmemkv::CMapOptions& o)
+      : ns_(ns), pool_(ns), map_(pool_, o) {}
 
   const char* name() const override { return "cmap"; }
   StoreKind kind() const override { return StoreKind::kCmap; }
@@ -185,9 +178,11 @@ class CMapStore final : public StoreIface {
     map_.create(ctx);
   }
   bool open(sim::ThreadCtx& ctx) override {
-    if (!pool_.open(ctx)) return false;
-    map_.open(ctx);
-    return true;
+    half_open_ = true;  // stays set if open() throws
+    const bool ok = pool_.open(ctx);
+    if (ok) map_.open(ctx);
+    half_open_ = false;
+    return ok;
   }
   void put(sim::ThreadCtx& ctx, std::string_view k,
            std::string_view v) override {
@@ -205,26 +200,31 @@ class CMapStore final : public StoreIface {
       sim::ThreadCtx&, std::string_view, std::size_t) override {
     return {};
   }
-  Status check(sim::ThreadCtx& ctx) override { return map_.check(ctx); }
+  Status check(sim::ThreadCtx& ctx) override {
+    if (Status st = pool_.check(ctx); !st.ok()) return st;
+    return map_.check(ctx);
+  }
   hw::Platform* platform_of() const override { return &ns_.platform(); }
+  Status repair_media(sim::ThreadCtx& ctx) override {
+    // open() threw: the root pointer to the bucket table is unreadable.
+    if (half_open_) return Status::MediaFault("open() did not complete");
+    map_.repair(ctx);   // cut/splice damaged chains, then scrub
+    pool_.repair(ctx);  // revalidate the free list over the scrubbed lines
+    if (Status st = check(ctx); !st.ok()) return st;
+    return repaired(map_.recovery().damaged() || pool_.recovery().damaged());
+  }
 
  private:
   hw::PmemNamespace& ns_;
   pmem::Pool pool_;
   pmemkv::CMap map_;
+  bool half_open_ = false;
 };
 
 class STreeStore final : public StoreIface {
  public:
-  STreeStore(hw::PmemNamespace& ns, const StoreTuning& t)
-      : ns_(ns), pool_(ns), tree_(pool_, make_opts(t)) {}
-
-  static pmemkv::STreeOptions make_opts(const StoreTuning& t) {
-    pmemkv::STreeOptions o;
-    o.read_combine = t.read_path;
-    o.read_cache_lines = t.read_path ? t.read_cache_lines : 0;
-    return o;
-  }
+  STreeStore(hw::PmemNamespace& ns, const pmemkv::STreeOptions& o)
+      : ns_(ns), pool_(ns), tree_(pool_, o) {}
 
   const char* name() const override { return "stree"; }
   StoreKind kind() const override { return StoreKind::kStree; }
@@ -254,8 +254,20 @@ class STreeStore final : public StoreIface {
       sim::ThreadCtx& ctx, std::string_view start, std::size_t n) override {
     return tree_.scan(ctx, start, n);
   }
-  Status check(sim::ThreadCtx& ctx) override { return tree_.check(ctx); }
+  Status check(sim::ThreadCtx& ctx) override {
+    if (Status st = pool_.check(ctx); !st.ok()) return st;
+    return tree_.check(ctx);
+  }
   hw::Platform* platform_of() const override { return &ns_.platform(); }
+  // Also salvages a tree whose open() threw mid-index: repair() re-walks
+  // the leaf chain from the durable image.
+  Status repair_media(sim::ThreadCtx& ctx) override {
+    tree_.repair(ctx);  // drop damaged leaves/slots, scrub, rebuild index
+    pool_.repair(ctx);  // revalidate the free list over the scrubbed lines
+    if (Status st = check(ctx); !st.ok()) return st;
+    return repaired(tree_.recovery().damaged() ||
+                    pool_.recovery().damaged());
+  }
 
  private:
   hw::PmemNamespace& ns_;
@@ -267,17 +279,8 @@ class STreeStore final : public StoreIface {
 // walks the DRAM name index.
 class NovaStore final : public StoreIface {
  public:
-  NovaStore(hw::PmemNamespace& ns, const StoreTuning& t)
-      : ns_(ns), fs_(ns, make_opts(t)) {}
-
-  static nova::NovaOptions make_opts(const StoreTuning& t) {
-    nova::NovaOptions o;
-    o.datalog = true;  // values are sub-page; embed them in the log
-    o.batch_log_appends = t.write_combine;
-    o.read_combine = t.read_path;
-    o.read_cache_lines = t.read_path ? t.read_cache_lines : 0;
-    return o;
-  }
+  NovaStore(hw::PmemNamespace& ns, const nova::NovaOptions& o)
+      : ns_(ns), fs_(ns, o) {}
 
   const char* name() const override { return "nova"; }
   StoreKind kind() const override { return StoreKind::kNova; }
@@ -328,13 +331,63 @@ class NovaStore final : public StoreIface {
 
 }  // namespace
 
+std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
+                                       const kv::DbOptions& opts) {
+  return std::make_unique<LsmkvStore>(ns, opts);
+}
+std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
+                                       const pmemkv::CMapOptions& opts) {
+  return std::make_unique<CMapStore>(ns, opts);
+}
+std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
+                                       const pmemkv::STreeOptions& opts) {
+  return std::make_unique<STreeStore>(ns, opts);
+}
+std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
+                                       const nova::NovaOptions& opts) {
+  return std::make_unique<NovaStore>(ns, opts);
+}
+
 std::unique_ptr<StoreIface> make_store(StoreKind kind, hw::PmemNamespace& ns,
-                                       const StoreTuning& tuning) {
+                                       const StoreTuning& t) {
+  const std::size_t cache_lines = t.read_path ? t.read_cache_lines : 0;
   switch (kind) {
-    case StoreKind::kLsmkv: return std::make_unique<LsmkvStore>(ns, tuning);
-    case StoreKind::kCmap: return std::make_unique<CMapStore>(ns, tuning);
-    case StoreKind::kStree: return std::make_unique<STreeStore>(ns, tuning);
-    case StoreKind::kNova: return std::make_unique<NovaStore>(ns, tuning);
+    case StoreKind::kLsmkv: {
+      kv::DbOptions o;
+      // Shard namespaces are tens of MiB, not the 256 MiB single-store
+      // benches use; a WAL a few times the memtable is plenty (it is
+      // truncated at every flush).
+      o.wal_capacity = 4 << 20;
+      o.memtable_bytes = t.memtable_bytes;
+      o.wal_group_commit = t.write_combine;
+      o.wal_group_size = t.wal_group_size;
+      o.sst_residency = t.read_path;
+      o.read_combine = t.read_path;
+      o.read_cache_lines = cache_lines;
+      o.background_compaction = t.background_compaction;
+      return make_store(ns, o);
+    }
+    case StoreKind::kCmap: {
+      pmemkv::CMapOptions o;
+      o.max_writers_per_dimm = t.writers_per_dimm;
+      o.read_combine = t.read_path;
+      o.read_cache_lines = cache_lines;
+      return make_store(ns, o);
+    }
+    case StoreKind::kStree: {
+      pmemkv::STreeOptions o;
+      o.read_combine = t.read_path;
+      o.read_cache_lines = cache_lines;
+      return make_store(ns, o);
+    }
+    case StoreKind::kNova: {
+      nova::NovaOptions o;
+      o.datalog = true;  // values are sub-page; embed them in the log
+      o.batch_log_appends = t.write_combine;
+      o.read_combine = t.read_path;
+      o.read_cache_lines = cache_lines;
+      return make_store(ns, o);
+    }
   }
   return nullptr;
 }

@@ -25,9 +25,11 @@
 // are bit-identical to a build without this subsystem.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/rng.h"
 #include "xpsim/platform.h"
@@ -58,6 +60,28 @@ class FaultInjector {
       platform_.poison_line(ns, line_off);
       ++planted;
     }
+  }
+
+  // Poison every `stride`-th live XPLine of `ns` (nonzero in the durable
+  // image), up to `max_lines`, so the damage sits under stored data.
+  // Returns how many lines were poisoned.
+  unsigned poison_live(PmemNamespace& ns, unsigned max_lines,
+                       unsigned stride = 1) {
+    std::vector<std::uint8_t> img(ns.size());
+    ns.peek(0, img);
+    unsigned planted = 0, seen = 0;
+    for (std::uint64_t off = 0; off + Platform::kXpLineBytes <= img.size() &&
+                                planted < max_lines;
+         off += Platform::kXpLineBytes) {
+      const auto line = img.begin() + static_cast<std::ptrdiff_t>(off);
+      if (std::all_of(line, line + Platform::kXpLineBytes,
+                      [](std::uint8_t b) { return b == 0; }))
+        continue;
+      if (seen++ % stride != 0) continue;
+      poison(ns, off);
+      ++planted;
+    }
+    return planted;
   }
 
   // Mark the XPLine containing `off` for one ECC-corrected transient: the

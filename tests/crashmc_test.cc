@@ -103,13 +103,12 @@ TEST(CrashMcSweep, ShardedLsmkv) {
   expect_clean_sweep(*t, {.max_exhaustive = 256, .samples = 200}, 200);
 }
 
-// Self-healing replicated frontend: the workload quarantines a store
-// mid-run (with at-rest poison planted), so sampled crash points land
-// inside the online rebuild itself — ARS, heal ntstores, the reformat,
-// and re-silver WAL bursts. Recovery re-opens a fresh frontend, drives
-// the rebuild to completion and checks the served state against the
-// pre-/post-op model twice (double-recovery idempotence: a crash during
-// recovery's own rebuild must replay cleanly).
+// Self-healing replicated frontend (K=2): at-rest poison lands on store
+// 0 mid-run. Recovery re-opens a fresh frontend, whose ARS pass
+// quarantines the poisoned store, drives the online rebuild (heal,
+// reformat, re-silver, verify) to completion and checks the served
+// state against the per-shard pre-/post-op model twice (a recovered
+// image must recover to itself).
 TEST(CrashMcSweep, ResilientReplicatedLsmkv) {
   auto t = crashmc::make_resilient_target();
   expect_clean_sweep(*t, {.max_exhaustive = 0, .samples = 60}, 60);
@@ -361,9 +360,13 @@ TEST(CrashMcRelease, ConcurrentLanesRecoverIndependently) {
 
 // ---- Double-recovery idempotence ----------------------------------------
 
-std::vector<std::uint8_t> durable_image(const PmemNamespace& ns) {
-  std::vector<std::uint8_t> img(ns.size());
-  ns.peek(0, img);
+std::vector<std::uint8_t> durable_image(crashmc::Target& target) {
+  std::vector<std::uint8_t> img;
+  for (const PmemNamespace* ns : target.namespaces()) {
+    std::vector<std::uint8_t> part(ns->size());
+    ns->peek(0, part);
+    img.insert(img.end(), part.begin(), part.end());
+  }
   return img;
 }
 
@@ -382,9 +385,9 @@ void expect_double_recovery_idempotent(crashmc::Target& target) {
     platform.reset_timing();
 
     EXPECT_EQ(target.recover_and_check(), "") << target.name() << " @" << k;
-    const auto after_first = durable_image(target.nspace());
+    const auto after_first = durable_image(target);
     EXPECT_EQ(target.recover_and_check(), "") << target.name() << " @" << k;
-    const auto after_second = durable_image(target.nspace());
+    const auto after_second = durable_image(target);
     EXPECT_TRUE(after_first == after_second)
         << target.name() << " @" << k
         << ": second recovery modified the durable image";

@@ -27,7 +27,13 @@ struct DiffCfg {
   workload::StoreKind kind;
   workload::StoreTuning tuning{};
   unsigned shards = 1;  // > 1: run through the sharded frontend
+  unsigned replicas = 1;
 };
+
+// gtest's default printer byte-dumps the struct, including the address
+// in `label`, so the registered test names would change with every
+// (ASLR-randomized) run; print the label instead.
+void PrintTo(const DiffCfg& cfg, std::ostream* os) { *os << cfg.label; }
 
 // 48 keys, all <= 16 bytes (stree caps at 31): small enough that every
 // op sequence revisits keys and exercises overwrite/delete/reinsert.
@@ -43,9 +49,10 @@ std::string pick_value(workload::XorShift& rng, std::uint64_t version) {
 }
 
 // Runs `nops` ops of the seeded sequence against a fresh store and the
-// model. Returns "" on agreement, else a description of the first
-// divergence. The op stream depends only on (seed), so running a prefix
-// replays the same ops.
+// model, through the typed try_* surface: any status other than Ok (or
+// NotFound where the model agrees) is a divergence. Returns "" on
+// agreement, else a description of the first divergence. The op stream
+// depends only on (seed), so running a prefix replays the same ops.
 std::string run_sequence(const DiffCfg& cfg, std::uint64_t seed,
                          unsigned nops) {
   hw::Platform platform;
@@ -54,6 +61,7 @@ std::string run_sequence(const DiffCfg& cfg, std::uint64_t seed,
   workload::ShardOptions so;
   so.kind = cfg.kind;
   so.tuning = cfg.tuning;
+  so.replicas = cfg.replicas;
   auto make = [&] {
     return std::make_unique<workload::ShardedStore>(ns, so);
   };
@@ -69,38 +77,60 @@ std::string run_sequence(const DiffCfg& cfg, std::uint64_t seed,
     return "op " + std::to_string(op) + " [" + cfg.label +
            " seed=" + std::to_string(seed) + "]: " + what;
   };
+  // "" when a write was acknowledged, else what went wrong.
+  auto unacked = [](const workload::OpResult& r, const std::string& what) {
+    return r.ok() ? std::string()
+                  : what + " returned " + workload::op_status_name(r.status);
+  };
+  // "" when the store's answer for `k` (status, existence, value) matches
+  // the model, else the divergence.
+  auto probe = [&](workload::StoreIface& s, sim::ThreadCtx& c,
+                   const std::string& k) -> std::string {
+    const workload::OpResult r = s.try_get(c, k, &got);
+    if (!r.ok() && r.status != workload::OpStatus::kNotFound)
+      return unacked(r, "get(" + k + ")");
+    const auto it = model.find(k);
+    if (r.ok() != (it != model.end()))
+      return "get(" + k + ") found=" + std::to_string(r.ok()) + " want " +
+             std::to_string(!r.ok());
+    if (r.ok() && got != it->second)
+      return "get(" + k + ") value mismatch: got " + got + " want " +
+             it->second;
+    return "";
+  };
 
   for (unsigned op = 0; op < nops; ++op) {
     const std::uint64_t r = rng.uniform(100);
+    std::string err;
     if (r < 35) {  // put
       const std::string k = pick_key(rng);
       const std::string v = pick_value(rng, op);
-      store->put(ctx, k, v);
+      err = unacked(store->try_put(ctx, k, v), "put(" + k + ")");
       model[k] = v;
     } else if (r < 55) {  // get
       const std::string k = pick_key(rng);
       store->flush_pending(ctx);  // group commits must not hide writes
-      const bool found = store->get(ctx, k, &got);
-      const bool want = model.count(k) > 0;
-      if (found != want)
-        return fail(op, "get(" + k + ") found=" + std::to_string(found) +
-                            " want " + std::to_string(want));
-      if (found && got != model[k])
-        return fail(op, "get(" + k + ") value mismatch: got " + got +
-                            " want " + model[k]);
+      err = probe(*store, ctx, k);
     } else if (r < 70) {  // del
       const std::string k = pick_key(rng);
-      const bool found = store->del(ctx, k);
+      bool found = false;
+      const auto dr = store->try_del(ctx, k, &found);
       const bool want = model.erase(k) > 0;
+      if (dr.status != workload::OpStatus::kNotFound)
+        err = unacked(dr, "del(" + k + ")");
       if (store->del_reports_found() && found != want)
-        return fail(op, "del(" + k + ") found=" + std::to_string(found) +
-                            " want " + std::to_string(want));
+        err = "del(" + k + ") found=" + std::to_string(found) + " want " +
+              std::to_string(want);
     } else if (r < 80) {  // scan
       const std::string start = pick_key(rng);
       const std::size_t n = 1 + rng.uniform(12);
       if (store->supports_scan()) {
         store->flush_pending(ctx);
-        const auto rows = store->scan(ctx, start, n);
+        std::vector<std::pair<std::string, std::string>> rows;
+        if (err = unacked(store->try_scan(ctx, start, n, &rows),
+                          "scan(" + start + ")");
+            !err.empty())
+          return fail(op, err);
         auto it = model.lower_bound(start);
         std::size_t i = 0;
         for (; i < rows.size(); ++i, ++it) {
@@ -120,12 +150,11 @@ std::string run_sequence(const DiffCfg& cfg, std::uint64_t seed,
     } else if (r < 90) {  // read-modify-write
       const std::string k = pick_key(rng);
       store->flush_pending(ctx);
-      std::string v;
-      if (store->get(ctx, k, &v) != (model.count(k) > 0))
-        return fail(op, "rmw-read(" + k + ") existence mismatch");
-      v = pick_value(rng, op);
-      store->put(ctx, k, v);
-      model[k] = v;
+      if (err = probe(*store, ctx, k); err.empty()) {
+        const std::string v = pick_value(rng, op);
+        err = unacked(store->try_put(ctx, k, v), "rmw-put(" + k + ")");
+        model[k] = v;
+      }
     } else {  // batched dispatch: 2-5 ops committed as one group
       const std::size_t n = 2 + rng.uniform(4);
       std::vector<workload::BatchOp> batch;
@@ -136,7 +165,7 @@ std::string run_sequence(const DiffCfg& cfg, std::uint64_t seed,
         if (!b.del) b.value = pick_value(rng, op);
         batch.push_back(std::move(b));
       }
-      store->apply_batch(ctx, batch);
+      err = unacked(store->try_apply_batch(ctx, batch), "batch");
       for (const auto& b : batch) {
         if (b.del)
           model.erase(b.key);
@@ -144,6 +173,7 @@ std::string run_sequence(const DiffCfg& cfg, std::uint64_t seed,
           model[b.key] = b.value;
       }
     }
+    if (!err.empty()) return fail(op, err);
     // Donate deferred-compaction turns so background mode is exercised
     // mid-sequence, not just via the stall gate.
     if (cfg.tuning.background_compaction && op % 32 == 31)
@@ -156,17 +186,9 @@ std::string run_sequence(const DiffCfg& cfg, std::uint64_t seed,
 
   // Full-state sweep over the whole key space.
   store->flush_pending(ctx);
-  for (unsigned i = 0; i < kKeys; ++i) {
-    const std::string k = workload::key_name(i);
-    const bool found = store->get(ctx, k, &got);
-    const bool want = model.count(k) > 0;
-    if (found != want)
-      return fail(nops, "final get(" + k + ") found=" +
-                            std::to_string(found) + " want " +
-                            std::to_string(want));
-    if (found && got != model[k])
-      return fail(nops, "final get(" + k + ") value mismatch");
-  }
+  for (unsigned i = 0; i < kKeys; ++i)
+    if (std::string e = probe(*store, ctx, workload::key_name(i)); !e.empty())
+      return fail(nops, "final " + e);
   {
     const Status s = store->check(ctx);
     if (!s.ok()) return fail(nops, "final check failed: " + s.message());
@@ -178,17 +200,10 @@ std::string run_sequence(const DiffCfg& cfg, std::uint64_t seed,
   auto again = make();
   sim::ThreadCtx ctx2({.id = 1, .socket = 0, .mlp = 8, .seed = 9});
   if (!again->open(ctx2)) return fail(nops, "reopen failed");
-  for (unsigned i = 0; i < kKeys; ++i) {
-    const std::string k = workload::key_name(i);
-    const bool found = again->get(ctx2, k, &got);
-    const bool want = model.count(k) > 0;
-    if (found != want)
-      return fail(nops, "post-reopen get(" + k + ") found=" +
-                            std::to_string(found) + " want " +
-                            std::to_string(want));
-    if (found && got != model[k])
-      return fail(nops, "post-reopen get(" + k + ") value mismatch");
-  }
+  for (unsigned i = 0; i < kKeys; ++i)
+    if (std::string e = probe(*again, ctx2, workload::key_name(i));
+        !e.empty())
+      return fail(nops, "post-reopen " + e);
   {
     const Status s = again->check(ctx2);
     if (!s.ok()) return fail(nops, "post-reopen check: " + s.message());
@@ -247,11 +262,15 @@ INSTANTIATE_TEST_SUITE_P(
         DiffCfg{"lsmkv-knobs", workload::StoreKind::kLsmkv, knobs_on()},
         DiffCfg{"lsmkv-bg", workload::StoreKind::kLsmkv, lsmkv_full()},
         DiffCfg{"lsmkv-sharded", workload::StoreKind::kLsmkv, lsmkv_full(), 3},
+        DiffCfg{"lsmkv-replicated", workload::StoreKind::kLsmkv, lsmkv_full(),
+                3, 2},
         DiffCfg{"cmap-stock", workload::StoreKind::kCmap},
         DiffCfg{"cmap-knobs", workload::StoreKind::kCmap, knobs_on()},
         DiffCfg{"stree-stock", workload::StoreKind::kStree},
         DiffCfg{"stree-knobs", workload::StoreKind::kStree, knobs_on()},
         DiffCfg{"stree-sharded", workload::StoreKind::kStree, knobs_on(), 2},
+        DiffCfg{"stree-replicated", workload::StoreKind::kStree, knobs_on(), 3,
+                2},
         DiffCfg{"nova-stock", workload::StoreKind::kNova},
         DiffCfg{"nova-knobs", workload::StoreKind::kNova, knobs_on()}),
     [](const testing::TestParamInfo<DiffCfg>& info) {

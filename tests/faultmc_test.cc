@@ -6,11 +6,12 @@
 // store from the poisoned image, runs its repair path and verifies the
 // containment contract: every explored point ends in full recovery or a
 // typed, *reported* error — never silent corruption. The tier-1 smoke
-// here sweeps a fixed-seed sample across all four store families; the
+// here sweeps a fixed-seed sample across the whole crash panel; the
 // exhaustive sweeps live in bench/crashmc_sweep.cc --faults.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,8 +30,24 @@ std::string first_violation(const FaultResult& r) {
          r.violations[0].detail;
 }
 
-// Fixed-seed bounded smoke across the whole store panel (pmemlib, lsmkv,
-// novafs, cmap, stree): ~100 injection points total, CI's tier-1 gate.
+// Every shipped configuration is in the crash and fault panels: one
+// dropped from (or never added to) all_targets() fails here.
+TEST(PanelCoverage, CrashAndFaultPanelsNameEveryConfiguration) {
+  for (const bool checksums : {false, true}) {
+    std::set<std::string> names;
+    for (const auto& target : all_targets(checksums))
+      names.insert(target->name());
+    for (const char* want :
+         {"pmemlib", "lsmkv-flex", "lsmkv-flex-group", "novafs",
+          "novafs-batch", "pmemkv-cmap", "pmemkv-stree", "sharded-lsmkv",
+          "resilient-lsmkv"})
+      EXPECT_EQ(names.count(want), 1u) << want << " checksums=" << checksums;
+  }
+}
+
+// Fixed-seed bounded smoke across the whole panel (pmemlib, lsmkv,
+// novafs, cmap, stree, the sharded and replicated frontends), CI's
+// tier-1 gate.
 TEST(FaultCampaign, SmokeEveryStoreContainsMediaFaults) {
   FaultOptions opts;
   opts.max_exhaustive = 0;  // always sample
@@ -48,7 +65,7 @@ TEST(FaultCampaign, SmokeEveryStoreContainsMediaFaults) {
 }
 
 // The acceptance sweep: >= 500 distinct injection points spread across
-// all four store families, zero silent corruption.
+// the whole panel, zero silent corruption.
 TEST(FaultCampaign, FiveHundredPointsZeroSilentCorruption) {
   FaultOptions opts;
   opts.max_exhaustive = 0;
@@ -88,8 +105,9 @@ TEST(FaultCampaign, ArmedButUnfiredInjectorIsInert) {
   target->run();
   clean.reset_timing();
   ASSERT_EQ(target->recover_and_check(), "");
-  std::vector<std::uint8_t> base(target->nspace().size());
-  target->nspace().peek(0, base);
+  const hw::PmemNamespace& clean_ns = *target->namespaces().front();
+  std::vector<std::uint8_t> base(clean_ns.size());
+  clean_ns.peek(0, base);
 
   hw::Platform& armed = target->reset();
   hw::FaultInjector injector(armed, 1);
@@ -99,8 +117,9 @@ TEST(FaultCampaign, ArmedButUnfiredInjectorIsInert) {
   armed.clear_media_fault();
   armed.reset_timing();
   ASSERT_EQ(target->recover_and_check(), "");
-  std::vector<std::uint8_t> img(target->nspace().size());
-  target->nspace().peek(0, img);
+  const hw::PmemNamespace& armed_ns = *target->namespaces().front();
+  std::vector<std::uint8_t> img(armed_ns.size());
+  armed_ns.peek(0, img);
   EXPECT_TRUE(img == base) << "armed-but-idle injector perturbed the "
                               "durable image";
 }
@@ -129,27 +148,6 @@ TEST(FaultCampaign, SameSeedReplaysIdentically) {
 // (the campaign harness treats a workload-caught fault as a violation,
 // because bare stores must let it propagate).
 
-// Poison up to `max_lines` nonzero XPLines of the durable image, so the
-// injected faults are guaranteed to sit under live store data.
-unsigned poison_live_lines(hw::PmemNamespace& ns, unsigned max_lines,
-                           unsigned stride = 1) {
-  std::vector<std::uint8_t> img(ns.size());
-  ns.peek(0, img);
-  hw::FaultInjector inj(ns.platform());
-  unsigned planted = 0, seen = 0;
-  for (std::uint64_t off = 0; off + hw::Platform::kXpLineBytes <= img.size();
-       off += hw::Platform::kXpLineBytes) {
-    bool live = false;
-    for (unsigned b = 0; b < hw::Platform::kXpLineBytes && !live; ++b)
-      live = img[off + b] != 0;
-    if (!live) continue;
-    if (seen++ % stride != 0) continue;
-    inj.poison(ns, off);
-    if (++planted >= max_lines) break;
-  }
-  return planted;
-}
-
 // At-rest poison lands on two of four DIMMs mid-workload. The
 // containment contract: every op ends in success or a typed error
 // (never an escaped exception, never a value outside the model), the
@@ -176,13 +174,15 @@ TEST(FaultCampaign, ShardedFrontendContainsAtRestPoisonMidRun) {
   }
   store.flush_pending(t);
 
+  hw::FaultInjector inj(platform);
   sim::Rng rng(17);
   for (int op = 0; op < 400; ++op) {
     // Two staggered failure domains: stores 0 and 2 go bad while the
     // workload runs. Copies are (s, s+1), so every logical shard keeps
     // at least one clean copy throughout.
-    if (op == 100) ASSERT_GT(poison_live_lines(*ns[0], 12, 2), 0u);
-    if (op == 220) ASSERT_GT(poison_live_lines(*ns[2], 12, 2), 0u);
+    if (op == 100 || op == 220) {
+      ASSERT_GT(inj.poison_live(*ns[op == 100 ? 0 : 2], 12, 2), 0u) << op;
+    }
     const std::uint64_t id = rng.uniform(200);
     if (rng.uniform(3) == 0) {
       const std::string v = workload::make_value(id, op + 1, 64);
@@ -220,7 +220,7 @@ TEST(FaultCampaign, ShardedFrontendContainsAtRestPoisonMidRun) {
     const unsigned s = workload::shard_of(k, 4);
     for (unsigned r = 0; r < 2; ++r) {
       std::string copy;
-      ASSERT_TRUE(store.shard((s + r) % 4).get(t, k, &copy)) << k;
+      ASSERT_TRUE(store.shard((s + r) % 4).try_get(t, k, &copy).ok()) << k;
       ASSERT_EQ(copy, want) << k << " copy " << r;
     }
   }
@@ -249,7 +249,9 @@ TEST(FaultCampaign, ShardedFrontendRecoversFromArmedReadCrash) {
     store.create(t);
     for (int i = 0; i < 80; ++i) {
       model[workload::key_name(i)] = workload::make_value(i, 0, 64);
-      store.put(t, workload::key_name(i), model[workload::key_name(i)]);
+      ASSERT_TRUE(
+          store.try_put(t, workload::key_name(i), model[workload::key_name(i)])
+              .ok());
     }
     store.flush_pending(t);
 

@@ -1,11 +1,12 @@
 // Schedule-exploration (schedmc) tests: the linearizability oracle on
 // hand-built histories (positive and negative), deterministic schedule
-// exploration across all four store families, crash composition
+// exploration across the whole schedule panel, crash composition
 // (crash × interleaving), and the seeded lock-elision regression the
 // oracle must catch.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -200,6 +201,16 @@ TEST(Interleaver, TelemetryCountsSchedPoints) {
 }
 
 // ------------------------------------------------- per-family explore ----
+
+// Every shipped configuration is in the schedule panel: one dropped from
+// (or never added to) all_targets() fails here.
+TEST(PanelCoverage, SchedulePanelNamesEveryConfiguration) {
+  std::set<std::string> names;
+  for (const auto& target : all_targets()) names.insert(target->name());
+  for (const char* want :
+       {"pmemlib", "lsmkv", "novafs", "cmap", "stree", "sharded-lsmkv"})
+    EXPECT_EQ(names.count(want), 1u) << want;
+}
 
 Options live_options() {
   Options o;

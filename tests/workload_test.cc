@@ -221,7 +221,7 @@ TEST(Engine, AllFourFamiliesRunEveryWorkload) {
     spec.ops = 200;
     sim::ThreadCtx setup = make_thread(100);
     store->create(setup);
-    workload::load(*store, spec, setup);
+    EXPECT_EQ(workload::load(*store, spec, setup), 0u) << store->name();
     const auto r = workload::run(*store, spec, {.threads = 3});
     EXPECT_EQ(r.ops, 200u) << store->name();
     EXPECT_EQ(r.reads + r.updates + r.inserts + r.scans + r.rmws, r.ops)
@@ -506,29 +506,6 @@ TEST(ShardedStore, ReopenRecoversAllShards) {
 // ---------------------------------------------------------------------
 // Self-healing resilience layer.
 
-// Poison up to `max_lines` nonzero XPLines of the namespace's durable
-// image (skipping the first `skip` hits). Targeting nonzero lines
-// guarantees the poison lands on live store data, so subsequent reads
-// actually trip over it — deterministic and family-agnostic.
-unsigned poison_live_lines(hw::PmemNamespace& ns, unsigned max_lines,
-                           unsigned stride = 1) {
-  std::vector<std::uint8_t> img(ns.size());
-  ns.peek(0, img);
-  hw::FaultInjector inj(ns.platform());
-  unsigned planted = 0, seen = 0;
-  for (std::uint64_t off = 0; off + hw::Platform::kXpLineBytes <= img.size();
-       off += hw::Platform::kXpLineBytes) {
-    bool live = false;
-    for (unsigned b = 0; b < hw::Platform::kXpLineBytes && !live; ++b)
-      live = img[off + b] != 0;
-    if (!live) continue;
-    if (seen++ % stride != 0) continue;
-    inj.poison(ns, off);
-    if (++planted >= max_lines) break;
-  }
-  return planted;
-}
-
 // The default try_* wrappers on a bare adapter (no sharded frontend):
 // a poisoned line read surfaces as OpStatus::kMediaError, never as an
 // escaped exception, for every store family.
@@ -546,7 +523,9 @@ TEST(StoreIface, BareAdaptersReturnTypedMediaErrors) {
     for (int i = 0; i < 100; ++i)
       store->put(t, workload::key_name(i), workload::make_value(i, 0, 64));
     store->flush_pending(t);
-    ASSERT_GT(poison_live_lines(ns, 30, /*stride=*/2), 0u) << store->name();
+    ASSERT_GT(hw::FaultInjector(platform).poison_live(ns, 30, /*stride=*/2),
+              0u)
+        << store->name();
 
     unsigned media = 0;
     for (int i = 0; i < 100; ++i) {
@@ -585,7 +564,8 @@ TEST(Resilience, TypedErrorsAndSalvageWithoutReplication) {
     model[k] = v;
   }
   store.flush_pending(t);
-  ASSERT_GT(poison_live_lines(*ns[0], 24, /*stride=*/3), 0u);
+  ASSERT_GT(hw::FaultInjector(platform).poison_live(*ns[0], 24, /*stride=*/3),
+            0u);
 
   // Typed read pass: each op ends in a status, and a hit is always the
   // written value (the media model clobbers poisoned lines, so a read
@@ -649,8 +629,9 @@ TEST(Resilience, WriterLaneRestoredAcrossContainedFaults) {
   for (int i = 0; i < 200; ++i)
     store.put(t, workload::key_name(i), workload::make_value(i, 0, 80));
   store.flush_pending(t);
-  poison_live_lines(*ns[0], 64);
-  poison_live_lines(*ns[1], 64);
+  hw::FaultInjector inj(platform);
+  inj.poison_live(*ns[0], 64);
+  inj.poison_live(*ns[1], 64);
 
   const unsigned own = t.write_stream();
   // Single-key path: every put returns with the lane released, faulted
