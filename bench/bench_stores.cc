@@ -10,8 +10,8 @@
 //             full-line burst + one terminator patch per group.
 //  * novafs — per-entry log appends vs batched multi-entry bursts for
 //             multi-segment writes and rename.
-//  * pmemkv — fig19 overwrite workload with the per-DIMM admission
-//             throttle (§5.3) and NUMA-local placement (§5.4) off/on.
+//  * pmemkv — fig19 overwrite workload with NUMA-local placement
+//             (§5.4) off/on.
 //
 // Every row records simulated throughput, interval EWR (XP write-
 // combining buffers are drained into the media counters before the
@@ -73,8 +73,6 @@ struct Cfg {
   // pmemkv
   pmemkv::Placement placement = pmemkv::Placement::kFixed;
   unsigned server_socket = 1;  // kFixed pool lives on socket 0: remote
-  unsigned writers_cap = 0;
-  bool single_dimm = false;  // non-interleaved pool: all writers, 1 DIMM
   sim::Time window = sim::us(500);
 };
 
@@ -278,31 +276,25 @@ Row run_novafs(const Cfg& c) {
 // ---------------------------------------------------------------------
 // pmemkv: the fig19 overwrite workload (read + in-place 512 B value
 // update). Stock configuration: pool fixed on socket 0 while the
-// serving threads run on socket 1 (the paper's migration scenario) and
-// no write admission control. Optimized: NUMA-local placement plus the
-// §5.3 per-DIMM writer cap.
+// serving threads run on socket 1 (the paper's migration scenario).
+// Optimized: NUMA-local placement.
 
 Row run_pmemkv(const Cfg& c) {
   Row r;
   r.store = "pmemkv";
   char name[96];
-  std::snprintf(name, sizeof name, "overwrite-%s-cap%u-t%u",
-                c.single_dimm
-                    ? "1dimm"
-                    : (c.placement == pmemkv::Placement::kNumaLocal
-                           ? "local"
-                           : "remote"),
-                c.writers_cap, c.threads);
+  std::snprintf(name, sizeof name, "overwrite-%s-t%u",
+                c.placement == pmemkv::Placement::kNumaLocal ? "local"
+                                                             : "remote",
+                c.threads);
   r.name = name;
 
   hw::Platform platform;
   const unsigned pool_socket =
       pmemkv::placement_socket(c.placement, c.server_socket);
-  auto& ns = c.single_dimm
-                 ? platform.optane_ni(1024ull << 20, pool_socket)
-                 : platform.optane(1024ull << 20, pool_socket);
+  auto& ns = platform.optane(1024ull << 20, pool_socket);
   pmem::Pool pool(ns);
-  pmemkv::CMap map(pool, {.max_writers_per_dimm = c.writers_cap});
+  pmemkv::CMap map(pool);
   {
     sim::ThreadCtx t({.id = 100, .socket = pool_socket, .mlp = 16,
                       .seed = 1});
@@ -312,7 +304,6 @@ Row run_pmemkv(const Cfg& c) {
       map.put(t, "key" + std::to_string(i), std::string(512, 'x'));
   }
   platform.reset_timing();
-  map.reset_admission();  // new epoch: seeding-time bookkeeping is stale
 
   const auto s0 = telemetry::Snapshot::capture(platform);
   sim::Scheduler sched;
@@ -366,7 +357,6 @@ Row run_lsmkv_read(const Cfg& c) {
   sim::ThreadCtx t({.id = 0, .socket = 0, .mlp = 8, .seed = 1});
   kv::DbOptions o;
   o.memtable_bytes = 16 << 10;  // force SSTables: reads hit the media
-  o.sst_residency = c.optimized;
   o.read_combine = c.optimized;
   o.read_cache_lines = c.optimized ? c.cache_lines : 0;
   kv::Db db(ns, o);
@@ -612,26 +602,12 @@ int main(int argc, char** argv) {
     for (bool opt : {false, true})
       grid.add({.store = Store::kNovafs, .optimized = opt, .fs_op = op,
                 .fs_ops = fs_ops});
-  // pmemkv: stock (remote pool, no cap) vs placement and throttle,
-  // separately and combined, at the collapse thread count.
+  // pmemkv: stock (remote pool) vs NUMA-local placement at the collapse
+  // thread count.
   const unsigned kv_threads = mini ? 4 : 8;
-  grid.add({.store = Store::kPmemkv, .optimized = false,
-            .threads = kv_threads});
-  grid.add({.store = Store::kPmemkv, .optimized = true,
-            .threads = kv_threads, .writers_cap = 4});
-  grid.add({.store = Store::kPmemkv, .optimized = true,
-            .threads = kv_threads,
+  grid.add({.store = Store::kPmemkv, .threads = kv_threads});
+  grid.add({.store = Store::kPmemkv, .threads = kv_threads,
             .placement = pmemkv::Placement::kNumaLocal});
-  grid.add({.store = Store::kPmemkv, .optimized = true,
-            .threads = kv_threads,
-            .placement = pmemkv::Placement::kNumaLocal, .writers_cap = 4});
-  // Single-DIMM pool, writers >> 4 stream trackers: the configuration
-  // §5.3 warns about, local placement to isolate the throttle's effect.
-  const unsigned crowd = mini ? 8 : 12;
-  grid.add({.store = Store::kPmemkv, .optimized = false, .threads = crowd,
-            .server_socket = 0, .single_dimm = true});
-  grid.add({.store = Store::kPmemkv, .optimized = true, .threads = crowd,
-            .server_socket = 0, .writers_cap = 4, .single_dimm = true});
 
   // Read grid (§5.1): stock vs combined+cached point reads per store,
   // plus a read-amplification sweep over the lsmkv cache capacity.

@@ -54,7 +54,7 @@ struct Cfg {
   char wl = 'A';
   unsigned shards = 1;
   unsigned threads = 4;
-  bool knobs = false;  // write combining + read path + lanes (+ bg lsmkv)
+  bool knobs = false;  // write combining + read path (+ bg lsmkv)
   std::uint64_t records = 600;
   std::uint64_t ops = 1500;
 };
@@ -139,7 +139,6 @@ Row run_point(const Cfg& c) {
   workload::ShardOptions so;
   so.kind = c.kind;
   so.tuning = tuning_for(c);
-  so.writer_lanes = c.knobs;
   workload::ShardedStore store(shard_ns, so);
 
   workload::Spec spec = workload::ycsb(c.wl);

@@ -1,20 +1,37 @@
 #!/usr/bin/env bash
 # Build Release, run the self-measurement harnesses (bench_timing writes
-# BENCH_sweep.json, bench_stores writes BENCH_stores.json), and guard
-# the sweep engine's determinism contract: every converted figure bench
-# must print byte-identical tables with --jobs 1 and --jobs N. Intended
-# for CI and for refreshing the committed JSON baselines.
+# BENCH_sweep.json, bench_stores writes BENCH_stores.json, bench_ycsb
+# writes BENCH_YCSB.json), and guard the sweep engine's determinism
+# contract: every converted figure bench must print byte-identical
+# tables with --jobs 1 and --jobs N. Intended for CI and for refreshing
+# the committed JSON baselines.
 #
-# Usage: scripts/run_benches.sh [jobs]
-#   jobs  defaults to the machine's core count (or XP_JOBS if set).
+# Usage: scripts/run_benches.sh [--check] [jobs]
+#   --check  write the JSON to a temp dir instead of the repo root, and
+#            fail if the new BENCH_stores.json or BENCH_YCSB.json differs
+#            from the tracked copy in anything but its host_cores and
+#            jobs lines. Their rows are simulated quantities, so every
+#            change to them must be re-recorded. BENCH_sweep.json holds
+#            host timings and is not compared.
+#   jobs     defaults to the machine's core count (or XP_JOBS if set).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+CHECK=0
+if [ "${1:-}" = "--check" ]; then
+  CHECK=1
+  shift
+fi
 JOBS="${1:-${XP_JOBS:-$(nproc)}}"
 # std::thread::hardware_concurrency() under-reports in containers; pass
 # the real core count so the JSON headers record the actual machine.
 CORES="$(nproc)"
 BUILD=build-release
+OUT=.
+if [ "$CHECK" = 1 ]; then
+  OUT="$(mktemp -d)"
+  trap 'rm -rf "$OUT"' EXIT
+fi
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target \
@@ -25,7 +42,7 @@ cmake --build "$BUILD" -j "$(nproc)" --target \
 
 echo "== bench_timing (jobs=$JOBS) =="
 "$BUILD/bench/bench_timing" --jobs "$JOBS" --host-cores "$CORES" \
-    --out BENCH_sweep.json
+    --out "$OUT/BENCH_sweep.json"
 
 echo
 echo "== bench_stores (jobs=$JOBS) =="
@@ -33,7 +50,7 @@ echo "== bench_stores (jobs=$JOBS) =="
 # reads per store and the lsmkv read-cache capacity sweep). Exits
 # non-zero if its serial vs parallel grids diverge (determinism).
 "$BUILD/bench/bench_stores" --jobs "$JOBS" --host-cores "$CORES" \
-    --out BENCH_stores.json
+    --out "$OUT/BENCH_stores.json"
 
 echo
 echo "== bench_ycsb (jobs=$JOBS) =="
@@ -43,7 +60,7 @@ echo "== bench_ycsb (jobs=$JOBS) =="
 # Exits non-zero if its serial vs parallel grids diverge (the engine's
 # byte-identical-at-any---jobs contract) or a resilience gate fails.
 "$BUILD/bench/bench_ycsb" --faults --jobs "$JOBS" --host-cores "$CORES" \
-    --out BENCH_YCSB.json
+    --out "$OUT/BENCH_YCSB.json"
 
 # Determinism guard: byte-identical tables regardless of job count. The
 # quick benches run their full sweeps; the long ones are already covered
@@ -84,4 +101,21 @@ else
   status=1
 fi
 rm -rf "$t1" "$tn"
+
+if [ "$CHECK" = 1 ]; then
+  echo
+  echo "== check: simulated BENCH files vs the tracked copies =="
+  for f in BENCH_stores.json BENCH_YCSB.json; do
+    host_lines='^  "(host_cores|jobs)": '
+    if diff <(grep -Ev "$host_lines" "$f") \
+            <(grep -Ev "$host_lines" "$OUT/$f") > /dev/null; then
+      echo "  $f: matches"
+    else
+      echo "  $f: DIFFERS (re-record it with scripts/run_benches.sh)"
+      diff <(grep -Ev "$host_lines" "$f") \
+           <(grep -Ev "$host_lines" "$OUT/$f") | head -20 || true
+      status=1
+    fi
+  done
+fi
 exit $status

@@ -46,16 +46,15 @@ struct DbOptions {
   // one explicit group regardless of this threshold).
   std::size_t wal_group_size = 8;
 
-  // ---- Read path (§5.1), all off by default so the seed read behavior
-  // ---- and timing are unchanged ----------------------------------------
-  // DRAM residency for read-path metadata: the manifest plus every live
-  // SSTable's bloom filter and offset array are mirrored in DRAM (built
-  // from bytes already in hand at flush/compaction, loaded once at open),
-  // so point gets stop re-loading ~10 KB of filter per table per lookup.
-  bool sst_residency = false;
+  // ---- Read path (§5.1), off by default so the seed read behavior and
+  // ---- timing are unchanged ---------------------------------------------
   // XPLine-granular read combining: binary-search probes and value reads
   // fetch whole 256 B lines through a pmem::LineReader instead of
-  // dribbling dependent 4-64 B loads.
+  // dribbling dependent 4-64 B loads. It also keeps the read-path
+  // metadata resident in DRAM: the manifest plus every live SSTable's
+  // bloom filter and offset array (built from bytes already in hand at
+  // flush/compaction, loaded once at open), so point gets stop
+  // re-loading ~10 KB of filter per table per lookup.
   bool read_combine = false;
   // DRAM read-cache capacity in 256 B lines (0 = no cache; 4096 = 1 MiB).
   // The cache backs the LineReader, so it only takes effect together with

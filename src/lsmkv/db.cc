@@ -10,7 +10,7 @@
 namespace xp::kv {
 
 Db::Manifest Db::load_manifest(sim::ThreadCtx& ctx) {
-  // Under sst_residency the manifest is mirrored in DRAM: every
+  // Under read_combine the manifest is mirrored in DRAM: every
   // modification goes through store_manifest() in-process, so the mirror
   // is always the committed manifest and point lookups skip a ~560 B PM
   // load. (Recovery paths run before the mirror exists and read PM.)
@@ -71,18 +71,11 @@ void Db::create(sim::ThreadCtx& ctx) {
 
 void Db::init_read_path(sim::ThreadCtx& ctx, const Manifest& m,
                         bool load_tables) {
-  reader_.discard();
-  reader_.attach_cache(nullptr);
-  rcache_.reset();
   residency_.clear();
   manifest_cache_.reset();
-  if (opts_.read_cache_lines > 0) {
-    rcache_ = std::make_unique<pmem::ReadCache>(
-        pool_.ns(),
-        pmem::ReadCacheOptions{.capacity_lines = opts_.read_cache_lines});
-    reader_.attach_cache(rcache_.get());
-  }
-  if (!opts_.sst_residency) return;
+  pmem::reset_read_path(reader_, rcache_, pool_.ns(),
+                        opts_.read_combine ? opts_.read_cache_lines : 0);
+  if (!opts_.read_combine) return;
   manifest_cache_ = m;
   if (load_tables) {
     for (std::uint32_t i = 0; i < m.n_l0; ++i)
@@ -109,15 +102,16 @@ void Db::prune_residency(const Manifest& m) {
   }
 }
 
-SsTable::ReadCtx Db::read_ctx(std::uint64_t table_off) {
-  SsTable::ReadCtx rc;
-  rc.keybuf = &key_scratch_;
-  if (opts_.sst_residency) {
-    const auto it = residency_.find(table_off);
-    if (it != residency_.end()) rc.res = &it->second;
-  }
-  if (opts_.read_combine) rc.reader = &reader_;
-  return rc;
+FindResult Db::get_table(sim::ThreadCtx& ctx, std::uint64_t table_off,
+                         std::string_view key, std::string* value) {
+  if (!opts_.read_combine)
+    return SsTable::get(ctx, pool_.ns(), table_off, key, value,
+                        &key_scratch_);
+  // open, flush and compaction give every live table a residency entry.
+  const auto it = residency_.find(table_off);
+  assert(it != residency_.end());
+  return SsTable::get_ex(ctx, pool_.ns(), table_off, key, value, it->second,
+                         reader_);
 }
 
 bool Db::open(sim::ThreadCtx& ctx) {
@@ -272,8 +266,7 @@ bool Db::get(sim::ThreadCtx& ctx, std::string_view key, std::string* value) {
   const Manifest m = load_manifest(ctx);
   // L0: newest (highest index) first.
   for (std::uint32_t i = m.n_l0; i-- > 0;) {
-    r = SsTable::get_ex(ctx, pool_.ns(), m.l0[i].off, key, value,
-                        read_ctx(m.l0[i].off));
+    r = get_table(ctx, m.l0[i].off, key, value);
     if (r == FindResult::kFound) {
       ++stats_.get_hits;
       return true;
@@ -281,8 +274,7 @@ bool Db::get(sim::ThreadCtx& ctx, std::string_view key, std::string* value) {
     if (r == FindResult::kTombstone) return false;
   }
   for (std::uint32_t i = m.n_l1; i-- > 0;) {
-    r = SsTable::get_ex(ctx, pool_.ns(), m.l1[i].off, key, value,
-                        read_ctx(m.l1[i].off));
+    r = get_table(ctx, m.l1[i].off, key, value);
     if (r == FindResult::kFound) {
       ++stats_.get_hits;
       return true;
@@ -472,8 +464,8 @@ void Db::flush(sim::ThreadCtx& ctx) {
     const std::uint64_t off = pool_.tx_alloc(tx, size);
     SsTable::Residency res;
     SsTable::build(ctx, pool_.ns(), off, entries, &sst_scratch_,
-                   opts_.sst_residency ? &res : nullptr);
-    if (opts_.sst_residency) residency_[off] = std::move(res);
+                   opts_.read_combine ? &res : nullptr);
+    if (opts_.read_combine) residency_[off] = std::move(res);
     stats_.sst_bytes_written += size;
 
     m.l0[m.n_l0++] = TableRef{off, size};
@@ -555,8 +547,8 @@ void Db::compact(sim::ThreadCtx& ctx, Manifest m) {
     const std::uint64_t off = pool_.tx_alloc(tx, size);
     SsTable::Residency res;
     SsTable::build(ctx, pool_.ns(), off, entries, &sst_scratch_,
-                   opts_.sst_residency ? &res : nullptr);
-    if (opts_.sst_residency) residency_[off] = std::move(res);
+                   opts_.read_combine ? &res : nullptr);
+    if (opts_.read_combine) residency_[off] = std::move(res);
     stats_.sst_bytes_written += size;
     out.l1[out.n_l1++] = TableRef{off, size};
   }

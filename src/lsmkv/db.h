@@ -150,16 +150,19 @@ class Db {
   Manifest load_manifest(sim::ThreadCtx& ctx);
   void store_manifest(sim::ThreadCtx& ctx, pmem::Tx& tx, const Manifest& m);
 
-  // ---- read path (DbOptions::sst_residency / read_combine) ---------------
+  // ---- read path (DbOptions::read_combine) ------------------------------
   // Construct the per-open read-path state: the DRAM read cache (if
-  // configured) and, under sst_residency, the manifest mirror + residency
-  // for every table referenced by `m`. No-op with the knobs off.
+  // configured), the manifest mirror and the residency for every table
+  // referenced by `m`. No-op with read_combine off.
   void init_read_path(sim::ThreadCtx& ctx, const Manifest& m,
                       bool load_tables);
   // Drop residency entries for tables no longer in `m` (post-compaction /
   // repair) and the reader's staged span.
   void prune_residency(const Manifest& m);
-  SsTable::ReadCtx read_ctx(std::uint64_t table_off);
+  // Point lookup in one SSTable: the stock timed probe, or the combined
+  // probe over the table's DRAM residency under read_combine.
+  FindResult get_table(sim::ThreadCtx& ctx, std::uint64_t table_off,
+                       std::string_view key, std::string* value);
 
   DbOptions opts_;
   pmem::Pool pool_;
@@ -185,8 +188,8 @@ class Db {
   // from the recovered manifest.
   bool compaction_pending_ = false;
 
-  // ---- read-path state (all empty/null with the knobs off) ---------------
-  std::optional<Manifest> manifest_cache_;  // DRAM mirror (sst_residency)
+  // ---- read-path state (all empty/null with read_combine off) ------------
+  std::optional<Manifest> manifest_cache_;  // DRAM mirror (read_combine)
   std::unordered_map<std::uint64_t, SsTable::Residency>
       residency_;  // by table offset
   std::unique_ptr<pmem::ReadCache> rcache_;

@@ -181,97 +181,44 @@ SsTable::Residency SsTable::load_residency(sim::ThreadCtx& ctx,
 
 FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                            std::uint64_t off, std::string_view key,
-                           std::string* value, const ReadCtx& rc) {
-  if (rc.res == nullptr && rc.reader == nullptr)
-    return get(ctx, ns, off, key, value, rc.keybuf);
-
-  std::uint32_t count;
-  std::uint32_t filter_len;
-  const std::uint8_t* fbits;
-  std::vector<std::uint8_t> filter_local;
-  if (rc.res != nullptr) {
-    count = rc.res->count;
-    filter_len = static_cast<std::uint32_t>(rc.res->filter.size());
-    fbits = rc.res->filter.data();
-  } else {
-    const auto h = rc.reader->fetch_pod<Header>(ctx, ns, off);
-    assert(h.magic == kMagic);
-    count = h.count;
-    filter_len = h.filter_len;
-    filter_local.resize(filter_len);
-    if (filter_len > 0)
-      rc.reader->read(ctx, ns, off + sizeof(Header), filter_local);
-    fbits = filter_local.data();
-  }
-  if (!BloomBuilder::may_contain(fbits, filter_len, key))
+                           std::string* value, const Residency& res,
+                           pmem::LineReader& reader) {
+  if (!BloomBuilder::may_contain(res.filter.data(), res.filter.size(), key))
     return FindResult::kNotFound;
-  const std::uint64_t offsets_at = off + sizeof(Header) + filter_len;
-  const std::uint64_t data_at = offsets_at + std::uint64_t{count} * 4;
+  const std::uint64_t offsets_at = off + sizeof(Header) + res.filter.size();
+  const std::uint64_t data_at = offsets_at + std::uint64_t{res.count} * 4;
 
-  std::string local;
-  std::string& k = rc.keybuf != nullptr ? *rc.keybuf : local;
-  std::uint32_t lo = 0, hi = count;
+  std::uint32_t lo = 0, hi = res.count;
   while (lo < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
-    const std::uint32_t rel =
-        rc.res != nullptr
-            ? rc.res->offsets[mid]
-            : rc.reader->fetch_pod<std::uint32_t>(ctx, ns,
-                                                  offsets_at + mid * 4);
-    if (rc.reader != nullptr) {
-      // One line-aligned fetch stages the entry header and (for the
-      // expected key size) the whole probe key; klen/vraw must be copied
-      // out before the next fetch invalidates the staged pointer.
-      const std::uint8_t* e =
-          rc.reader->fetch(ctx, ns, data_at + rel, 8, 8 + key.size());
-      std::uint32_t klen, vraw;
-      std::memcpy(&klen, e, 4);
-      std::memcpy(&vraw, e + 4, 4);
-      const std::uint8_t* kb = rc.reader->fetch(ctx, ns, data_at + rel + 8,
-                                                klen);
-      const std::size_t n = std::min<std::size_t>(klen, key.size());
-      int c = n == 0 ? 0 : std::memcmp(kb, key.data(), n);
-      if (c == 0 && klen != key.size()) c = klen < key.size() ? -1 : 1;
-      if (c < 0) {
-        lo = mid + 1;
-      } else if (c > 0) {
-        hi = mid;
-      } else {
-        if (vraw & kTombstoneBit) return FindResult::kTombstone;
-        const std::uint32_t vlen = vraw & ~kTombstoneBit;
-        if (value != nullptr) {
-          value->resize(vlen);
-          rc.reader->read(ctx, ns, data_at + rel + 8 + klen,
-                          std::span<std::uint8_t>(
-                              reinterpret_cast<std::uint8_t*>(value->data()),
-                              vlen));
-        }
-        return FindResult::kFound;
-      }
+    const std::uint32_t rel = res.offsets[mid];
+    // One line-aligned fetch stages the entry header and (for the
+    // expected key size) the whole probe key; klen/vraw must be copied
+    // out before the next fetch invalidates the staged pointer.
+    const std::uint8_t* e =
+        reader.fetch(ctx, ns, data_at + rel, 8, 8 + key.size());
+    std::uint32_t klen, vraw;
+    std::memcpy(&klen, e, 4);
+    std::memcpy(&vraw, e + 4, 4);
+    const std::uint8_t* kb = reader.fetch(ctx, ns, data_at + rel + 8, klen);
+    const std::size_t n = std::min<std::size_t>(klen, key.size());
+    int c = n == 0 ? 0 : std::memcmp(kb, key.data(), n);
+    if (c == 0 && klen != key.size()) c = klen < key.size() ? -1 : 1;
+    if (c < 0) {
+      lo = mid + 1;
+    } else if (c > 0) {
+      hi = mid;
     } else {
-      // Residency only: the probe itself uses the seed load sequence,
-      // minus the offset-array load.
-      const auto klen = ns.load_pod<std::uint32_t>(ctx, data_at + rel);
-      k.resize(klen);
-      ns.load(ctx, data_at + rel + 8,
-              std::span<std::uint8_t>(
-                  reinterpret_cast<std::uint8_t*>(k.data()), klen));
-      if (k < key) {
-        lo = mid + 1;
-      } else if (k > key) {
-        hi = mid;
-      } else {
-        const auto vraw = ns.load_pod<std::uint32_t>(ctx, data_at + rel + 4);
-        if (vraw & kTombstoneBit) return FindResult::kTombstone;
-        const std::uint32_t vlen = vraw & ~kTombstoneBit;
-        if (value != nullptr) {
-          value->resize(vlen);
-          ns.load(ctx, data_at + rel + 8 + klen,
-                  std::span<std::uint8_t>(
-                      reinterpret_cast<std::uint8_t*>(value->data()), vlen));
-        }
-        return FindResult::kFound;
+      if (vraw & kTombstoneBit) return FindResult::kTombstone;
+      const std::uint32_t vlen = vraw & ~kTombstoneBit;
+      if (value != nullptr) {
+        value->resize(vlen);
+        reader.read(ctx, ns, data_at + rel + 8 + klen,
+                    std::span<std::uint8_t>(
+                        reinterpret_cast<std::uint8_t*>(value->data()),
+                        vlen));
       }
+      return FindResult::kFound;
     }
   }
   return FindResult::kNotFound;

@@ -45,14 +45,6 @@ class SsTable {
     std::vector<std::uint32_t> offsets;
   };
 
-  // Optional read accelerators threaded through get_ex(). All-null is
-  // exactly the plain get() path.
-  struct ReadCtx {
-    const Residency* res = nullptr;      // DRAM metadata (null = load PM)
-    pmem::LineReader* reader = nullptr;  // XPLine combining (null = plain)
-    std::string* keybuf = nullptr;       // reused probe-key buffer
-  };
-
   // Serialized size of `entries` (for allocation).
   static std::uint64_t encoded_size(const std::vector<Entry>& entries);
 
@@ -80,12 +72,15 @@ class SsTable {
                         std::uint64_t off, std::string_view key,
                         std::string* value, std::string* keybuf = nullptr);
 
-  // get() with the read-path accelerators (DbOptions::sst_residency /
-  // read_combine). Returns exactly what get() returns for any table and
-  // key; only the PM access pattern differs.
+  // get() with the read-path accelerators (DbOptions::read_combine): the
+  // bloom filter and offset array come from the table's DRAM residency,
+  // and each probe fetches whole XPLines through `reader`. Returns
+  // exactly what get() returns for any table and key; only the PM access
+  // pattern differs.
   static FindResult get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                            std::uint64_t off, std::string_view key,
-                           std::string* value, const ReadCtx& rc);
+                           std::string* value, const Residency& res,
+                           pmem::LineReader& reader);
 
   // Re-reads the whole table and verifies its content CRC (stored in the
   // header at build time). Distinguishes unreadable media (kMediaError)

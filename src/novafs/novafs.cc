@@ -57,14 +57,8 @@ void NovaFs::format(ThreadCtx& ctx) {
 }
 
 void NovaFs::init_read_path() {
-  lreader_ = pmem::LineReader{};
-  rcache_.reset();
-  if (opt_.read_combine && opt_.read_cache_lines > 0) {
-    pmem::ReadCacheOptions co;
-    co.capacity_lines = opt_.read_cache_lines;
-    rcache_ = std::make_unique<pmem::ReadCache>(ns_, co);
-    lreader_.attach_cache(rcache_.get());
-  }
+  pmem::reset_read_path(lreader_, rcache_, ns_,
+                        opt_.read_combine ? opt_.read_cache_lines : 0);
 }
 
 bool NovaFs::mount(ThreadCtx& ctx) {

@@ -282,9 +282,8 @@ class NovaFs final : public FileSystem {
   // file-log equivalent is clean_log().
   void rebuild_dir_log(ThreadCtx& ctx);
   std::string fsck_impl(ThreadCtx& ctx);
-  // Construct the per-format/mount read-path state (fresh LineReader and,
-  // if configured, the DRAM line cache). No-op beyond the reset with the
-  // read knobs off.
+  // Per-format/mount read-path state (pmem::reset_read_path); the line
+  // cache is built only under read_combine.
   void init_read_path();
 
   PmemNamespace& ns_;

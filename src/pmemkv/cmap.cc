@@ -24,10 +24,6 @@ T peek_pod(const hw::PmemNamespace& ns, std::uint64_t off) {
 // is high (its DRAM curve tops out near 10 GB/s in the paper's Fig 19);
 // this constant reproduces that software-bound ceiling.
 constexpr sim::Time kCpuOpCost = sim::ns(600);
-
-// Writer-lane stream ids live far above any simulated thread id, so a
-// lane never aliases a real thread's stream in the DIMM tracker.
-constexpr unsigned kLaneStreamBase = 1u << 16;
 }  // namespace
 
 void CMap::create(sim::ThreadCtx& ctx) {
@@ -43,53 +39,12 @@ void CMap::create(sim::ThreadCtx& ctx) {
 
 void CMap::open(sim::ThreadCtx& ctx) {
   table_ = pool_.ns().load_pod<std::uint64_t>(ctx, pool_.root(ctx));
-  reset_admission();  // queue contents never survive a restart
   init_read_path();
 }
 
 void CMap::init_read_path() {
-  reader_ = pmem::LineReader{};
-  rcache_.reset();
-  if (opts_.read_combine && opts_.read_cache_lines > 0) {
-    pmem::ReadCacheOptions co;
-    co.capacity_lines = opts_.read_cache_lines;
-    rcache_ = std::make_unique<pmem::ReadCache>(pool_.ns(), co);
-    reader_.attach_cache(rcache_.get());
-  }
-}
-
-void CMap::admit_writer(sim::ThreadCtx& ctx, std::uint64_t off) {
-  if (opts_.max_writers_per_dimm == 0) return;
-  // Writer-lane admission (§5.3 thread cap): a contended resource the
-  // schedule explorer perturbs — which thread wins a lane decides which
-  // write stream the DIMM sees next.
-  ctx.sched_point(sim::SchedPoint::kLaneAcquire);
-  auto& ns = pool_.ns();
-  if (lanes_.empty())
-    lanes_.assign(ns.platform().timing().channels_per_socket, {});
-  const unsigned ch = ns.decode(off).channel % lanes_.size();
-  auto& free_at = lanes_[ch].free_at;
-  if (free_at.empty()) free_at.assign(opts_.max_writers_per_dimm, 0);
-  // Take the lane that frees up earliest, waiting for it if every lane
-  // is still busy. The lane — not the issuing thread — is the stream
-  // identity the DIMM sees, so a capped DIMM observes at most `cap`
-  // write streams and its 4-entry stream tracker stays hot instead of
-  // missing on every new XPLine under a rotating thread set.
-  unsigned lane = 0;
-  for (unsigned i = 1; i < free_at.size(); ++i)
-    if (free_at[i] < free_at[lane]) lane = i;
-  ctx.advance_to(free_at[lane]);
-  admitted_lane_ = lane;
-  ctx.set_write_stream(kLaneStreamBase + ch * opts_.max_writers_per_dimm +
-                       lane);
-}
-
-void CMap::release_writer(sim::ThreadCtx& ctx, std::uint64_t off) {
-  if (opts_.max_writers_per_dimm == 0) return;
-  auto& lanes = lanes_[pool_.ns().decode(off).channel % lanes_.size()];
-  lanes.free_at[admitted_lane_] = ctx.now();
-  ctx.clear_write_stream();
-  ctx.sched_point(sim::SchedPoint::kLaneRelease);
+  pmem::reset_read_path(reader_, rcache_, pool_.ns(),
+                        opts_.read_combine ? opts_.read_cache_lines : 0);
 }
 
 CMap::Located CMap::locate(sim::ThreadCtx& ctx, std::string_view key) {
@@ -140,13 +95,11 @@ void CMap::put(sim::ThreadCtx& ctx, std::string_view key,
     // In-place value update (the `overwrite` fast path).
     const std::uint64_t dst =
         loc.node + sizeof(NodeHeader) + loc.header.klen;
-    admit_writer(ctx, dst);
     ns.store_flush(ctx, dst,
                    std::span<const std::uint8_t>(
                        reinterpret_cast<const std::uint8_t*>(value.data()),
                        value.size()));
     ns.sfence(ctx);
-    release_writer(ctx, dst);
     reader_.discard();  // the staged span may overlap the updated value
     return;
   }
@@ -156,7 +109,6 @@ void CMap::put(sim::ThreadCtx& ctx, std::string_view key,
       sizeof(NodeHeader) + key.size() + value.size();
   pmem::Tx tx(pool_, ctx);
   const std::uint64_t node = pool_.tx_alloc(tx, node_size);
-  admit_writer(ctx, node);
   NodeHeader hd{};
   hd.next = loc.node != 0 ? loc.header.next
                           : ns.load_pod<std::uint64_t>(ctx, loc.pred_link);
@@ -176,7 +128,6 @@ void CMap::put(sim::ThreadCtx& ctx, std::string_view key,
     pool_.tx_free(tx, loc.node,
                   sizeof(NodeHeader) + loc.header.klen + loc.header.vlen);
   tx.commit();
-  release_writer(ctx, node);
   reader_.discard();  // the staged span may overlap the mutated chain
 }
 

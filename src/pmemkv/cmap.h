@@ -11,11 +11,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "pmemlib/linereader.h"
 #include "pmemlib/pool.h"
-#include "sim/simtime.h"
 #include "sim/status.h"
 
 namespace xp::pmemkv {
@@ -33,16 +31,6 @@ inline unsigned placement_socket(Placement p, unsigned server_socket,
 }
 
 struct CMapOptions {
-  // §5.3: cap the number of distinct writers per XP DIMM. The DIMM
-  // tracks only 4 write streams; more rotating writer threads than that
-  // miss the stream tracker on nearly every new XPLine and serialize on
-  // the controller. With a cap, the engine funnels every put through one
-  // of `cap` per-DIMM writer lanes: the lane (not the issuing thread) is
-  // the write-stream identity the DIMM sees, and a put waits for the
-  // earliest-free lane when all are busy. 0 = unthrottled (stock
-  // behavior, the fig19 configuration).
-  unsigned max_writers_per_dimm = 0;
-
   // ---- Read path (§5.1), both off by default so the stock read behavior
   // ---- and timing are unchanged -----------------------------------------
   // XPLine-granular read combining: the bucket-chain walk fetches each
@@ -70,13 +58,6 @@ class CMap {
   void put(sim::ThreadCtx& ctx, std::string_view key, std::string_view value);
   bool get(sim::ThreadCtx& ctx, std::string_view key, std::string* value);
   bool remove(sim::ThreadCtx& ctx, std::string_view key);
-
-  // Forget all writer-lane bookkeeping. Lane-free times are absolute, so
-  // they must be cleared when the caller starts a new measurement epoch
-  // (Platform::reset_timing) — stale times from the old epoch would read
-  // as lanes still busy far in the new epoch's future and stall every
-  // admission behind them.
-  void reset_admission() { lanes_.clear(); }
 
   std::uint64_t count(sim::ThreadCtx& ctx);
 
@@ -130,29 +111,13 @@ class CMap {
   };
   Located locate(sim::ThreadCtx& ctx, std::string_view key);
   std::string check_impl(sim::ThreadCtx& ctx);
-  // Construct the per-create/open read-path state (fresh LineReader and,
-  // if configured, the DRAM line cache). No-op beyond the reset with the
-  // read knobs off.
+  // Per-create/open read-path state (pmem::reset_read_path); the line
+  // cache is built only under read_combine.
   void init_read_path();
-
-  // Per-DIMM write admission (§5.3): take the earliest-free writer lane
-  // for the target DIMM (waiting for it when all lanes are busy) and
-  // present the lane as the thread's write-stream identity until release.
-  void admit_writer(sim::ThreadCtx& ctx, std::uint64_t off);
-  void release_writer(sim::ThreadCtx& ctx, std::uint64_t off);
 
   pmem::Pool& pool_;
   CMapOptions opts_;
   std::uint64_t table_ = 0;
-  // One lane set per channel of the pool's namespace, sized lazily.
-  // free_at[i] is the absolute time lane i's last write finished.
-  // Simulated threads cooperate through the shared CMap, and a put is
-  // atomic within one scheduler step, so one admitted-lane slot suffices.
-  struct Lanes {
-    std::vector<sim::Time> free_at;
-  };
-  std::vector<Lanes> lanes_;
-  unsigned admitted_lane_ = 0;
   RecoveryInfo recovery_;
   // ---- read-path state (CMapOptions::read_combine), idle when off --------
   std::unique_ptr<pmem::ReadCache> rcache_;

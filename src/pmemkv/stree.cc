@@ -83,14 +83,8 @@ void STree::create(sim::ThreadCtx& ctx) {
 }
 
 void STree::init_read_path() {
-  reader_ = pmem::LineReader{};
-  rcache_.reset();
-  if (opts_.read_combine && opts_.read_cache_lines > 0) {
-    pmem::ReadCacheOptions co;
-    co.capacity_lines = opts_.read_cache_lines;
-    rcache_ = std::make_unique<pmem::ReadCache>(pool_.ns(), co);
-    reader_.attach_cache(rcache_.get());
-  }
+  pmem::reset_read_path(reader_, rcache_, pool_.ns(),
+                        opts_.read_combine ? opts_.read_cache_lines : 0);
 }
 
 void STree::open(sim::ThreadCtx& ctx) {

@@ -131,9 +131,8 @@ class STree {
 
   void index_leaf(sim::ThreadCtx& ctx, std::uint64_t leaf);
   std::string check_impl(sim::ThreadCtx& ctx);
-  // Construct the per-create/open read-path state (fresh LineReader and,
-  // if configured, the DRAM line cache). No-op beyond the reset with the
-  // read knobs off.
+  // Per-create/open read-path state (pmem::reset_read_path); the line
+  // cache is built only under read_combine.
   void init_read_path();
 
   pmem::Pool& pool_;

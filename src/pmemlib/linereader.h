@@ -38,6 +38,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -162,5 +163,20 @@ class LineReader {
   ReadCache* cache_ = nullptr;
   Stats stats_;
 };
+
+// The read-path state a store rebuilds at every create/open: a fresh
+// LineReader and, for `cache_lines` > 0, a DRAM line cache over `ns`
+// attached to it. The old cache is dropped first, as a DRAM cache
+// empties on restart.
+inline void reset_read_path(LineReader& reader,
+                            std::unique_ptr<ReadCache>& cache,
+                            hw::PmemNamespace& ns, std::size_t cache_lines) {
+  reader = LineReader{};
+  cache.reset();
+  if (cache_lines == 0) return;
+  cache = std::make_unique<ReadCache>(
+      ns, ReadCacheOptions{.capacity_lines = cache_lines});
+  reader.attach_cache(cache.get());
+}
 
 }  // namespace xp::pmem

@@ -15,7 +15,7 @@
 // slot. Sharding by line index keeps the hand's sweep short and mirrors
 // how a per-core software cache would partition.
 //
-// Timing model: a hit is one DRAM-latency access (`hit_cost`) issued
+// Timing model: a hit is one DRAM-latency access (`kHitCost`) issued
 // through the calling thread's MLP window — it pipelines like any other
 // memory access but touches no simulated device, since the payload lives
 // in host DRAM, not behind the DDR-T interface. Misses charge nothing —
@@ -41,14 +41,6 @@ struct ReadCacheOptions {
   // Shard count, rounded up to a power of two; each shard gets an equal
   // slice of the capacity and its own clock hand.
   std::size_t shards = 8;
-  // Simulated cost of serving one lookup hit from DRAM.
-  sim::Time hit_cost = sim::ns(60);
-  // The cache's payload is ordinary cacheable host memory, so recently
-  // served lines are still CPU-cache resident: a re-hit within the last
-  // `hot_lines_per_shard` distinct lines of a shard costs `hot_hit_cost`
-  // (an LLC-latency access) instead of the full DRAM round trip.
-  std::size_t hot_lines_per_shard = 64;
-  sim::Time hot_hit_cost = sim::ns(5);
 };
 
 class ReadCache final : public hw::StoreObserver {
@@ -63,13 +55,12 @@ class ReadCache final : public hw::StoreObserver {
     std::uint64_t invalidations = 0;  // a write dropped a cached line
   };
 
-  ReadCache(hw::PmemNamespace& ns, ReadCacheOptions opts = {})
-      : ns_(ns), opts_(opts) {
+  ReadCache(hw::PmemNamespace& ns, ReadCacheOptions opts = {}) : ns_(ns) {
     std::size_t n = 1;
-    while (n < opts_.shards) n <<= 1;
-    if (opts_.capacity_lines < n) n = 1;
+    while (n < opts.shards) n <<= 1;
+    if (opts.capacity_lines < n) n = 1;
     shards_.resize(n);
-    const std::size_t per = opts_.capacity_lines / n;
+    const std::size_t per = opts.capacity_lines / n;
     for (auto& s : shards_) {
       s.entries.resize(per == 0 ? 1 : per);
       s.data.resize(s.entries.size() * kLine);
@@ -104,7 +95,7 @@ class ReadCache final : public hw::StoreObserver {
     // serial stall here would make cached reads slower than mlp-deep
     // pipelined device reads, inverting the real ordering).
     const sim::Time cost =
-        touch_recent(s, line_off) ? opts_.hot_hit_cost : opts_.hit_cost;
+        touch_recent(s, line_off) ? kHotHitCost : kHitCost;
     const sim::Time t0 =
         ctx.begin_access(ns_.platform().timing().issue_gap);
     ctx.complete_access(t0 + cost);
@@ -175,6 +166,15 @@ class ReadCache final : public hw::StoreObserver {
   hw::PmemNamespace& ns() { return ns_; }
 
  private:
+  // Simulated cost of serving one lookup hit from DRAM.
+  static constexpr sim::Time kHitCost = sim::ns(60);
+  // The cache's payload is ordinary cacheable host memory, so recently
+  // served lines are still CPU-cache resident: a re-hit within the last
+  // kHotLinesPerShard distinct lines of a shard costs kHotHitCost (an
+  // LLC-latency access) instead of the full DRAM round trip.
+  static constexpr std::size_t kHotLinesPerShard = 64;
+  static constexpr sim::Time kHotHitCost = sim::ns(5);
+
   struct Entry {
     std::uint64_t line_off = 0;
     bool valid = false;
@@ -187,7 +187,7 @@ class ReadCache final : public hw::StoreObserver {
     std::vector<std::uint8_t> data;  // entries.size() * kLine payload bytes
     std::unordered_map<std::uint64_t, std::size_t> index;  // line -> slot
     std::size_t hand = 0;
-    // Ring of the last `hot_lines_per_shard` distinct lines served — the
+    // Ring of the last kHotLinesPerShard distinct lines served — the
     // approximation of which payload lines are still CPU-cache resident.
     std::vector<std::uint64_t> recent;
     std::size_t recent_pos = 0;
@@ -195,9 +195,7 @@ class ReadCache final : public hw::StoreObserver {
 
   // True if `line_off` is in the shard's recent set; records it otherwise.
   bool touch_recent(Shard& s, std::uint64_t line_off) {
-    if (opts_.hot_lines_per_shard == 0) return false;
-    if (s.recent.empty())
-      s.recent.assign(opts_.hot_lines_per_shard, kNoLine);
+    if (s.recent.empty()) s.recent.assign(kHotLinesPerShard, kNoLine);
     for (std::uint64_t l : s.recent)
       if (l == line_off) return true;
     s.recent[s.recent_pos] = line_off;
@@ -231,7 +229,6 @@ class ReadCache final : public hw::StoreObserver {
   }
 
   hw::PmemNamespace& ns_;
-  ReadCacheOptions opts_;
   std::vector<Shard> shards_;
   Stats stats_;
 };

@@ -730,10 +730,8 @@ std::unique_ptr<Target> make_novafs_target(const TargetOptions& opts) {
   return std::make_unique<NovafsTarget>(opts);
 }
 std::unique_ptr<Target> make_cmap_target(const TargetOptions& opts) {
-  pmemkv::CMapOptions o;
-  o.max_writers_per_dimm = 2;  // lane admission points are yields
   KvMix mix{"cmap", {}};
-  mix.store.options = o;
+  mix.store.options = pmemkv::CMapOptions{};
   mix.store.keys = 6;
   // 8-byte values take the in-place update path, 24-byte the
   // transactional one.

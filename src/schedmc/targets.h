@@ -65,8 +65,8 @@ std::unique_ptr<Target> make_lsmkv_target(const TargetOptions& opts = {});
 // batched log appends (atomic rename).
 std::unique_ptr<Target> make_novafs_target(const TargetOptions& opts = {});
 
-// pmemkv cmap: put/get/remove with bounded writer lanes
-// (max_writers_per_dimm), mixing in-place and transactional value sizes.
+// pmemkv cmap: put/get/remove, mixing in-place and transactional value
+// sizes.
 std::unique_ptr<Target> make_cmap_target(const TargetOptions& opts = {});
 
 // pmemkv stree: put/get/remove over enough keys to split leaves.

@@ -45,8 +45,8 @@ enum class SchedPoint : unsigned char {
   kCacheInvalidate,  // a store dropped DRAM read-cache lines
   kLockAcquire,      // SchedLock acquisition (before ownership)
   kLockRelease,      // SchedLock release (after ownership dropped)
-  kLaneAcquire,      // tx undo-log lane / writer-lane admission taken
-  kLaneRelease,      // tx lane retired / writer lane released
+  kLaneAcquire,      // tx undo-log lane taken
+  kLaneRelease,      // tx undo-log lane retired
   kHandoff,          // group-commit leader/follower pending-buffer edge
 };
 inline constexpr unsigned kNumSchedPoints = 9;
@@ -95,10 +95,10 @@ class ThreadCtx {
   Rng& rng() { return rng_; }
 
   // Write-stream identity presented to the memory device. Defaults to the
-  // thread id; software that funnels its stores through a bounded set of
-  // writer lanes (paper §5.3: limit the writers per XP DIMM so its 4-entry
-  // stream tracker stays hot) sets the lane id here for the duration of
-  // the write, so the DIMM sees the lane, not the issuing thread.
+  // thread id; the sharded frontend's per-shard writer lane (paper §5.3:
+  // limit the writers per XP DIMM so its 4-entry stream tracker stays
+  // hot) sets the lane id here for the duration of the write, so the DIMM
+  // sees the lane, not the issuing thread.
   unsigned write_stream() const {
     return write_stream_ == kOwnStream ? id_ : write_stream_;
   }

@@ -1,8 +1,8 @@
 #include "sweep/sweep.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 namespace xp::sweep {
 
@@ -27,14 +27,20 @@ unsigned default_jobs() {
 unsigned jobs_from_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
-      if (i + 1 < argc)
-        if (unsigned v = parse_jobs(argv[i + 1])) return v;
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      if (unsigned v = parse_jobs(arg + 7)) return v;
-    } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
-      if (unsigned v = parse_jobs(arg + 2)) return v;
-    }
+    const char* value = nullptr;
+    if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0)
+      value = i + 1 < argc ? argv[i + 1] : "";
+    else if (std::strncmp(arg, "--jobs=", 7) == 0)
+      value = arg + 7;
+    else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0')
+      value = arg + 2;
+    if (value == nullptr) continue;
+    if (const unsigned v = parse_jobs(value)) return v;
+    std::fprintf(stderr,
+                 "%s: invalid job count '%s' in '%s' (want a positive "
+                 "integer)\n",
+                 argv[0], value, arg);
+    std::exit(2);
   }
   return default_jobs();
 }

@@ -30,8 +30,9 @@ namespace xp::sweep {
 // (which itself falls back to 1 when unknown).
 unsigned default_jobs();
 
-// Parse `--jobs N`, `--jobs=N` or `-jN` out of argv; falls back to
-// default_jobs() when absent. Values are clamped to >= 1.
+// Parse `--jobs N`, `-j N`, `--jobs=N` or `-jN` out of argv; falls back
+// to default_jobs() when absent. A zero, non-numeric or missing value
+// prints an error and exits with status 2.
 unsigned jobs_from_args(int argc, char** argv);
 
 // A pool of host worker threads that splits an index range over

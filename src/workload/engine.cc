@@ -27,9 +27,12 @@ struct ReadOracle {
   }
 };
 
+// Idle period of the background thread between turns that found no work.
+constexpr sim::Time kBackgroundPoll = sim::us(2);
+
 struct PerThread {
-  explicit PerThread(const Spec& spec, unsigned t, std::uint64_t base)
-      : rng(mix64(spec.seed * 0x9e3779b97f4a7c15ULL + base) + t + 1),
+  PerThread(const Spec& spec, unsigned t)
+      : rng(mix64(spec.seed * 0x9e3779b97f4a7c15ULL) + t + 1),
         zipf(spec.records, spec.zipf_theta) {}
 
   XorShift rng;
@@ -37,7 +40,6 @@ struct PerThread {
   std::uint64_t remaining = 0;
   std::uint64_t seq = 0;  // ops issued by this thread
   std::uint64_t checksum = 0;
-  std::vector<BatchOp> batch;
   sim::Histogram hist;
 };
 
@@ -58,7 +60,7 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
   std::vector<PerThread> per;
   per.reserve(T);
   for (unsigned t = 0; t < T; ++t) {
-    per.emplace_back(spec, t, opts.base_seed);
+    per.emplace_back(spec, t);
     per[t].remaining = spec.ops / T + (t < spec.ops % T ? 1 : 0);
   }
 
@@ -106,7 +108,6 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
   for (unsigned t = 0; t < T; ++t) {
     sim::ThreadCtx::Options topts;
     topts.id = t + 1;
-    topts.socket = opts.socket;
     topts.seed = spec.seed + t + 1;
     auto& ctx_ref = sched.spawn(topts, [&, t](sim::ThreadCtx& ctx) -> bool {
       PerThread& pt = per[t];
@@ -138,27 +139,14 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
 
       auto write = [&](std::uint64_t id, bool is_insert) {
         const std::string key = key_name(id);
-        std::string value = make_value(id, pt.seq + 1, spec.value_len);
-        if (opts.dispatch_batch > 0) {
-          // Batched writes are recorded optimistically at enqueue: a
-          // kUnavailable batch is partial per shard group, so holding
-          // these hashes back would flag genuinely-applied values as
-          // corrupt.
-          if (opts.validate_reads) oracle.record(id, value);
-          pt.batch.push_back({key, std::move(value), false});
-          if (pt.batch.size() >= opts.dispatch_batch) {
-            absorb(store.try_apply_batch(ctx, pt.batch));
-            pt.batch.clear();
-          }
-        } else {
-          const OpResult r = store.try_put(ctx, key, value);
-          absorb(r);
-          // Only acknowledged values are plausible: a kUnavailable put
-          // was applied to no copy, so a later read matching it IS a
-          // corruption and must not pass validation.
-          if (opts.validate_reads && r.status != OpStatus::kUnavailable)
-            oracle.record(id, value);
-        }
+        const std::string value = make_value(id, pt.seq + 1, spec.value_len);
+        const OpResult r = store.try_put(ctx, key, value);
+        absorb(r);
+        // Only acknowledged values are plausible: a kUnavailable put was
+        // applied to no copy, so a later read matching it IS a corruption
+        // and must not pass validation.
+        if (opts.validate_reads && r.status != OpStatus::kUnavailable)
+          oracle.record(id, value);
         if (is_insert) ++res.inserts; else ++res.updates;
         h = mix64(h ^ id);
       };
@@ -214,10 +202,6 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
       pt.hist.record(ctx.now() - t0);
       pt.checksum ^= h;
       if (--pt.remaining == 0) {
-        if (!pt.batch.empty()) {
-          absorb(store.try_apply_batch(ctx, pt.batch));
-          pt.batch.clear();
-        }
         // The last worker out drains any cross-thread group buffer so
         // every acknowledged op is durable when run() returns.
         if (++done_workers == T) store.flush_pending(ctx);
@@ -231,14 +215,13 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
   if (opts.background_thread) {
     sim::ThreadCtx::Options topts;
     topts.id = T + 1;
-    topts.socket = opts.socket;
     topts.seed = spec.seed + T + 1;
     sched.spawn(topts, [&](sim::ThreadCtx& ctx) -> bool {
       if (done_workers == T) return false;
       if (store.background_turn(ctx))
         ++res.background_turns;
       else
-        ctx.advance_by(opts.background_poll);  // idle poll
+        ctx.advance_by(kBackgroundPoll);
       return true;
     });
   }

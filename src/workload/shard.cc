@@ -158,15 +158,13 @@ int ShardedStore::live_source(unsigned logical, unsigned except) const {
 template <typename Fn>
 OpResult ShardedStore::with_retries(sim::ThreadCtx& ctx, Fn&& once) {
   const sim::Time start = ctx.now();
-  sim::Time backoff = opts_.retry_backoff;
+  sim::Time backoff = kRetryBackoff;
   for (unsigned attempt = 0;; ++attempt) {
     OpResult r = once();
     r.retries = attempt;
     if (r.status != OpStatus::kUnavailable) return r;
-    const bool budget_left =
-        attempt < opts_.max_retries &&
-        (opts_.op_deadline == 0 ||
-         ctx.now() - start + backoff <= opts_.op_deadline);
+    const bool budget_left = attempt < opts_.max_retries &&
+                             ctx.now() - start + backoff <= kOpDeadline;
     if (!budget_left) {
       ++stats_.unavailable;
       emit(ctx.now(), hw::ResilienceEventKind::kUnavailable,
@@ -193,7 +191,7 @@ OpResult ShardedStore::put_once(sim::ThreadCtx& ctx, std::string_view key,
       continue;
     }
     try {
-      LaneGuard lane(ctx, opts_.writer_lanes, p);
+      LaneGuard lane(ctx, p);
       shards_[p]->put(ctx, key, value);
       ++applied;
     } catch (const hw::MediaError&) {
@@ -260,7 +258,7 @@ OpResult ShardedStore::del_once(sim::ThreadCtx& ctx, std::string_view key,
       continue;
     }
     try {
-      LaneGuard lane(ctx, opts_.writer_lanes, p);
+      LaneGuard lane(ctx, p);
       const bool fr = shards_[p]->del(ctx, key);
       if (!f_set) {
         f = fr;
@@ -419,7 +417,7 @@ OpResult ShardedStore::try_apply_batch(sim::ThreadCtx& ctx,
         continue;
       }
       try {
-        LaneGuard lane(ctx, opts_.writer_lanes, p);
+        LaneGuard lane(ctx, p);
         shards_[p]->apply_batch(ctx, groups[s]);
         ++applied;
       } catch (const hw::MediaError&) {
@@ -460,7 +458,7 @@ void ShardedStore::flush_pending(sim::ThreadCtx& ctx) {
   for (unsigned s = 0; s < shards(); ++s) {
     if (!serving(s)) continue;
     try {
-      LaneGuard lane(ctx, opts_.writer_lanes, s);
+      LaneGuard lane(ctx, s);
       shards_[s]->flush_pending(ctx);
     } catch (const hw::MediaError&) {
       if (ns_[s]->platform().frozen()) throw;
@@ -541,9 +539,9 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
         // A full-XPLine ntstore clears poison (§2.1); contents become
         // zeros, and the reformat/salvage below re-derives consistency.
         const std::uint8_t zeros[hw::Platform::kXpLineBytes] = {};
-        LaneGuard lane(ctx, opts_.writer_lanes, p);
+        LaneGuard lane(ctx, p);
         for (unsigned n = 0; job.cursor < job.bad_lines.size() &&
-                             n < opts_.heal_lines_per_turn;
+                             n < kHealLinesPerTurn;
              ++n, ++job.cursor) {
           ns_[p]->ntstore_persist(ctx, job.bad_lines[job.cursor],
                                   {zeros, sizeof zeros});
@@ -559,7 +557,7 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
       }
       case RebuildJob::Phase::kReformat: {
         shards_[p] = make_store(opts_.kind, *ns_[p], opts_.tuning);
-        LaneGuard lane(ctx, opts_.writer_lanes, p);
+        LaneGuard lane(ctx, p);
         shards_[p]->create(ctx);
         enter_resilver(ctx, job);
         return true;
@@ -569,7 +567,7 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
         for (const std::string& k : pending_[p]) job.queue.push_back(k);
         pending_[p].clear();
         for (unsigned n = 0;
-             !job.queue.empty() && n < opts_.resilver_keys_per_turn; ++n) {
+             !job.queue.empty() && n < kResilverKeysPerTurn; ++n) {
           const std::string key = std::move(job.queue.front());
           job.queue.pop_front();
           const unsigned logical = shard_of(key, shards());
@@ -593,7 +591,7 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
             job.queue.push_back(key);
             continue;
           }
-          LaneGuard lane(ctx, opts_.writer_lanes, p);
+          LaneGuard lane(ctx, p);
           if (hit) {
             shards_[p]->put(ctx, key, v);
             ++stats_.keys_resilvered;
@@ -614,7 +612,7 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
           return true;
         }
         for (unsigned n = 0; job.cursor < job.vqueue.size() &&
-                             n < opts_.heal_lines_per_turn;
+                             n < kHealLinesPerTurn;
              ++n) {
           const std::string& key = job.vqueue[job.cursor];
           const int src = live_source(shard_of(key, shards()), p);
@@ -632,11 +630,11 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
             }
             if (hb && (!ha || mine != theirs)) {
               ++stats_.verify_mismatches;
-              LaneGuard lane(ctx, opts_.writer_lanes, p);
+              LaneGuard lane(ctx, p);
               shards_[p]->put(ctx, key, theirs);
             } else if (!hb && ha) {
               ++stats_.verify_mismatches;
-              LaneGuard lane(ctx, opts_.writer_lanes, p);
+              LaneGuard lane(ctx, p);
               shards_[p]->del(ctx, key);
             }
           }
@@ -644,7 +642,7 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
         }
         if (job.cursor >= job.vqueue.size() && pending_[p].empty()) {
           {
-            LaneGuard lane(ctx, opts_.writer_lanes, p);
+            LaneGuard lane(ctx, p);
             shards_[p]->flush_pending(ctx);
           }
           health_[p] = ShardHealth::kHealthy;
@@ -663,7 +661,7 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
         shards_[p] = make_store(opts_.kind, *ns_[p], opts_.tuning);
         bool usable = false;
         {
-          LaneGuard lane(ctx, opts_.writer_lanes, p);
+          LaneGuard lane(ctx, p);
           if (shards_[p]->open(ctx)) {
             // DataLoss is a consistent store minus what it reported
             // dropped: usable, and the probe below types the loss.
@@ -673,7 +671,7 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
         }
         if (!usable) {
           shards_[p] = make_store(opts_.kind, *ns_[p], opts_.tuning);
-          LaneGuard lane(ctx, opts_.writer_lanes, p);
+          LaneGuard lane(ctx, p);
           shards_[p]->create(ctx);
         }
         // Typed loss accounting: any registered key the salvage failed
@@ -714,7 +712,7 @@ bool ShardedStore::background_turn(sim::ThreadCtx& ctx) {
     const unsigned s = (rr_ + i) % shards();
     if (!serving(s)) continue;
     try {
-      LaneGuard lane(ctx, opts_.writer_lanes, s);
+      LaneGuard lane(ctx, s);
       if (shards_[s]->background_turn(ctx)) {
         rr_ = (s + 1) % shards();
         return true;
@@ -735,7 +733,7 @@ Status ShardedStore::repair_media(sim::ThreadCtx& ctx) {
     if (!serving(s)) continue;  // its rebuild re-derives it
     Status st;
     try {
-      LaneGuard lane(ctx, opts_.writer_lanes, s);
+      LaneGuard lane(ctx, s);
       st = shards_[s]->repair_media(ctx);
     } catch (const hw::MediaError& e) {
       if (ns_[s]->platform().frozen()) throw;

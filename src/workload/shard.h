@@ -72,9 +72,6 @@ inline unsigned shard_of(std::string_view key, unsigned nshards) {
 struct ShardOptions {
   StoreKind kind = StoreKind::kLsmkv;
   StoreTuning tuning{};
-  // Present each shard's stores to its DIMM under one per-shard lane id
-  // instead of the issuing thread's id (§5.3).
-  bool writer_lanes = true;
 
   // ---- Resilience (all off-path at defaults) ---------------------------
   // K-way replication: mirror logical shard s onto physical stores
@@ -84,15 +81,9 @@ struct ShardOptions {
   // from service; a write-path media error quarantines immediately (the
   // copy may be half-applied).
   unsigned quarantine_after = 2;
-  // Bounded retry for kUnavailable outcomes: deterministic simulated
-  // backoff doubling from retry_backoff, capped by max_retries and by
-  // the per-op deadline budget (0 = no deadline).
+  // Bounded retry for kUnavailable outcomes (ShardedStore::kRetryBackoff,
+  // kOpDeadline): at most this many backoff rounds per op.
   unsigned max_retries = 3;
-  sim::Time retry_backoff = sim::us(5);
-  sim::Time op_deadline = sim::us(200);
-  // Online-rebuild chunking per donated background turn.
-  unsigned heal_lines_per_turn = 8;
-  unsigned resilver_keys_per_turn = 4;
 };
 
 enum class ShardHealth : unsigned char {
@@ -125,6 +116,16 @@ struct ResilienceStats {
 
 class ShardedStore final : public StoreIface {
  public:
+  // Retry budget of the typed path: a kUnavailable op backs off in
+  // simulated time, doubling from kRetryBackoff, until ShardOptions::
+  // max_retries rounds are spent or the next round would end past
+  // kOpDeadline after the op began.
+  static constexpr sim::Time kRetryBackoff = sim::us(5);
+  static constexpr sim::Time kOpDeadline = sim::us(200);
+  // Online-rebuild chunking per donated background turn.
+  static constexpr unsigned kHealLinesPerTurn = 8;
+  static constexpr unsigned kResilverKeysPerTurn = 4;
+
   // One non-interleaved per-DIMM namespace per shard, round-robin over
   // the socket's channels.
   static std::vector<hw::PmemNamespace*> make_namespaces(
@@ -210,22 +211,19 @@ class ShardedStore final : public StoreIface {
   void quarantine_shard(sim::ThreadCtx& ctx, unsigned i);
 
  private:
-  // Writer-lane scope: while alive, the thread's stores carry the
-  // shard's lane id, so the DIMM sees one stream per shard.
+  // Writer-lane scope (§5.3): while alive, the thread's stores carry the
+  // shard's lane id, so the DIMM sees one write stream per shard however
+  // many threads the router sends there.
   class LaneGuard {
    public:
-    LaneGuard(sim::ThreadCtx& ctx, bool on, unsigned shard) : ctx_(ctx),
-                                                              on_(on) {
-      if (on_) ctx_.set_write_stream(kLaneBase + shard);
+    LaneGuard(sim::ThreadCtx& ctx, unsigned shard) : ctx_(ctx) {
+      ctx_.set_write_stream(kLaneBase + shard);
     }
-    ~LaneGuard() {
-      if (on_) ctx_.clear_write_stream();
-    }
+    ~LaneGuard() { ctx_.clear_write_stream(); }
 
    private:
     static constexpr unsigned kLaneBase = 0x5a00;
     sim::ThreadCtx& ctx_;
-    bool on_;
   };
 
   // One online repair in flight for physical store `store`.

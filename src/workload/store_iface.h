@@ -44,16 +44,12 @@ struct StoreTuning {
   // §5.1/§5.2 write combining: lsmkv WAL group commit / novafs batched
   // log appends. No-op for cmap/stree (their writes are line-local).
   bool write_combine = false;
-  std::size_t wal_group_size = 8;
   // §5.1 read path: DRAM residency + line-granular read combining + a
   // DRAM read cache of `read_cache_lines` 256 B lines.
   bool read_path = false;
   std::size_t read_cache_lines = 2048;
   // Deferred compaction with a write-stall admission gate (lsmkv only).
   bool background_compaction = false;
-  // §5.3 writer-lane cap (cmap only; the sharded frontend handles lane
-  // identity for the other families).
-  unsigned writers_per_dimm = 0;
   // lsmkv memtable flush threshold: small enough that mixed workloads
   // actually exercise flush + compaction, unlike the 4 MiB default.
   std::size_t memtable_bytes = 64 << 10;

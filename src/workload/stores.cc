@@ -360,8 +360,6 @@ std::unique_ptr<StoreIface> make_store(StoreKind kind, hw::PmemNamespace& ns,
       o.wal_capacity = 4 << 20;
       o.memtable_bytes = t.memtable_bytes;
       o.wal_group_commit = t.write_combine;
-      o.wal_group_size = t.wal_group_size;
-      o.sst_residency = t.read_path;
       o.read_combine = t.read_path;
       o.read_cache_lines = cache_lines;
       o.background_compaction = t.background_compaction;
@@ -369,7 +367,6 @@ std::unique_ptr<StoreIface> make_store(StoreKind kind, hw::PmemNamespace& ns,
     }
     case StoreKind::kCmap: {
       pmemkv::CMapOptions o;
-      o.max_writers_per_dimm = t.writers_per_dimm;
       o.read_combine = t.read_path;
       o.read_cache_lines = cache_lines;
       return make_store(ns, o);

@@ -308,11 +308,15 @@ TEST_F(PSkipFixture, FootprintCountsEntries) {
 }
 
 // -------------------------------------------------------------- full DB --
+// gtest byte-dumps the param into each registered test name. The name is
+// held inline rather than as a pointer, so the dump holds no
+// (ASLR-randomized) address and the names are the same on every run.
 struct DbParam {
   WalMode wal;
   MemtableMode memtable;
-  const char* name;
+  char name[8];
 };
+static_assert(sizeof(DbParam) == 16, "no padding bytes in the dump");
 
 class DbModes : public ::testing::TestWithParam<DbParam> {
  protected:

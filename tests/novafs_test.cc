@@ -37,6 +37,11 @@ struct NovaParam {
   const char* name;
 };
 
+// Print the name, not gtest's byte dump (padding bytes and the
+// ASLR-randomized `name` pointer), so the registered test names are
+// stable.
+void PrintTo(const NovaParam& p, std::ostream* os) { *os << p.name; }
+
 class NovaBasics : public ::testing::TestWithParam<NovaParam> {
  protected:
   NovaOptions make_opts() const {

@@ -124,6 +124,13 @@ struct RywParam {
   std::uint64_t offset;
 };
 
+// gtest's default printer byte-dumps the struct, including the address
+// in `mode`, so the registered test names would change with every
+// (ASLR-randomized) run; print a label instead.
+void PrintTo(const RywParam& p, std::ostream* os) {
+  *os << p.mode << '-' << p.size << "B-at-" << p.offset;
+}
+
 class ReadYourWrite : public ::testing::TestWithParam<RywParam> {};
 
 TEST_P(ReadYourWrite, DataRoundTrips) {

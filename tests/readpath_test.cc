@@ -317,7 +317,6 @@ kv::DbOptions lsm_opts(bool on) {
   kv::DbOptions o;
   o.memtable_bytes = 16 << 10;  // small: force flushes + compactions
   if (on) {
-    o.sst_residency = true;
     o.read_combine = true;
     o.read_cache_lines = 4096;
   }

@@ -86,6 +86,33 @@ TEST(Jobs, FlagParsing) {
   EXPECT_EQ(sweep::jobs_from_args(3, const_cast<char**>(a4)), 5u);
 }
 
+TEST(Jobs, ZeroIsRejected) {
+  const char* a1[] = {"bench", "--jobs", "0"};
+  EXPECT_EXIT(sweep::jobs_from_args(3, const_cast<char**>(a1)),
+              ::testing::ExitedWithCode(2), "invalid job count '0'");
+  const char* a2[] = {"bench", "-j0"};
+  EXPECT_EXIT(sweep::jobs_from_args(2, const_cast<char**>(a2)),
+              ::testing::ExitedWithCode(2), "invalid job count '0'");
+}
+
+TEST(Jobs, NonNumericIsRejected) {
+  const char* a1[] = {"bench", "--jobs=four"};
+  EXPECT_EXIT(sweep::jobs_from_args(2, const_cast<char**>(a1)),
+              ::testing::ExitedWithCode(2), "invalid job count 'four'");
+  const char* a2[] = {"bench", "-j", "3x"};
+  EXPECT_EXIT(sweep::jobs_from_args(3, const_cast<char**>(a2)),
+              ::testing::ExitedWithCode(2), "invalid job count '3x'");
+}
+
+TEST(Jobs, MissingValueIsRejected) {
+  const char* a1[] = {"bench", "--jobs"};
+  EXPECT_EXIT(sweep::jobs_from_args(2, const_cast<char**>(a1)),
+              ::testing::ExitedWithCode(2), "invalid job count ''");
+  const char* a2[] = {"bench", "--jobs="};
+  EXPECT_EXIT(sweep::jobs_from_args(2, const_cast<char**>(a2)),
+              ::testing::ExitedWithCode(2), "invalid job count ''");
+}
+
 TEST(Jobs, EnvFallback) {
   ::setenv("XP_JOBS", "6", 1);
   EXPECT_EQ(sweep::default_jobs(), 6u);

@@ -7,8 +7,10 @@
 // isolation contracts, and the self-healing resilience layer (typed
 // error surface, health state machine, replication failover, online
 // rebuild, writer-lane restoration across contained faults).
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -152,7 +154,6 @@ workload::Result run_once(workload::StoreKind kind, char wl,
       workload::ShardedStore::make_namespaces(platform, shards, 48ull << 20);
   workload::ShardOptions so;
   so.kind = kind;
-  so.writer_lanes = knobs;
   so.tuning.memtable_bytes = 8 << 10;
   if (knobs) {
     so.tuning.write_combine = true;
@@ -609,6 +610,96 @@ TEST(Resilience, TypedErrorsAndSalvageWithoutReplication) {
   EXPECT_EQ(data_loss, store.resilience().keys_lost);
 }
 
+// Retry budget of the typed path (K=1). A read routed to a quarantined
+// shard finds no serving copy and ends kUnavailable, so with_retries
+// backs off; each backoff round first donates one rebuild step. The K=1
+// rebuild takes 1 scrub step, one heal step per kHealLinesPerTurn bad
+// lines (at least one) and 1 salvage step. `bad_tail_lines` poisons
+// lines past every store's data, so they lengthen the heal without
+// costing any key.
+struct RetryRig {
+  hw::Platform platform;
+  std::vector<hw::PmemNamespace*> ns;
+  std::unique_ptr<workload::ShardedStore> store;
+  sim::ThreadCtx t = make_thread();
+
+  RetryRig(unsigned max_retries, unsigned bad_tail_lines) {
+    ns = workload::ShardedStore::make_namespaces(platform, 1, 16ull << 20);
+    workload::ShardOptions so;
+    so.kind = workload::StoreKind::kLsmkv;
+    so.max_retries = max_retries;
+    store = std::make_unique<workload::ShardedStore>(ns, so);
+    store->create(t);
+    for (int i = 0; i < 40; ++i)
+      store->put(t, workload::key_name(i), workload::make_value(i, 0, 48));
+    store->flush_pending(t);
+    hw::FaultInjector inj(platform);
+    for (unsigned l = 1; l <= bad_tail_lines; ++l)
+      inj.poison(*ns[0], ns[0]->size() - l * hw::Platform::kXpLineBytes);
+    store->quarantine_shard(t, 0);
+  }
+};
+
+unsigned k1_rebuild_steps(unsigned bad_lines) {
+  const unsigned per = workload::ShardedStore::kHealLinesPerTurn;
+  return 2 + std::max(1u, (bad_lines + per - 1) / per);
+}
+
+TEST(Resilience, RetryBudgetDonatesOneRebuildStepPerRetry) {
+  for (unsigned bad : {0u, 9u}) {
+    RetryRig rig(/*max_retries=*/8, bad);
+    const unsigned steps = k1_rebuild_steps(bad);
+    const sim::Time t0 = rig.t.now();
+    std::string v;
+    const auto r = rig.store->try_get(rig.t, workload::key_name(7), &v);
+    ASSERT_EQ(r.status, workload::OpStatus::kOk) << bad;
+    EXPECT_EQ(v, workload::make_value(7, 0, 48));
+    // The read succeeds on the attempt right after the last step.
+    EXPECT_EQ(r.retries, steps) << bad;
+    const auto& st = rig.store->resilience();
+    EXPECT_EQ(st.retries, steps);
+    EXPECT_EQ(st.recovered, 1u);
+    EXPECT_EQ(st.lines_healed, bad);
+    EXPECT_EQ(st.unavailable, 0u);
+    EXPECT_TRUE(rig.store->all_healthy());
+    // Backoff doubles from kRetryBackoff: 1 + 2 + ... + 2^(steps-1).
+    EXPECT_GE(rig.t.now() - t0,
+              workload::ShardedStore::kRetryBackoff * ((1u << steps) - 1));
+  }
+}
+
+TEST(Resilience, RetryBudgetExhaustedEndsUnavailable) {
+  // 17 bad lines: 1 + 3 + 1 = 5 steps, two more than the 3 retries.
+  RetryRig rig(/*max_retries=*/3, /*bad_tail_lines=*/17);
+  ASSERT_EQ(k1_rebuild_steps(17), 5u);
+  std::string v;
+  auto r = rig.store->try_get(rig.t, workload::key_name(3), &v);
+  EXPECT_EQ(r.status, workload::OpStatus::kUnavailable);
+  EXPECT_EQ(r.retries, 3u);
+  EXPECT_EQ(rig.store->resilience().unavailable, 1u);
+  EXPECT_EQ(rig.store->health(0), workload::ShardHealth::kRebuilding);
+  // The repair keeps its progress: the next read needs only the two
+  // remaining steps.
+  r = rig.store->try_get(rig.t, workload::key_name(3), &v);
+  ASSERT_EQ(r.status, workload::OpStatus::kOk);
+  EXPECT_EQ(r.retries, 2u);
+  EXPECT_EQ(v, workload::make_value(3, 0, 48));
+  EXPECT_EQ(rig.store->resilience().unavailable, 1u);
+  EXPECT_EQ(rig.store->resilience().recovered, 1u);
+}
+
+TEST(Resilience, RetryBudgetDeadlineCapsRounds) {
+  // Far more rounds allowed than the deadline admits: backoff alone sums
+  // to 155 us after 5 rounds and would pass kOpDeadline in the 6th.
+  RetryRig rig(/*max_retries=*/100, /*bad_tail_lines=*/200);
+  std::string v;
+  const auto r = rig.store->try_get(rig.t, workload::key_name(3), &v);
+  EXPECT_EQ(r.status, workload::OpStatus::kUnavailable);
+  EXPECT_GE(r.retries, 1u);
+  EXPECT_LE(r.retries, 5u);
+  EXPECT_EQ(rig.store->resilience().unavailable, 1u);
+}
+
 // Writer-lane leak regression: a MediaError thrown mid-write (here: the
 // inline compaction a put triggers reads a poisoned SSTable) unwinds
 // through the per-shard LaneGuard. The issuing thread's write stream
@@ -620,7 +711,6 @@ TEST(Resilience, WriterLaneRestoredAcrossContainedFaults) {
       workload::ShardedStore::make_namespaces(platform, 2, 16ull << 20);
   workload::ShardOptions so;
   so.kind = workload::StoreKind::kLsmkv;
-  so.writer_lanes = true;
   so.tuning.memtable_bytes = 1 << 10;
   so.tuning.write_combine = true;  // the batched LineBatcher path
   workload::ShardedStore store(ns, so);

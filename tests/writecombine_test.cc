@@ -1,6 +1,6 @@
 // The shared write-combining layer (pmem::LineBatcher) and its store
-// deployments: lsmkv WAL group commit, novafs batched log appends, and
-// the pmemkv per-DIMM writer cap. Includes the EWR regression gate: the
+// deployments: lsmkv WAL group commit and novafs batched log appends.
+// Includes the EWR regression gate: the
 // per-record flex WAL measures heavy write amplification on small
 // records, the group-commit path must bring it to ~1.0 (§5.1/§5.2).
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "lsmkv/db.h"
 #include "novafs/novafs.h"
-#include "pmemkv/cmap.h"
 #include "pmemlib/linebatch.h"
 #include "sim/scheduler.h"
 #include "telemetry/registry.h"
@@ -345,98 +344,6 @@ TEST(NovafsBatch, RenameBatchSurvivesRemount) {
   ASSERT_TRUE(fs.mount(t));
   EXPECT_LT(fs.open(t, "old-name"), 0);
   EXPECT_GE(fs.open(t, "new-name"), 0);
-}
-
-// ------------------------------------------------------- pmemkv lanes ---
-
-TEST(CMapWriterCap, CappedMapIsFunctionallyIdentical) {
-  auto build = [](unsigned cap) {
-    Platform platform;
-    auto& ns = platform.optane(256 << 20);
-    pmem::Pool pool(ns);
-    pmemkv::CMap map(pool, {.max_writers_per_dimm = cap});
-    ThreadCtx t = make_thread();
-    pool.create(t, 64);
-    map.create(t);
-    for (int i = 0; i < 500; ++i)
-      map.put(t, "key" + std::to_string(i), std::string(64, 'a' + i % 7));
-    EXPECT_TRUE(map.check(t).ok());
-    std::vector<std::string> values;
-    for (int i = 0; i < 500; ++i) {
-      std::string v;
-      EXPECT_TRUE(map.get(t, "key" + std::to_string(i), &v));
-      values.push_back(std::move(v));
-    }
-    return values;
-  };
-  EXPECT_EQ(build(0), build(4));
-}
-
-// On a single DIMM with more threads than the 4-entry stream tracker
-// holds, funneling writes through 4 lanes must not be slower than the
-// unthrottled rotation that misses the tracker on every new line.
-TEST(CMapWriterCap, CapHelpsContendedSingleDimm) {
-  auto run = [](unsigned cap) {
-    Platform platform;
-    auto& ns = platform.optane_ni(256 << 20, 0);
-    pmem::Pool pool(ns);
-    pmemkv::CMap map(pool, {.max_writers_per_dimm = cap});
-    {
-      ThreadCtx t = make_thread(100);
-      pool.create(t, 64);
-      map.create(t);
-      for (int i = 0; i < 400; ++i)
-        map.put(t, "key" + std::to_string(i), std::string(512, 'x'));
-    }
-    platform.reset_timing();
-    map.reset_admission();
-    std::uint64_t ops = 0;
-    sim::Time end = 0;
-    sim::Scheduler sched;
-    for (unsigned j = 0; j < 12; ++j) {
-      sched.spawn({.id = j, .socket = 0, .mlp = 16, .seed = j + 5},
-                  [&](ThreadCtx& ctx) {
-                    if (ctx.now() >= sim::us(200)) {
-                      if (ctx.now() > end) end = ctx.now();
-                      return false;
-                    }
-                    const int k = static_cast<int>(ctx.rng().uniform(400));
-                    map.put(ctx, "key" + std::to_string(k),
-                            std::string(512, 'y'));
-                    ++ops;
-                    return true;
-                  });
-    }
-    sched.run();
-    return ops;
-  };
-  const std::uint64_t uncapped = run(0);
-  const std::uint64_t capped = run(4);
-  EXPECT_GE(capped, uncapped);
-}
-
-TEST(CMapWriterCap, ResetAdmissionClearsStaleEpochTimes) {
-  Platform platform;
-  auto& ns = platform.optane_ni(64 << 20, 0);
-  pmem::Pool pool(ns);
-  pmemkv::CMap map(pool, {.max_writers_per_dimm = 2});
-  ThreadCtx t0 = make_thread(0);
-  pool.create(t0, 64);
-  map.create(t0);
-  for (int i = 0; i < 50; ++i)
-    map.put(t0, "k" + std::to_string(i), std::string(64, 'x'));
-  const sim::Time old_epoch_end = t0.now();
-
-  platform.reset_timing();
-  map.reset_admission();
-  // A fresh epoch's thread starts at time 0; stale lane-busy times from
-  // the old epoch would have stalled it to ~old_epoch_end.
-  ThreadCtx t1 = make_thread(1);
-  map.put(t1, "k0", std::string(64, 'y'));
-  EXPECT_LT(t1.now(), old_epoch_end);
-  std::string v;
-  EXPECT_TRUE(map.get(t1, "k0", &v));
-  EXPECT_EQ(v, std::string(64, 'y'));
 }
 
 }  // namespace
