@@ -290,10 +290,14 @@ FaultRow run_fault_point(const char* name, bool degraded, unsigned replicas,
   if (degraded && row.healthy_at_end) {
     // The rebuilt store's keyspace must byte-match the surviving copies
     // it was re-silvered from: store 0 hosts logical shard 0 (other copy
-    // on store 1) and logical shard 3 (other copy on store 3).
+    // on store 1) and logical shard 3 (other copy on store 3). Any status
+    // other than OK leaves the rebuild unverified.
     std::size_t compared = 0;
-    const auto rebuilt =
-        store.shard(0).scan(after, "", static_cast<std::size_t>(-1));
+    std::vector<std::pair<std::string, std::string>> rebuilt;
+    if (!store.shard(0)
+             .try_scan(after, "", static_cast<std::size_t>(-1), &rebuilt)
+             .ok())
+      row.rebuild_verified = false;
     for (const auto& [k, v] : rebuilt) {
       const unsigned s = workload::shard_of(k, 4);
       if (s != 0 && s != 3) {
@@ -301,7 +305,8 @@ FaultRow run_fault_point(const char* name, bool degraded, unsigned replicas,
         continue;
       }
       std::string other;
-      if (!store.shard(s == 0 ? 1 : 3).get(after, k, &other) || other != v)
+      if (!store.shard(s == 0 ? 1 : 3).try_get(after, k, &other).ok() ||
+          other != v)
         row.rebuild_verified = false;
       ++compared;
     }

@@ -72,13 +72,13 @@ struct DbOptions {
   // which also keeps the manifest's fixed L0 array from overflowing.
   bool background_compaction = false;
   unsigned l0_stall_trigger = 12;  // must stay < Db::kMaxL0
-
-  // CPU-side costs (simulated time) for work that doesn't touch the
-  // memory system model: DRAM-structure operations and syscalls.
-  sim::Time cpu_memtable_op = sim::ns(250);
-  sim::Time syscall = sim::ns(450);
-  sim::Time fsync_syscall = sim::ns(700);
 };
+
+// CPU-side costs (simulated time) for work that doesn't touch the memory
+// system model: DRAM-structure operations and syscalls.
+inline constexpr sim::Time kCpuMemtableOp = sim::ns(250);
+inline constexpr sim::Time kSyscall = sim::ns(450);
+inline constexpr sim::Time kFsyncSyscall = sim::ns(700);
 
 struct DbStats {
   std::uint64_t puts = 0;

@@ -303,7 +303,7 @@ std::vector<std::pair<std::string, std::string>> Db::scan(
   } else {
     memtable_.for_each([&](std::string_view k, std::string_view v,
                            bool tomb) { absorb(k, v, tomb); });
-    ctx.advance_by(opts_.cpu_memtable_op);
+    ctx.advance_by(kCpuMemtableOp);
   }
   const Manifest m = load_manifest(ctx);
   for (std::uint32_t i = m.n_l0; i-- > 0;)

@@ -35,7 +35,7 @@ class Db {
   static constexpr unsigned kMaxL1 = 16;
 
   Db(hw::PmemNamespace& ns, DbOptions opts)
-      : opts_(opts), pool_(ns), memtable_(opts_) {}
+      : opts_(opts), pool_(ns) {}
 
   // Format a fresh database.
   void create(sim::ThreadCtx& ctx);

@@ -18,11 +18,9 @@ enum class FindResult { kFound, kTombstone, kNotFound };
 
 class Memtable {
  public:
-  explicit Memtable(const DbOptions& opts) : opts_(opts) {}
-
   void put(sim::ThreadCtx& ctx, std::string_view key, std::string_view value,
            bool tombstone) {
-    ctx.advance_by(opts_.cpu_memtable_op);
+    ctx.advance_by(kCpuMemtableOp);
     auto [it, inserted] =
         map_.insert_or_assign(std::string(key),
                               Value{std::string(value), tombstone});
@@ -32,7 +30,7 @@ class Memtable {
 
   FindResult get(sim::ThreadCtx& ctx, std::string_view key,
                  std::string* value) const {
-    ctx.advance_by(opts_.cpu_memtable_op);
+    ctx.advance_by(kCpuMemtableOp);
     auto it = map_.find(std::string(key));
     if (it == map_.end()) return FindResult::kNotFound;
     if (it->second.tombstone) return FindResult::kTombstone;
@@ -60,7 +58,6 @@ class Memtable {
     std::string data;
     bool tombstone;
   };
-  const DbOptions& opts_;
   std::map<std::string, Value, std::less<>> map_;
   std::size_t bytes_ = 0;
 };

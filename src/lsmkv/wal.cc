@@ -31,7 +31,7 @@ void Wal::append(ThreadCtx& ctx, std::string_view key, std::string_view value,
   const std::size_t rec_len = hdr_len + key.size() + value.size();
   assert(tail_ + rec_len + 8 <= capacity_ && "WAL full; truncate first");
 
-  if (mode_ == WalMode::kPosix) ctx.advance_by(opts_.syscall);
+  if (mode_ == WalMode::kPosix) ctx.advance_by(kSyscall);
 
   // Payload first (vlen [+ crc] + key + value), then the tag makes it
   // valid. scratch_ is a member so steady-state appends allocate nothing.
@@ -73,7 +73,7 @@ void Wal::append_group(ThreadCtx& ctx, std::span<const WalRecord> recs,
   const std::size_t hdr_len = opts_.wal_checksum ? 12 : 8;
 
   // One gathered write() syscall for the whole group in kPosix mode.
-  if (mode_ == WalMode::kPosix) ctx.advance_by(opts_.syscall);
+  if (mode_ == WalMode::kPosix) ctx.advance_by(kSyscall);
 
   // Stage the whole group contiguously: [rec 1 | rec 2 | ... | rec N |
   // u32 0 terminator]. The records keep the exact per-record format, so
@@ -122,7 +122,7 @@ void Wal::append_group(ThreadCtx& ctx, std::span<const WalRecord> recs,
 }
 
 void Wal::sync(ThreadCtx& ctx) {
-  if (mode_ == WalMode::kPosix) ctx.advance_by(opts_.fsync_syscall);
+  if (mode_ == WalMode::kPosix) ctx.advance_by(kFsyncSyscall);
   ns_.sfence(ctx);
 }
 

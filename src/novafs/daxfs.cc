@@ -6,7 +6,7 @@
 namespace xp::nova {
 
 int DaxFs::create(ThreadCtx& ctx, const std::string& name) {
-  ctx.advance_by(costs_.open_syscall);
+  ctx.advance_by(kFsCosts.open_syscall);
   auto it = namei_.find(name);
   if (it != namei_.end()) return it->second;
   const int ino = static_cast<int>(inodes_.size());
@@ -16,7 +16,7 @@ int DaxFs::create(ThreadCtx& ctx, const std::string& name) {
 }
 
 int DaxFs::open(ThreadCtx& ctx, const std::string& name) {
-  ctx.advance_by(costs_.open_syscall);
+  ctx.advance_by(kFsCosts.open_syscall);
   auto it = namei_.find(name);
   return it == namei_.end() ? -1 : it->second;
 }
@@ -34,7 +34,7 @@ std::uint64_t DaxFs::block_for(ThreadCtx& ctx, Inode& inode,
 
 void DaxFs::write(ThreadCtx& ctx, int ino, std::uint64_t off,
                   std::span<const std::uint8_t> data, bool charge_syscall) {
-  if (charge_syscall) ctx.advance_by(costs_.write_syscall);
+  if (charge_syscall) ctx.advance_by(kFsCosts.write_syscall);
   Inode& inode = inodes_[static_cast<std::size_t>(ino)];
   std::size_t pos = 0;
   while (pos < data.size()) {
@@ -55,7 +55,7 @@ void DaxFs::write(ThreadCtx& ctx, int ino, std::uint64_t off,
 }
 
 void DaxFs::do_fsync(ThreadCtx& ctx, Inode& inode) {
-  ctx.advance_by(costs_.fsync_syscall);
+  ctx.advance_by(kFsCosts.fsync_syscall);
   if (inode.dirty_end > inode.dirty_begin) {
     // Flush the dirty file range back through the cache, block by block.
     for (std::uint64_t foff = inode.dirty_begin / kBlockSize * kBlockSize;
@@ -83,7 +83,7 @@ void DaxFs::do_fsync(ThreadCtx& ctx, Inode& inode) {
 
 std::size_t DaxFs::read(ThreadCtx& ctx, int ino, std::uint64_t off,
                         std::span<std::uint8_t> out, bool charge_syscall) {
-  if (charge_syscall) ctx.advance_by(costs_.read_syscall);
+  if (charge_syscall) ctx.advance_by(kFsCosts.read_syscall);
   Inode& inode = inodes_[static_cast<std::size_t>(ino)];
   if (off >= inode.size) return 0;
   const std::size_t len =

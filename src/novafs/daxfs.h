@@ -39,9 +39,8 @@ class DaxFs final : public FileSystem {
  public:
   // Occupies all of `ns`. `sync_mode` adds fsync after every write
   // (the "-sync" bars of Fig 12).
-  DaxFs(PmemNamespace& ns, DaxProfile profile, bool sync_mode,
-        FsCosts costs = {})
-      : ns_(ns), profile_(profile), sync_mode_(sync_mode), costs_(costs) {
+  DaxFs(PmemNamespace& ns, DaxProfile profile, bool sync_mode)
+      : ns_(ns), profile_(profile), sync_mode_(sync_mode) {
     // Reserve a journal area at the front; blocks follow.
     next_block_ = (kJournalArea + kBlockSize - 1) / kBlockSize;
   }
@@ -79,7 +78,6 @@ class DaxFs final : public FileSystem {
   PmemNamespace& ns_;
   DaxProfile profile_;
   bool sync_mode_;
-  FsCosts costs_;
   std::map<std::string, int> namei_;
   std::vector<Inode> inodes_;
   std::uint64_t next_block_;

@@ -533,7 +533,7 @@ void NovaFs::apply_entry(ThreadCtx& ctx, unsigned ino,
 // ------------------------------------------------------------- file ops --
 
 int NovaFs::create(ThreadCtx& ctx, const std::string& name) {
-  ctx.advance_by(opt_.costs.open_syscall);
+  ctx.advance_by(kFsCosts.open_syscall);
   auto it = namei_.find(name);
   if (it != namei_.end()) return it->second;
   unsigned ino = 0;
@@ -583,7 +583,7 @@ void NovaFs::release_inode_storage(ThreadCtx& ctx, unsigned ino) {
 }
 
 bool NovaFs::unlink(ThreadCtx& ctx, const std::string& name) {
-  ctx.advance_by(opt_.costs.open_syscall);
+  ctx.advance_by(kFsCosts.open_syscall);
   auto it = namei_.find(name);
   if (it == namei_.end()) return false;
   const auto ino = static_cast<unsigned>(it->second);
@@ -604,7 +604,7 @@ bool NovaFs::rename(ThreadCtx& ctx, const std::string& from,
   // explorer a competing rename may be granted the log between the two
   // unless batch_log_appends makes the pair one atomic chunk.
   ctx.sched_point(sim::SchedPoint::kHandoff);
-  ctx.advance_by(opt_.costs.open_syscall);
+  ctx.advance_by(kFsCosts.open_syscall);
   auto it = namei_.find(from);
   if (it == namei_.end()) return false;
   const auto ino = static_cast<unsigned>(it->second);
@@ -660,7 +660,7 @@ bool NovaFs::rename(ThreadCtx& ctx, const std::string& from,
 }
 
 void NovaFs::truncate(ThreadCtx& ctx, int ino_s, std::uint64_t new_size) {
-  ctx.advance_by(opt_.costs.write_syscall);
+  ctx.advance_by(kFsCosts.write_syscall);
   const auto ino = static_cast<unsigned>(ino_s);
   DInode& di = inodes_[ino];
   if (new_size < di.size) {
@@ -682,7 +682,7 @@ void NovaFs::truncate(ThreadCtx& ctx, int ino_s, std::uint64_t new_size) {
 }
 
 int NovaFs::open(ThreadCtx& ctx, const std::string& name) {
-  ctx.advance_by(opt_.costs.open_syscall);
+  ctx.advance_by(kFsCosts.open_syscall);
   auto it = namei_.find(name);
   return it == namei_.end() ? -1 : it->second;
 }
@@ -717,7 +717,7 @@ void NovaFs::cow_page(ThreadCtx& ctx, unsigned ino, std::uint64_t page_idx,
 
 void NovaFs::write(ThreadCtx& ctx, int ino_s, std::uint64_t off,
                    std::span<const std::uint8_t> data, bool charge_syscall) {
-  if (charge_syscall) ctx.advance_by(opt_.costs.write_syscall);
+  if (charge_syscall) ctx.advance_by(kFsCosts.write_syscall);
   const auto ino = static_cast<unsigned>(ino_s);
   DInode& di = inodes_[ino];
 
@@ -837,7 +837,7 @@ void NovaFs::read_page(ThreadCtx& ctx, DInode& di, std::uint64_t page_idx,
 
 std::size_t NovaFs::read(ThreadCtx& ctx, int ino_s, std::uint64_t off,
                          std::span<std::uint8_t> out, bool charge_syscall) {
-  if (charge_syscall) ctx.advance_by(opt_.costs.read_syscall);
+  if (charge_syscall) ctx.advance_by(kFsCosts.read_syscall);
   DInode& di = inodes_[static_cast<unsigned>(ino_s)];
   if (off >= di.size) return 0;
   const std::size_t len =
@@ -855,7 +855,7 @@ std::size_t NovaFs::read(ThreadCtx& ctx, int ino_s, std::uint64_t off,
 
 void NovaFs::fsync(ThreadCtx& ctx, int) {
   // NOVA writes are synchronous by construction.
-  ctx.advance_by(opt_.costs.fsync_syscall);
+  ctx.advance_by(kFsCosts.fsync_syscall);
 }
 
 std::uint64_t NovaFs::size(ThreadCtx& ctx, int ino) {

@@ -67,7 +67,6 @@ struct NovaOptions {
   // log-page headers and data lines are re-served from DRAM with no DIMM
   // traffic. Volatile: empties on remount like any DRAM cache.
   std::size_t read_cache_lines = 0;
-  FsCosts costs{};
 };
 
 class NovaFs final : public FileSystem {

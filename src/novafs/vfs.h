@@ -26,6 +26,7 @@ struct FsCosts {
   sim::Time fsync_syscall = sim::ns(600);
   sim::Time open_syscall = sim::ns(900);
 };
+inline constexpr FsCosts kFsCosts{};
 
 class FileSystem {
  public:

@@ -6,7 +6,6 @@
 #include <span>
 #include <string>
 
-#include "lsmkv/db.h"
 #include "novafs/novafs.h"
 #include "pmemlib/pmem_ops.h"
 #include "pmemlib/pool.h"
@@ -208,158 +207,6 @@ class PmemlibTarget final : public WorkerTarget {
   SchedLock locks_[kSlots];
 };
 
-// --------------------------------------------------------------- lsmkv --
-
-// Group-committed LSM store under one db-wide lock (memtable, WAL, and
-// manifest are shared). Durability tracking mirrors the leader/follower
-// protocol: every mutation joins the current group-commit window; when
-// pending_records() drains to zero the whole window became durable and
-// its ops are promoted to must-include.
-class LsmkvTarget final : public WorkerTarget {
- public:
-  using WorkerTarget::WorkerTarget;
-
-  const char* name() const override { return "lsmkv"; }
-
-  void reset() override {
-    platform_ = std::make_unique<hw::Platform>();
-    ns_ = &platform_->optane(8 << 20);
-    db_ = std::make_unique<kv::Db>(*ns_, db_options());
-    sim::ThreadCtx ctx = service_ctx();
-    db_->create(ctx);
-    platform_->reset_timing();
-    history_.clear();
-    window_ops_.clear();
-    window_id_ = 1;
-  }
-
-  std::map<std::string, std::string> live_state() override {
-    sim::ThreadCtx ctx = service_ctx();
-    return read_all(*db_, ctx);
-  }
-
-  bool recover(std::map<std::string, std::string>* out,
-               std::string* error) override {
-    sim::ThreadCtx ctx = service_ctx(33);
-    kv::Db db(*ns_, db_options());
-    if (!db.open(ctx)) return fail(error, "db.open() failed");
-    if (Status st = db.check(ctx); !st.ok()) return fail(error, st.to_string());
-    *out = read_all(db, ctx);
-    return true;
-  }
-
- private:
-  static constexpr unsigned kKeys = 5;
-
-  static std::string key(unsigned i) { return "k" + std::to_string(i); }
-
-  kv::DbOptions db_options() const {
-    kv::DbOptions o;
-    o.wal = kv::WalMode::kFlex;
-    o.memtable = kv::MemtableMode::kVolatile;
-    o.wal_capacity = 1 << 20;
-    o.memtable_bytes = 2 << 10;
-    o.l0_compaction_trigger = 2;
-    o.sync_every_op = true;
-    o.wal_checksum = true;
-    o.wal_group_commit = true;
-    o.wal_group_size = 3;
-    return o;
-  }
-
-  std::map<std::string, std::string> read_all(kv::Db& db,
-                                              sim::ThreadCtx& ctx) {
-    std::map<std::string, std::string> s;
-    for (unsigned i = 0; i < kKeys; ++i) {
-      std::string v;
-      if (db.get(ctx, key(i), &v)) s[key(i)] = v;
-    }
-    std::string v;
-    if (db.get(ctx, "ctr", &v)) s["ctr"] = v;
-    return s;
-  }
-
-  // Called with db_lock_ held, right after the mutation `id` was issued.
-  void ack_write(std::size_t id) {
-    history_.respond(id);
-    history_.set_group(id, window_id_);
-    window_ops_.push_back(id);
-    if (db_->pending_records() == 0) {
-      // The group committed (threshold reached or a flush drained it):
-      // every op in the window is now acknowledged durable.
-      for (const std::size_t w : window_ops_) history_.mark_must_include(w);
-      window_ops_.clear();
-      ++window_id_;
-    }
-  }
-
-  // Called with db_lock_ held, right after the read `id` was answered.
-  // A get may have observed memtable data whose WAL records still sit in
-  // the open group-commit window; if the machine dies before that group
-  // syncs, the observed write is gone, and an observation that *must*
-  // linearize would then be unexplainable (the dirty-read durability
-  // anomaly inherent to group commit). Reads therefore inherit the open
-  // window's commit dependency: immediately durable only when nothing is
-  // pending, otherwise promoted together with the window they read under.
-  void ack_read(std::size_t id) {
-    if (db_->pending_records() == 0) {
-      history_.mark_must_include(id);
-    } else {
-      history_.set_group(id, window_id_);
-      window_ops_.push_back(id);
-    }
-  }
-
-  void body(sim::ThreadCtx& ctx, unsigned t) override {
-    sim::Rng rng = body_rng(opts_, t);
-    for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
-      const unsigned r = static_cast<unsigned>(rng.uniform(8));
-      const std::string k = key(static_cast<unsigned>(rng.uniform(kKeys)));
-      ctx.sched_point(sim::SchedPoint::kOpBegin);
-      if (r < 3) {
-        const std::string val =
-            "v" + std::to_string(t) + "_" + std::to_string(op);
-        SchedLockGuard g(db_lock_, ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kPut, k, val);
-        history_.stage_write(id);
-        db_->put(ctx, k, val);
-        ack_write(id);
-      } else if (r < 5) {
-        SchedLockGuard g(db_lock_, ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kGet, k);
-        std::string v;
-        const bool found = db_->get(ctx, k, &v);
-        history_.respond(id, found, v);
-        ack_read(id);
-      } else if (r < 6) {
-        SchedLockGuard g(db_lock_, ctx);
-        const std::size_t id = history_.invoke(t, OpKind::kDel, k);
-        history_.stage_write(id);
-        db_->del(ctx, k);
-        ack_write(id);
-      } else {
-        bump_counter(
-            ctx, t,
-            [&](auto&& fn) {
-              SchedLockGuard g(db_lock_, ctx);
-              fn();
-            },
-            [&](std::string* v) { return db_->get(ctx, "ctr", v); },
-            [&](std::size_t id, const std::string& nv) {
-              db_->put(ctx, "ctr", nv);
-              ack_write(id);
-            });
-      }
-    }
-  }
-
-  hw::PmemNamespace* ns_ = nullptr;
-  std::unique_ptr<kv::Db> db_;
-  SchedLock db_lock_;
-  std::vector<std::size_t> window_ops_;
-  std::uint64_t window_id_ = 1;
-};
-
 // -------------------------------------------------------------- novafs --
 
 // Files as map entries: a file's content (fixed-length writes at offset
@@ -513,12 +360,19 @@ struct KvMix {
 // background turns under every lock, so exploration interleaves real
 // merges with foreground traffic.
 //
-// Durability: the descriptors commit every single write at return (no
-// write combining), so each op is acknowledged durable when it returns.
-// A frontend commits a batch as one crash-atomic WAL group per shard, so
-// history groups are one id per (batch, shard), never one spanning
-// shards. Schedule targets run K=1 frontends: a key's one copy lives on
-// the store its lock guards.
+// Durability: a store that commits at return acknowledges each op
+// durable when it returns. Under lsmkv group commit (leader/follower),
+// workload::unacked_writes() reports the records still buffered: a write
+// joins the open window while any are left, and when none are, every op
+// in the window becomes must-include. A read taken while writes are
+// pending may have observed unsynced data (the dirty-read durability
+// anomaly of group commit), so it joins the window too. The window is
+// store-wide, which models one group-commit domain: a frontend over
+// group-committing shards would need one window per shard. A frontend
+// commits a batch as one crash-atomic WAL group per shard (draining the
+// shard's buffered records first), so history groups are one id per
+// (batch, shard), never one spanning shards. Schedule targets run K=1
+// frontends: a key's one copy lives on the store its lock guards.
 class KvTarget final : public WorkerTarget {
  public:
   KvTarget(KvMix mix, const TargetOptions& o)
@@ -547,6 +401,7 @@ class KvTarget final : public WorkerTarget {
     }
     platform_->reset_timing();
     history_.clear();
+    window_.clear();
     next_group_ = 1;
   }
 
@@ -590,6 +445,20 @@ class KvTarget final : public WorkerTarget {
 
   unsigned owner(std::string_view key) const {
     return mix_.store.domain_of(key);
+  }
+
+  // Durability of op `id`, just answered under its store's lock (see the
+  // class comment).
+  void settle(std::size_t id) {
+    if (workload::unacked_writes(*store_) == 0) {
+      for (const std::size_t w : window_) history_.mark_must_include(w);
+      window_.clear();
+      history_.mark_must_include(id);
+      return;
+    }
+    if (window_.empty()) window_group_ = next_group_++;
+    history_.set_group(id, window_group_);
+    window_.push_back(id);
   }
 
   // Runs fn holding locks_[s] for every s in `stores` (ascending), each
@@ -638,7 +507,7 @@ class KvTarget final : public WorkerTarget {
           history_.stage_write(id);
           store_->try_put(ctx, k, val);
           history_.respond(id);
-          history_.mark_must_include(id);
+          settle(id);
         });
       } else if ((r -= mix_.put) < mix_.get) {
         locked(ctx, owner(k), [&] {
@@ -646,7 +515,7 @@ class KvTarget final : public WorkerTarget {
           std::string v;
           const bool found = store_->try_get(ctx, k, &v).ok();
           history_.respond(id, found, v);
-          history_.mark_must_include(id);
+          settle(id);
         });
       } else if ((r -= mix_.get) < mix_.del) {
         locked(ctx, owner(k), [&] {
@@ -657,7 +526,7 @@ class KvTarget final : public WorkerTarget {
             history_.respond(id, found);
           else
             history_.respond(id);  // a blind tombstone: nothing to check
-          history_.mark_must_include(id);
+          settle(id);
         });
       } else if ((r -= mix_.del) < mix_.batch) {
         batch(ctx, t, op, rng);
@@ -668,7 +537,7 @@ class KvTarget final : public WorkerTarget {
             [&](std::size_t id, const std::string& nv) {
               store_->try_put(ctx, "ctr", nv);
               history_.respond(id);
-              history_.mark_must_include(id);
+              settle(id);
             });
       }
     }
@@ -716,6 +585,8 @@ class KvTarget final : public WorkerTarget {
   std::vector<SchedLock> locks_;
   std::map<std::string, std::string> filler_;
   std::uint64_t next_group_ = 1;
+  std::vector<std::size_t> window_;  // ops of the open group-commit window
+  std::uint64_t window_group_ = 0;
 };
 
 }  // namespace
@@ -724,7 +595,18 @@ std::unique_ptr<Target> make_pmemlib_target(const TargetOptions& opts) {
   return std::make_unique<PmemlibTarget>(opts);
 }
 std::unique_ptr<Target> make_lsmkv_target(const TargetOptions& opts) {
-  return std::make_unique<LsmkvTarget>(opts);
+  kv::DbOptions o;  // FLEX WAL
+  o.wal_checksum = true;
+  o.wal_group_commit = true;
+  o.wal_group_size = 3;
+  o.memtable_bytes = 2 << 10;
+  o.l0_compaction_trigger = 2;
+  o.wal_capacity = 1 << 20;
+  KvMix mix{"lsmkv", {}, /*put=*/3, /*get=*/2, /*del=*/1, /*batch=*/0,
+            /*rmw=*/2};
+  mix.store.options = o;
+  mix.store.keys = 5;
+  return std::make_unique<KvTarget>(std::move(mix), opts);
 }
 std::unique_ptr<Target> make_novafs_target(const TargetOptions& opts) {
   return std::make_unique<NovafsTarget>(opts);

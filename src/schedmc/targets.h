@@ -7,22 +7,24 @@
 // (workload_seed, thread id), which is what lets the explorer replay a
 // recorded schedule exactly.
 //
-// cmap, stree and the sharded frontend run through one generic target
-// that drives the store only through StoreIface's typed try_* calls,
-// configured by a small descriptor: how to build the store over its
-// namespaces (workload::StoreDesc), its key universe and value lengths,
-// and its op mix (put/get/delete/batch/counter-RMW weights). pmemlib
-// (transaction lanes), lsmkv (group-commit windows, read from
-// Db::pending_records(), which StoreIface does not expose) and novafs
-// (rename) stay bespoke.
+// lsmkv, cmap, stree and the sharded frontend run through one generic
+// target that drives the store only through StoreIface's typed try_*
+// calls, configured by a small descriptor: how to build the store over
+// its namespaces (workload::StoreDesc), its key universe and value
+// lengths, and its op mix (put/get/delete/batch/counter-RMW weights).
+// Group-commit windows come from workload::unacked_writes(): while the
+// store holds unacknowledged writes, each write and read joins the open
+// window, and when none are left the whole window becomes durable. Only
+// pmemlib (transaction lanes) and novafs (rename) stay bespoke.
 //
 // Locking model: the logical threads are strictly serialized by the
 // interleaver, but the stores themselves are single-threaded code, so
 // each target takes the SchedLocks a real concurrent implementation
-// would take (a per-slot lock for pmemlib's counters, one store-wide
-// lock for the LSM memtable/WAL and the NOVA directory log, one lock per
-// physical store in the generic target). The explored interleavings then
-// reorder whole critical sections and everything outside them.
+// would take (a per-slot lock for pmemlib's counters, one fs-wide lock
+// for the NOVA directory log, one lock per physical store in the generic
+// target — for a bare lsmkv store, one lock over memtable and WAL). The
+// explored interleavings then reorder whole critical sections and
+// everything outside them.
 //
 // TestFault::kElideRmwLock deliberately breaks the read-modify-write
 // critical section — the lock is dropped between the read and the
@@ -57,7 +59,7 @@ struct TargetOptions {
 std::unique_ptr<Target> make_pmemlib_target(const TargetOptions& opts = {});
 
 // lsmkv: puts/gets/deletes plus a counter RMW under one db lock, with
-// group commit on — durability is acknowledged per WAL group, recorded
+// group commit of 3 — durability is acknowledged per WAL group, recorded
 // as all-or-nothing history groups.
 std::unique_ptr<Target> make_lsmkv_target(const TargetOptions& opts = {});
 

@@ -1,5 +1,6 @@
 #include "workload/engine.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -57,6 +58,10 @@ std::uint64_t load(StoreIface& store, const Spec& spec, sim::ThreadCtx& ctx) {
 
 Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
   const unsigned T = opts.threads ? opts.threads : 1;
+  // Threads with a zero share of spec.ops (fewer ops than threads) are
+  // not spawned: a worker step always runs one op.
+  const unsigned active =
+      static_cast<unsigned>(std::min<std::uint64_t>(T, spec.ops));
   std::vector<PerThread> per;
   per.reserve(T);
   for (unsigned t = 0; t < T; ++t) {
@@ -105,7 +110,7 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
     }
   };
 
-  for (unsigned t = 0; t < T; ++t) {
+  for (unsigned t = 0; t < active; ++t) {
     sim::ThreadCtx::Options topts;
     topts.id = t + 1;
     topts.seed = spec.seed + t + 1;
@@ -204,7 +209,7 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
       if (--pt.remaining == 0) {
         // The last worker out drains any cross-thread group buffer so
         // every acknowledged op is durable when run() returns.
-        if (++done_workers == T) store.flush_pending(ctx);
+        if (++done_workers == active) store.flush_pending(ctx);
         return false;
       }
       return true;
@@ -217,7 +222,7 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
     topts.id = T + 1;
     topts.seed = spec.seed + T + 1;
     sched.spawn(topts, [&](sim::ThreadCtx& ctx) -> bool {
-      if (done_workers == T) return false;
+      if (done_workers == active) return false;
       if (store.background_turn(ctx))
         ++res.background_turns;
       else
@@ -232,8 +237,9 @@ Result run(StoreIface& store, const Spec& spec, const EngineOptions& opts) {
   for (unsigned t = 0; t < T; ++t) {
     hist.merge(per[t].hist);
     res.checksum ^= mix64(per[t].checksum + t + 1);
-    if (worker_ctx[t]->now() > res.elapsed) res.elapsed = worker_ctx[t]->now();
   }
+  for (const sim::ThreadCtx* ctx : worker_ctx)
+    if (ctx->now() > res.elapsed) res.elapsed = ctx->now();
   res.p50 = hist.percentile(0.50);
   res.p99 = hist.percentile(0.99);
   return res;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 namespace xp::workload {
 
@@ -54,21 +55,14 @@ bool ShardedStore::open(sim::ThreadCtx& ctx) {
   bool ok = true;
   for (unsigned p = 0; p < shards(); ++p) {
     bool opened = false;
-    try {
-      opened = shards_[p]->open(ctx);
-    } catch (const hw::MediaError&) {
-      if (ns_[p]->platform().frozen()) throw;
-      ++stats_.media_errors;
-      start_quarantine(ctx, p);
-      if (replicas_ == 1) ok = false;
-      continue;
-    }
-    if (!opened) {
-      if (replicas_ > 1)
-        start_quarantine(ctx, p);
-      else
-        ok = false;
-    }
+    const bool threw = !contain_media(*shards_[p], [&](OpResult&) {
+                         opened = shards_[p]->open(ctx);
+                       }).ok();
+    if (threw) ++stats_.media_errors;
+    if (opened) continue;
+    // A store that threw is quarantined at once, whatever the replication.
+    if (threw || replicas_ > 1) start_quarantine(ctx, p);
+    if (replicas_ == 1) ok = false;
   }
   // Health is re-derived from media state, not persisted bookkeeping: a
   // restart in the middle of a repair lands back in quarantine via this
@@ -180,28 +174,50 @@ OpResult ShardedStore::with_retries(sim::ThreadCtx& ctx, Fn&& once) {
   }
 }
 
-OpResult ShardedStore::put_once(sim::ThreadCtx& ctx, std::string_view key,
-                                std::string_view value) {
-  const unsigned s = shard_of(key, shards());
+template <typename Fn>
+bool ShardedStore::call_store(sim::ThreadCtx& ctx, unsigned p, bool is_write,
+                              Fn&& fn) {
+  const OpResult r = contain_media(*shards_[p], [&](OpResult&) {
+    if (is_write) {
+      LaneGuard lane(ctx, p);
+      fn(*shards_[p]);
+    } else {
+      fn(*shards_[p]);
+    }
+  });
+  if (r.ok()) return true;
+  note_media_error(ctx, p, is_write);
+  return false;
+}
+
+namespace {
+std::string_view key_of(std::string_view key) { return key; }
+std::string_view key_of(const BatchOp& op) { return op.key; }
+}  // namespace
+
+template <typename Keys, typename Fn>
+unsigned ShardedStore::write_copies(sim::ThreadCtx& ctx, unsigned s,
+                                    const Keys& keys, Fn&& write) {
   unsigned applied = 0;
   for (unsigned r = 0; r < replicas_; ++r) {
     const unsigned p = copy_store(s, r);
-    if (!serving(p)) {
-      if (replicas_ > 1) pending_[p].insert(std::string(key));
-      continue;
-    }
-    try {
-      LaneGuard lane(ctx, p);
-      shards_[p]->put(ctx, key, value);
+    // A copy whose write threw may be half-applied; the write-path
+    // quarantine pulls it for rebuild, so the partial state is never read.
+    if (serving(p) && call_store(ctx, p, /*is_write=*/true, write)) {
       ++applied;
-    } catch (const hw::MediaError&) {
-      if (ns_[p]->platform().frozen()) throw;
-      note_media_error(ctx, p, /*is_write=*/true);
-      if (replicas_ > 1) pending_[p].insert(std::string(key));
+    } else if (replicas_ > 1) {
+      for (const auto& k : keys) pending_[p].insert(std::string(key_of(k)));
     }
   }
+  return applied;
+}
+
+OpResult ShardedStore::put_once(sim::ThreadCtx& ctx, std::string_view key,
+                                std::string_view value) {
+  const unsigned s = shard_of(key, shards());
   OpResult res;
-  if (applied == 0) {
+  if (write_copies(ctx, s, std::span(&key, 1),
+                   [&](StoreIface& st) { st.put(ctx, key, value); }) == 0) {
     // Nothing durable anywhere: the op is NOT acknowledged. Retryable —
     // a rebuild may bring a copy back within the deadline budget.
     res.status = OpStatus::kUnavailable;
@@ -219,24 +235,24 @@ OpResult ShardedStore::get_once(sim::ThreadCtx& ctx, std::string_view key,
   for (unsigned r = 0; r < replicas_; ++r) {
     const unsigned p = copy_store(s, r);
     if (!serving(p)) continue;
-    try {
-      const bool hit = shards_[p]->get(ctx, key, value);
-      OpResult res;
-      if (r > 0) {
-        res.failover = true;
-        ++stats_.failover_reads;
-        emit(ctx.now(), hw::ResilienceEventKind::kFailoverRead, p);
-      }
-      if (!hit)
-        res.status = (!lost_.empty() && lost_.count(std::string(key)) != 0)
-                         ? OpStatus::kDataLoss
-                         : OpStatus::kNotFound;
-      return res;
-    } catch (const hw::MediaError&) {
-      if (ns_[p]->platform().frozen()) throw;
-      note_media_error(ctx, p, /*is_write=*/false);
+    bool hit = false;
+    if (!call_store(ctx, p, /*is_write=*/false, [&](StoreIface& st) {
+          hit = st.get(ctx, key, value);
+        })) {
       errored = true;
+      continue;
     }
+    OpResult res;
+    if (r > 0) {
+      res.failover = true;
+      ++stats_.failover_reads;
+      emit(ctx.now(), hw::ResilienceEventKind::kFailoverRead, p);
+    }
+    if (!hit)
+      res.status = (!lost_.empty() && lost_.count(std::string(key)) != 0)
+                       ? OpStatus::kDataLoss
+                       : OpStatus::kNotFound;
+    return res;
   }
   OpResult res;
   // Every copy threw: the media failed now — typed, final for this op.
@@ -248,38 +264,19 @@ OpResult ShardedStore::get_once(sim::ThreadCtx& ctx, std::string_view key,
 OpResult ShardedStore::del_once(sim::ThreadCtx& ctx, std::string_view key,
                                 bool* found) {
   const unsigned s = shard_of(key, shards());
-  unsigned applied = 0;
-  bool f = false;
-  bool f_set = false;
-  for (unsigned r = 0; r < replicas_; ++r) {
-    const unsigned p = copy_store(s, r);
-    if (!serving(p)) {
-      if (replicas_ > 1) pending_[p].insert(std::string(key));
-      continue;
-    }
-    try {
-      LaneGuard lane(ctx, p);
-      const bool fr = shards_[p]->del(ctx, key);
-      if (!f_set) {
-        f = fr;
-        f_set = true;
-      }
-      ++applied;
-    } catch (const hw::MediaError&) {
-      if (ns_[p]->platform().frozen()) throw;
-      note_media_error(ctx, p, /*is_write=*/true);
-      if (replicas_ > 1) pending_[p].insert(std::string(key));
-    }
-  }
+  std::optional<bool> f;  // the first copy's answer
   OpResult res;
-  if (applied == 0) {
+  if (write_copies(ctx, s, std::span(&key, 1), [&](StoreIface& st) {
+        const bool fr = st.del(ctx, key);
+        if (!f) f = fr;
+      }) == 0) {
     res.status = OpStatus::kUnavailable;
     return res;
   }
-  if (found != nullptr) *found = f;
+  if (found != nullptr) *found = *f;
   owned_[s].erase(std::string(key));
   if (!lost_.empty()) lost_.erase(std::string(key));
-  if (!f && del_reports_found()) res.status = OpStatus::kNotFound;
+  if (!*f && del_reports_found()) res.status = OpStatus::kNotFound;
   return res;
 }
 
@@ -297,32 +294,6 @@ OpResult ShardedStore::try_get(sim::ThreadCtx& ctx, std::string_view key,
 OpResult ShardedStore::try_del(sim::ThreadCtx& ctx, std::string_view key,
                                bool* found) {
   return with_retries(ctx, [&] { return del_once(ctx, key, found); });
-}
-
-// The legacy untyped surface is fire-and-forget under faults: a typed
-// error outcome has no channel back to the caller, so it is counted in
-// stats_.legacy_dropped instead of vanishing (see shard.h).
-void ShardedStore::note_legacy(const OpResult& r) {
-  if (r.status != OpStatus::kOk && r.status != OpStatus::kNotFound)
-    ++stats_.legacy_dropped;
-}
-
-void ShardedStore::put(sim::ThreadCtx& ctx, std::string_view key,
-                       std::string_view value) {
-  note_legacy(try_put(ctx, key, value));
-}
-
-bool ShardedStore::get(sim::ThreadCtx& ctx, std::string_view key,
-                       std::string* value) {
-  const OpResult r = try_get(ctx, key, value);
-  note_legacy(r);
-  return r.ok();
-}
-
-bool ShardedStore::del(sim::ThreadCtx& ctx, std::string_view key) {
-  bool found = false;
-  note_legacy(try_del(ctx, key, &found));
-  return found;
 }
 
 std::vector<std::pair<std::string, std::string>> ShardedStore::scan_copy(
@@ -366,21 +337,20 @@ OpResult ShardedStore::try_scan(
     for (unsigned r = 0; r < replicas_ && !done; ++r) {
       const unsigned p = copy_store(s, r);
       if (!serving(p)) continue;
-      try {
-        auto part = replicas_ > 1 ? scan_copy(ctx, p, s, start, n)
-                                  : shards_[p]->scan(ctx, start, n);
-        if (r > 0) {
-          ++stats_.failover_reads;
-          emit(ctx.now(), hw::ResilienceEventKind::kFailoverRead, p);
-        }
-        out->insert(out->end(), std::make_move_iterator(part.begin()),
-                    std::make_move_iterator(part.end()));
-        done = true;
-      } catch (const hw::MediaError&) {
-        if (ns_[p]->platform().frozen()) throw;
-        note_media_error(ctx, p, /*is_write=*/false);
+      std::vector<std::pair<std::string, std::string>> part;
+      if (!call_store(ctx, p, /*is_write=*/false, [&](StoreIface&) {
+            part = scan_copy(ctx, p, s, start, n);
+          })) {
         errored = true;
+        continue;
       }
+      if (r > 0) {
+        ++stats_.failover_reads;
+        emit(ctx.now(), hw::ResilienceEventKind::kFailoverRead, p);
+      }
+      out->insert(out->end(), std::make_move_iterator(part.begin()),
+                  std::make_move_iterator(part.end()));
+      done = true;
     }
     if (!done) missing = true;
   }
@@ -393,13 +363,6 @@ OpResult ShardedStore::try_scan(
   return res;
 }
 
-std::vector<std::pair<std::string, std::string>> ShardedStore::scan(
-    sim::ThreadCtx& ctx, std::string_view start, std::size_t n) {
-  std::vector<std::pair<std::string, std::string>> out;
-  note_legacy(try_scan(ctx, start, n, &out));
-  return out;
-}
-
 OpResult ShardedStore::try_apply_batch(sim::ThreadCtx& ctx,
                                        std::span<const BatchOp> ops) {
   std::vector<std::vector<BatchOp>> groups(shards());
@@ -408,28 +371,9 @@ OpResult ShardedStore::try_apply_batch(sim::ThreadCtx& ctx,
   bool unavailable = false;
   for (unsigned s = 0; s < shards(); ++s) {
     if (groups[s].empty()) continue;
-    unsigned applied = 0;
-    for (unsigned r = 0; r < replicas_; ++r) {
-      const unsigned p = copy_store(s, r);
-      if (!serving(p)) {
-        if (replicas_ > 1)
-          for (const BatchOp& op : groups[s]) pending_[p].insert(op.key);
-        continue;
-      }
-      try {
-        LaneGuard lane(ctx, p);
-        shards_[p]->apply_batch(ctx, groups[s]);
-        ++applied;
-      } catch (const hw::MediaError&) {
-        if (ns_[p]->platform().frozen()) throw;
-        // The copy may be half-applied; the write-path quarantine pulls
-        // it for rebuild, so the partial state is never read.
-        note_media_error(ctx, p, /*is_write=*/true);
-        if (replicas_ > 1)
-          for (const BatchOp& op : groups[s]) pending_[p].insert(op.key);
-      }
-    }
-    if (applied == 0) {
+    if (write_copies(ctx, s, groups[s], [&](StoreIface& st) {
+          st.apply_batch(ctx, groups[s]);
+        }) == 0) {
       unavailable = true;
     } else {
       for (const BatchOp& op : groups[s]) {
@@ -449,22 +393,11 @@ OpResult ShardedStore::try_apply_batch(sim::ThreadCtx& ctx,
   return res;
 }
 
-void ShardedStore::apply_batch(sim::ThreadCtx& ctx,
-                               std::span<const BatchOp> ops) {
-  note_legacy(try_apply_batch(ctx, ops));
-}
-
 void ShardedStore::flush_pending(sim::ThreadCtx& ctx) {
-  for (unsigned s = 0; s < shards(); ++s) {
-    if (!serving(s)) continue;
-    try {
-      LaneGuard lane(ctx, s);
-      shards_[s]->flush_pending(ctx);
-    } catch (const hw::MediaError&) {
-      if (ns_[s]->platform().frozen()) throw;
-      note_media_error(ctx, s, /*is_write=*/true);
-    }
-  }
+  for (unsigned s = 0; s < shards(); ++s)
+    if (serving(s))
+      call_store(ctx, s, /*is_write=*/true,
+                 [&](StoreIface& st) { st.flush_pending(ctx); });
 }
 
 std::vector<std::string> ShardedStore::hosted_keys(sim::ThreadCtx& ctx,
@@ -490,14 +423,12 @@ std::vector<std::string> ShardedStore::hosted_keys(sim::ThreadCtx& ctx,
       for (unsigned r = 0; r < replicas_ && !relevant; ++r)
         relevant = hosted[(q + shards() - r) % shards()];
       if (!relevant) continue;
-      try {
-        auto rows = shards_[q]->scan(ctx, "", static_cast<std::size_t>(-1));
-        for (auto& kv : rows)
-          if (hosted[shard_of(kv.first, shards())]) keys.insert(kv.first);
-      } catch (const hw::MediaError&) {
-        if (ns_[q]->platform().frozen()) throw;
-        note_media_error(ctx, q, /*is_write=*/false);
-      }
+      std::vector<std::pair<std::string, std::string>> rows;
+      call_store(ctx, q, /*is_write=*/false, [&](StoreIface& st) {
+        rows = st.scan(ctx, "", static_cast<std::size_t>(-1));
+      });
+      for (auto& kv : rows)
+        if (hosted[shard_of(kv.first, shards())]) keys.insert(kv.first);
     }
   }
   keys.insert(pending_[store].begin(), pending_[store].end());
@@ -580,14 +511,10 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
           }
           std::string v;
           bool hit = false;
-          try {
-            hit = shards_[src]->get(ctx, key, &v);
-          } catch (const hw::MediaError&) {
-            if (ns_[src]->platform().frozen()) throw;
-            // The *source* is failing, not the rebuild: account it there
-            // and retry this key against whichever source remains.
-            note_media_error(ctx, static_cast<unsigned>(src),
-                             /*is_write=*/false);
+          if (!call_store(ctx, static_cast<unsigned>(src), /*is_write=*/false,
+                          [&](StoreIface& st) { hit = st.get(ctx, key, &v); })) {
+            // The *source* is failing, not the rebuild: call_store accounts
+            // it there; retry this key against whichever source remains.
             job.queue.push_back(key);
             continue;
           }
@@ -620,14 +547,11 @@ bool ShardedStore::rebuild_step(sim::ThreadCtx& ctx) {
             std::string mine, theirs;
             const bool ha = shards_[p]->get(ctx, key, &mine);
             bool hb = false;
-            try {
-              hb = shards_[src]->get(ctx, key, &theirs);
-            } catch (const hw::MediaError&) {
-              if (ns_[src]->platform().frozen()) throw;
-              note_media_error(ctx, static_cast<unsigned>(src),
-                               /*is_write=*/false);
+            if (!call_store(ctx, static_cast<unsigned>(src),
+                            /*is_write=*/false, [&](StoreIface& st) {
+                              hb = st.get(ctx, key, &theirs);
+                            }))
               continue;  // same cursor, different source next turn
-            }
             if (hb && (!ha || mine != theirs)) {
               ++stats_.verify_mismatches;
               LaneGuard lane(ctx, p);
@@ -711,16 +635,14 @@ bool ShardedStore::background_turn(sim::ThreadCtx& ctx) {
   for (unsigned i = 0; i < shards(); ++i) {
     const unsigned s = (rr_ + i) % shards();
     if (!serving(s)) continue;
-    try {
-      LaneGuard lane(ctx, s);
-      if (shards_[s]->background_turn(ctx)) {
-        rr_ = (s + 1) % shards();
-        return true;
-      }
-    } catch (const hw::MediaError&) {
-      if (ns_[s]->platform().frozen()) throw;
-      // Compaction tripped on poison: pull the shard for rebuild.
-      note_media_error(ctx, s, /*is_write=*/true);
+    bool worked = false;
+    // Compaction that trips on poison pulls the shard for rebuild.
+    if (!call_store(ctx, s, /*is_write=*/true, [&](StoreIface& st) {
+          worked = st.background_turn(ctx);
+        }))
+      return true;
+    if (worked) {
+      rr_ = (s + 1) % shards();
       return true;
     }
   }
@@ -732,14 +654,9 @@ Status ShardedStore::repair_media(sim::ThreadCtx& ctx) {
   for (unsigned s = 0; s < shards(); ++s) {
     if (!serving(s)) continue;  // its rebuild re-derives it
     Status st;
-    try {
-      LaneGuard lane(ctx, s);
-      st = shards_[s]->repair_media(ctx);
-    } catch (const hw::MediaError& e) {
-      if (ns_[s]->platform().frozen()) throw;
-      note_media_error(ctx, s, /*is_write=*/true);
-      st = Status::MediaFault(e.what());
-    }
+    if (!call_store(ctx, s, /*is_write=*/true,
+                    [&](StoreIface& x) { st = x.repair_media(ctx); }))
+      st = Status::MediaFault("media error during repair");
     // A hard failure outranks DataLoss: the store is not consistent.
     if (!st.ok() && (out.ok() || out.code() == ErrorCode::kDataLoss))
       out = st;
@@ -750,14 +667,11 @@ Status ShardedStore::repair_media(sim::ThreadCtx& ctx) {
 Status ShardedStore::check(sim::ThreadCtx& ctx) {
   for (unsigned s = 0; s < shards(); ++s) {
     if (!serving(s)) continue;  // transitional by construction
-    try {
-      Status st = shards_[s]->check(ctx);
-      if (!st.ok()) return st;
-    } catch (const hw::MediaError& e) {
-      if (ns_[s]->platform().frozen()) throw;
-      note_media_error(ctx, s, /*is_write=*/false);
-      return Status::MediaFault(e.what());
-    }
+    Status st;
+    if (!call_store(ctx, s, /*is_write=*/false,
+                    [&](StoreIface& x) { st = x.check(ctx); }))
+      return Status::MediaFault("media error during check");
+    if (!st.ok()) return st;
   }
   return Status::Ok();
 }

@@ -109,9 +109,6 @@ struct ResilienceStats {
   std::uint64_t keys_resilvered = 0; // keys copied back into a rebuild
   std::uint64_t keys_lost = 0;       // keys with no surviving copy
   std::uint64_t verify_mismatches = 0;  // rebuilt keys re-copied by verify
-  // Typed error outcomes discarded by the legacy void/bool API (the
-  // untyped wrappers have no channel to report them; see below).
-  std::uint64_t legacy_dropped = 0;
 };
 
 class ShardedStore final : public StoreIface {
@@ -146,27 +143,37 @@ class ShardedStore final : public StoreIface {
   // quarantine survives process restarts) is quarantined for online
   // rebuild and open() still succeeds; with replicas == 1 it fails.
   bool open(sim::ThreadCtx& ctx) override;
-  // The untyped StoreIface surface (put/get/del/scan/apply_batch) is
-  // fire-and-forget under faults: a typed error outcome (kUnavailable,
-  // kMediaError, kDataLoss) is counted in resilience().legacy_dropped
-  // but otherwise indistinguishable from a no-op or a miss. Code that
-  // must observe fault outcomes uses the try_* surface below.
+  // The untyped StoreIface surface forwards to the try_* calls below and
+  // drops their outcome: under faults a typed error (kUnavailable,
+  // kMediaError, kDataLoss) reads as a no-op or a miss. Code that must
+  // observe fault outcomes uses try_*.
   void put(sim::ThreadCtx& ctx, std::string_view key,
-           std::string_view value) override;
+           std::string_view value) override {
+    try_put(ctx, key, value);
+  }
   bool get(sim::ThreadCtx& ctx, std::string_view key,
-           std::string* value) override;
-  bool del(sim::ThreadCtx& ctx, std::string_view key) override;
+           std::string* value) override {
+    return try_get(ctx, key, value).ok();
+  }
+  bool del(sim::ThreadCtx& ctx, std::string_view key) override {
+    bool found = false;
+    try_del(ctx, key, &found);
+    return found;
+  }
   bool del_reports_found() const override {
     return shards_[0]->del_reports_found();
   }
   bool supports_scan() const override { return shards_[0]->supports_scan(); }
-  // Merges the per-shard ordered scans into one global key order.
   std::vector<std::pair<std::string, std::string>> scan(
-      sim::ThreadCtx& ctx, std::string_view start, std::size_t n) override;
-  // Batched cross-shard dispatch: partition by router (preserving each
-  // shard's op order), then commit shard groups in shard order.
+      sim::ThreadCtx& ctx, std::string_view start, std::size_t n) override {
+    std::vector<std::pair<std::string, std::string>> out;
+    try_scan(ctx, start, n, &out);
+    return out;
+  }
   void apply_batch(sim::ThreadCtx& ctx,
-                   std::span<const BatchOp> ops) override;
+                   std::span<const BatchOp> ops) override {
+    try_apply_batch(ctx, ops);
+  }
   void flush_pending(sim::ThreadCtx& ctx) override;
   // One rebuild step if any shard is under repair, else round-robin one
   // deferred-compaction turn over the serving shards.
@@ -179,7 +186,10 @@ class ShardedStore final : public StoreIface {
   Status repair_media(sim::ThreadCtx& ctx) override;
 
   // Typed request path: replication-aware routing, health tracking,
-  // bounded retry + deadline budget (see file comment).
+  // bounded retry + deadline budget (see file comment). try_scan merges
+  // the per-shard ordered scans into one global key order; try_apply_batch
+  // partitions by router (preserving each shard's op order), then commits
+  // shard groups in shard order.
   OpResult try_put(sim::ThreadCtx& ctx, std::string_view key,
                    std::string_view value) override;
   OpResult try_get(sim::ThreadCtx& ctx, std::string_view key,
@@ -198,7 +208,7 @@ class ShardedStore final : public StoreIface {
   }
 
   unsigned shards() const { return static_cast<unsigned>(shards_.size()); }
-  StoreIface& shard(unsigned i) { return *shards_[i]; }
+  StoreIface& shard(unsigned i) const { return *shards_[i]; }
   unsigned replicas() const { return replicas_; }
 
   ShardHealth health(unsigned i) const { return health_[i]; }
@@ -275,12 +285,23 @@ class ShardedStore final : public StoreIface {
   bool last_copy(unsigned store) const;
   // Up to n rows of logical shard `s` from physical store `p`, in key
   // order from `start`, continuing past co-hosted shards' rows so the
-  // cap never drops target-shard keys (replicated mode only).
+  // cap never drops target-shard keys. At K=1 (nothing co-hosted) it is
+  // one store scan for any n >= 1, and reads nothing for n == 0.
   std::vector<std::pair<std::string, std::string>> scan_copy(
       sim::ThreadCtx& ctx, unsigned p, unsigned s, std::string_view start,
       std::size_t n);
-  // Counts a typed error outcome discarded by the legacy untyped API.
-  void note_legacy(const OpResult& r);
+  // The frontend's one way into physical store p: runs fn(store) under
+  // contain_media, inside p's writer lane when is_write. A contained
+  // media error goes to p's health state machine and returns false.
+  template <typename Fn>
+  bool call_store(sim::ThreadCtx& ctx, unsigned p, bool is_write, Fn&& fn);
+  // Applies write(store) to each serving copy of logical shard s through
+  // call_store; a copy that is not serving or whose write threw queues
+  // `keys` in its pending set (replicated mode). Returns how many copies
+  // took the write.
+  template <typename Keys, typename Fn>
+  unsigned write_copies(sim::ThreadCtx& ctx, unsigned s, const Keys& keys,
+                        Fn&& write);
 
   // Single-attempt op bodies (no retry); kUnavailable means no copy
   // could take the op and nothing was applied.

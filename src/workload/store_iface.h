@@ -127,13 +127,11 @@ class StoreIface {
   virtual Status check(sim::ThreadCtx& ctx) = 0;
 
   // --- Typed request path -----------------------------------------------
-  // Default implementations wrap the legacy methods and translate a
-  // thrown hw::MediaError into OpStatus::kMediaError. A MediaError while
-  // the platform is frozen (an armed read-fault campaign: the machine
-  // check killed the "process") is rethrown — containment there would
-  // fake surviving a crash. crashmc::CrashPointHit always propagates.
-  // The sharded frontend overrides these with replication, health
-  // tracking, bounded retry and deadline budgets.
+  // Default implementations run the untyped methods under contain_media
+  // (below): a MediaError becomes OpStatus::kMediaError unless the
+  // platform is frozen. crashmc::CrashPointHit always propagates. The
+  // sharded frontend overrides these with replication, health tracking,
+  // bounded retry and deadline budgets.
   virtual OpResult try_put(sim::ThreadCtx& ctx, std::string_view key,
                            std::string_view value);
   virtual OpResult try_get(sim::ThreadCtx& ctx, std::string_view key,
@@ -161,6 +159,29 @@ class StoreIface {
   // return MediaFault (a reported total loss).
   virtual Status repair_media(sim::ThreadCtx& ctx) { return check(ctx); }
 };
+
+// The one containment rule of the typed path: run fn(r) on `store` and
+// turn a thrown hw::MediaError into r.status = kMediaError — unless the
+// platform froze (armed read-fault campaign: the machine check was
+// fatal), in which case the exception keeps propagating like the
+// process death it models.
+template <typename Fn>
+OpResult contain_media(const StoreIface& store, Fn&& fn) {
+  OpResult r;
+  try {
+    fn(r);
+  } catch (const hw::MediaError&) {
+    const hw::Platform* p = store.platform_of();
+    if (p != nullptr && p->frozen()) throw;
+    r.status = OpStatus::kMediaError;
+  }
+  return r;
+}
+
+// Writes `store` has applied but not yet acknowledged durable: records
+// in an open lsmkv group-commit window (Db::pending_records), summed over
+// a frontend's shards. 0 for every store that commits at return.
+std::size_t unacked_writes(const StoreIface& store);
 
 // One adapter per family, configured by the family's own options (a
 // verification harness pins WAL mode, memtable size or checksums here).

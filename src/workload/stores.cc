@@ -10,6 +10,7 @@
 #include "pmemkv/cmap.h"
 #include "pmemkv/stree.h"
 #include "pmemlib/pool.h"
+#include "workload/shard.h"
 
 namespace xp::workload {
 
@@ -44,27 +45,6 @@ void StoreIface::apply_batch(sim::ThreadCtx& ctx,
   }
   flush_pending(ctx);
 }
-
-namespace {
-
-// Shared translation for the default try_* wrappers: run `fn`, contain a
-// thrown hw::MediaError as a typed status — unless the platform froze
-// (armed read-fault campaign: the machine check was fatal), in which
-// case the exception keeps propagating like the process death it models.
-template <typename Fn>
-OpResult contain_media(const StoreIface& store, Fn&& fn) {
-  OpResult r;
-  try {
-    fn(r);
-  } catch (const hw::MediaError&) {
-    const hw::Platform* p = store.platform_of();
-    if (p != nullptr && p->frozen()) throw;
-    r.status = OpStatus::kMediaError;
-  }
-  return r;
-}
-
-}  // namespace
 
 OpResult StoreIface::try_put(sim::ThreadCtx& ctx, std::string_view key,
                              std::string_view value) {
@@ -146,6 +126,7 @@ class LsmkvStore final : public StoreIface {
     db_.put_batch(ctx, recs);
   }
   void flush_pending(sim::ThreadCtx& ctx) override { db_.commit_pending(ctx); }
+  std::size_t pending_records() const { return db_.pending_records(); }
   bool background_turn(sim::ThreadCtx& ctx) override {
     return db_.background_work(ctx);
   }
@@ -346,6 +327,16 @@ std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
 std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
                                        const nova::NovaOptions& opts) {
   return std::make_unique<NovaStore>(ns, opts);
+}
+
+std::size_t unacked_writes(const StoreIface& store) {
+  if (const auto* f = dynamic_cast<const ShardedStore*>(&store)) {
+    std::size_t n = 0;
+    for (unsigned i = 0; i < f->shards(); ++i) n += unacked_writes(f->shard(i));
+    return n;
+  }
+  const auto* lsm = dynamic_cast<const LsmkvStore*>(&store);
+  return lsm != nullptr ? lsm->pending_records() : 0;
 }
 
 std::unique_ptr<StoreIface> make_store(StoreKind kind, hw::PmemNamespace& ns,

@@ -233,6 +233,26 @@ TEST(Engine, AllFourFamiliesRunEveryWorkload) {
   }
 }
 
+// Fewer ops than threads: threads with no share stay idle and the run
+// returns after exactly spec.ops ops, the background thread included.
+TEST(Engine, FewerOpsThanThreadsRunsExactlySpecOps) {
+  for (const std::uint64_t ops : {2u, 0u}) {
+    hw::Platform platform;
+    auto& ns = platform.optane(16ull << 20);
+    auto store = workload::make_store(workload::StoreKind::kCmap, ns, {});
+    workload::Spec spec = workload::ycsb('A');
+    spec.records = 50;
+    spec.ops = ops;
+    sim::ThreadCtx setup = make_thread(100);
+    store->create(setup);
+    workload::load(*store, spec, setup);
+    const auto r = workload::run(
+        *store, spec, {.threads = 4, .background_thread = true});
+    EXPECT_EQ(r.ops, ops);
+    EXPECT_EQ(r.reads + r.updates, ops);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Adapter timing neutrality: driving lsmkv through its StoreIface
 // adapter must be telemetry-identical to driving the Db directly with
@@ -864,6 +884,80 @@ TEST(Resilience, ReplicatedScanMatchesModelExactly) {
     expect_exact(workload::key_name(50), n);
   }
   EXPECT_GT(store.resilience().failover_reads, 0u);
+}
+
+// A scan that reads poisoned media through the frontend. The lsmkv
+// stores keep their data in SSTables (2 KiB memtable), and every scan
+// below reads whole stores, so it meets the poison planted under live
+// data on store 0.
+struct PoisonedScanRig {
+  hw::Platform platform;
+  std::vector<hw::PmemNamespace*> ns;
+  std::unique_ptr<workload::ShardedStore> store;
+  std::map<std::string, std::string> model;
+  sim::ThreadCtx t = make_thread();
+
+  PoisonedScanRig(unsigned shards, unsigned replicas) {
+    ns = workload::ShardedStore::make_namespaces(platform, shards,
+                                                 16ull << 20);
+    workload::ShardOptions so;
+    so.kind = workload::StoreKind::kLsmkv;
+    so.replicas = replicas;
+    so.tuning.memtable_bytes = 2 << 10;
+    store = std::make_unique<workload::ShardedStore>(ns, so);
+    store->create(t);
+    for (int i = 0; i < 160; ++i) {
+      const std::string k = workload::key_name(i);
+      model[k] = workload::make_value(i, 0, 64);
+      EXPECT_TRUE(store->try_put(t, k, model[k]).ok()) << k;
+    }
+    store->flush_pending(t);
+  }
+
+  workload::OpResult scan_all(
+      std::vector<std::pair<std::string, std::string>>* rows) {
+    return store->try_scan(t, "", model.size() + 1, rows);
+  }
+};
+
+TEST(Resilience, PoisonedScanWithoutReplicationIsTyped) {
+  PoisonedScanRig rig(/*shards=*/2, /*replicas=*/1);
+  ASSERT_GT(
+      hw::FaultInjector(rig.platform).poison_live(*rig.ns[0], 24, /*stride=*/3),
+      0u);
+  std::vector<std::pair<std::string, std::string>> rows;
+  workload::OpResult r;
+  ASSERT_NO_THROW(r = rig.scan_all(&rows));
+  EXPECT_EQ(r.status, workload::OpStatus::kMediaError);
+  EXPECT_NE(rig.store->health(0), workload::ShardHealth::kHealthy);
+  EXPECT_EQ(rig.store->health(1), workload::ShardHealth::kHealthy);
+  EXPECT_GE(rig.store->resilience().media_errors, 1u);
+}
+
+TEST(Resilience, PoisonedScanFailsOverToReplica) {
+  PoisonedScanRig rig(/*shards=*/3, /*replicas=*/2);
+  ASSERT_GT(
+      hw::FaultInjector(rig.platform).poison_live(*rig.ns[0], 24, /*stride=*/3),
+      0u);
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(rig.scan_all(&rows).ok());
+  const std::vector<std::pair<std::string, std::string>> want(
+      rig.model.begin(), rig.model.end());
+  EXPECT_EQ(rows, want);
+  EXPECT_GE(rig.store->resilience().media_errors, 1u);
+  EXPECT_GE(rig.store->resilience().failover_reads, 1u);
+  EXPECT_NE(rig.store->health(0), workload::ShardHealth::kHealthy);
+}
+
+// An armed read fault is a machine check that killed the process: the
+// frontend must not contain it.
+TEST(Resilience, ArmedReadFaultEscapesScan) {
+  PoisonedScanRig rig(/*shards=*/2, /*replicas=*/1);
+  hw::FaultInjector(rig.platform).arm_nth_device_read(1);
+  std::vector<std::pair<std::string, std::string>> rows;
+  EXPECT_THROW(rig.scan_all(&rows), hw::MediaError);
+  EXPECT_TRUE(rig.platform.frozen());
+  EXPECT_EQ(rig.store->resilience().media_errors, 0u);
 }
 
 // Degraded-mode service: with one of four shards quarantined for the
