@@ -431,15 +431,14 @@ Row run_novafs_read(const Cfg& c) {
   return r;
 }
 
-// pmemkv cmap / stree point gets over a super-XPBuffer key population.
+// pmemkv point gets over a super-XPBuffer key population: stree's
+// whole-leaf staging with a line cache, cmap's plain chain walk.
 Row run_pmemkv_read(const Cfg& c) {
   Row r;
-  r.store = c.store == Store::kStree ? "stree" : "cmap";
-  char name[96];
-  std::snprintf(name, sizeof name, "get-%s-cache%zu",
-                c.optimized ? "combined" : "stock",
-                c.optimized ? c.cache_lines : 0);
-  r.name = name;
+  const bool stree = c.store == Store::kStree;
+  r.store = stree ? "stree" : "cmap";
+  r.name = stree ? "get-combined-cache" + std::to_string(c.cache_lines)
+                 : "get-stock-cache0";
 
   hw::Platform platform(small_llc_timing(), /*seed=*/1);
   auto& ns = platform.optane(256ull << 20);
@@ -469,17 +468,13 @@ Row run_pmemkv_read(const Cfg& c) {
     fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
                   t.now() - t0);
   };
-  if (c.store == Store::kStree) {
+  if (stree) {
     pmemkv::STreeOptions o;
-    o.read_combine = c.optimized;
-    o.read_cache_lines = c.optimized ? c.cache_lines : 0;
+    o.read_cache_lines = c.cache_lines;
     pmemkv::STree tree(pool, o);
     bench(tree);
   } else {
-    pmemkv::CMapOptions o;
-    o.read_combine = c.optimized;
-    o.read_cache_lines = c.optimized ? c.cache_lines : 0;
-    pmemkv::CMap map(pool, o);
+    pmemkv::CMap map(pool);
     bench(map);
   }
   return r;
@@ -609,8 +604,9 @@ int main(int argc, char** argv) {
   grid.add({.store = Store::kPmemkv, .threads = kv_threads,
             .placement = pmemkv::Placement::kNumaLocal});
 
-  // Read grid (§5.1): stock vs combined+cached point reads per store,
-  // plus a read-amplification sweep over the lsmkv cache capacity.
+  // Read grid (§5.1): stock vs combined+cached point reads for lsmkv
+  // and novafs, each pmemkv store's one read path, plus a read-
+  // amplification sweep over the lsmkv cache capacity.
   // Identical in mini and full runs — the read benches are single-
   // threaded and cheap, and the CI headline floor (>= 2x point gets)
   // gates the same regime either way.
@@ -629,9 +625,8 @@ int main(int argc, char** argv) {
               .rounds = read_rounds, .fs_ops = 400});
   const int kv_read_keys = 1500;
   for (Store st : {Store::kPmemkv, Store::kStree})
-    for (bool opt : {false, true})
-      grid.add({.store = st, .optimized = opt, .read = true,
-                .rounds = read_rounds + 1, .records = kv_read_keys});
+    grid.add({.store = st, .read = true, .rounds = read_rounds + 1,
+              .records = kv_read_keys});
 
   // Determinism guard: the whole grid serial, then parallel; the result
   // vectors must match bit for bit.

@@ -332,6 +332,7 @@ class KvTarget final : public Target {
   std::string name() const override { return w_.name; }
 
   hw::Platform& reset() override {
+    store_.reset();  // its read cache unhooks from the old namespaces
     platform_ = std::make_unique<hw::Platform>();
     ns_ = w_.store.make_namespaces(*platform_);
     store_ = w_.store.build(ns_);

@@ -53,8 +53,8 @@ struct DbOptions {
   // dribbling dependent 4-64 B loads. It also keeps the read-path
   // metadata resident in DRAM: the manifest plus every live SSTable's
   // bloom filter and offset array (built from bytes already in hand at
-  // flush/compaction, loaded once at open), so point gets stop
-  // re-loading ~10 KB of filter per table per lookup.
+  // flush/compaction, loaded at a recovered table's first probe), so
+  // point gets stop re-loading ~10 KB of filter per table per lookup.
   bool read_combine = false;
   // DRAM read-cache capacity in 256 B lines (0 = no cache; 4096 = 1 MiB).
   // The cache backs the LineReader, so it only takes effect together with

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <iterator>
 #include <map>
 
@@ -66,25 +67,15 @@ void Db::create(sim::ThreadCtx& ctx) {
     pskip_ = std::make_unique<PSkiplist>(pool_, m.pskiplist_root);
     pskip_->create(ctx);
   }
-  init_read_path(ctx, m, /*load_tables=*/false);
+  init_read_path(m);
 }
 
-void Db::init_read_path(sim::ThreadCtx& ctx, const Manifest& m,
-                        bool load_tables) {
+void Db::init_read_path(const Manifest& m) {
   residency_.clear();
   manifest_cache_.reset();
   pmem::reset_read_path(reader_, rcache_, pool_.ns(),
                         opts_.read_combine ? opts_.read_cache_lines : 0);
-  if (!opts_.read_combine) return;
-  manifest_cache_ = m;
-  if (load_tables) {
-    for (std::uint32_t i = 0; i < m.n_l0; ++i)
-      residency_.emplace(m.l0[i].off, SsTable::load_residency(
-                                          ctx, pool_.ns(), m.l0[i].off));
-    for (std::uint32_t i = 0; i < m.n_l1; ++i)
-      residency_.emplace(m.l1[i].off, SsTable::load_residency(
-                                          ctx, pool_.ns(), m.l1[i].off));
-  }
+  if (opts_.read_combine) manifest_cache_ = m;
 }
 
 void Db::prune_residency(const Manifest& m) {
@@ -107,11 +98,34 @@ FindResult Db::get_table(sim::ThreadCtx& ctx, std::uint64_t table_off,
   if (!opts_.read_combine)
     return SsTable::get(ctx, pool_.ns(), table_off, key, value,
                         &key_scratch_);
-  // open, flush and compaction give every live table a residency entry.
-  const auto it = residency_.find(table_off);
-  assert(it != residency_.end());
+  // Flush and compaction build a table's residency from the bytes they
+  // wrote; a table recovered by open() loads it at its first probe.
+  auto it = residency_.find(table_off);
+  if (it == residency_.end())
+    it = residency_
+             .emplace(table_off,
+                      SsTable::load_residency(ctx, pool_.ns(), table_off))
+             .first;
   return SsTable::get_ex(ctx, pool_.ns(), table_off, key, value, it->second,
                          reader_);
+}
+
+Db::Manifest Db::backup_manifest() {
+  Manifest m{};
+  pool_.ns().peek(kManifestBackupOff,
+                  std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(&m),
+                                          sizeof(m)));
+  return m;
+}
+
+bool Db::heal_manifest(sim::ThreadCtx& ctx, const Manifest& m) {
+  const std::vector<std::uint64_t> bad =
+      pool_.ns().platform().ars(pool_.ns(), root_off_, sizeof(Manifest));
+  if (bad.empty()) return false;
+  for (const std::uint64_t line : bad) pool_.scrub_line(ctx, line);
+  pmem::store_persist_pod(ctx, pool_.ns(), root_off_, m);
+  recovery_.manifest_restored = true;
+  return true;
 }
 
 bool Db::open(sim::ThreadCtx& ctx) {
@@ -126,25 +140,21 @@ bool Db::open(sim::ThreadCtx& ctx) {
     // the damage and rewrite the primary. The backup always holds a
     // committed manifest (it is mirrored inside store_manifest, whose
     // primary write is transactional).
-    pool_.ns().peek(kManifestBackupOff,
-                    std::span<std::uint8_t>(
-                        reinterpret_cast<std::uint8_t*>(&m), sizeof(m)));
+    m = backup_manifest();
     if (m.wal_mode > static_cast<std::uint32_t>(WalMode::kFlex) ||
         m.n_l0 > kMaxL0 || m.n_l1 > kMaxL1)
       return false;  // backup is not a manifest either
-    for (const std::uint64_t bad : pool_.ns().platform().ars(
-             pool_.ns(), root_off_, sizeof(Manifest)))
-      pool_.scrub_line(ctx, bad);
-    pmem::store_persist_pod(ctx, pool_.ns(), root_off_, m);
-    recovery_.manifest_restored = true;
-    recovery_.detail = "manifest restored from backup copy";
+    if (heal_manifest(ctx, m))
+      recovery_.detail = "manifest restored from backup copy";
   }
   opts_.wal = static_cast<WalMode>(m.wal_mode);
   opts_.memtable = static_cast<MemtableMode>(m.memtable_mode);
   opts_.wal_checksum = (m.flags & 1u) != 0;
-  // One-time residency load for the recovered table set (a flush during
-  // WAL replay keeps it current through store_manifest/flush).
-  init_read_path(ctx, m, /*load_tables=*/true);
+  // open() reads no SSTable: recovered tables load their residency at
+  // their first probe (get_table), so a damaged one is left to
+  // check()/repair(). A flush during WAL replay keeps the mirror current
+  // through store_manifest.
+  init_read_path(m);
   // The deferred-compaction flag is volatile; re-derive the debt from the
   // recovered manifest so a crash between schedule and merge is harmless.
   compaction_pending_ =
@@ -331,7 +341,13 @@ Status Db::check(sim::ThreadCtx& ctx) {
 }
 
 std::string Db::check_impl(sim::ThreadCtx& ctx) {
-  const Manifest m = load_manifest(ctx);
+  // Judge the primary on PM even under read_combine: a poisoned line
+  // throws (MediaFault), and a primary that no longer matches the DRAM
+  // mirror the lookups use has lost committed state.
+  const Manifest m = pool_.ns().load_pod<Manifest>(ctx, root_off_);
+  if (manifest_cache_.has_value() &&
+      std::memcmp(&m, &*manifest_cache_, sizeof(Manifest)) != 0)
+    return "manifest: primary differs from its DRAM mirror";
   if (m.wal_mode > static_cast<std::uint32_t>(WalMode::kNone))
     return "manifest: bad wal_mode " + std::to_string(m.wal_mode);
   if (m.memtable_mode > static_cast<std::uint32_t>(MemtableMode::kPersistent))
@@ -378,6 +394,13 @@ std::string Db::check_impl(sim::ThreadCtx& ctx) {
 }
 
 void Db::repair(sim::ThreadCtx& ctx) {
+  // Heal a poisoned primary manifest first, from a committed copy (the
+  // DRAM mirror under read_combine, else the backup slot): the
+  // quarantine transaction below snapshots the primary, and
+  // pool_.repair() would zero its poisoned lines into a manifest that
+  // open() parses without error.
+  if (heal_manifest(ctx, manifest_cache_.value_or(backup_manifest())))
+    recovery_.detail = "primary manifest rewritten";
   Manifest m = load_manifest(ctx);
   Manifest out = m;
   out.n_l0 = 0;

@@ -66,8 +66,9 @@ class Db {
   };
   const RecoveryInfo& recovery() const { return recovery_; }
 
-  // Verify every referenced SSTable's content checksum; quarantine (drop
-  // from the manifest, transactionally) any that fail, then scrub all
+  // Rewrite a poisoned primary manifest from a committed copy, verify
+  // every referenced SSTable's content checksum; quarantine (drop from
+  // the manifest, transactionally) any that fail, then scrub all
   // remaining poison in the namespace. Quarantined data is gone — the
   // point is that reads after repair() never return garbage for it.
   void repair(sim::ThreadCtx& ctx);
@@ -100,8 +101,9 @@ class Db {
   bool compaction_pending() const { return compaction_pending_; }
 
   // Recovery invariants (crashmc checker entry point). Call after open():
-  // validates pool metadata, the manifest (modes, run counts, table refs
-  // inside the allocated heap) and that every referenced SSTable passes
+  // validates pool metadata, the primary manifest on PM (equal to the
+  // DRAM mirror under read_combine; modes, run counts, table refs inside
+  // the allocated heap) and that every referenced SSTable passes
   // its content checksum and is iterable with strictly increasing keys.
   Status check(sim::ThreadCtx& ctx);
 
@@ -149,13 +151,17 @@ class Db {
   void compact(sim::ThreadCtx& ctx, Manifest m);
   Manifest load_manifest(sim::ThreadCtx& ctx);
   void store_manifest(sim::ThreadCtx& ctx, pmem::Tx& tx, const Manifest& m);
+  Manifest backup_manifest();
+  // Scrub the primary manifest's poisoned lines and rewrite it from `m`
+  // (open(): the backup copy; repair(): a committed copy). Returns false,
+  // writing nothing, when no line of the primary is poisoned.
+  bool heal_manifest(sim::ThreadCtx& ctx, const Manifest& m);
 
   // ---- read path (DbOptions::read_combine) ------------------------------
   // Construct the per-open read-path state: the DRAM read cache (if
-  // configured), the manifest mirror and the residency for every table
-  // referenced by `m`. No-op with read_combine off.
-  void init_read_path(sim::ThreadCtx& ctx, const Manifest& m,
-                      bool load_tables);
+  // configured), the manifest mirror `m` and an empty residency map.
+  // No-op with read_combine off.
+  void init_read_path(const Manifest& m);
   // Drop residency entries for tables no longer in `m` (post-compaction /
   // repair) and the reader's staged span.
   void prune_residency(const Manifest& m);

@@ -34,42 +34,16 @@ void CMap::create(sim::ThreadCtx& ctx) {
     pool_.ns().ntstore(ctx, table_ + p, zeros);
   pool_.ns().sfence(ctx);
   pmem::store_persist_pod(ctx, pool_.ns(), pool_.root(ctx), table_);
-  init_read_path();
 }
 
 void CMap::open(sim::ThreadCtx& ctx) {
   table_ = pool_.ns().load_pod<std::uint64_t>(ctx, pool_.root(ctx));
-  init_read_path();
-}
-
-void CMap::init_read_path() {
-  pmem::reset_read_path(reader_, rcache_, pool_.ns(),
-                        opts_.read_combine ? opts_.read_cache_lines : 0);
 }
 
 CMap::Located CMap::locate(sim::ThreadCtx& ctx, std::string_view key) {
   auto& ns = pool_.ns();
   const std::uint64_t h = hash(key);
   std::uint64_t link = bucket_off(h);
-  if (opts_.read_combine) {
-    // Combined walk (§5.1): each hop fetches the node's header + expected
-    // key as one line burst and compares the key in place — no per-probe
-    // heap string, and hot lines come from the DRAM cache.
-    std::uint64_t node = reader_.fetch_pod<std::uint64_t>(ctx, ns, link);
-    while (node != 0) {
-      const auto hd = reader_.fetch_pod<NodeHeader>(
-          ctx, ns, node, sizeof(NodeHeader) + key.size());
-      if (hd.klen == key.size()) {
-        const std::uint8_t* kb =
-            reader_.fetch(ctx, ns, node + sizeof(NodeHeader), hd.klen);
-        if (hd.klen == 0 || std::memcmp(kb, key.data(), hd.klen) == 0)
-          return {node, link, hd};
-      }
-      link = node + offsetof(NodeHeader, next);
-      node = hd.next;
-    }
-    return {0, link, {}};
-  }
   std::uint64_t node = ns.load_pod<std::uint64_t>(ctx, link);
   while (node != 0) {
     const auto hd = ns.load_pod<NodeHeader>(ctx, node);
@@ -100,7 +74,6 @@ void CMap::put(sim::ThreadCtx& ctx, std::string_view key,
                        reinterpret_cast<const std::uint8_t*>(value.data()),
                        value.size()));
     ns.sfence(ctx);
-    reader_.discard();  // the staged span may overlap the updated value
     return;
   }
 
@@ -128,7 +101,6 @@ void CMap::put(sim::ThreadCtx& ctx, std::string_view key,
     pool_.tx_free(tx, loc.node,
                   sizeof(NodeHeader) + loc.header.klen + loc.header.vlen);
   tx.commit();
-  reader_.discard();  // the staged span may overlap the mutated chain
 }
 
 bool CMap::get(sim::ThreadCtx& ctx, std::string_view key,
@@ -139,15 +111,10 @@ bool CMap::get(sim::ThreadCtx& ctx, std::string_view key,
   if (loc.node == 0) return false;
   if (value != nullptr) {
     value->resize(loc.header.vlen);
-    std::span<std::uint8_t> out(
-        reinterpret_cast<std::uint8_t*>(value->data()), loc.header.vlen);
-    const std::uint64_t voff =
-        loc.node + sizeof(NodeHeader) + loc.header.klen;
-    if (opts_.read_combine) {
-      reader_.read(ctx, ns, voff, out);
-    } else {
-      ns.load(ctx, voff, out);
-    }
+    ns.load(ctx, loc.node + sizeof(NodeHeader) + loc.header.klen,
+            std::span<std::uint8_t>(
+                reinterpret_cast<std::uint8_t*>(value->data()),
+                loc.header.vlen));
   }
   return true;
 }
@@ -164,7 +131,6 @@ bool CMap::remove(sim::ThreadCtx& ctx, std::string_view key) {
   pool_.tx_free(tx, loc.node,
                 sizeof(NodeHeader) + loc.header.klen + loc.header.vlen);
   tx.commit();
-  reader_.discard();  // the staged span may overlap the unlinked node
   return true;
 }
 
@@ -222,7 +188,6 @@ void CMap::repair(sim::ThreadCtx& ctx) {
   }
   // Only now is it safe to zero the bad lines — nothing references them.
   for (const std::uint64_t l : bad) pool_.scrub_line(ctx, l);
-  reader_.discard();  // splices/scrubs rewrote lines the span may cover
 }
 
 std::string CMap::check_impl(sim::ThreadCtx& ctx) {

@@ -8,11 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 
-#include "pmemlib/linereader.h"
 #include "pmemlib/pool.h"
 #include "sim/status.h"
 
@@ -30,25 +28,14 @@ inline unsigned placement_socket(Placement p, unsigned server_socket,
   return p == Placement::kNumaLocal ? server_socket : fixed_socket;
 }
 
-struct CMapOptions {
-  // ---- Read path (§5.1), both off by default so the stock read behavior
-  // ---- and timing are unchanged -----------------------------------------
-  // XPLine-granular read combining: the bucket-chain walk fetches each
-  // node's header + key as one line-aligned burst through a
-  // pmem::LineReader instead of two dependent sub-64 B loads.
-  bool read_combine = false;
-  // DRAM read-cache capacity in 256 B lines (0 = no cache; 4096 = 1 MiB).
-  // Backs the LineReader — effective only with read_combine — so hot
-  // bucket-table lines and chain nodes are re-served from DRAM.
-  std::size_t read_cache_lines = 0;
-};
+// No options: the type selects the cmap family in StoreDesc/make_store.
+struct CMapOptions {};
 
 class CMap {
  public:
   static constexpr std::uint32_t kBuckets = 1 << 16;
 
-  explicit CMap(pmem::Pool& pool, CMapOptions opts = {})
-      : pool_(pool), opts_(opts) {}
+  explicit CMap(pmem::Pool& pool) : pool_(pool) {}
 
   // Allocate the bucket array (root object must hold >= 8 bytes; the
   // bucket table is referenced from it).
@@ -111,17 +98,10 @@ class CMap {
   };
   Located locate(sim::ThreadCtx& ctx, std::string_view key);
   std::string check_impl(sim::ThreadCtx& ctx);
-  // Per-create/open read-path state (pmem::reset_read_path); the line
-  // cache is built only under read_combine.
-  void init_read_path();
 
   pmem::Pool& pool_;
-  CMapOptions opts_;
   std::uint64_t table_ = 0;
   RecoveryInfo recovery_;
-  // ---- read-path state (CMapOptions::read_combine), idle when off --------
-  std::unique_ptr<pmem::ReadCache> rcache_;
-  pmem::LineReader reader_;
 };
 
 }  // namespace xp::pmemkv

@@ -26,36 +26,23 @@ T peek_pod(const hw::PmemNamespace& ns, std::uint64_t off) {
 
 STree::LeafHeader STree::read_header(sim::ThreadCtx& ctx,
                                      std::uint64_t leaf) {
-  // With read_combine the header fetch stages the whole leaf (header +
-  // all slots) as one line burst, so the slot scans that follow are pure
-  // DRAM slicing — the §5.1 "access whole XPLines" guideline.
-  if (opts_.read_combine)
-    return reader_.fetch_pod<LeafHeader>(ctx, pool_.ns(), leaf, kLeafSize);
-  return pool_.ns().load_pod<LeafHeader>(ctx, leaf);
+  // The header fetch stages the whole leaf (header + all slots) as one
+  // line burst, so the slot scans that follow are pure DRAM slicing — the
+  // §5.1 "access whole XPLines" guideline.
+  return reader_.fetch_pod<LeafHeader>(ctx, pool_.ns(), leaf, kLeafSize);
 }
 
 STree::Slot STree::read_slot(sim::ThreadCtx& ctx, std::uint64_t leaf,
                              unsigned i) {
-  if (opts_.read_combine)
-    return reader_.fetch_pod<Slot>(ctx, pool_.ns(), slot_off(leaf, i));
-  return pool_.ns().load_pod<Slot>(ctx, slot_off(leaf, i));
+  return reader_.fetch_pod<Slot>(ctx, pool_.ns(), slot_off(leaf, i));
 }
 
 std::string STree::read_value(sim::ThreadCtx& ctx, std::uint64_t val_off) {
-  if (opts_.read_combine) {
-    const auto len = reader_.fetch_pod<std::uint32_t>(ctx, pool_.ns(),
-                                                      val_off);
-    std::string v(len, '\0');
-    reader_.read(ctx, pool_.ns(), val_off + 4,
-                 std::span<std::uint8_t>(
-                     reinterpret_cast<std::uint8_t*>(v.data()), len));
-    return v;
-  }
-  const auto len = pool_.ns().load_pod<std::uint32_t>(ctx, val_off);
+  const auto len = reader_.fetch_pod<std::uint32_t>(ctx, pool_.ns(), val_off);
   std::string v(len, '\0');
-  pool_.ns().load(ctx, val_off + 4,
-                  std::span<std::uint8_t>(
-                      reinterpret_cast<std::uint8_t*>(v.data()), len));
+  reader_.read(ctx, pool_.ns(), val_off + 4,
+               std::span<std::uint8_t>(
+                   reinterpret_cast<std::uint8_t*>(v.data()), len));
   return v;
 }
 
@@ -83,8 +70,7 @@ void STree::create(sim::ThreadCtx& ctx) {
 }
 
 void STree::init_read_path() {
-  pmem::reset_read_path(reader_, rcache_, pool_.ns(),
-                        opts_.read_combine ? opts_.read_cache_lines : 0);
+  pmem::reset_read_path(reader_, rcache_, pool_.ns(), opts_.read_cache_lines);
 }
 
 void STree::open(sim::ThreadCtx& ctx) {

@@ -33,16 +33,9 @@
 namespace xp::pmemkv {
 
 struct STreeOptions {
-  // ---- Read path (§5.1), both off by default so the stock read behavior
-  // ---- and timing are unchanged -----------------------------------------
-  // XPLine-granular read combining: the first touch of a leaf stages the
-  // whole node as one line-aligned burst through a pmem::LineReader, so
-  // the slot scan and value reads slice DRAM instead of issuing a 40 B
-  // load per slot.
-  bool read_combine = false;
-  // DRAM read-cache capacity in 256 B lines (0 = no cache; 4096 = 1 MiB).
-  // Backs the LineReader — effective only with read_combine — so hot
-  // leaves are re-served from DRAM with no DIMM traffic.
+  // DRAM read-cache capacity in 256 B lines (0 = no cache; 4096 = 1 MiB)
+  // behind the leaf-staging LineReader, so hot leaves are re-served from
+  // DRAM with no DIMM traffic.
   std::size_t read_cache_lines = 0;
 };
 
@@ -131,8 +124,7 @@ class STree {
 
   void index_leaf(sim::ThreadCtx& ctx, std::uint64_t leaf);
   std::string check_impl(sim::ThreadCtx& ctx);
-  // Per-create/open read-path state (pmem::reset_read_path); the line
-  // cache is built only under read_combine.
+  // Per-create/open read-path state (pmem::reset_read_path).
   void init_read_path();
 
   pmem::Pool& pool_;
@@ -141,7 +133,10 @@ class STree {
   // DRAM inner index: smallest key in leaf -> leaf offset.
   std::map<std::string, std::uint64_t> index_;
   RecoveryInfo recovery_;
-  // ---- read-path state (STreeOptions::read_combine), idle when off -------
+  // ---- read-path state ---------------------------------------------------
+  // The first touch of a leaf stages the whole node as one line-aligned
+  // burst (§5.1), so slot scans and value reads slice DRAM instead of
+  // issuing a 40 B load per slot.
   std::unique_ptr<pmem::ReadCache> rcache_;
   pmem::LineReader reader_;
 };

@@ -382,6 +382,7 @@ class KvTarget final : public WorkerTarget {
   const char* name() const override { return mix_.name; }
 
   void reset() override {
+    store_.reset();  // its read cache unhooks from the old namespaces
     platform_ = std::make_unique<hw::Platform>();
     ns_ = mix_.store.make_namespaces(*platform_);
     store_ = mix_.store.build(ns_);

@@ -149,8 +149,8 @@ class LsmkvStore final : public StoreIface {
 
 class CMapStore final : public StoreIface {
  public:
-  CMapStore(hw::PmemNamespace& ns, const pmemkv::CMapOptions& o)
-      : ns_(ns), pool_(ns), map_(pool_, o) {}
+  explicit CMapStore(hw::PmemNamespace& ns)
+      : ns_(ns), pool_(ns), map_(pool_) {}
 
   const char* name() const override { return "cmap"; }
   StoreKind kind() const override { return StoreKind::kCmap; }
@@ -317,8 +317,8 @@ std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
   return std::make_unique<LsmkvStore>(ns, opts);
 }
 std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
-                                       const pmemkv::CMapOptions& opts) {
-  return std::make_unique<CMapStore>(ns, opts);
+                                       const pmemkv::CMapOptions&) {
+  return std::make_unique<CMapStore>(ns);
 }
 std::unique_ptr<StoreIface> make_store(hw::PmemNamespace& ns,
                                        const pmemkv::STreeOptions& opts) {
@@ -356,16 +356,11 @@ std::unique_ptr<StoreIface> make_store(StoreKind kind, hw::PmemNamespace& ns,
       o.background_compaction = t.background_compaction;
       return make_store(ns, o);
     }
-    case StoreKind::kCmap: {
-      pmemkv::CMapOptions o;
-      o.read_combine = t.read_path;
-      o.read_cache_lines = cache_lines;
-      return make_store(ns, o);
-    }
+    case StoreKind::kCmap:
+      return make_store(ns, pmemkv::CMapOptions{});
     case StoreKind::kStree: {
       pmemkv::STreeOptions o;
-      o.read_combine = t.read_path;
-      o.read_cache_lines = cache_lines;
+      o.read_cache_lines = t.read_cache_lines;
       return make_store(ns, o);
     }
     case StoreKind::kNova: {

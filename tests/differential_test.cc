@@ -265,7 +265,6 @@ INSTANTIATE_TEST_SUITE_P(
         DiffCfg{"lsmkv-replicated", workload::StoreKind::kLsmkv, lsmkv_full(),
                 3, 2},
         DiffCfg{"cmap-stock", workload::StoreKind::kCmap},
-        DiffCfg{"cmap-knobs", workload::StoreKind::kCmap, knobs_on()},
         DiffCfg{"stree-stock", workload::StoreKind::kStree},
         DiffCfg{"stree-knobs", workload::StoreKind::kStree, knobs_on()},
         DiffCfg{"stree-sharded", workload::StoreKind::kStree, knobs_on(), 2},

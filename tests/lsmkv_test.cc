@@ -3,6 +3,7 @@
 // recovery and the Fig 8 strategy-inversion shape.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -433,6 +434,108 @@ INSTANTIATE_TEST_SUITE_P(
         DbParam{WalMode::kFlex, MemtableMode::kVolatile, "flex"},
         DbParam{WalMode::kNone, MemtableMode::kPersistent, "pskip"}),
     [](const auto& info) { return info.param.name; });
+
+// open() must not read SSTables. A table whose header line an ARS scrub
+// zeroed (the heal for a poisoned line) is still in the manifest: open()
+// succeeds, check() reports it, and repair() quarantines just that table.
+// Also on the read path (read_combine), where a recovered table loads its
+// residency at its first probe.
+TEST(DbRepair, ZeroedTableHeaderOpensAndRepairQuarantinesIt) {
+  for (const bool read_combine : {false, true}) {
+    SCOPED_TRACE(read_combine ? "read_combine" : "stock");
+    Platform platform;
+    PmemNamespace& ns = platform.optane(64 << 20);
+    ThreadCtx t = make_thread();
+    DbOptions o;
+    o.memtable_bytes = 4 << 10;
+    o.l0_compaction_trigger = 8;  // no merge: each flush stays its own table
+    o.wal_capacity = 1 << 20;
+    o.read_combine = read_combine;
+    const int n = 200;
+    {
+      Db db(ns, o);
+      db.create(t);
+      for (int i = 0; i < n; ++i) db.put(t, key_of(i), value_of(i));
+      db.flush(t);
+    }
+
+    std::vector<std::uint8_t> image(4 << 20);
+    ns.peek(0, image);
+    std::uint64_t header = 0;
+    for (std::uint64_t off = 0; off + 8 <= image.size(); off += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, image.data() + off, 8);
+      if (word == SsTable::kMagic) {
+        header = off;
+        break;
+      }
+    }
+    ASSERT_NE(header, 0u);
+    const std::uint64_t line =
+        header / Platform::kXpLineBytes * Platform::kXpLineBytes;
+    ns.poke(line, std::vector<std::uint8_t>(Platform::kXpLineBytes, 0));
+
+    Db db(ns, o);
+    ASSERT_TRUE(db.open(t));
+    EXPECT_FALSE(db.check(t).ok());
+    db.repair(t);
+    EXPECT_EQ(db.recovery().tables_quarantined.size(), 1u);
+    EXPECT_TRUE(db.check(t).ok());
+    int found = 0;
+    std::string v;
+    for (int i = 0; i < n; ++i) {
+      if (!db.get(t, key_of(i), &v)) continue;
+      EXPECT_EQ(v, value_of(i));
+      ++found;
+    }
+    EXPECT_GT(found, 0);
+    EXPECT_LT(found, n);
+  }
+}
+
+// A poisoned primary manifest line is reported by check() even when
+// lookups read the DRAM mirror (read_combine), and repair() rewrites the
+// primary from a committed copy before the namespace scrub would zero
+// it: after a crash every table is still reachable.
+TEST(DbRepair, PoisonedManifestIsReportedAndRewrittenByRepair) {
+  for (const bool read_combine : {false, true}) {
+    SCOPED_TRACE(read_combine ? "read_combine" : "stock");
+    Platform platform;
+    PmemNamespace& ns = platform.optane(64 << 20);
+    ThreadCtx t = make_thread();
+    DbOptions o;
+    o.memtable_bytes = 4 << 10;
+    o.l0_compaction_trigger = 8;
+    o.wal_capacity = 1 << 20;
+    o.read_combine = read_combine;
+    const int n = 200;
+    {
+      Db db(ns, o);
+      db.create(t);
+      for (int i = 0; i < n; ++i) db.put(t, key_of(i), value_of(i));
+      db.flush(t);
+      ASSERT_TRUE(db.check(t).ok());
+
+      platform.poison_line(ns, db.pool().root(t));
+      EXPECT_EQ(db.check(t).code(), ErrorCode::kMediaError);
+      db.repair(t);
+      EXPECT_TRUE(db.recovery().manifest_restored);
+      EXPECT_TRUE(db.recovery().tables_quarantined.empty());
+      EXPECT_TRUE(db.check(t).ok());
+    }
+    platform.crash();
+
+    Db db(ns, o);
+    ASSERT_TRUE(db.open(t));
+    EXPECT_FALSE(db.recovery().damaged());
+    EXPECT_TRUE(db.check(t).ok());
+    std::string v;
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(db.get(t, key_of(i), &v)) << i;
+      EXPECT_EQ(v, value_of(i));
+    }
+  }
+}
 
 // ---- Fig 8 anchor -------------------------------------------------------
 double set_throughput(hw::Device device, WalMode wal, MemtableMode mem) {

@@ -1,10 +1,11 @@
 // The shared read-combining layer (pmem::LineReader + pmem::ReadCache)
 // and its store deployments: lsmkv SSTable residency + combined probes,
-// novafs combined log replay and page reads, pmemkv cmap chain walks and
-// stree leaf staging. Includes the Effective Read Ratio (ERR = media read
-// bytes / iMC read bytes) regression gates: the combined paths must read
-// strictly fewer media bytes than the dribbling seed paths (§5.1), while
-// knobs-off runs stay bit-and-timing-identical and every per-DIMM byte
+// novafs combined log replay and page reads, and stree leaf staging.
+// Includes the Effective Read Ratio (ERR = media read bytes / iMC read
+// bytes) regression gates: the combined paths must read strictly fewer
+// media bytes than the dribbling seed paths (§5.1), the read cache must
+// change what a store reads from media but never what a get returns,
+// knobs-off runs stay bit-and-timing-identical, and every per-DIMM byte
 // conservation law keeps holding with the cache in play.
 #include <gtest/gtest.h>
 
@@ -353,8 +354,8 @@ std::vector<std::string> run_lsm_workload(Platform& platform,
   for (const auto& [k2, v2] : db.scan(t, key_of(100), 50))
     obs.push_back("scan:" + k2 + "=" + v2);
 
-  // Reopen: the on-path loads residency from PM (open-time bulk loads)
-  // and must serve the same data afterwards.
+  // Reopen: on the read path each recovered table loads its residency
+  // from PM at its first probe, and must serve the same data afterwards.
   kv::Db db2(ns, opts);
   EXPECT_TRUE(db2.open(t));
   for (int i = 0; i < 200; ++i) {
@@ -550,44 +551,15 @@ TEST(NovafsReadPath, CombinedReplayAndReadsLowerMediaReads) {
 
 // -------------------------------------------------------------- pmemkv ---
 
-TEST(CmapReadPath, OnOffResultsIdentical) {
-  auto run = [](bool on) {
-    Platform platform;
-    auto& ns = platform.optane(256 << 20);
-    ThreadCtx t = make_thread();
-    pmem::Pool pool(ns);
-    pool.create(t, 64);
-    pmemkv::CMapOptions o;
-    o.read_combine = on;
-    o.read_cache_lines = on ? 2048 : 0;
-    pmemkv::CMap map(pool, o);
-    map.create(t);
-    sim::Rng rng(42);
-    std::vector<std::string> obs;
-    std::string v;
-    for (int i = 0; i < 500; ++i)
-      map.put(t, "key" + std::to_string(i),
-              std::string(20 + i % 60, static_cast<char>('a' + i % 20)));
-    for (int i = 0; i < 500; i += 3) map.remove(t, "key" + std::to_string(i));
-    for (int i = 0; i < 800; ++i) {
-      const auto k = "key" + std::to_string(rng.uniform(600));
-      obs.push_back(map.get(t, k, &v) ? k + "=" + v : k + "=<miss>");
-    }
-    return obs;
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
 TEST(StreeReadPath, OnOffResultsIdentical) {
-  auto run = [](bool on) {
+  auto run = [](std::size_t cache_lines) {
     Platform platform;
     auto& ns = platform.optane(256 << 20);
     ThreadCtx t = make_thread();
     pmem::Pool pool(ns);
     pool.create(t, 64);
     pmemkv::STreeOptions o;
-    o.read_combine = on;
-    o.read_cache_lines = on ? 2048 : 0;
+    o.read_cache_lines = cache_lines;
     pmemkv::STree tree(pool, o);
     tree.create(t);
     sim::Rng rng(43);
@@ -603,7 +575,7 @@ TEST(StreeReadPath, OnOffResultsIdentical) {
     }
     for (const auto& [k, val] : tree.scan(t, "key2", 40))
       obs.push_back("scan:" + k + "=" + val);
-    // Reopen rebuilds the DRAM index (combined when on).
+    // Reopen rebuilds the DRAM index through the leaf-staging reader.
     pmemkv::STree tree2(pool, o);
     tree2.open(t);
     for (int i = 0; i < 100; ++i) {
@@ -613,68 +585,13 @@ TEST(StreeReadPath, OnOffResultsIdentical) {
     }
     return obs;
   };
-  EXPECT_EQ(run(false), run(true));
+  EXPECT_EQ(run(0), run(2048));
 }
 
-// The tentpole conservation claim: with the DRAM cache on, repeated hot
-// gets read STRICTLY fewer media bytes than the same gets without the
-// cache — and every per-DIMM byte-conservation law still holds, so the
-// savings are real, not an accounting artifact.
-TEST(CmapReadPath, CachedRunReadsStrictlyFewerMediaBytesPerDimm) {
-  auto measure = [](std::size_t cache_lines) {
-    hw::Timing cfg;
-    cfg.llc_lines = 256;  // 16 KB LLC < table lines + chain nodes touched
-    Platform platform(cfg, /*seed=*/1);
-    auto& ns = platform.optane(256 << 20);
-    ThreadCtx t = make_thread();
-    pmem::Pool pool(ns);
-    pool.create(t, 64);
-    pmemkv::CMapOptions o;
-    o.read_combine = true;
-    o.read_cache_lines = cache_lines;
-    pmemkv::CMap map(pool, o);
-    map.create(t);
-    // 1500 keys touch ~475 KB of bucket-table + chain lines: far beyond
-    // the aggregate XPBuffer capacity (6 DIMMs x 16 KB), so uncached
-    // repeat rounds must go back to the media.
-    for (int i = 0; i < 1500; ++i)
-      map.put(t, "key" + std::to_string(i), std::string(40, 'v'));
-
-    platform.reset_timing();
-    t.drain();
-    drain_xp_buffers(platform, t.now());
-    const auto s0 = telemetry::Snapshot::capture(platform);
-    std::string v;
-    for (int round = 0; round < 4; ++round)
-      for (int i = 0; i < 1500; ++i)
-        EXPECT_TRUE(map.get(t, "key" + std::to_string(i), &v));
-    t.drain();
-    drain_xp_buffers(platform, t.now());
-    const auto snap = telemetry::Snapshot::capture(platform);
-    const auto delta = snap - s0;
-
-    // Per-DIMM conservation (read laws) with the cache in play.
-    const hw::Timing& tm = platform.timing();
-    for (unsigned s = 0; s < snap.sockets(); ++s)
-      for (unsigned c = 0; c < snap.channels(); ++c) {
-        const hw::XpCounters& d = snap.xp[s][c].counters;
-        EXPECT_EQ(d.media_read_bytes,
-                  tm.xpline * (d.buffer_miss_reads + d.evictions_partial +
-                               d.wear_migrations))
-            << "dimm (" << s << "," << c << ")";
-        EXPECT_EQ(d.imc_read_bytes,
-                  tm.cacheline * (d.buffer_hit_reads + d.buffer_miss_reads))
-            << "dimm (" << s << "," << c << ")";
-      }
-    return delta.xp_total().media_read_bytes;
-  };
-
-  const std::uint64_t uncached = measure(0);
-  const std::uint64_t cached = measure(8192);
-  EXPECT_LT(cached, uncached);
-  EXPECT_GT(uncached, 0u);
-}
-
+// With the DRAM cache on, repeated hot gets read STRICTLY fewer media
+// bytes than the same gets without the cache — and every per-DIMM byte-
+// conservation law still holds, so the savings are real, not an
+// accounting artifact.
 TEST(StreeReadPath, HotLeafCachingCutsMediaReads) {
   auto measure = [](std::size_t cache_lines) {
     hw::Timing tm;
@@ -685,7 +602,6 @@ TEST(StreeReadPath, HotLeafCachingCutsMediaReads) {
     pmem::Pool pool(ns);
     pool.create(t, 64);
     pmemkv::STreeOptions o;
-    o.read_combine = true;
     o.read_cache_lines = cache_lines;
     pmemkv::STree tree(pool, o);
     tree.create(t);
@@ -697,7 +613,7 @@ TEST(StreeReadPath, HotLeafCachingCutsMediaReads) {
     platform.reset_timing();
     t.drain();
     drain_xp_buffers(platform, t.now());
-    const auto s0 = telemetry::Snapshot::capture(platform).xp_total();
+    const auto s0 = telemetry::Snapshot::capture(platform);
     std::string v;
     for (int round = 0; round < 4; ++round)
       for (int i = 0; i < 256; ++i) {
@@ -706,12 +622,26 @@ TEST(StreeReadPath, HotLeafCachingCutsMediaReads) {
       }
     t.drain();
     drain_xp_buffers(platform, t.now());
-    const auto d = telemetry::Snapshot::capture(platform).xp_total() - s0;
-    return d.media_read_bytes;
+    const auto snap = telemetry::Snapshot::capture(platform);
+
+    // Per-DIMM conservation (read laws) with the cache in play.
+    for (unsigned s = 0; s < snap.sockets(); ++s)
+      for (unsigned c = 0; c < snap.channels(); ++c) {
+        const hw::XpCounters& d = snap.xp[s][c].counters;
+        EXPECT_EQ(d.media_read_bytes,
+                  tm.xpline * (d.buffer_miss_reads + d.evictions_partial +
+                               d.wear_migrations))
+            << "dimm (" << s << "," << c << ")";
+        EXPECT_EQ(d.imc_read_bytes,
+                  tm.cacheline * (d.buffer_hit_reads + d.buffer_miss_reads))
+            << "dimm (" << s << "," << c << ")";
+      }
+    return (snap - s0).xp_total().media_read_bytes;
   };
   const auto uncached = measure(0);
   const auto cached = measure(8192);
   EXPECT_LT(cached, uncached);
+  EXPECT_GT(uncached, 0u);
 }
 
 TEST(PmemkvReadPath, KnobsOffTelemetryDeterministic) {
