@@ -354,15 +354,8 @@ int main(int argc, char** argv) {
                               : std::vector<char>{'A', 'B', 'C',
                                                   'D', 'E', 'F'};
   for (workload::StoreKind k : families)
-    for (char wl : workloads) {
-      // lsmkv range scans merge the memtable and every run, so E's 95%
-      // scan mix is ~O(records) per op there; a smaller population
-      // keeps the row meaningful without dominating the grid's runtime.
-      const bool heavy_scan = wl == 'E' && k == workload::StoreKind::kLsmkv;
-      grid.add({.kind = k, .wl = wl,
-                .records = heavy_scan ? recs / 4 : recs,
-                .ops = heavy_scan ? ops / 4 : ops});
-    }
+    for (char wl : workloads)
+      grid.add({.kind = k, .wl = wl, .records = recs, .ops = ops});
 
   // Headline rows (always present — CI gates on them).
   // 1) update-heavy scaling: A, knobs on, 8 threads, shards 1 vs 4.

@@ -297,34 +297,58 @@ bool Db::get(sim::ThreadCtx& ctx, std::string_view key, std::string* value) {
 std::vector<std::pair<std::string, std::string>> Db::scan(
     sim::ThreadCtx& ctx, std::string_view start_key,
     std::size_t max_results) {
-  // Newest source first; the first version of each key wins.
-  struct Version {
-    std::string value;
-    bool tombstone;
-  };
-  std::map<std::string, Version> merged;
-  auto absorb = [&](std::string_view k, std::string_view v, bool tomb) {
-    if (k < start_key) return;
-    merged.try_emplace(std::string(k), Version{std::string(v), tomb});
-  };
+  std::vector<std::pair<std::string, std::string>> out;
+  if (max_results == 0) return out;
 
+  // The memtable is the newest source, so each of its live rows wins its
+  // key: no row past its max_results-th live one can be returned.
+  std::vector<SsTable::Entry> mem;
+  std::size_t mem_live = 0;
+  auto take = [&](std::string_view k, std::string_view v, bool tomb) {
+    mem.push_back({std::string(k), std::string(v), tomb});
+    if (!tomb) ++mem_live;
+    return mem_live < max_results;
+  };
   if (opts_.memtable == MemtableMode::kPersistent) {
-    pskip_->for_each(ctx, absorb);
+    pskip_->for_each_from(ctx, start_key, take);
   } else {
-    memtable_.for_each([&](std::string_view k, std::string_view v,
-                           bool tomb) { absorb(k, v, tomb); });
+    memtable_.for_each_from(start_key, take);
     ctx.advance_by(kCpuMemtableOp);
   }
-  const Manifest m = load_manifest(ctx);
-  for (std::uint32_t i = m.n_l0; i-- > 0;)
-    SsTable::for_each(ctx, pool_.ns(), m.l0[i].off, absorb);
-  for (std::uint32_t i = m.n_l1; i-- > 0;)
-    SsTable::for_each(ctx, pool_.ns(), m.l1[i].off, absorb);
 
-  std::vector<std::pair<std::string, std::string>> out;
-  for (auto& [k, ver] : merged) {
-    if (out.size() >= max_results) break;
-    if (!ver.tombstone) out.emplace_back(k, std::move(ver.value));
+  // One cursor per run, newest first, each seeked to start_key.
+  const Manifest m = load_manifest(ctx);
+  std::vector<SsTable::Cursor> runs;
+  runs.reserve(m.n_l0 + m.n_l1);
+  for (std::uint32_t i = m.n_l0; i-- > 0;)
+    runs.emplace_back(ctx, pool_.ns(), m.l0[i].off, start_key);
+  for (std::uint32_t i = m.n_l1; i-- > 0;)
+    runs.emplace_back(ctx, pool_.ns(), m.l1[i].off, start_key);
+
+  // Merge (at most 1 + kMaxL0 + kMaxL1 sources, so a linear pick): the
+  // smallest key comes next, the newest source holding it wins, and every
+  // source at that key steps past it. Tombstones hide the key and do not
+  // count toward max_results.
+  std::size_t next_mem = 0;
+  std::string key;
+  while (true) {
+    const SsTable::Entry* mem_row =
+        next_mem < mem.size() ? &mem[next_mem] : nullptr;
+    const SsTable::Cursor* win = nullptr;
+    for (const SsTable::Cursor& c : runs)
+      if (c.valid() && (win == nullptr || c.key() < win->key())) win = &c;
+    if (mem_row == nullptr && win == nullptr) break;
+    if (mem_row != nullptr && (win == nullptr || mem_row->key <= win->key())) {
+      key = mem_row->key;
+      if (!mem_row->tombstone) out.emplace_back(key, mem_row->value);
+      ++next_mem;
+    } else {
+      key = win->key();
+      if (!win->tombstone()) out.emplace_back(key, win->value());
+    }
+    if (out.size() == max_results) break;
+    for (SsTable::Cursor& c : runs)
+      if (c.valid() && c.key() == key) c.next(ctx);
   }
   return out;
 }

@@ -109,8 +109,10 @@ class Db {
 
   // Range scan: up to `max_results` live key/value pairs with
   // key >= start_key, in key order, newest version winning and
-  // tombstones hidden. (Merges the memtable and every run; intended for
-  // moderate result counts.)
+  // tombstones hidden. Every source seeks to start_key (the memtable by
+  // lower bound, each run through an SsTable::Cursor) and the merge stops
+  // at the max_results-th live row, so a scan reads about what it
+  // returns, not the whole store.
   std::vector<std::pair<std::string, std::string>> scan(
       sim::ThreadCtx& ctx, std::string_view start_key,
       std::size_t max_results);

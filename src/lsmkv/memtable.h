@@ -31,7 +31,7 @@ class Memtable {
   FindResult get(sim::ThreadCtx& ctx, std::string_view key,
                  std::string* value) const {
     ctx.advance_by(kCpuMemtableOp);
-    auto it = map_.find(std::string(key));
+    auto it = map_.find(key);
     if (it == map_.end()) return FindResult::kNotFound;
     if (it->second.tombstone) return FindResult::kTombstone;
     if (value != nullptr) *value = it->second.data;
@@ -46,6 +46,14 @@ class Memtable {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const auto& [k, v] : map_) fn(k, v.data, v.tombstone);
+  }
+
+  // Sorted iteration from the first key >= start, until fn(key, value,
+  // tombstone) returns false.
+  template <typename Fn>
+  void for_each_from(std::string_view start, Fn&& fn) const {
+    for (auto it = map_.lower_bound(start); it != map_.end(); ++it)
+      if (!fn(it->first, it->second.data, it->second.tombstone)) return;
   }
 
   void clear() {

@@ -90,8 +90,7 @@ void PSkiplist::put(sim::ThreadCtx& ctx, std::string_view key,
   }
 }
 
-FindResult PSkiplist::get(sim::ThreadCtx& ctx, std::string_view key,
-                          std::string* value) {
+std::uint64_t PSkiplist::seek(sim::ThreadCtx& ctx, std::string_view key) {
   auto& ns = pool_.ns();
   std::uint64_t cur = head_;
   NodeHeader cur_h = ns.load_pod<NodeHeader>(ctx, cur);
@@ -105,7 +104,13 @@ FindResult PSkiplist::get(sim::ThreadCtx& ctx, std::string_view key,
       cur_h = nxt_h;
     }
   }
-  const std::uint64_t cand = cur_h.next[0];
+  return cur_h.next[0];
+}
+
+FindResult PSkiplist::get(sim::ThreadCtx& ctx, std::string_view key,
+                          std::string* value) {
+  auto& ns = pool_.ns();
+  const std::uint64_t cand = seek(ctx, key);
   if (cand == 0) return FindResult::kNotFound;
   const NodeHeader cand_h = ns.load_pod<NodeHeader>(ctx, cand);
   if (read_key(ctx, cand, cand_h) != key) return FindResult::kNotFound;
@@ -123,9 +128,22 @@ FindResult PSkiplist::get(sim::ThreadCtx& ctx, std::string_view key,
 void PSkiplist::for_each(
     sim::ThreadCtx& ctx,
     const std::function<void(std::string_view, std::string_view, bool)>& fn) {
+  for_each_from(ctx, "", [&](std::string_view k, std::string_view v,
+                             bool tomb) {
+    fn(k, v, tomb);
+    return true;
+  });
+}
+
+void PSkiplist::for_each_from(
+    sim::ThreadCtx& ctx, std::string_view start,
+    const std::function<bool(std::string_view, std::string_view, bool)>& fn) {
   auto& ns = pool_.ns();
-  const NodeHeader head_h = ns.load_pod<NodeHeader>(ctx, head_);
-  std::uint64_t cur = head_h.next[0];
+  // seek() lands on the newest version of its key: put() links a new node
+  // before the older versions of the same key.
+  std::uint64_t cur = start.empty()
+                          ? ns.load_pod<NodeHeader>(ctx, head_).next[0]
+                          : seek(ctx, start);
   std::string last_key;
   bool have_last = false;
   while (cur != 0) {
@@ -137,7 +155,7 @@ void PSkiplist::for_each(
       ns.load(ctx, cur + sizeof(NodeHeader) + h.klen,
               std::span<std::uint8_t>(
                   reinterpret_cast<std::uint8_t*>(value.data()), vlen));
-      fn(key, value, (h.vlen & kTombstoneBit) != 0);
+      if (!fn(key, value, (h.vlen & kTombstoneBit) != 0)) return;
       last_key = key;
       have_last = true;
     }

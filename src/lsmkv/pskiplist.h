@@ -50,6 +50,12 @@ class PSkiplist {
                 const std::function<void(std::string_view, std::string_view,
                                          bool)>& fn);
 
+  // The same iteration from the first key >= start (a tower descent;
+  // "" walks from the head with none), until fn returns false.
+  void for_each_from(sim::ThreadCtx& ctx, std::string_view start,
+                     const std::function<bool(std::string_view,
+                                              std::string_view, bool)>& fn);
+
   // Recompute entry count and byte footprint by walking level 0 (used
   // after recovery, when the in-DRAM accounting is gone).
   struct Footprint {
@@ -72,6 +78,8 @@ class PSkiplist {
 
   std::string read_key(sim::ThreadCtx& ctx, std::uint64_t node,
                        const NodeHeader& h);
+  // Tower descent: the first node whose key is >= key (0 if none).
+  std::uint64_t seek(sim::ThreadCtx& ctx, std::string_view key);
   int random_level();
 
   pmem::Pool& pool_;

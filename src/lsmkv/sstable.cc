@@ -224,28 +224,60 @@ FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
   return FindResult::kNotFound;
 }
 
+SsTable::Cursor::Cursor(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
+                        std::uint64_t off, std::string_view start)
+    : ns_(&ns) {
+  const auto h = ns.load_pod<Header>(ctx, off);
+  assert(h.magic == kMagic);
+  offsets_at_ = off + sizeof(Header) + h.filter_len;
+  data_at_ = offsets_at_ + std::uint64_t{h.count} * 4;
+  count_ = h.count;
+  if (!start.empty()) {
+    // Lower bound: the first entry whose key is >= start.
+    std::uint32_t hi = count_;
+    while (i_ < hi) {
+      const std::uint32_t mid = i_ + (hi - i_) / 2;
+      const auto rel = ns.load_pod<std::uint32_t>(ctx, offsets_at_ + mid * 4);
+      const auto klen = ns.load_pod<std::uint32_t>(ctx, data_at_ + rel);
+      key_.resize(klen);
+      ns.load(ctx, data_at_ + rel + 8,
+              std::span<std::uint8_t>(
+                  reinterpret_cast<std::uint8_t*>(key_.data()), klen));
+      if (key_ < start)
+        i_ = mid + 1;
+      else
+        hi = mid;
+    }
+  }
+  if (valid()) load_entry(ctx);
+}
+
+void SsTable::Cursor::next(sim::ThreadCtx& ctx) {
+  ++i_;
+  if (valid()) load_entry(ctx);
+}
+
+void SsTable::Cursor::load_entry(sim::ThreadCtx& ctx) {
+  const auto rel = ns_->load_pod<std::uint32_t>(ctx, offsets_at_ + i_ * 4);
+  const auto klen = ns_->load_pod<std::uint32_t>(ctx, data_at_ + rel);
+  const auto vraw = ns_->load_pod<std::uint32_t>(ctx, data_at_ + rel + 4);
+  const std::uint32_t vlen = vraw & ~kTombstoneBit;
+  key_.resize(klen);
+  value_.resize(vlen);
+  ns_->load(ctx, data_at_ + rel + 8,
+            std::span<std::uint8_t>(
+                reinterpret_cast<std::uint8_t*>(key_.data()), klen));
+  ns_->load(ctx, data_at_ + rel + 8 + klen,
+            std::span<std::uint8_t>(
+                reinterpret_cast<std::uint8_t*>(value_.data()), vlen));
+  tombstone_ = (vraw & kTombstoneBit) != 0;
+}
+
 void SsTable::for_each(
     sim::ThreadCtx& ctx, hw::PmemNamespace& ns, std::uint64_t off,
     const std::function<void(std::string_view, std::string_view, bool)>& fn) {
-  const auto h = ns.load_pod<Header>(ctx, off);
-  assert(h.magic == kMagic);
-  const std::uint64_t offsets_at = off + sizeof(Header) + h.filter_len;
-  const std::uint64_t data_at = offsets_at + h.count * 4;
-  for (std::uint32_t i = 0; i < h.count; ++i) {
-    const auto rel = ns.load_pod<std::uint32_t>(ctx, offsets_at + i * 4);
-    const auto klen = ns.load_pod<std::uint32_t>(ctx, data_at + rel);
-    const auto vraw = ns.load_pod<std::uint32_t>(ctx, data_at + rel + 4);
-    const std::uint32_t vlen = vraw & ~kTombstoneBit;
-    std::string k(klen, '\0');
-    std::string v(vlen, '\0');
-    ns.load(ctx, data_at + rel + 8,
-            std::span<std::uint8_t>(
-                reinterpret_cast<std::uint8_t*>(k.data()), klen));
-    ns.load(ctx, data_at + rel + 8 + klen,
-            std::span<std::uint8_t>(
-                reinterpret_cast<std::uint8_t*>(v.data()), vlen));
-    fn(k, v, (vraw & kTombstoneBit) != 0);
-  }
+  for (Cursor c(ctx, ns, off, ""); c.valid(); c.next(ctx))
+    fn(c.key(), c.value(), c.tombstone());
 }
 
 }  // namespace xp::kv

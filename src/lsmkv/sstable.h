@@ -9,7 +9,10 @@
 // Built with a single large sequential non-temporal write (guideline #2);
 // point lookups consult the bloom filter first (absent keys skip the
 // whole run), then binary-search the offset array with timed loads,
-// giving realistic read amplification.
+// giving realistic read amplification. Sequential reads go through one
+// routine, the Cursor: a range scan seeks it to its start key and stops
+// it after the rows it needs, while compaction and check() walk whole
+// tables with it from "" (for_each).
 #pragma once
 
 #include <cstdint>
@@ -93,7 +96,38 @@ class SsTable {
   static std::uint64_t size_bytes(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                                   std::uint64_t off);
 
-  // Sorted iteration: fn(key, value, tombstone).
+  // Forward iteration from the first entry whose key is >= `start`. The
+  // constructor loads the header and, for a non-empty start, binary-
+  // searches the offset array with the timed loads a stock probe issues
+  // (offset word, key length, key bytes); "" sorts before every key, so
+  // it starts at entry 0 with no search. Each entry the cursor lands on
+  // is loaded whole: offset word, key length, value length, key, value.
+  class Cursor {
+   public:
+    Cursor(sim::ThreadCtx& ctx, hw::PmemNamespace& ns, std::uint64_t off,
+           std::string_view start);
+
+    bool valid() const { return i_ < count_; }
+    std::string_view key() const { return key_; }
+    std::string_view value() const { return value_; }
+    bool tombstone() const { return tombstone_; }
+    void next(sim::ThreadCtx& ctx);
+
+   private:
+    void load_entry(sim::ThreadCtx& ctx);
+
+    hw::PmemNamespace* ns_;
+    std::uint64_t offsets_at_ = 0;
+    std::uint64_t data_at_ = 0;
+    std::uint32_t count_ = 0;
+    std::uint32_t i_ = 0;
+    std::string key_;
+    std::string value_;
+    bool tombstone_ = false;
+  };
+
+  // Sorted iteration of the whole table: fn(key, value, tombstone), one
+  // Cursor walked from "".
   static void for_each(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                        std::uint64_t off,
                        const std::function<void(std::string_view,

@@ -3,12 +3,17 @@
 // recovery and the Fig 8 strategy-inversion shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "lsmkv/bloom.h"
 #include "lsmkv/db.h"
+#include "sim/rng.h"
+#include "telemetry/registry.h"
 #include "xpsim/platform.h"
 
 namespace xp::kv {
@@ -163,6 +168,53 @@ TEST(SsTableTest, ForEachIteratesInOrder) {
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
 }
 
+TEST(SsTableTest, CursorSeeksToLowerBound) {
+  Platform platform;
+  PmemNamespace& ns = platform.optane(64 << 20);
+  ThreadCtx t = make_thread();
+  // Even keys only, so every odd key falls between two entries.
+  std::vector<SsTable::Entry> entries;
+  for (int i = 0; i < 40; i += 2)
+    entries.push_back({key_of(i), i % 6 == 0 ? "" : value_of(i), i % 6 == 0});
+  SsTable::build(t, ns, 0, entries);
+
+  auto first_key = [&](std::string_view start) {
+    SsTable::Cursor c(t, ns, 0, start);
+    return c.valid() ? std::string(c.key()) : std::string("<end>");
+  };
+  EXPECT_EQ(first_key("a"), key_of(0));         // before the first key
+  EXPECT_EQ(first_key(key_of(10)), key_of(10));  // equal to a key
+  EXPECT_EQ(first_key(key_of(11)), key_of(12));  // between two keys
+  EXPECT_EQ(first_key(key_of(38)), key_of(38));  // the last key
+  EXPECT_EQ(first_key(key_of(39)), "<end>");     // past the last key
+  EXPECT_EQ(first_key(""), key_of(0));
+
+  // A seeked cursor walks the rest of the table, tombstones included.
+  SsTable::Cursor c(t, ns, 0, key_of(11));
+  for (int i = 12; i < 40; i += 2) {
+    ASSERT_TRUE(c.valid()) << i;
+    EXPECT_EQ(c.key(), key_of(i));
+    EXPECT_EQ(c.tombstone(), i % 6 == 0);
+    EXPECT_EQ(c.value(), i % 6 == 0 ? "" : value_of(i));
+    c.next(t);
+  }
+  EXPECT_FALSE(c.valid());
+
+  // A cursor walked from "" yields exactly for_each's rows: the table.
+  using Row = std::tuple<std::string, std::string, bool>;
+  std::vector<Row> built, walked, iterated;
+  for (const SsTable::Entry& e : entries)
+    built.emplace_back(e.key, e.value, e.tombstone);
+  for (SsTable::Cursor w(t, ns, 0, ""); w.valid(); w.next(t))
+    walked.emplace_back(w.key(), w.value(), w.tombstone());
+  SsTable::for_each(t, ns, 0,
+                    [&](std::string_view k, std::string_view v, bool tomb) {
+                      iterated.emplace_back(k, v, tomb);
+                    });
+  EXPECT_EQ(walked, built);
+  EXPECT_EQ(iterated, built);
+}
+
 TEST(SsTableTest, SurvivesCrash) {
   Platform platform;
   PmemNamespace& ns = platform.optane(64 << 20);
@@ -282,6 +334,42 @@ TEST_F(PSkipFixture, SortedDedupedIteration) {
   ASSERT_EQ(keys.size(), 10u);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   EXPECT_EQ(v5, "updated");
+}
+
+// for_each_from descends the towers to its start instead of walking
+// level 0 from the head, lands on the newest version, and stops when fn
+// returns false.
+TEST_F(PSkipFixture, ForEachFromSeeksAndStops) {
+  ThreadCtx t = make_thread();
+  for (int i = 0; i < 2000; ++i) list->put(t, key_of(i), value_of(i), false);
+  list->put(t, key_of(1001), "newer", false);
+  // Every node is durable; the crash only empties the CPU caches the puts
+  // left the nodes in, so both walks below read from the DIMMs.
+  platform.crash();
+
+  std::vector<std::pair<std::string, std::string>> rows;
+  const auto s0 = telemetry::Snapshot::capture(platform).xp_total();
+  list->for_each_from(t, key_of(1000) + "+",  // between two keys
+                      [&](std::string_view k, std::string_view v, bool) {
+                        rows.emplace_back(k, v);
+                        return rows.size() < 3;
+                      });
+  t.drain();
+  const auto s1 = telemetry::Snapshot::capture(platform).xp_total();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0], std::make_pair(key_of(1001), std::string("newer")));
+  EXPECT_EQ(rows[1], std::make_pair(key_of(1002), value_of(1002)));
+  EXPECT_EQ(rows[2], std::make_pair(key_of(1003), value_of(1003)));
+
+  std::size_t walked = 0;
+  list->for_each(t, [&](std::string_view, std::string_view, bool) {
+    ++walked;
+  });
+  t.drain();
+  const auto s2 = telemetry::Snapshot::capture(platform).xp_total();
+  EXPECT_EQ(walked, 2000u);
+  EXPECT_LT((s1.imc_read_bytes - s0.imc_read_bytes) * 10,
+            s2.imc_read_bytes - s1.imc_read_bytes);
 }
 
 TEST_F(PSkipFixture, InsertsSurviveCrashWithoutLog) {
@@ -425,6 +513,107 @@ TEST_P(DbModes, ScanFromBeyondEndIsEmpty) {
   db.create(t);
   db.put(t, key_of(1), value_of(1));
   EXPECT_TRUE(db.scan(t, "zzzz", 10).empty());
+}
+
+// A bounded scan reads about what it returns, not the whole store. The
+// same store is built on two platforms, because the LLC would hold what
+// a first scan read.
+TEST_P(DbModes, ScanReadsOnlyWhatItReturns) {
+  auto scan_read_bytes = [&](std::string_view start, std::size_t n,
+                             std::size_t want_rows) {
+    Platform platform;
+    PmemNamespace& ns = platform.optane(256 << 20);
+    ThreadCtx t = make_thread();
+    DbOptions o = make_opts();
+    o.memtable_bytes = 8 << 10;
+    o.l0_compaction_trigger = 8;  // 28 flushes: three merges, four L0 runs
+    Db db(ns, o);
+    db.create(t);
+    for (int i = 0; i < 2000; ++i) db.put(t, key_of(i), value_of(i));
+    // Sources at every level: an L1 run, L0 runs and the memtable.
+    EXPECT_GT(db.stats().compactions, 0u);
+    EXPECT_NE(db.stats().memtable_flushes % o.l0_compaction_trigger, 0u);
+    const auto before = telemetry::Snapshot::capture(platform).xp_total();
+    const auto rows = db.scan(t, start, n);
+    t.drain();
+    const auto after = telemetry::Snapshot::capture(platform).xp_total();
+    EXPECT_EQ(rows.size(), want_rows);
+    return after.imc_read_bytes - before.imc_read_bytes;
+  };
+  const std::uint64_t bounded = scan_read_bytes(key_of(1000), 5, 5);
+  const std::uint64_t whole =
+      scan_read_bytes("", static_cast<std::size_t>(-1), 2000);
+  EXPECT_GT(bounded, 0u);
+  EXPECT_LT(bounded * 10, whole) << bounded << " vs " << whole;
+}
+
+// Randomized puts, deletes and forced flushes against a std::map model:
+// versions and tombstones sit in the memtable, in L0 and in L1, and every
+// scan (present, absent and out-of-range starts; n of 0, 1, a few and
+// more than the store holds) must return exactly the model's rows.
+TEST_P(DbModes, ScanMatchesModel) {
+  Platform platform;
+  PmemNamespace& ns = platform.optane(256 << 20);
+  ThreadCtx t = make_thread();
+  DbOptions o = make_opts();
+  o.memtable_bytes = 1 << 10;
+  Db db(ns, o);
+  db.create(t);
+  std::map<std::string, std::string> model;
+
+  // Even keys only: key_of(odd) starts a scan between two keys.
+  constexpr int kKeys = 60;
+  auto check_scans = [&](std::string_view start) {
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{3}, model.size() + 5}) {
+      std::vector<std::pair<std::string, std::string>> want;
+      for (auto it = model.lower_bound(std::string(start));
+           it != model.end() && want.size() < n; ++it)
+        want.emplace_back(it->first, it->second);
+      ASSERT_EQ(db.scan(t, start, n), want) << "start " << start << " n " << n;
+    }
+  };
+  auto check_all = [&](int present) {
+    check_scans(key_of(present));       // a key (live, deleted or never put)
+    check_scans(key_of(present + 1));   // between two keys
+    check_scans("");                    // before the first key
+    check_scans("a");
+    check_scans("zz");                  // past the last key
+  };
+
+  // Every key in the L1 run, then newer tombstones for some of them: in
+  // an L0 run and in the memtable. A scan must hide those keys and must
+  // not count them toward n.
+  for (int i = 0; i < kKeys; ++i) {
+    db.put(t, key_of(2 * i), value_of(i));
+    model[key_of(2 * i)] = value_of(i);
+    if (i % (kKeys / 4) == kKeys / 4 - 1) db.flush(t);
+  }
+  ASSERT_GT(db.stats().compactions, 0u);
+  for (int i = 0; i < kKeys; i += 3) {
+    db.del(t, key_of(2 * i));
+    model.erase(key_of(2 * i));
+    if (i == kKeys / 2) db.flush(t);
+  }
+  for (int i = 0; i < kKeys; i += 3) check_all(2 * i);
+
+  sim::Rng rng(42);
+  for (int step = 0; step < 400; ++step) {
+    const int k = 2 * static_cast<int>(rng.uniform(kKeys));
+    const std::uint64_t op = rng.uniform(10);
+    if (op < 6) {
+      std::string v(rng.uniform(48), static_cast<char>('a' + step % 26));
+      db.put(t, key_of(k), v);
+      model[key_of(k)] = v;
+    } else if (op < 9) {
+      db.del(t, key_of(k));
+      model.erase(key_of(k));
+    } else {
+      db.flush(t);
+    }
+    check_all(k);
+  }
+  EXPECT_GT(db.stats().compactions, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
