@@ -116,18 +116,6 @@ bool rows_equal(const std::vector<Row>& a, const std::vector<Row>& b) {
   return true;
 }
 
-// Write back every dirty line still sitting in the XP write-combining
-// buffers so the media counters reflect the whole workload. Without
-// this, a short run whose working set fits in the 16 KB buffers reports
-// almost no media writes and an absurdly flattering EWR.
-void drain_xp_buffers(hw::Platform& p, sim::Time t) {
-  for (unsigned s = 0; s < p.timing().sockets; ++s)
-    for (unsigned c = 0; c < p.timing().channels_per_socket; ++c) {
-      auto& d = p.xp_dimm(s, c);
-      d.buffer().flush_all(t, d.counters());
-    }
-}
-
 void fill_counters(Row& r, const telemetry::Delta& d, sim::Time elapsed) {
   const hw::XpCounters xc = d.xp_total();
   r.ewr = xc.ewr();
@@ -198,7 +186,7 @@ Row run_lsmkv(const Cfg& c) {
   db.commit_pending(setup);
   setup.drain();
   if (setup.now() > t_end) t_end = setup.now();
-  drain_xp_buffers(platform, t_end);
+  platform.flush_xp_buffers(t_end);
   fill_counters(r, telemetry::Snapshot::capture(platform) - s0, t_end);
   return r;
 }
@@ -241,7 +229,7 @@ Row run_novafs(const Cfg& c) {
       ++r.ops;
     }
     ctx.drain();
-    drain_xp_buffers(platform, ctx.now());
+    platform.flush_xp_buffers(ctx.now());
     fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
                   ctx.now() - t0);
     return r;
@@ -267,7 +255,7 @@ Row run_novafs(const Cfg& c) {
     ++r.ops;
   }
   ctx.drain();
-  drain_xp_buffers(platform, ctx.now());
+  platform.flush_xp_buffers(ctx.now());
   fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
                 ctx.now() - t0);
   return r;
@@ -323,7 +311,7 @@ Row run_pmemkv(const Cfg& c) {
                 });
   }
   sched.run();
-  drain_xp_buffers(platform, c.window);
+  platform.flush_xp_buffers(c.window);
   fill_counters(r, telemetry::Snapshot::capture(platform) - s0, c.window);
   return r;
 }
@@ -373,7 +361,7 @@ Row run_lsmkv_read(const Cfg& c) {
 
   platform.reset_timing();
   t.drain();
-  drain_xp_buffers(platform, t.now());
+  platform.flush_xp_buffers(t.now());
   const auto s0 = telemetry::Snapshot::capture(platform);
   const sim::Time t0 = t.now();
   std::string v;
@@ -384,7 +372,7 @@ Row run_lsmkv_read(const Cfg& c) {
         ++r.ops;
       }
   t.drain();
-  drain_xp_buffers(platform, t.now());
+  platform.flush_xp_buffers(t.now());
   fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
                 t.now() - t0);
   return r;
@@ -414,7 +402,7 @@ Row run_novafs_read(const Cfg& c) {
   nova::NovaFs fs2(ns, ro);
   platform.reset_timing();
   t.drain();
-  drain_xp_buffers(platform, t.now());
+  platform.flush_xp_buffers(t.now());
   const auto s0 = telemetry::Snapshot::capture(platform);
   const sim::Time t0 = t.now();
   fs2.mount(t);
@@ -425,7 +413,7 @@ Row run_novafs_read(const Cfg& c) {
     ++r.ops;
   }
   t.drain();
-  drain_xp_buffers(platform, t.now());
+  platform.flush_xp_buffers(t.now());
   fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
                 t.now() - t0);
   return r;
@@ -453,7 +441,7 @@ Row run_pmemkv_read(const Cfg& c) {
       map.put(t, "key" + std::to_string(i), std::string(vlen, 'x'));
     platform.reset_timing();
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     const auto s0 = telemetry::Snapshot::capture(platform);
     const sim::Time t0 = t.now();
     std::string v;
@@ -464,7 +452,7 @@ Row run_pmemkv_read(const Cfg& c) {
           ++r.ops;
         }
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
                   t.now() - t0);
   };

@@ -96,14 +96,6 @@ bool rows_equal(const std::vector<Row>& a, const std::vector<Row>& b) {
   return true;
 }
 
-void drain_xp_buffers(hw::Platform& p, sim::Time t) {
-  for (unsigned s = 0; s < p.timing().sockets; ++s)
-    for (unsigned c = 0; c < p.timing().channels_per_socket; ++c) {
-      auto& d = p.xp_dimm(s, c);
-      d.buffer().flush_all(t, d.counters());
-    }
-}
-
 // The read benches' regime: LLC below the working set so repeat reads
 // actually reach the DIMMs (paper §5.1); used for every YCSB row so
 // read-heavy and update-heavy mixes are measured on one platform.
@@ -150,14 +142,14 @@ Row run_point(const Cfg& c) {
   workload::load(store, spec, setup);
   platform.reset_timing();
   setup.drain();
-  drain_xp_buffers(platform, setup.now());
+  platform.flush_xp_buffers(setup.now());
 
   const auto s0 = telemetry::Snapshot::capture(platform);
   workload::EngineOptions eo;
   eo.threads = c.threads;
   eo.background_thread = so.tuning.background_compaction;
   const workload::Result res = workload::run(store, spec, eo);
-  drain_xp_buffers(platform, res.elapsed);
+  platform.flush_xp_buffers(res.elapsed);
   const telemetry::Delta d = telemetry::Snapshot::capture(platform) - s0;
 
   r.ops = res.ops;

@@ -81,18 +81,12 @@ inline constexpr sim::Time kSyscall = sim::ns(450);
 inline constexpr sim::Time kFsyncSyscall = sim::ns(700);
 
 struct DbStats {
-  std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t get_hits = 0;
-  std::uint64_t deletes = 0;
   std::uint64_t memtable_flushes = 0;
   std::uint64_t compactions = 0;
   // Of `compactions`: how many ran on a donated background turn, and how
   // many times a writer hit the stall gate and paid the merge inline.
   std::uint64_t background_compactions = 0;
   std::uint64_t write_stalls = 0;
-  std::uint64_t wal_bytes = 0;
-  std::uint64_t sst_bytes_written = 0;
 };
 
 }  // namespace xp::kv

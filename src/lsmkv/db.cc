@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 #include <iterator>
-#include <map>
 
 #include "pmemlib/pmem_ops.h"
 
@@ -118,14 +117,36 @@ Db::Manifest Db::backup_manifest() {
   return m;
 }
 
-bool Db::heal_manifest(sim::ThreadCtx& ctx, const Manifest& m) {
-  const std::vector<std::uint64_t> bad =
-      pool_.ns().platform().ars(pool_.ns(), root_off_, sizeof(Manifest));
-  if (bad.empty()) return false;
+void Db::restore_manifest(sim::ThreadCtx& ctx, const Manifest& m,
+                          const std::vector<std::uint64_t>& bad) {
   for (const std::uint64_t line : bad) pool_.scrub_line(ctx, line);
   pmem::store_persist_pod(ctx, pool_.ns(), root_off_, m);
   recovery_.manifest_restored = true;
-  return true;
+}
+
+std::string Db::manifest_error(sim::ThreadCtx& ctx, const Manifest& m) {
+  if (m.wal_mode > static_cast<std::uint32_t>(WalMode::kNone))
+    return "manifest: bad wal_mode " + std::to_string(m.wal_mode);
+  if (m.memtable_mode > static_cast<std::uint32_t>(MemtableMode::kPersistent))
+    return "manifest: bad memtable_mode " + std::to_string(m.memtable_mode);
+  if (m.n_l0 > kMaxL0 || m.n_l1 > kMaxL1)
+    return "manifest: run counts out of range";
+
+  const std::uint64_t heap_lo = pmem::Pool::heap_base();
+  const std::uint64_t heap_hi = pool_.heap_top(ctx);
+  if (static_cast<WalMode>(m.wal_mode) != WalMode::kNone &&
+      (m.wal_base < heap_lo || m.wal_base + m.wal_capacity > heap_hi))
+    return "manifest: WAL region outside allocated heap";
+  auto outside = [&](const TableRef& t) {
+    return t.size == 0 || t.off < heap_lo || t.off + t.size > heap_hi;
+  };
+  for (std::uint32_t i = 0; i < m.n_l0; ++i)
+    if (outside(m.l0[i]))
+      return "l0[" + std::to_string(i) + "]: ref outside allocated heap";
+  for (std::uint32_t i = 0; i < m.n_l1; ++i)
+    if (outside(m.l1[i]))
+      return "l1[" + std::to_string(i) + "]: ref outside allocated heap";
+  return "";
 }
 
 bool Db::open(sim::ThreadCtx& ctx) {
@@ -133,19 +154,24 @@ bool Db::open(sim::ThreadCtx& ctx) {
   if (!pool_.open(ctx)) return false;
   root_off_ = pool_.root(ctx);
   Manifest m{};
+  bool primary_ok = false;
   try {
     m = load_manifest(ctx);
+    primary_ok = manifest_error(ctx, m).empty();
   } catch (const hw::MediaError&) {
-    // Primary manifest unreadable: fall back to the mirrored copy, scrub
-    // the damage and rewrite the primary. The backup always holds a
-    // committed manifest (it is mirrored inside store_manifest, whose
-    // primary write is transactional).
+    // unreadable: primary_ok stays false
+  }
+  if (!primary_ok) {
+    // Primary manifest unreadable, or not a manifest (a scrub zeroes a
+    // poisoned line): fall back to the copy every store_manifest mirrors
+    // into the backup slot, scrub the damage and rewrite the primary.
     m = backup_manifest();
-    if (m.wal_mode > static_cast<std::uint32_t>(WalMode::kFlex) ||
-        m.n_l0 > kMaxL0 || m.n_l1 > kMaxL1)
+    if (!manifest_error(ctx, m).empty())
       return false;  // backup is not a manifest either
-    if (heal_manifest(ctx, m))
-      recovery_.detail = "manifest restored from backup copy";
+    restore_manifest(
+        ctx, m,
+        pool_.ns().platform().ars(pool_.ns(), root_off_, sizeof(Manifest)));
+    recovery_.detail = "manifest restored from backup copy";
   }
   opts_.wal = static_cast<WalMode>(m.wal_mode);
   opts_.memtable = static_cast<MemtableMode>(m.memtable_mode);
@@ -233,7 +259,6 @@ void Db::commit_pending(sim::ThreadCtx& ctx) {
 
 void Db::put_batch(sim::ThreadCtx& ctx, std::span<const WalRecord> recs) {
   if (recs.empty()) return;
-  for (const WalRecord& r : recs) ++(r.tombstone ? stats_.deletes : stats_.puts);
   if (opts_.memtable == MemtableMode::kPersistent) {
     // No WAL to group; fall back to per-record persistent-memtable writes.
     for (const WalRecord& r : recs) {
@@ -253,45 +278,81 @@ void Db::put_batch(sim::ThreadCtx& ctx, std::span<const WalRecord> recs) {
 
 void Db::put(sim::ThreadCtx& ctx, std::string_view key,
              std::string_view value) {
-  ++stats_.puts;
   write_record(ctx, key, value, /*tombstone=*/false);
 }
 
 void Db::del(sim::ThreadCtx& ctx, std::string_view key) {
-  ++stats_.deletes;
   write_record(ctx, key, {}, /*tombstone=*/true);
 }
 
 bool Db::get(sim::ThreadCtx& ctx, std::string_view key, std::string* value) {
-  ++stats_.gets;
   FindResult r = opts_.memtable == MemtableMode::kPersistent
                      ? pskip_->get(ctx, key, value)
                      : memtable_.get(ctx, key, value);
-  if (r == FindResult::kFound) {
-    ++stats_.get_hits;
-    return true;
-  }
-  if (r == FindResult::kTombstone) return false;
+  if (r != FindResult::kNotFound) return r == FindResult::kFound;
 
   const Manifest m = load_manifest(ctx);
   // L0: newest (highest index) first.
   for (std::uint32_t i = m.n_l0; i-- > 0;) {
     r = get_table(ctx, m.l0[i].off, key, value);
-    if (r == FindResult::kFound) {
-      ++stats_.get_hits;
-      return true;
-    }
-    if (r == FindResult::kTombstone) return false;
+    if (r != FindResult::kNotFound) return r == FindResult::kFound;
   }
   for (std::uint32_t i = m.n_l1; i-- > 0;) {
     r = get_table(ctx, m.l1[i].off, key, value);
-    if (r == FindResult::kFound) {
-      ++stats_.get_hits;
-      return true;
-    }
-    if (r == FindResult::kTombstone) return false;
+    if (r != FindResult::kNotFound) return r == FindResult::kFound;
   }
   return false;
+}
+
+std::vector<SsTable::Entry> Db::memtable_rows(sim::ThreadCtx& ctx,
+                                              std::string_view start,
+                                              std::size_t max_live) {
+  std::vector<SsTable::Entry> rows;
+  std::size_t live = 0;
+  auto take = [&](std::string_view k, std::string_view v, bool tomb) {
+    rows.push_back({std::string(k), std::string(v), tomb});
+    if (!tomb) ++live;
+    return live < max_live;
+  };
+  if (opts_.memtable == MemtableMode::kPersistent)
+    pskip_->for_each_from(ctx, start, take);
+  else
+    memtable_.for_each_from(start, take);
+  return rows;
+}
+
+void Db::merge(sim::ThreadCtx& ctx, const Manifest& m, std::string_view start,
+               const std::vector<SsTable::Entry>& mem, const MergeFn& emit) {
+  std::vector<SsTable::Cursor> runs;
+  runs.reserve(m.n_l0 + m.n_l1);
+  for (std::uint32_t i = m.n_l0; i-- > 0;)
+    runs.emplace_back(ctx, pool_.ns(), m.l0[i].off, start);
+  for (std::uint32_t i = m.n_l1; i-- > 0;)
+    runs.emplace_back(ctx, pool_.ns(), m.l1[i].off, start);
+
+  // At most 1 + kMaxL0 + kMaxL1 sources, so a linear pick.
+  std::size_t next_mem = 0;
+  std::string key;
+  while (true) {
+    const SsTable::Entry* mem_row =
+        next_mem < mem.size() ? &mem[next_mem] : nullptr;
+    const SsTable::Cursor* win = nullptr;
+    for (const SsTable::Cursor& c : runs)
+      if (c.valid() && (win == nullptr || c.key() < win->key())) win = &c;
+    if (mem_row == nullptr && win == nullptr) return;
+    bool more;
+    if (mem_row != nullptr && (win == nullptr || mem_row->key <= win->key())) {
+      key = mem_row->key;
+      more = emit(key, mem_row->value, mem_row->tombstone);
+      ++next_mem;
+    } else {
+      key = win->key();
+      more = emit(key, win->value(), win->tombstone());
+    }
+    if (!more) return;
+    for (SsTable::Cursor& c : runs)
+      if (c.valid() && c.key() == key) c.next(ctx);
+  }
 }
 
 std::vector<std::pair<std::string, std::string>> Db::scan(
@@ -302,54 +363,16 @@ std::vector<std::pair<std::string, std::string>> Db::scan(
 
   // The memtable is the newest source, so each of its live rows wins its
   // key: no row past its max_results-th live one can be returned.
-  std::vector<SsTable::Entry> mem;
-  std::size_t mem_live = 0;
-  auto take = [&](std::string_view k, std::string_view v, bool tomb) {
-    mem.push_back({std::string(k), std::string(v), tomb});
-    if (!tomb) ++mem_live;
-    return mem_live < max_results;
-  };
-  if (opts_.memtable == MemtableMode::kPersistent) {
-    pskip_->for_each_from(ctx, start_key, take);
-  } else {
-    memtable_.for_each_from(start_key, take);
+  const std::vector<SsTable::Entry> mem =
+      memtable_rows(ctx, start_key, max_results);
+  if (opts_.memtable != MemtableMode::kPersistent)
     ctx.advance_by(kCpuMemtableOp);
-  }
-
-  // One cursor per run, newest first, each seeked to start_key.
-  const Manifest m = load_manifest(ctx);
-  std::vector<SsTable::Cursor> runs;
-  runs.reserve(m.n_l0 + m.n_l1);
-  for (std::uint32_t i = m.n_l0; i-- > 0;)
-    runs.emplace_back(ctx, pool_.ns(), m.l0[i].off, start_key);
-  for (std::uint32_t i = m.n_l1; i-- > 0;)
-    runs.emplace_back(ctx, pool_.ns(), m.l1[i].off, start_key);
-
-  // Merge (at most 1 + kMaxL0 + kMaxL1 sources, so a linear pick): the
-  // smallest key comes next, the newest source holding it wins, and every
-  // source at that key steps past it. Tombstones hide the key and do not
-  // count toward max_results.
-  std::size_t next_mem = 0;
-  std::string key;
-  while (true) {
-    const SsTable::Entry* mem_row =
-        next_mem < mem.size() ? &mem[next_mem] : nullptr;
-    const SsTable::Cursor* win = nullptr;
-    for (const SsTable::Cursor& c : runs)
-      if (c.valid() && (win == nullptr || c.key() < win->key())) win = &c;
-    if (mem_row == nullptr && win == nullptr) break;
-    if (mem_row != nullptr && (win == nullptr || mem_row->key <= win->key())) {
-      key = mem_row->key;
-      if (!mem_row->tombstone) out.emplace_back(key, mem_row->value);
-      ++next_mem;
-    } else {
-      key = win->key();
-      if (!win->tombstone()) out.emplace_back(key, win->value());
-    }
-    if (out.size() == max_results) break;
-    for (SsTable::Cursor& c : runs)
-      if (c.valid() && c.key() == key) c.next(ctx);
-  }
+  // Tombstones hide their key and do not count toward max_results.
+  merge(ctx, load_manifest(ctx), start_key, mem,
+        [&](std::string_view k, std::string_view v, bool tomb) {
+          if (!tomb) out.emplace_back(k, v);
+          return out.size() < max_results;
+        });
   return out;
 }
 
@@ -372,41 +395,26 @@ std::string Db::check_impl(sim::ThreadCtx& ctx) {
   if (manifest_cache_.has_value() &&
       std::memcmp(&m, &*manifest_cache_, sizeof(Manifest)) != 0)
     return "manifest: primary differs from its DRAM mirror";
-  if (m.wal_mode > static_cast<std::uint32_t>(WalMode::kNone))
-    return "manifest: bad wal_mode " + std::to_string(m.wal_mode);
-  if (m.memtable_mode > static_cast<std::uint32_t>(MemtableMode::kPersistent))
-    return "manifest: bad memtable_mode " + std::to_string(m.memtable_mode);
-  if (m.n_l0 > kMaxL0 || m.n_l1 > kMaxL1)
-    return "manifest: run counts out of range";
-
-  const std::uint64_t heap_lo = pmem::Pool::heap_base();
-  const std::uint64_t heap_hi = pool_.heap_top(ctx);
-  if (static_cast<WalMode>(m.wal_mode) != WalMode::kNone &&
-      (m.wal_base < heap_lo || m.wal_base + m.wal_capacity > heap_hi))
-    return "manifest: WAL region outside allocated heap";
+  if (std::string err = manifest_error(ctx, m); !err.empty()) return err;
 
   auto check_table = [&](const char* level, std::uint32_t i,
                          const TableRef& t) -> std::string {
     const std::string tag =
         std::string(level) + "[" + std::to_string(i) + "]";
-    if (t.size == 0 || t.off < heap_lo || t.off + t.size > heap_hi)
-      return tag + ": ref outside allocated heap";
     if (SsTable::size_bytes(ctx, pool_.ns(), t.off) > t.size)
       return tag + ": encoded size exceeds allocation";
     if (Status s = SsTable::verify_checksum(ctx, pool_.ns(), t.off); !s.ok())
       return tag + ": " + s.to_string();
     std::string prev;
-    std::string err;
     bool first = true;
-    SsTable::for_each(ctx, pool_.ns(), t.off,
-                      [&](std::string_view k, std::string_view, bool) {
-                        if (!first && !err.empty()) return;
-                        if (!first && k <= prev)
-                          err = tag + ": keys not strictly increasing";
-                        prev = std::string(k);
-                        first = false;
-                      });
-    return err;
+    for (SsTable::Cursor c(ctx, pool_.ns(), t.off, ""); c.valid();
+         c.next(ctx)) {
+      if (!first && c.key() <= prev)
+        return tag + ": keys not strictly increasing";
+      prev = c.key();
+      first = false;
+    }
+    return "";
   };
   for (std::uint32_t i = 0; i < m.n_l0; ++i)
     if (std::string err = check_table("l0", i, m.l0[i]); !err.empty())
@@ -418,13 +426,17 @@ std::string Db::check_impl(sim::ThreadCtx& ctx) {
 }
 
 void Db::repair(sim::ThreadCtx& ctx) {
-  // Heal a poisoned primary manifest first, from a committed copy (the
+  // Rewrite a poisoned primary manifest first, from a committed copy (the
   // DRAM mirror under read_combine, else the backup slot): the
   // quarantine transaction below snapshots the primary, and
-  // pool_.repair() would zero its poisoned lines into a manifest that
-  // open() parses without error.
-  if (heal_manifest(ctx, manifest_cache_.value_or(backup_manifest())))
+  // pool_.repair() would zero its poisoned lines.
+  if (const std::vector<std::uint64_t> poisoned = pool_.ns().platform().ars(
+          pool_.ns(), root_off_, sizeof(Manifest));
+      !poisoned.empty()) {
+    restore_manifest(ctx, manifest_cache_.value_or(backup_manifest()),
+                     poisoned);
     recovery_.detail = "primary manifest rewritten";
+  }
   Manifest m = load_manifest(ctx);
   Manifest out = m;
   out.n_l0 = 0;
@@ -485,21 +497,23 @@ void Db::maybe_flush(sim::ThreadCtx& ctx) {
   }
 }
 
+Db::TableRef Db::write_table(sim::ThreadCtx& ctx, pmem::Tx& tx,
+                             const std::vector<SsTable::Entry>& entries) {
+  const std::uint64_t size = SsTable::encoded_size(entries);
+  const std::uint64_t off = pool_.tx_alloc(tx, size);
+  SsTable::Residency res;
+  SsTable::build(ctx, pool_.ns(), off, entries, &sst_scratch_,
+                 opts_.read_combine ? &res : nullptr);
+  if (opts_.read_combine) residency_[off] = std::move(res);
+  return TableRef{off, size};
+}
+
 void Db::flush(sim::ThreadCtx& ctx) {
-  std::vector<SsTable::Entry> entries;
-  if (opts_.memtable == MemtableMode::kPersistent) {
-    if (pskip_bytes_ == 0) return;
-    pskip_->for_each(ctx, [&](std::string_view k, std::string_view v,
-                              bool tomb) {
-      entries.push_back({std::string(k), std::string(v), tomb});
-    });
-  } else {
-    if (memtable_.empty()) return;
-    memtable_.for_each([&](std::string_view k, std::string_view v,
-                           bool tomb) {
-      entries.push_back({std::string(k), std::string(v), tomb});
-    });
-  }
+  if (opts_.memtable == MemtableMode::kPersistent ? pskip_bytes_ == 0
+                                                  : memtable_.empty())
+    return;
+  const std::vector<SsTable::Entry> entries =
+      memtable_rows(ctx, "", static_cast<std::size_t>(-1));
   ++stats_.memtable_flushes;
 
   Manifest m = load_manifest(ctx);
@@ -507,15 +521,7 @@ void Db::flush(sim::ThreadCtx& ctx) {
   reader_.discard();
   {
     pmem::Tx tx(pool_, ctx);
-    const std::uint64_t size = SsTable::encoded_size(entries);
-    const std::uint64_t off = pool_.tx_alloc(tx, size);
-    SsTable::Residency res;
-    SsTable::build(ctx, pool_.ns(), off, entries, &sst_scratch_,
-                   opts_.read_combine ? &res : nullptr);
-    if (opts_.read_combine) residency_[off] = std::move(res);
-    stats_.sst_bytes_written += size;
-
-    m.l0[m.n_l0++] = TableRef{off, size};
+    m.l0[m.n_l0++] = write_table(ctx, tx, entries);
     if (opts_.memtable == MemtableMode::kPersistent) {
       // Start a fresh persistent memtable: new head slot, old nodes are
       // reclaimed wholesale (arena-style) by a full compaction. The new
@@ -562,24 +568,14 @@ bool Db::background_work(sim::ThreadCtx& ctx) {
 
 void Db::compact(sim::ThreadCtx& ctx, Manifest m) {
   ++stats_.compactions;
-  // Merge all runs, newest first winning; drop tombstones (full merge).
-  std::map<std::string, SsTable::Entry> merged;
-  auto absorb = [&](std::uint64_t off) {
-    SsTable::for_each(ctx, pool_.ns(), off,
-                      [&](std::string_view k, std::string_view v, bool tomb) {
-                        merged.try_emplace(std::string(k),
-                                           SsTable::Entry{std::string(k),
-                                                          std::string(v),
-                                                          tomb});
-                      });
-  };
-  for (std::uint32_t i = m.n_l0; i-- > 0;) absorb(m.l0[i].off);
-  for (std::uint32_t i = m.n_l1; i-- > 0;) absorb(m.l1[i].off);
-
+  // Full merge of every run: the newest version wins, and tombstones drop
+  // because no older run is left for them to hide.
   std::vector<SsTable::Entry> entries;
-  entries.reserve(merged.size());
-  for (auto& [k, e] : merged)
-    if (!e.tombstone) entries.push_back(std::move(e));
+  merge(ctx, m, "", {},
+        [&](std::string_view k, std::string_view v, bool tomb) {
+          if (!tomb) entries.push_back({std::string(k), std::string(v)});
+          return true;
+        });
 
   pmem::Tx tx(pool_, ctx);
   Manifest out = m;
@@ -589,16 +585,7 @@ void Db::compact(sim::ThreadCtx& ctx, Manifest m) {
     pool_.tx_free(tx, m.l1[i].off, m.l1[i].size);
   out.n_l0 = 0;
   out.n_l1 = 0;
-  if (!entries.empty()) {
-    const std::uint64_t size = SsTable::encoded_size(entries);
-    const std::uint64_t off = pool_.tx_alloc(tx, size);
-    SsTable::Residency res;
-    SsTable::build(ctx, pool_.ns(), off, entries, &sst_scratch_,
-                   opts_.read_combine ? &res : nullptr);
-    if (opts_.read_combine) residency_[off] = std::move(res);
-    stats_.sst_bytes_written += size;
-    out.l1[out.n_l1++] = TableRef{off, size};
-  }
+  if (!entries.empty()) out.l1[out.n_l1++] = write_table(ctx, tx, entries);
   store_manifest(ctx, tx, out);
   tx.commit();
   prune_residency(out);

@@ -13,11 +13,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "lsmkv/common.h"
 #include "lsmkv/memtable.h"
@@ -44,10 +46,13 @@ class Db {
   // replays the WAL (or re-adopts the persistent memtable). Returns false
   // if the namespace holds no database.
   //
-  // Media-error tolerant: a WAL that stops replaying (poison or checksum
-  // failure) is truncated at the damage point — records before it are
-  // flushed to an SSTable (unless the pool's heap is sealed), records
-  // after it are reported lost via recovery(), never silently dropped.
+  // Media-error tolerant: a primary manifest that is unreadable or fails
+  // check()'s manifest rules (a scrub zeroes a poisoned line) is restored
+  // from its mirrored backup copy. A WAL that stops replaying (poison or
+  // checksum failure) is truncated at the damage point — records before
+  // it are flushed to an SSTable (unless the pool's heap is sealed),
+  // records after it are reported lost via recovery(), never silently
+  // dropped.
   bool open(sim::ThreadCtx& ctx);
 
   // What open()/repair() had to do about damaged media.
@@ -102,9 +107,9 @@ class Db {
 
   // Recovery invariants (crashmc checker entry point). Call after open():
   // validates pool metadata, the primary manifest on PM (equal to the
-  // DRAM mirror under read_combine; modes, run counts, table refs inside
-  // the allocated heap) and that every referenced SSTable passes
-  // its content checksum and is iterable with strictly increasing keys.
+  // DRAM mirror under read_combine, and passing the manifest rules open()
+  // also applies) and that every referenced SSTable passes its content
+  // checksum and walks with strictly increasing keys.
   Status check(sim::ThreadCtx& ctx);
 
   // Range scan: up to `max_results` live key/value pairs with
@@ -151,13 +156,37 @@ class Db {
   std::string check_impl(sim::ThreadCtx& ctx);
   void maybe_flush(sim::ThreadCtx& ctx);
   void compact(sim::ThreadCtx& ctx, Manifest m);
+  // The memtable's rows from the first key >= start, in key order, one
+  // per key with tombstones, up to and including its max_live-th live
+  // row.
+  std::vector<SsTable::Entry> memtable_rows(sim::ThreadCtx& ctx,
+                                            std::string_view start,
+                                            std::size_t max_live);
+  // The k-way merge scan and compaction share. `mem` (memtable rows, the
+  // newest source) and one SsTable::Cursor per run of `m`, newest first
+  // and seeked to `start`, meet in a linear pick: the smallest key comes
+  // next, the newest source holding it wins, and every source at that key
+  // steps past it. emit(key, value, tombstone) sees each key once, in
+  // order, and returns false to stop.
+  using MergeFn =
+      std::function<bool(std::string_view, std::string_view, bool)>;
+  void merge(sim::ThreadCtx& ctx, const Manifest& m, std::string_view start,
+             const std::vector<SsTable::Entry>& mem, const MergeFn& emit);
+  // Allocate and build one run of sorted `entries` inside `tx` (and keep
+  // its residency under read_combine).
+  TableRef write_table(sim::ThreadCtx& ctx, pmem::Tx& tx,
+                       const std::vector<SsTable::Entry>& entries);
   Manifest load_manifest(sim::ThreadCtx& ctx);
   void store_manifest(sim::ThreadCtx& ctx, pmem::Tx& tx, const Manifest& m);
   Manifest backup_manifest();
-  // Scrub the primary manifest's poisoned lines and rewrite it from `m`
-  // (open(): the backup copy; repair(): a committed copy). Returns false,
-  // writing nothing, when no line of the primary is poisoned.
-  bool heal_manifest(sim::ThreadCtx& ctx, const Manifest& m);
+  // Why `m` cannot be this pool's manifest, or "" if it can: its modes
+  // and run counts are in range, and its WAL region and every table ref
+  // lie inside the allocated heap. check() and open() judge by it.
+  std::string manifest_error(sim::ThreadCtx& ctx, const Manifest& m);
+  // Scrub the primary manifest's poisoned lines `bad` (its ARS result),
+  // then store the committed copy `m` over it.
+  void restore_manifest(sim::ThreadCtx& ctx, const Manifest& m,
+                        const std::vector<std::uint64_t>& bad);
 
   // ---- read path (DbOptions::read_combine) ------------------------------
   // Construct the per-open read-path state: the DRAM read cache (if

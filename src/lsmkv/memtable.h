@@ -42,12 +42,6 @@ class Memtable {
   std::size_t entries() const { return map_.size(); }
   bool empty() const { return map_.empty(); }
 
-  // Sorted iteration: fn(key, value, tombstone).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [k, v] : map_) fn(k, v.data, v.tombstone);
-  }
-
   // Sorted iteration from the first key >= start, until fn(key, value,
   // tombstone) returns false.
   template <typename Fn>

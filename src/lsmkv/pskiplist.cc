@@ -125,16 +125,6 @@ FindResult PSkiplist::get(sim::ThreadCtx& ctx, std::string_view key,
   return FindResult::kFound;
 }
 
-void PSkiplist::for_each(
-    sim::ThreadCtx& ctx,
-    const std::function<void(std::string_view, std::string_view, bool)>& fn) {
-  for_each_from(ctx, "", [&](std::string_view k, std::string_view v,
-                             bool tomb) {
-    fn(k, v, tomb);
-    return true;
-  });
-}
-
 void PSkiplist::for_each_from(
     sim::ThreadCtx& ctx, std::string_view start,
     const std::function<bool(std::string_view, std::string_view, bool)>& fn) {

@@ -44,14 +44,9 @@ class PSkiplist {
   FindResult get(sim::ThreadCtx& ctx, std::string_view key,
                  std::string* value);
 
-  // Sorted, deduplicated iteration (newest version of each key):
-  // fn(key, value, tombstone).
-  void for_each(sim::ThreadCtx& ctx,
-                const std::function<void(std::string_view, std::string_view,
-                                         bool)>& fn);
-
-  // The same iteration from the first key >= start (a tower descent;
-  // "" walks from the head with none), until fn returns false.
+  // Sorted, deduplicated iteration (newest version of each key) from the
+  // first key >= start (a tower descent; "" walks from the head with
+  // none): fn(key, value, tombstone) until it returns false.
   void for_each_from(sim::ThreadCtx& ctx, std::string_view start,
                      const std::function<bool(std::string_view,
                                               std::string_view, bool)>& fn);

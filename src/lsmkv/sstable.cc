@@ -273,11 +273,4 @@ void SsTable::Cursor::load_entry(sim::ThreadCtx& ctx) {
   tombstone_ = (vraw & kTombstoneBit) != 0;
 }
 
-void SsTable::for_each(
-    sim::ThreadCtx& ctx, hw::PmemNamespace& ns, std::uint64_t off,
-    const std::function<void(std::string_view, std::string_view, bool)>& fn) {
-  for (Cursor c(ctx, ns, off, ""); c.valid(); c.next(ctx))
-    fn(c.key(), c.value(), c.tombstone());
-}
-
 }  // namespace xp::kv

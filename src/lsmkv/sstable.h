@@ -11,12 +11,11 @@
 // whole run), then binary-search the offset array with timed loads,
 // giving realistic read amplification. Sequential reads go through one
 // routine, the Cursor: a range scan seeks it to its start key and stops
-// it after the rows it needs, while compaction and check() walk whole
-// tables with it from "" (for_each).
+// it after the rows it needs, compaction merges whole tables through
+// cursors seeked to "", and check() walks each table with one.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -125,13 +124,6 @@ class SsTable {
     std::string value_;
     bool tombstone_ = false;
   };
-
-  // Sorted iteration of the whole table: fn(key, value, tombstone), one
-  // Cursor walked from "".
-  static void for_each(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
-                       std::uint64_t off,
-                       const std::function<void(std::string_view,
-                                                std::string_view, bool)>& fn);
 
  private:
   struct Header {

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <vector>
 
 #include "sim/crc32.h"
 
@@ -20,34 +19,39 @@ void Wal::write_bytes(ThreadCtx& ctx, std::uint64_t off,
   }
 }
 
+void Wal::encode(const WalRecord& r) {
+  assert(r.key.size() < 0x10000);
+  const std::uint32_t tag =
+      kTagMagic | static_cast<std::uint32_t>(r.key.size());
+  const std::uint32_t vlen = static_cast<std::uint32_t>(r.value.size()) |
+                             (r.tombstone ? kTombstoneBit : 0);
+  const std::size_t hdr_len = opts_.wal_checksum ? 12 : 8;
+  const std::size_t at = batch_.append_pod(tag);
+  batch_.append_pod(vlen);
+  if (opts_.wal_checksum) batch_.append_zeros(4);
+  batch_.append(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(r.key.data()), r.key.size()));
+  if (!r.value.empty())  // tombstones carry a null, zero-length value view
+    batch_.append(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(r.value.data()),
+        r.value.size()));
+  if (opts_.wal_checksum) {
+    std::uint32_t crc = sim::crc32c(batch_.data() + at, 8);
+    crc = sim::crc32c(batch_.data() + at + hdr_len,
+                      batch_.size() - at - hdr_len, crc);
+    std::memcpy(batch_.data() + at + 8, &crc, 4);
+  }
+}
+
 void Wal::append(ThreadCtx& ctx, std::string_view key, std::string_view value,
                  bool tombstone, bool sync_now) {
-  assert(key.size() < 0x10000);
-  const std::uint32_t tag =
-      kTagMagic | static_cast<std::uint32_t>(key.size());
-  const std::uint32_t vlen = static_cast<std::uint32_t>(value.size()) |
-                             (tombstone ? kTombstoneBit : 0);
-  const std::size_t hdr_len = opts_.wal_checksum ? 12 : 8;
-  const std::size_t rec_len = hdr_len + key.size() + value.size();
-  assert(tail_ + rec_len + 8 <= capacity_ && "WAL full; truncate first");
-
   if (mode_ == WalMode::kPosix) ctx.advance_by(kSyscall);
 
-  // Payload first (vlen [+ crc] + key + value), then the tag makes it
-  // valid. scratch_ is a member so steady-state appends allocate nothing.
-  scratch_.resize(rec_len);
-  std::uint8_t* buf_data = scratch_.data();
-  std::memcpy(buf_data, &tag, 4);
-  std::memcpy(buf_data + 4, &vlen, 4);
-  std::memcpy(buf_data + hdr_len, key.data(), key.size());
-  if (!value.empty())  // tombstones carry a null, zero-length value view
-    std::memcpy(buf_data + hdr_len + key.size(), value.data(),
-                value.size());
-  if (opts_.wal_checksum) {
-    std::uint32_t crc = sim::crc32c(buf_data, 8);
-    crc = sim::crc32c(buf_data + hdr_len, rec_len - hdr_len, crc);
-    std::memcpy(buf_data + 8, &crc, 4);
-  }
+  batch_.reset(base_ + tail_);
+  encode({key, value, tombstone});
+  const std::uint8_t* buf_data = batch_.data();
+  const std::size_t rec_len = batch_.size();
+  assert(tail_ + rec_len + 8 <= capacity_ && "WAL full; truncate first");
 
   const std::uint64_t at = base_ + tail_;
   // Terminator after the record, then payload, then the tag makes the
@@ -70,7 +74,6 @@ void Wal::append(ThreadCtx& ctx, std::string_view key, std::string_view value,
 void Wal::append_group(ThreadCtx& ctx, std::span<const WalRecord> recs,
                        bool sync_now) {
   if (recs.empty()) return;
-  const std::size_t hdr_len = opts_.wal_checksum ? 12 : 8;
 
   // One gathered write() syscall for the whole group in kPosix mode.
   if (mode_ == WalMode::kPosix) ctx.advance_by(kSyscall);
@@ -80,28 +83,7 @@ void Wal::append_group(ThreadCtx& ctx, std::span<const WalRecord> recs,
   // replay() needs no changes and mixed per-record/group logs replay
   // fine.
   batch_.reset(base_ + tail_);
-  for (const WalRecord& r : recs) {
-    assert(r.key.size() < 0x10000);
-    const std::uint32_t tag =
-        kTagMagic | static_cast<std::uint32_t>(r.key.size());
-    const std::uint32_t vlen = static_cast<std::uint32_t>(r.value.size()) |
-                               (r.tombstone ? kTombstoneBit : 0);
-    const std::size_t at = batch_.append_pod(tag);
-    batch_.append_pod(vlen);
-    if (opts_.wal_checksum) batch_.append_zeros(4);
-    batch_.append(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(r.key.data()), r.key.size()));
-    if (!r.value.empty())
-      batch_.append(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(r.value.data()),
-          r.value.size()));
-    if (opts_.wal_checksum) {
-      std::uint32_t crc = sim::crc32c(batch_.data() + at, 8);
-      crc = sim::crc32c(batch_.data() + at + hdr_len,
-                        batch_.size() - at - hdr_len, crc);
-      std::memcpy(batch_.data() + at + 8, &crc, 4);
-    }
-  }
+  for (const WalRecord& r : recs) encode(r);
   const std::uint32_t zero = 0;
   batch_.append_pod(zero);  // terminator for the whole group
   assert(tail_ + batch_.size() + 4 <= capacity_ && "WAL full; truncate first");

@@ -22,7 +22,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "lsmkv/common.h"
 #include "pmemlib/linebatch.h"
@@ -94,6 +93,9 @@ class Wal {
  private:
   void write_bytes(ThreadCtx& ctx, std::uint64_t off,
                    std::span<const std::uint8_t> data);
+  // Stage `r` in its record format at the end of batch_: the one encoder
+  // append() and append_group() share.
+  void encode(const WalRecord& r);
 
   PmemNamespace& ns_;
   std::uint64_t base_;
@@ -102,10 +104,8 @@ class Wal {
   const DbOptions& opts_;
   std::uint64_t tail_ = 0;  // next append offset, relative to base_
   std::uint64_t bytes_appended_ = 0;
-  // Reused staging memory: append() serializes into scratch_ and
-  // append_group() coalesces into batch_, so steady-state appends do no
-  // heap allocation.
-  std::vector<std::uint8_t> scratch_;
+  // Reused staging memory for both append paths, so steady-state appends
+  // do no heap allocation.
   pmem::LineBatcher batch_;
 };
 

@@ -174,8 +174,7 @@ inline void reset_read_path(LineReader& reader,
   reader = LineReader{};
   cache.reset();
   if (cache_lines == 0) return;
-  cache = std::make_unique<ReadCache>(
-      ns, ReadCacheOptions{.capacity_lines = cache_lines});
+  cache = std::make_unique<ReadCache>(ns, cache_lines);
   reader.attach_cache(cache.get());
 }
 

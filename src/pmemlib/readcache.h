@@ -13,7 +13,9 @@
 // Eviction is per-shard clock (second chance): a lookup sets the entry's
 // referenced bit; the rotating hand clears it once before reclaiming the
 // slot. Sharding by line index keeps the hand's sweep short and mirrors
-// how a per-core software cache would partition.
+// how a per-core software cache would partition: kShards shards share
+// the capacity equally, or one shard holds a capacity below kShards
+// lines.
 //
 // Timing model: a hit is one DRAM-latency access (`kHitCost`) issued
 // through the calling thread's MLP window — it pipelines like any other
@@ -35,14 +37,6 @@
 
 namespace xp::pmem {
 
-struct ReadCacheOptions {
-  // Total capacity in 256 B lines across all shards (4096 = 1 MiB).
-  std::size_t capacity_lines = 4096;
-  // Shard count, rounded up to a power of two; each shard gets an equal
-  // slice of the capacity and its own clock hand.
-  std::size_t shards = 8;
-};
-
 class ReadCache final : public hw::StoreObserver {
  public:
   static constexpr std::uint64_t kLine = hw::Platform::kXpLineBytes;
@@ -55,12 +49,11 @@ class ReadCache final : public hw::StoreObserver {
     std::uint64_t invalidations = 0;  // a write dropped a cached line
   };
 
-  ReadCache(hw::PmemNamespace& ns, ReadCacheOptions opts = {}) : ns_(ns) {
-    std::size_t n = 1;
-    while (n < opts.shards) n <<= 1;
-    if (opts.capacity_lines < n) n = 1;
+  // `capacity_lines` 256 B lines in total (4096 = 1 MiB).
+  ReadCache(hw::PmemNamespace& ns, std::size_t capacity_lines) : ns_(ns) {
+    const std::size_t n = capacity_lines < kShards ? 1 : kShards;
     shards_.resize(n);
-    const std::size_t per = opts.capacity_lines / n;
+    const std::size_t per = capacity_lines / n;
     for (auto& s : shards_) {
       s.entries.resize(per == 0 ? 1 : per);
       s.data.resize(s.entries.size() * kLine);
@@ -166,6 +159,7 @@ class ReadCache final : public hw::StoreObserver {
   hw::PmemNamespace& ns() { return ns_; }
 
  private:
+  static constexpr std::size_t kShards = 8;  // a power of two
   // Simulated cost of serving one lookup hit from DRAM.
   static constexpr sim::Time kHitCost = sim::ns(60);
   // The cache's payload is ordinary cacheable host memory, so recently

@@ -242,6 +242,16 @@ class Platform {
   // granularity; used by tests and shutdown paths).
   void writeback_all_caches();
 
+  // Write every dirty line still in the XP write-combining buffers to
+  // media at time `t`, so the media counters cover a whole run: a short
+  // run whose working set fits in the 16 KB buffers would otherwise
+  // report almost no media writes and a flattering EWR.
+  void flush_xp_buffers(Time t) {
+    for (auto& socket : sockets_)
+      for (auto& dimm : socket.xp)
+        dimm->buffer().flush_all(t, dimm->counters());
+  }
+
   // ---- Crash-point instrumentation (src/crashmc) -------------------------
   // Every durability-relevant event is counted: a dirty line entering the
   // WPQ (clwb/clflush/clflushopt of a dirty line, a natural eviction

@@ -151,23 +151,6 @@ TEST(SsTableTest, TombstonesReported) {
   EXPECT_EQ(SsTable::get(t, ns, 0, key_of(2), &v), FindResult::kFound);
 }
 
-TEST(SsTableTest, ForEachIteratesInOrder) {
-  Platform platform;
-  PmemNamespace& ns = platform.optane(64 << 20);
-  ThreadCtx t = make_thread();
-  std::vector<SsTable::Entry> entries;
-  for (int i = 0; i < 20; ++i) entries.push_back({key_of(i), value_of(i),
-                                                  false});
-  SsTable::build(t, ns, 0, entries);
-  std::vector<std::string> keys;
-  SsTable::for_each(t, ns, 0,
-                    [&](std::string_view k, std::string_view, bool) {
-                      keys.emplace_back(k);
-                    });
-  ASSERT_EQ(keys.size(), 20u);
-  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-}
-
 TEST(SsTableTest, CursorSeeksToLowerBound) {
   Platform platform;
   PmemNamespace& ns = platform.optane(64 << 20);
@@ -200,19 +183,14 @@ TEST(SsTableTest, CursorSeeksToLowerBound) {
   }
   EXPECT_FALSE(c.valid());
 
-  // A cursor walked from "" yields exactly for_each's rows: the table.
+  // A cursor walked from "" yields exactly the built rows, in order.
   using Row = std::tuple<std::string, std::string, bool>;
-  std::vector<Row> built, walked, iterated;
+  std::vector<Row> built, walked;
   for (const SsTable::Entry& e : entries)
     built.emplace_back(e.key, e.value, e.tombstone);
   for (SsTable::Cursor w(t, ns, 0, ""); w.valid(); w.next(t))
     walked.emplace_back(w.key(), w.value(), w.tombstone());
-  SsTable::for_each(t, ns, 0,
-                    [&](std::string_view k, std::string_view v, bool tomb) {
-                      iterated.emplace_back(k, v, tomb);
-                    });
   EXPECT_EQ(walked, built);
-  EXPECT_EQ(iterated, built);
 }
 
 TEST(SsTableTest, SurvivesCrash) {
@@ -327,18 +305,20 @@ TEST_F(PSkipFixture, SortedDedupedIteration) {
   list->put(t, key_of(5), "updated", false);
   std::vector<std::string> keys;
   std::string v5;
-  list->for_each(t, [&](std::string_view k, std::string_view v, bool) {
-    keys.emplace_back(k);
-    if (k == key_of(5)) v5 = std::string(v);
-  });
+  list->for_each_from(t, "",
+                      [&](std::string_view k, std::string_view v, bool) {
+                        keys.emplace_back(k);
+                        if (k == key_of(5)) v5 = std::string(v);
+                        return true;
+                      });
   ASSERT_EQ(keys.size(), 10u);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   EXPECT_EQ(v5, "updated");
 }
 
-// for_each_from descends the towers to its start instead of walking
-// level 0 from the head, lands on the newest version, and stops when fn
-// returns false.
+// for_each_from descends the towers to a nonempty start instead of
+// walking level 0 from the head, lands on the newest version, and stops
+// when fn returns false.
 TEST_F(PSkipFixture, ForEachFromSeeksAndStops) {
   ThreadCtx t = make_thread();
   for (int i = 0; i < 2000; ++i) list->put(t, key_of(i), value_of(i), false);
@@ -362,8 +342,9 @@ TEST_F(PSkipFixture, ForEachFromSeeksAndStops) {
   EXPECT_EQ(rows[2], std::make_pair(key_of(1003), value_of(1003)));
 
   std::size_t walked = 0;
-  list->for_each(t, [&](std::string_view, std::string_view, bool) {
+  list->for_each_from(t, "", [&](std::string_view, std::string_view, bool) {
     ++walked;
+    return true;
   });
   t.drain();
   const auto s2 = telemetry::Snapshot::capture(platform).xp_total();
@@ -724,6 +705,61 @@ TEST(DbRepair, PoisonedManifestIsReportedAndRewrittenByRepair) {
       EXPECT_EQ(v, value_of(i));
     }
   }
+}
+
+// open() judges the primary manifest by check()'s rules: one that is
+// unreadable (a poisoned line) or invalid (the zeroed line a scrub
+// leaves) falls back to the backup copy and is rewritten, in both
+// memtable modes, so every table and logged record stays reachable and
+// the next open finds no damage.
+TEST(DbRepair, OpenFallsBackToBackupManifest) {
+  // One case per memtable mode and kind of damage; an ASSERT ends only
+  // its own case.
+  auto run = [](bool persistent, bool poison) {
+    Platform platform;
+    PmemNamespace& ns = platform.optane(64 << 20);
+    ThreadCtx t = make_thread();
+    const DbOptions o{
+        .wal = persistent ? WalMode::kNone : WalMode::kFlex,
+        .memtable = persistent ? MemtableMode::kPersistent
+                               : MemtableMode::kVolatile,
+        .memtable_bytes = 4 << 10,
+        .l0_compaction_trigger = 8,
+        .wal_capacity = 1 << 20};
+    const int n = 100;
+    std::uint64_t root = 0;
+    {
+      Db db(ns, o);
+      db.create(t);
+      // Tables in L0 and a tail still in the memtable (and its WAL).
+      for (int i = 0; i < n; ++i) db.put(t, key_of(i), value_of(i));
+      ASSERT_GT(db.stats().memtable_flushes, 0u);
+      root = db.pool().root(t);
+    }
+    if (poison)
+      platform.poison_line(ns, root);
+    else
+      ns.poke(root, std::vector<std::uint8_t>(Platform::kXpLineBytes, 0));
+    for (const bool first : {true, false}) {
+      platform.crash();
+      Db db(ns, o);
+      ASSERT_TRUE(db.open(t));
+      EXPECT_EQ(db.recovery().manifest_restored, first);
+      EXPECT_EQ(db.recovery().damaged(), first);
+      EXPECT_TRUE(db.check(t).ok());
+      std::string v;
+      for (int i = 0; i < n; ++i) {
+        ASSERT_TRUE(db.get(t, key_of(i), &v)) << i;
+        EXPECT_EQ(v, value_of(i));
+      }
+    }
+  };
+  for (const bool persistent : {false, true})
+    for (const bool poison : {true, false}) {
+      SCOPED_TRACE(std::string(persistent ? "persistent" : "volatile") +
+                   (poison ? ", poisoned" : ", zeroed"));
+      run(persistent, poison);
+    }
 }
 
 // ---- Fig 8 anchor -------------------------------------------------------

@@ -255,7 +255,7 @@ TEST_P(ConservationOracle, ObservedRunConservesAndMatchesUnobserved) {
     // stores/loads: the conservation laws below must keep holding with
     // the read-path layer in play (cache hits are DRAM-only and add no
     // DIMM traffic to account for).
-    pmem::ReadCache rcache(ns, {.capacity_lines = 128});
+    pmem::ReadCache rcache(ns, 128);
     pmem::LineReader reader;
     reader.attach_cache(&rcache);
     for (int op = 0; op < 1500; ++op) {
@@ -514,7 +514,7 @@ TEST_P(LineRoundTrip, ReaderMatchesPlainLoads) {
   ns.store_persist(t, 0, std::span<const std::uint8_t>(image.data(),
                                                        image.size()));
 
-  pmem::ReadCache cache(ns, {.capacity_lines = 32});
+  pmem::ReadCache cache(ns, 32);
   pmem::LineReader reader;
   if (rng.uniform(2) == 0) reader.attach_cache(&cache);
 

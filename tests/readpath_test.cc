@@ -41,14 +41,6 @@ ThreadCtx make_thread(unsigned id = 0) {
   return ThreadCtx({.id = id, .socket = 0, .mlp = 8, .seed = id + 1});
 }
 
-void drain_xp_buffers(Platform& p, sim::Time t) {
-  for (unsigned s = 0; s < p.timing().sockets; ++s)
-    for (unsigned c = 0; c < p.timing().channels_per_socket; ++c) {
-      auto& d = p.xp_dimm(s, c);
-      d.buffer().flush_all(t, d.counters());
-    }
-}
-
 // Fill [off, off+len) with deterministic bytes via the management path.
 void poke_pattern(PmemNamespace& ns, std::uint64_t off, std::size_t len,
                   std::uint8_t salt) {
@@ -179,7 +171,7 @@ TEST(ReadCache, HitsServeFromDramWithNoDeviceTraffic) {
   ThreadCtx t = make_thread();
   poke_pattern(ns, 0, 4096, 5);
 
-  pmem::ReadCache cache(ns, {.capacity_lines = 64});
+  pmem::ReadCache cache(ns, 64);
   pmem::LineReader r;
   r.attach_cache(&cache);
 
@@ -207,7 +199,7 @@ TEST(ReadCache, EveryWritePathInvalidates) {
   ThreadCtx t = make_thread();
   poke_pattern(ns, 0, 4096, 2);
 
-  pmem::ReadCache cache(ns, {.capacity_lines = 64});
+  pmem::ReadCache cache(ns, 64);
   pmem::LineReader r;
   r.attach_cache(&cache);
 
@@ -251,8 +243,9 @@ TEST(ReadCache, ClockEvictionBoundsCapacity) {
   ThreadCtx t = make_thread();
   poke_pattern(ns, 0, 64 * kLine, 4);
 
-  // One shard, four slots: the fifth distinct line must evict.
-  pmem::ReadCache cache(ns, {.capacity_lines = 4, .shards = 1});
+  // Four lines, fewer than the shard count, so one shard of four slots:
+  // the fifth distinct line must evict.
+  pmem::ReadCache cache(ns, 4);
   pmem::LineReader r;
   r.attach_cache(&cache);
   for (int i = 0; i < 8; ++i) {
@@ -403,7 +396,7 @@ TEST(LsmkvReadPath, AcceleratedGetsReadFewerMediaBytesAndLowerErr) {
 
     platform.reset_timing();
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     const auto s0 = telemetry::Snapshot::capture(platform).xp_total();
     const sim::Time g0 = t.now();
     std::string v;
@@ -412,7 +405,7 @@ TEST(LsmkvReadPath, AcceleratedGetsReadFewerMediaBytesAndLowerErr) {
       for (int i = 0; i < 2000; i += 2)
         hits += db.get(t, key_of(i), &v) ? 1 : 0;
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     const auto d = telemetry::Snapshot::capture(platform).xp_total() - s0;
     EXPECT_EQ(hits, 3000u);
     struct Out {
@@ -453,7 +446,7 @@ TEST(LsmkvReadPath, KnobsOffTelemetryDeterministic) {
     db.flush(t);
     for (int i = 0; i < 300; ++i) db.get(t, "k" + std::to_string(i), &v);
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     const auto total = telemetry::Snapshot::capture(platform).xp_total();
     return std::make_tuple(total.imc_write_bytes, total.media_write_bytes,
                            total.imc_read_bytes, total.media_read_bytes,
@@ -528,14 +521,14 @@ TEST(NovafsReadPath, CombinedReplayAndReadsLowerMediaReads) {
     nova::NovaFs fs2(ns, nova_opts(on));
     platform.reset_timing();
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     const auto s0 = telemetry::Snapshot::capture(platform).xp_total();
     EXPECT_TRUE(fs2.mount(t));
     const int fd2 = fs2.open(t, "f");
     std::vector<std::uint8_t> out(32 << 10);
     for (int round = 0; round < 3; ++round) fs2.read(t, fd2, 0, out);
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     const auto d = telemetry::Snapshot::capture(platform).xp_total() - s0;
     return std::make_pair(d.media_read_bytes, d.err());
   };
@@ -612,7 +605,7 @@ TEST(StreeReadPath, HotLeafCachingCutsMediaReads) {
     }
     platform.reset_timing();
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     const auto s0 = telemetry::Snapshot::capture(platform);
     std::string v;
     for (int round = 0; round < 4; ++round)
@@ -621,7 +614,7 @@ TEST(StreeReadPath, HotLeafCachingCutsMediaReads) {
         EXPECT_TRUE(tree.get(t, key, &v));
       }
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     const auto snap = telemetry::Snapshot::capture(platform);
 
     // Per-DIMM conservation (read laws) with the cache in play.
@@ -658,7 +651,7 @@ TEST(PmemkvReadPath, KnobsOffTelemetryDeterministic) {
       map.put(t, "k" + std::to_string(i), std::string(32, 'x'));
     for (int i = 0; i < 400; ++i) map.get(t, "k" + std::to_string(i % 250), &v);
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     const auto total = telemetry::Snapshot::capture(platform).xp_total();
     return std::make_tuple(total.imc_write_bytes, total.media_write_bytes,
                            total.imc_read_bytes, total.media_read_bytes,

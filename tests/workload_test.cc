@@ -34,14 +34,6 @@ sim::ThreadCtx make_thread(unsigned id = 0, std::uint64_t seed = 1) {
   return sim::ThreadCtx({.id = id, .socket = 0, .mlp = 8, .seed = seed});
 }
 
-void drain_xp_buffers(hw::Platform& p, sim::Time t) {
-  for (unsigned s = 0; s < p.timing().sockets; ++s)
-    for (unsigned c = 0; c < p.timing().channels_per_socket; ++c) {
-      auto& d = p.xp_dimm(s, c);
-      d.buffer().flush_all(t, d.counters());
-    }
-}
-
 // Telemetry fingerprint of a platform interval: byte counters + clock.
 using Tuple = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
                          std::uint64_t, sim::Time>;
@@ -282,7 +274,7 @@ TEST(StoreIface, LsmkvAdapterIsTimingNeutral) {
       if (i % 17 == 0) db.del(t, workload::key_name((i + 5) % 64));
     }
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     direct =
         fingerprint(telemetry::Snapshot::capture(platform) - s0, t.now());
   }
@@ -301,7 +293,7 @@ TEST(StoreIface, LsmkvAdapterIsTimingNeutral) {
       if (i % 17 == 0) store->del(t, workload::key_name((i + 5) % 64));
     }
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     adapted =
         fingerprint(telemetry::Snapshot::capture(platform) - s0, t.now());
   }
@@ -324,7 +316,7 @@ Tuple run_db_workload(kv::DbOptions o, kv::DbStats* stats = nullptr,
     db.put(t, workload::key_name(i % 120),
            workload::make_value(i % 120, i, 100));
   t.drain();
-  drain_xp_buffers(platform, t.now());
+  platform.flush_xp_buffers(t.now());
   if (stats != nullptr) *stats = db.stats();
   if (state != nullptr)
     for (auto& [k, v] : db.scan(t, "", 1000)) (*state)[k] = v;
@@ -489,7 +481,7 @@ TEST(ShardedStore, BatchedDispatchReachesEveryShard) {
   const auto s0 = telemetry::Snapshot::capture(platform);
   store.apply_batch(t, batch);
   t.drain();
-  drain_xp_buffers(platform, t.now());
+  platform.flush_xp_buffers(t.now());
   const auto d = telemetry::Snapshot::capture(platform) - s0;
 
   // Every shard's DIMM saw writes: the batch fanned out per the router.

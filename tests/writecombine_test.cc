@@ -27,17 +27,6 @@ ThreadCtx make_thread(unsigned id = 0) {
   return ThreadCtx({.id = id, .socket = 0, .mlp = 8, .seed = id + 1});
 }
 
-// The XP write-combining buffers retain dirty lines; short workloads fit
-// entirely inside them and would under-report media writes. Flush every
-// DIMM before the final snapshot so EWR reflects what reaches media.
-void drain_xp_buffers(Platform& p, sim::Time t) {
-  for (unsigned s = 0; s < p.timing().sockets; ++s)
-    for (unsigned c = 0; c < p.timing().channels_per_socket; ++c) {
-      auto& d = p.xp_dimm(s, c);
-      d.buffer().flush_all(t, d.counters());
-    }
-}
-
 // ------------------------------------------------------------ batcher ---
 
 TEST(LineBatcher, StagesAndWritesContiguously) {
@@ -234,7 +223,7 @@ TEST(WalGroupCommit, GroupCommitFixesWriteAmplification) {
       }
     }
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     const auto d = telemetry::Snapshot::capture(platform) - s0;
     return d.xp_total().ewr();
   };
@@ -257,7 +246,7 @@ TEST(WalGroupCommit, FlagsOffTelemetryDeterministic) {
     for (int i = 0; i < 200; ++i)
       db.put(t, "k" + std::to_string(i), std::string(40, 'v'));
     t.drain();
-    drain_xp_buffers(platform, t.now());
+    platform.flush_xp_buffers(t.now());
     const auto s = telemetry::Snapshot::capture(platform);
     const auto total = s.xp_total();
     return std::make_tuple(total.imc_write_bytes, total.media_write_bytes,
