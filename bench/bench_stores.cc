@@ -152,7 +152,6 @@ Row run_lsmkv(const Cfg& c) {
   auto& ns = platform.optane(256ull << 20);
   kv::DbOptions o;
   o.wal = c.wal;
-  o.sync_every_op = true;
   o.wal_group_commit = c.optimized;
   o.wal_group_size = c.group_size;
   o.memtable_bytes = 32 << 20;  // keep flushes out of the window
@@ -670,7 +669,6 @@ int main(int argc, char** argv) {
     auto& ns = platform.optane(256ull << 20);
     kv::DbOptions o;
     o.wal = kv::WalMode::kFlex;
-    o.sync_every_op = true;
     o.wal_group_commit = true;
     kv::Db db(ns, o);
     sim::ThreadCtx t({.id = 0, .socket = 0, .mlp = 8, .seed = 1});

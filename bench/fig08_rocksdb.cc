@@ -36,7 +36,6 @@ double set_kops(hw::Device device, kv::WalMode wal, kv::MemtableMode mem) {
   kv::DbOptions o;
   o.wal = wal;
   o.memtable = mem;
-  o.sync_every_op = true;
   kv::Db db(ns, o);
   db.create(t);
 

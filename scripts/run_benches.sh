@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # Build Release, run the self-measurement harnesses (bench_timing writes
 # BENCH_sweep.json, bench_stores writes BENCH_stores.json, bench_ycsb
-# writes BENCH_YCSB.json), and guard the sweep engine's determinism
+# writes BENCH_YCSB.json), hash the output of every figure and ablation
+# bench into BENCH_figs.sha256, and guard the sweep engine's determinism
 # contract: every converted figure bench must print byte-identical
 # tables with --jobs 1 and --jobs N. Intended for CI and for refreshing
-# the committed JSON baselines.
+# the committed baselines.
 #
 # Usage: scripts/run_benches.sh [--check] [jobs]
-#   --check  write the JSON to a temp dir instead of the repo root, and
-#            fail if the new BENCH_stores.json or BENCH_YCSB.json differs
-#            from the tracked copy in anything but its host_cores and
-#            jobs lines. Their rows are simulated quantities, so every
-#            change to them must be re-recorded. BENCH_sweep.json holds
-#            host timings and is not compared.
+#   --check  write the baselines to a temp dir instead of the repo root,
+#            and fail if the new BENCH_stores.json or BENCH_YCSB.json
+#            differs from the tracked copy in anything but its host_cores
+#            and jobs lines, or if any line of BENCH_figs.sha256 differs.
+#            All of them are simulated quantities, so every change to
+#            them must be re-recorded. BENCH_sweep.json holds host
+#            timings and is not compared.
 #   jobs     defaults to the machine's core count (or XP_JOBS if set).
 set -euo pipefail
 
@@ -33,12 +35,18 @@ if [ "$CHECK" = 1 ]; then
   trap 'rm -rf "$OUT"' EXIT
 fi
 
+# Every figure and ablation bench; each prints its table to stdout.
+FIGS=(fig02_idle_latency fig03_tail_latency fig04_bw_threads
+      fig05_bw_access_size fig06_latency_under_load fig07_emulation
+      fig08_rocksdb fig09_ewr_correlation fig10_xpbuffer_capacity
+      fig12_fileio_latency fig13_persist_instructions fig14_sfence_interval
+      fig15_microbuffering fig16_imc_contention fig17_multidimm_nova
+      fig18_numa_mix fig19_pmemkv_numa abl_xpbuffer_size abl_wpq_credit
+      abl_stream_trackers abl_memory_mode abl_eadr)
+
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target \
-    bench_timing bench_stores bench_ycsb fig02_idle_latency \
-    fig04_bw_threads fig05_bw_access_size fig06_latency_under_load \
-    fig13_persist_instructions fig14_sfence_interval \
-    fig16_imc_contention > /dev/null
+    bench_timing bench_stores bench_ycsb "${FIGS[@]}" > /dev/null
 
 echo "== bench_timing (jobs=$JOBS) =="
 "$BUILD/bench/bench_timing" --jobs "$JOBS" --host-cores "$CORES" \
@@ -61,6 +69,17 @@ echo "== bench_ycsb (jobs=$JOBS) =="
 # byte-identical-at-any---jobs contract) or a resilience gate fails.
 "$BUILD/bench/bench_ycsb" --faults --jobs "$JOBS" --host-cores "$CORES" \
     --out "$OUT/BENCH_YCSB.json"
+
+# Figure outputs: one sha256 of each bench's stdout. The converted benches
+# take XP_JOBS; the rest run serially and ignore it.
+echo
+echo "== figure outputs (jobs=$JOBS) =="
+: > "$OUT/BENCH_figs.sha256"
+for fig in "${FIGS[@]}"; do
+  sum=$(XP_JOBS="$JOBS" "$BUILD/bench/$fig" | sha256sum | cut -d' ' -f1)
+  echo "$sum  $fig" >> "$OUT/BENCH_figs.sha256"
+done
+echo "  ${#FIGS[@]} outputs hashed"
 
 # Determinism guard: byte-identical tables regardless of job count. The
 # quick benches run their full sweeps; the long ones are already covered
@@ -117,5 +136,12 @@ if [ "$CHECK" = 1 ]; then
       status=1
     fi
   done
+  if diff BENCH_figs.sha256 "$OUT/BENCH_figs.sha256" > /dev/null; then
+    echo "  BENCH_figs.sha256: matches"
+  else
+    echo "  BENCH_figs.sha256: DIFFERS (a figure output changed)"
+    diff BENCH_figs.sha256 "$OUT/BENCH_figs.sha256" || true
+    status=1
+  fi
 fi
 exit $status

@@ -24,7 +24,6 @@ enum class MemtableMode {
 struct DbOptions {
   WalMode wal = WalMode::kFlex;
   MemtableMode memtable = MemtableMode::kVolatile;
-  bool sync_every_op = true;            // db_bench --sync
   std::size_t memtable_bytes = 4 << 20; // flush threshold
   unsigned l0_compaction_trigger = 4;   // L0 tables before compaction
   std::uint64_t wal_capacity = 64 << 20;

@@ -25,12 +25,14 @@ void Db::store_manifest(sim::ThreadCtx& ctx, pmem::Tx& tx,
   tx.store(root_off_, std::span<const std::uint8_t>(
                           reinterpret_cast<const std::uint8_t*>(&m),
                           sizeof(m)));
-  // Mirror into the fixed backup slot. Management-path write (untimed):
-  // the mirror models firmware-level redundancy, not a data-path store.
+  mirror_manifest(m);
+  (void)ctx;
+}
+
+void Db::mirror_manifest(const Manifest& m) {
   pool_.ns().poke(kManifestBackupOff,
                   std::span<const std::uint8_t>(
                       reinterpret_cast<const std::uint8_t*>(&m), sizeof(m)));
-  (void)ctx;
 }
 
 void Db::create(sim::ThreadCtx& ctx) {
@@ -52,9 +54,7 @@ void Db::create(sim::ThreadCtx& ctx) {
   if (opts_.memtable == MemtableMode::kPersistent) {
     m.pskiplist_root = pool_.alloc_raw(ctx, 64);
   }
-  pool_.ns().poke(kManifestBackupOff,
-                  std::span<const std::uint8_t>(
-                      reinterpret_cast<const std::uint8_t*>(&m), sizeof(m)));
+  mirror_manifest(m);
   pmem::store_persist_pod(ctx, pool_.ns(), root_off_, m);
 
   if (opts_.wal != WalMode::kNone) {
@@ -173,6 +173,10 @@ bool Db::open(sim::ThreadCtx& ctx) {
         pool_.ns().platform().ars(pool_.ns(), root_off_, sizeof(Manifest)));
     recovery_.detail = "manifest restored from backup copy";
   }
+  // A crash inside a commit can leave the mirror one manifest ahead of the
+  // primary the pool rolled back (store_manifest writes it before
+  // tx.commit()), so re-mirror the recovered one before anything needs it.
+  mirror_manifest(m);
   opts_.wal = static_cast<WalMode>(m.wal_mode);
   opts_.memtable = static_cast<MemtableMode>(m.memtable_mode);
   opts_.wal_checksum = (m.flags & 1u) != 0;
@@ -240,7 +244,7 @@ void Db::write_record(sim::ThreadCtx& ctx, std::string_view key,
     memtable_.put(ctx, key, value, tombstone);
     if (pending_.size() >= opts_.wal_group_size) commit_pending(ctx);
   } else {
-    wal_->append(ctx, key, value, tombstone, opts_.sync_every_op);
+    wal_->append(ctx, key, value, tombstone);
     memtable_.put(ctx, key, value, tombstone);
   }
   maybe_flush(ctx);
@@ -253,7 +257,7 @@ void Db::commit_pending(sim::ThreadCtx& ctx) {
   recs.reserve(pending_.size());
   for (const PendingRec& p : pending_)
     recs.push_back({p.key, p.value, p.tombstone});
-  wal_->append_group(ctx, recs, opts_.sync_every_op);
+  wal_->append_group(ctx, recs);
   pending_.clear();
 }
 
@@ -270,7 +274,7 @@ void Db::put_batch(sim::ThreadCtx& ctx, std::span<const WalRecord> recs) {
   }
   // Earlier buffered singles commit first so WAL order matches op order.
   commit_pending(ctx);
-  wal_->append_group(ctx, recs, opts_.sync_every_op);
+  wal_->append_group(ctx, recs);
   for (const WalRecord& r : recs)
     memtable_.put(ctx, r.key, r.value, r.tombstone);
   maybe_flush(ctx);

@@ -147,7 +147,9 @@ class Db {
   // Redundant manifest copy in the pool's reserved region (between the
   // backup pool header at 2048+56 and the lanes at 4096); the manifest is
   // the only route to every table, so its primary line going bad must not
-  // take the database with it. Mirrored on every manifest store.
+  // take the database with it. Mirrored on every manifest store, and by
+  // open() from the manifest it recovers: a crash inside a commit leaves
+  // the mirror one manifest ahead of the primary the pool rolls back.
   static constexpr std::uint64_t kManifestBackupOff = 2560;
   static_assert(sizeof(Manifest) <= 4096 - kManifestBackupOff);
 
@@ -179,6 +181,9 @@ class Db {
   Manifest load_manifest(sim::ThreadCtx& ctx);
   void store_manifest(sim::ThreadCtx& ctx, pmem::Tx& tx, const Manifest& m);
   Manifest backup_manifest();
+  // Copy `m` into the backup slot: an untimed management-path write, as
+  // the mirror models firmware-level redundancy, not a data-path store.
+  void mirror_manifest(const Manifest& m);
   // Why `m` cannot be this pool's manifest, or "" if it can: its modes
   // and run counts are in range, and its WAL region and every table ref
   // lie inside the allocated heap. check() and open() judge by it.

@@ -7,18 +7,6 @@
 
 namespace xp::kv {
 
-void Wal::write_bytes(ThreadCtx& ctx, std::uint64_t off,
-                      std::span<const std::uint8_t> data) {
-  if (mode_ == WalMode::kPosix) {
-    // Kernel write path: cached stores + flushes (the page-cache copy on
-    // a DAX fs goes through the CPU cache).
-    ns_.store_flush(ctx, off, data);
-  } else {
-    // FLEX: user-space non-temporal append.
-    ns_.ntstore(ctx, off, data);
-  }
-}
-
 void Wal::encode(const WalRecord& r) {
   assert(r.key.size() < 0x10000);
   const std::uint32_t tag =
@@ -44,35 +32,28 @@ void Wal::encode(const WalRecord& r) {
 }
 
 void Wal::append(ThreadCtx& ctx, std::string_view key, std::string_view value,
-                 bool tombstone, bool sync_now) {
+                 bool tombstone) {
   if (mode_ == WalMode::kPosix) ctx.advance_by(kSyscall);
 
   batch_.reset(base_ + tail_);
   encode({key, value, tombstone});
-  const std::uint8_t* buf_data = batch_.data();
   const std::size_t rec_len = batch_.size();
   assert(tail_ + rec_len + 8 <= capacity_ && "WAL full; truncate first");
-
-  const std::uint64_t at = base_ + tail_;
-  // Terminator after the record, then payload, then the tag makes the
-  // record valid — so recovery can never run past the true tail into
-  // stale bytes from a previous log epoch.
-  const std::uint32_t zero = 0;
-  write_bytes(ctx, at + rec_len,
-              std::span<const std::uint8_t>(
-                  reinterpret_cast<const std::uint8_t*>(&zero), 4));
-  write_bytes(ctx, at + 4,
-              std::span<const std::uint8_t>(buf_data + 4, rec_len - 4));
-  ns_.sfence(ctx);
-  write_bytes(ctx, at, std::span<const std::uint8_t>(buf_data, 4));
+  // The terminator after the record, then the payload, then the tag makes
+  // the record valid, so recovery can never run past the true tail into
+  // stale bytes from a previous log epoch. kPosix is the kernel's write
+  // path (cached stores + flushes: the page-cache copy on a DAX fs goes
+  // through the CPU cache); FLEX appends from user space with ntstores.
+  batch_.publish_record(ctx, ns_,
+                        mode_ == WalMode::kPosix ? pmem::WriteHint::kCached
+                                                 : pmem::WriteHint::kNt);
 
   tail_ += rec_len;
   bytes_appended_ += rec_len;
-  if (sync_now) sync(ctx);
+  sync(ctx);
 }
 
-void Wal::append_group(ThreadCtx& ctx, std::span<const WalRecord> recs,
-                       bool sync_now) {
+void Wal::append_group(ThreadCtx& ctx, std::span<const WalRecord> recs) {
   if (recs.empty()) return;
 
   // One gathered write() syscall for the whole group in kPosix mode.
@@ -100,7 +81,7 @@ void Wal::append_group(ThreadCtx& ctx, std::span<const WalRecord> recs,
   const std::uint64_t group_bytes = batch_.size() - 4;  // minus terminator
   tail_ += group_bytes;
   bytes_appended_ += group_bytes;
-  if (sync_now) sync(ctx);
+  sync(ctx);
 }
 
 void Wal::sync(ThreadCtx& ctx) {
@@ -109,10 +90,7 @@ void Wal::sync(ThreadCtx& ctx) {
 }
 
 void Wal::truncate(ThreadCtx& ctx) {
-  const std::uint32_t zero = 0;
-  ns_.store_persist(ctx, base_,
-                    std::span<const std::uint8_t>(
-                        reinterpret_cast<const std::uint8_t*>(&zero), 4));
+  pmem::store_persist_pod(ctx, ns_, base_, std::uint32_t{0});
   tail_ = 0;
 }
 

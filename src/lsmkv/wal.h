@@ -49,21 +49,17 @@ class Wal {
       WalMode mode, const DbOptions& opts)
       : ns_(ns), base_(base), capacity_(capacity), mode_(mode), opts_(opts) {}
 
-  // Append a record; durable when `sync` is true.
+  // Append a record and make it durable.
   void append(ThreadCtx& ctx, std::string_view key, std::string_view value,
-              bool tombstone, bool sync);
+              bool tombstone);
 
   // Group commit (§5.1/§5.2): append `recs` as one contiguous burst with
   // a single terminator and one fence for the whole group. The group is
   // crash-atomic — the first record's tag is written only after the fence
   // that makes every body, every later tag and the terminator durable, so
   // replay sees all of the group or none of it. One syscall charge (a
-  // gathered write()) in kPosix mode.
-  void append_group(ThreadCtx& ctx, std::span<const WalRecord> recs,
-                    bool sync);
-
-  // Make all prior appends durable.
-  void sync(ThreadCtx& ctx);
+  // gathered write()) in kPosix mode. Durable on return.
+  void append_group(ThreadCtx& ctx, std::span<const WalRecord> recs);
 
   // Reset the log after a memtable flush (records before `tail_` become
   // dead). Writes a fresh terminator at the start.
@@ -91,8 +87,9 @@ class Wal {
   WalMode mode() const { return mode_; }
 
  private:
-  void write_bytes(ThreadCtx& ctx, std::uint64_t off,
-                   std::span<const std::uint8_t> data);
+  // The durability step that ends every append: fsync() in kPosix mode,
+  // then a fence.
+  void sync(ThreadCtx& ctx);
   // Stage `r` in its record format at the end of batch_: the one encoder
   // append() and append_group() share.
   void encode(const WalRecord& r);

@@ -1,9 +1,11 @@
 #include "novafs/novafs.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <set>
+#include <unordered_set>
 
 #include "pmemlib/pmem_ops.h"
 #include "sim/crc32.h"
@@ -20,9 +22,6 @@ constexpr std::uint64_t kPage = NovaFs::kPageSize;
 // ---------------------------------------------------------- format/mount --
 
 void NovaFs::format(ThreadCtx& ctx) {
-  data_start_ = 4096 + kMaxInodes * sizeof(PInode);
-  data_start_ = (data_start_ + kPage - 1) / kPage * kPage;
-
   // Zero the inode table, then write the superblock last.
   std::vector<std::uint8_t> zeros(kMaxInodes * sizeof(PInode), 0);
   for (std::size_t p = 0; p < zeros.size(); p += 4096) {
@@ -32,7 +31,7 @@ void NovaFs::format(ThreadCtx& ctx) {
                                           4096, zeros.size() - p)));
   }
   ns_.sfence(ctx);
-  Super s{kMagic, ns_.size(), 4096, data_start_};
+  Super s{kMagic, ns_.size(), 4096, kDataStart};
   // Backup copy via the management path (untimed — formatting costs what
   // it did without it), primary last so a torn format has no valid super.
   ns_.poke(kSuperBackupOff, bytes_of(&s, sizeof(s)));
@@ -45,7 +44,7 @@ void NovaFs::format(ThreadCtx& ctx) {
   namei_.clear();
   free_pages_.clear();
   free_by_channel_.assign(6, {});
-  for (std::uint64_t off = data_start_; off + kPage <= ns_.size();
+  for (std::uint64_t off = kDataStart; off + kPage <= ns_.size();
        off += kPage)
     free_page(off);
 
@@ -64,13 +63,11 @@ void NovaFs::init_read_path() {
 bool NovaFs::mount(ThreadCtx& ctx) {
   recovery_ = RecoveryInfo{};
   init_read_path();
-  Super s{};
   bool primary_ok = false;
   try {
-    s = ns_.load_pod<Super>(ctx, 0);
-    primary_ok = s.magic == kMagic && s.fs_size == ns_.size();
+    primary_ok = super_error(ns_.load_pod<Super>(ctx, 0)) == nullptr;
   } catch (const hw::MediaError&) {
-    primary_ok = false;
+    // unreadable: fall back to the backup copy
   }
   if (!primary_ok) {
     Super b{};
@@ -79,13 +76,11 @@ bool NovaFs::mount(ThreadCtx& ctx) {
     } catch (const hw::MediaError&) {
       return false;  // both copies unreadable: not a mountable fs
     }
-    if (b.magic != kMagic || b.fs_size != ns_.size()) return false;
-    s = b;
+    if (super_error(b) != nullptr) return false;
     scrub_line(ctx, 0);
-    ns_.store_persist(ctx, 0, bytes_of(&s, sizeof(s)));
+    ns_.store_persist(ctx, 0, bytes_of(&b, sizeof(b)));
     recovery_.super_restored = true;
   }
-  data_start_ = s.data_start;
 
   inodes_.assign(kMaxInodes, DInode{});
   namei_.clear();
@@ -94,7 +89,7 @@ bool NovaFs::mount(ThreadCtx& ctx) {
 
   // Pass 1: replay every in-use inode's log (rebuilds page maps, sizes,
   // and the directory).
-  std::vector<bool> page_used((ns_.size() - data_start_) / kPage, false);
+  std::vector<bool> page_used((ns_.size() - kDataStart) / kPage, false);
   for (unsigned ino = 0; ino < kMaxInodes; ++ino) {
     PInode pi{};
     try {
@@ -119,7 +114,7 @@ bool NovaFs::mount(ThreadCtx& ctx) {
     replay_inode(ctx, ino);
     // Mark pages referenced by this inode as used.
     auto mark = [&](std::uint64_t off) {
-      if (off >= data_start_) page_used[(off - data_start_) / kPage] = true;
+      if (off >= kDataStart) page_used[(off - kDataStart) / kPage] = true;
     };
     for (const auto& [idx, ps] : di.pages) {
       if (ps.page_off != 0) mark(ps.page_off);
@@ -128,18 +123,24 @@ bool NovaFs::mount(ThreadCtx& ctx) {
     try {
       // Log-page headers were just staged/cached by the replay above, so
       // the combined walk re-serves them from DRAM.
-      for (std::uint64_t lp = di.log_head; lp != 0;) {
-        mark(lp);
-        lp = opt_.read_combine
-                 ? lreader_.fetch_pod<std::uint64_t>(ctx, ns_, lp)
-                 : ns_.load_pod<std::uint64_t>(ctx, lp);
+      const std::uint64_t back =
+          walk_chain(ctx, di.log_head, opt_.read_combine,
+                     [&](std::uint64_t lp) {
+                       mark(lp);
+                       return true;
+                     });
+      if (back != 0) {
+        // The chain links back to a page already walked: end it durably
+        // at the page holding that link.
+        lreader_.discard();
+        pmem::store_persist_pod(ctx, ns_, back, std::uint64_t{0});
+        recovery_.detail = "log chain links back to a page already walked";
+        report_truncated(ino);
       }
     } catch (const hw::MediaError&) {
       // A link beyond the replayed (truncated) portion is unreadable; the
       // unreachable tail pages stay unmarked and return to the free pool.
-      if (recovery_.logs_truncated.empty() ||
-          recovery_.logs_truncated.back() != ino)
-        recovery_.logs_truncated.push_back(ino);
+      report_truncated(ino);
     }
   }
 
@@ -165,15 +166,15 @@ bool NovaFs::mount(ThreadCtx& ctx) {
   // repair() excises them.
   if (recovery_.damaged()) {
     for (const std::uint64_t bad : ns_.platform().ars(ns_, 0, ns_.size())) {
-      const bool live = bad >= data_start_ &&
-                        page_used[(bad - data_start_) / kPage];
+      const bool live = bad >= kDataStart &&
+                        page_used[(bad - kDataStart) / kPage];
       if (!live) scrub_line(ctx, bad);
     }
   }
 
   // Pass 2: rebuild the free-page pool.
   for (std::size_t i = page_used.size(); i-- > 0;) {
-    if (!page_used[i]) free_page(data_start_ + i * kPage);
+    if (!page_used[i]) free_page(kDataStart + i * kPage);
   }
   return true;
 }
@@ -255,40 +256,41 @@ std::uint64_t NovaFs::log_append(ThreadCtx& ctx, unsigned ino,
                                  std::span<const std::uint8_t> payload) {
   lreader_.discard();  // about to mutate the log: drop the staged span
   DInode& di = inodes_[ino];
-  const std::uint32_t total = e.total_len;
-  assert(total == entry_len(payload.size()));
-  assert(total + kLogDataStart + 8 <= kPage && "entry too large for a page");
+  assert(e.total_len + kLogDataStart + 8 <= kPage &&
+         "entry too large for a page");
 
-  ensure_log_space(ctx, ino, total);
+  ensure_log_space(ctx, ino, e.total_len);
 
   const std::uint64_t at = di.log_tail;
   // Commit protocol: terminator after the record and the record body are
   // persisted first; the entry's magic word (its first 4 bytes) last.
   // Replay scans entries until an invalid magic, so a torn append is
   // invisible and no stale bytes can be mistaken for a live entry.
-  std::vector<std::uint8_t> buf(total, 0);
-  std::memcpy(buf.data(), &e, sizeof(e));
-  if (!payload.empty())
-    std::memcpy(buf.data() + sizeof(e), payload.data(), payload.size());
-  if (opt_.log_checksum) {
-    const std::uint32_t crc = sim::crc32c(buf.data(), total - 8);
-    std::memcpy(buf.data() + total - 8, &crc, 4);
-  }
-  const std::uint32_t zero = 0;
-  ns_.store_flush(ctx, at + total, bytes_of(&zero, 4));
-  ns_.store_flush(ctx, at + 4,
-                  std::span<const std::uint8_t>(buf.data() + 4, total - 4));
-  ns_.sfence(ctx);
-  ns_.store_flush(ctx, at, std::span<const std::uint8_t>(buf.data(), 4));
+  batch_.reset(at);
+  encode_entry(e, payload);
+  batch_.publish_record(ctx, ns_, pmem::WriteHint::kCached);
   ns_.sfence(ctx);
 
-  di.log_tail = at + total;
+  di.log_tail = at + e.total_len;
   // The persistent tail is a recovery *hint* (bounds the scan); the
   // authoritative end of log is the first invalid magic.
   pmem::store_persist_pod(ctx, ns_,
                           inode_off(ino) + offsetof(PInode, log_tail),
                           di.log_tail);
   return at;
+}
+
+void NovaFs::encode_entry(const LogEntry& e,
+                          std::span<const std::uint8_t> payload) {
+  assert(e.total_len == entry_len(payload.size()));
+  const std::size_t rel = batch_.append_pod(e);
+  batch_.append(payload);
+  batch_.append_zeros(e.total_len - sizeof(LogEntry) - payload.size());
+  if (opt_.log_checksum) {
+    const std::uint32_t crc =
+        sim::crc32c(batch_.data() + rel, e.total_len - 8);
+    std::memcpy(batch_.data() + rel + e.total_len - 8, &crc, 4);
+  }
 }
 
 std::vector<std::uint64_t> NovaFs::log_append_batch(
@@ -313,7 +315,6 @@ std::vector<std::uint64_t> NovaFs::log_append_batch(
   // at a fraction of the fences.
   std::size_t i = 0;
   while (i < entries.size()) {
-    assert(entries[i].e.total_len == entry_len(entries[i].payload.size()));
     ensure_log_space(ctx, ino, entries[i].e.total_len);
     // Room to the end-of-page marker slot; ensure_log_space guarantees
     // at least the first entry (plus terminator) fits.
@@ -323,8 +324,6 @@ std::vector<std::uint64_t> NovaFs::log_append_batch(
     std::size_t end = i;
     while (end < entries.size() &&
            total + entries[end].e.total_len <= room) {
-      assert(entries[end].e.total_len ==
-             entry_len(entries[end].payload.size()));
       total += entries[end].e.total_len;
       ++end;
     }
@@ -333,17 +332,8 @@ std::vector<std::uint64_t> NovaFs::log_append_batch(
     const std::uint64_t at = di.log_tail;
     batch_.reset(at);
     for (std::size_t k = i; k < end; ++k) {
-      const PendingEntry& pe = entries[k];
       offs.push_back(at + batch_.size());
-      const std::size_t rel = batch_.append_pod(pe.e);
-      if (!pe.payload.empty()) batch_.append(pe.payload);
-      batch_.append_zeros(pe.e.total_len - sizeof(LogEntry) -
-                          pe.payload.size());
-      if (opt_.log_checksum) {
-        const std::uint32_t crc =
-            sim::crc32c(batch_.data() + rel, pe.e.total_len - 8);
-        std::memcpy(batch_.data() + rel + pe.e.total_len - 8, &crc, 4);
-      }
+      encode_entry(entries[k].e, entries[k].payload);
     }
     const std::uint32_t zero = 0;
     batch_.append_pod(zero);  // terminator for the whole chunk
@@ -361,69 +351,122 @@ std::vector<std::uint64_t> NovaFs::log_append_batch(
   return offs;
 }
 
+// ----------------------------------------------------------- log walks --
+
+void NovaFs::pm_read(ThreadCtx& ctx, std::uint64_t off,
+                     std::span<std::uint8_t> out, bool staged,
+                     std::size_t window) {
+  if (staged)
+    lreader_.read(ctx, ns_, off, out, window);
+  else
+    ns_.load(ctx, off, out);
+}
+
+template <typename Visit>
+std::uint64_t NovaFs::walk_chain(ThreadCtx& ctx, std::uint64_t head,
+                                 bool staged, Visit visit) {
+  std::unordered_set<std::uint64_t> seen;
+  for (std::uint64_t lp = head; lp != 0;) {
+    if (!visit(lp)) return 0;
+    seen.insert(lp);
+    const auto next = pm_read_pod<std::uint64_t>(ctx, lp, staged);
+    if (seen.count(next) != 0) return lp;
+    lp = next;
+  }
+  return 0;
+}
+
+template <typename Apply>
+void NovaFs::walk_entries(ThreadCtx& ctx, std::uint64_t head, bool staged,
+                          LogCursor& at, Apply apply) {
+  std::unordered_set<std::uint64_t> pages{head};
+  at = LogCursor{head + kLogDataStart, 1, nullptr};
+  while (true) {
+    // Staged, the first fetch in each log page stages the rest of it.
+    const auto e = pm_read_pod<LogEntry>(ctx, at.pos, staged,
+                                         kPage - at.pos % kPage);
+    if ((e.magic_type & 0xFFFF0000u) != kEntryMagic) return;  // end of log
+    if ((e.magic_type & 0xFFFFu) == kEndOfPage) {
+      const auto next =
+          pm_read_pod<std::uint64_t>(ctx, at.pos / kPage * kPage, staged);
+      // A crash between the end-of-page marker persist and the old
+      // page's next-pointer persist durably leaves next == 0: the entry
+      // that needed the new page was never acknowledged, so this is
+      // simply the end of the log.
+      if (next == 0) return;
+      if (!pages.insert(next).second) {
+        at.why = "end-of-page link to a page already walked";
+        return;
+      }
+      at.pos = next + kLogDataStart;
+      ++at.pages;
+      continue;
+    }
+    at.why = entry_error(ctx, at.pos, e);
+    if (at.why == nullptr) at.why = apply(at.pos, e);
+    if (at.why != nullptr) return;
+    at.pos += e.total_len;
+  }
+}
+
+const char* NovaFs::entry_error(ThreadCtx& ctx, std::uint64_t pos,
+                                const LogEntry& e) {
+  const std::uint32_t type = e.magic_type & 0xFFFFu;
+  if (type != kWrite && type != kEmbed && type != kDirent &&
+      type != kDirentDel && type != kSetSize)
+    return "bad entry type";
+  if (e.total_len < sizeof(LogEntry) + footer() || e.total_len % 8 != 0 ||
+      pos % kPage + e.total_len + 8 > kPage)
+    return "bad entry length";
+  // The exact embed payload length rides in the `page` field.
+  if (type == kEmbed && e.page > e.total_len - sizeof(LogEntry) - footer())
+    return "embed payload overruns entry";
+  if (opt_.log_checksum) {
+    std::vector<std::uint8_t> buf(e.total_len - 8);
+    ns_.load(ctx, pos, buf);
+    const auto stored =
+        ns_.load_pod<std::uint32_t>(ctx, pos + e.total_len - 8);
+    if (sim::crc32c(buf.data(), buf.size()) != stored)
+      return "entry crc mismatch";
+  }
+  return nullptr;
+}
+
+const char* NovaFs::super_error(const Super& s) const {
+  if (s.magic != kMagic) return "super: bad magic";
+  if (s.fs_size != ns_.size()) return "super: fs_size mismatch";
+  if (s.data_start != kDataStart) return "super: bad data_start";
+  return nullptr;
+}
+
 void NovaFs::replay_inode(ThreadCtx& ctx, unsigned ino) {
   DInode& di = inodes_[ino];
   if (di.log_head == 0) return;
-  di.log_page_count = 1;
-  std::uint64_t pos = di.log_head + kLogDataStart;
   // With read_combine the first fetch in each 4 KB log page stages the
-  // whole page as one line burst (window = bytes to the page end); the
-  // entry walk and payload reads below are then pure DRAM. Note the page
-  // header (next pointer) rides along for free: kLogDataStart sits inside
-  // the page's first XPLine. Under media damage the combined fetch faults
-  // at the first entry whose page holds the poisoned line, so the log is
-  // truncated at the page rather than the exact entry — a knob-on-only
-  // difference, and still reported, never hidden.
-  const bool combine = opt_.read_combine;
-  const auto to_page_end = [](std::uint64_t p) {
-    return static_cast<std::size_t>(kPage - p % kPage);
-  };
+  // whole page as one line burst; the entry walk and payload reads are
+  // then pure DRAM. The page header (next pointer) rides along for free:
+  // kLogDataStart sits inside the page's first XPLine. Under media damage
+  // the combined fetch faults at the first entry whose page holds the
+  // poisoned line, so the log is truncated at the page rather than the
+  // exact entry — a knob-on-only difference, and still reported, never
+  // hidden.
+  LogCursor at;
   try {
-    while (true) {
-      const auto e =
-          combine ? lreader_.fetch_pod<LogEntry>(ctx, ns_, pos,
-                                                 to_page_end(pos))
-                  : ns_.load_pod<LogEntry>(ctx, pos);
-      if ((e.magic_type & 0xFFFF0000u) != kEntryMagic) break;  // end of log
-      const std::uint32_t type = e.magic_type & 0xFFFFu;
-      if (type == kEndOfPage) {
-        const std::uint64_t page = pos / kPage * kPage;
-        const auto next =
-            combine ? lreader_.fetch_pod<std::uint64_t>(ctx, ns_, page)
-                    : ns_.load_pod<std::uint64_t>(ctx, page);
-        // A crash between the end-of-page marker persist and the old
-        // page's next-pointer persist durably leaves next == 0: the entry
-        // that needed the new page was never acknowledged, so this is
-        // simply the end of the log.
-        if (next == 0) break;
-        pos = next + kLogDataStart;
-        ++di.log_page_count;
-        continue;
-      }
-      if (opt_.log_checksum && !entry_crc_ok(ctx, pos, e)) {
-        truncate_log_at(ctx, ino, pos, "log entry crc mismatch");
-        return;
-      }
-      apply_entry(ctx, ino, pos, e, /*during_replay=*/true);
-      pos += e.total_len;
-    }
-  } catch (const hw::MediaError& e) {
-    truncate_log_at(ctx, ino, pos, e.what());
+    walk_entries(ctx, di.log_head, opt_.read_combine, at,
+                 [&](std::uint64_t pos, const LogEntry& e) {
+                   return apply_entry(ctx, ino, pos, e,
+                                      /*during_replay=*/true);
+                 });
+  } catch (const hw::MediaError& err) {
+    di.log_page_count = at.pages;
+    truncate_log_at(ctx, ino, at.pos, err.what());
     return;
   }
-  di.log_tail = pos;
-}
-
-bool NovaFs::entry_crc_ok(ThreadCtx& ctx, std::uint64_t pos,
-                          const LogEntry& e) {
-  if (e.total_len < sizeof(LogEntry) + 8 ||
-      pos % kPage + e.total_len + 8 > kPage)
-    return false;
-  std::vector<std::uint8_t> buf(e.total_len - 8);
-  ns_.load(ctx, pos, buf);
-  const auto stored =
-      ns_.load_pod<std::uint32_t>(ctx, pos + e.total_len - 8);
-  return sim::crc32c(buf.data(), buf.size()) == stored;
+  di.log_page_count = at.pages;
+  if (at.why != nullptr)
+    truncate_log_at(ctx, ino, at.pos, at.why);
+  else
+    di.log_tail = at.pos;
 }
 
 void NovaFs::scrub_line(ThreadCtx& ctx, std::uint64_t line_off) {
@@ -439,7 +482,8 @@ void NovaFs::truncate_log_at(ThreadCtx& ctx, unsigned ino,
   lreader_.discard();  // terminator store below lands in the staged page
   // Scrub the damaged page so the terminator store below can't fault,
   // then end the log durably at the damage point. Entries past it were
-  // committed once — their loss is reported, not hidden.
+  // committed once (or are not entries at all) — their loss is reported,
+  // not hidden.
   const std::uint64_t page = pos / kPage * kPage;
   for (const std::uint64_t bad : ns_.platform().ars(ns_, page, kPage))
     scrub_line(ctx, bad);
@@ -448,13 +492,19 @@ void NovaFs::truncate_log_at(ThreadCtx& ctx, unsigned ino,
   inodes_[ino].log_tail = pos;
   pmem::store_persist_pod(ctx, ns_,
                           inode_off(ino) + offsetof(PInode, log_tail), pos);
-  recovery_.logs_truncated.push_back(ino);
+  report_truncated(ino);
   recovery_.detail = why;
 }
 
-void NovaFs::apply_entry(ThreadCtx& ctx, unsigned ino,
-                         std::uint64_t entry_off, const LogEntry& e,
-                         bool during_replay) {
+void NovaFs::report_truncated(unsigned ino) {
+  if (recovery_.logs_truncated.empty() ||
+      recovery_.logs_truncated.back() != ino)
+    recovery_.logs_truncated.push_back(ino);
+}
+
+const char* NovaFs::apply_entry(ThreadCtx& ctx, unsigned ino,
+                                std::uint64_t entry_off, const LogEntry& e,
+                                bool during_replay) {
   DInode& di = inodes_[ino];
   const std::uint32_t type = e.magic_type & 0xFFFFu;
   switch (type) {
@@ -482,23 +532,17 @@ void NovaFs::apply_entry(ThreadCtx& ctx, unsigned ino,
       // replay the payload is already staged with its log page; outside
       // replay the entry was written a moment ago, so keep the stock
       // loads (the staging span would be stale anyway).
-      const bool combine = during_replay && opt_.read_combine;
-      std::uint32_t meta[2];
-      std::span<std::uint8_t> meta_out(
-          reinterpret_cast<std::uint8_t*>(meta), 8);
-      if (combine) {
-        lreader_.read(ctx, ns_, entry_off + sizeof(LogEntry), meta_out);
-      } else {
-        ns_.load(ctx, entry_off + sizeof(LogEntry), meta_out);
-      }
+      const bool staged = during_replay && opt_.read_combine;
+      const auto meta = pm_read_pod<std::array<std::uint32_t, 2>>(
+          ctx, entry_off + sizeof(LogEntry), staged);
+      if (meta[0] >= kMaxInodes ||
+          sizeof(LogEntry) + 8 + meta[1] + footer() > e.total_len)
+        return "malformed dirent";
       std::string name(meta[1], '\0');
-      std::span<std::uint8_t> name_out(
-          reinterpret_cast<std::uint8_t*>(name.data()), meta[1]);
-      if (combine) {
-        lreader_.read(ctx, ns_, entry_off + sizeof(LogEntry) + 8, name_out);
-      } else {
-        ns_.load(ctx, entry_off + sizeof(LogEntry) + 8, name_out);
-      }
+      pm_read(ctx, entry_off + sizeof(LogEntry) + 8,
+              std::span<std::uint8_t>(
+                  reinterpret_cast<std::uint8_t*>(name.data()), meta[1]),
+              staged);
       if (type == kDirent) {
         namei_[name] = static_cast<int>(meta[0]);
         inodes_[meta[0]].in_use = true;
@@ -525,9 +569,8 @@ void NovaFs::apply_entry(ThreadCtx& ctx, unsigned ino,
       }
       break;
     }
-    default:
-      assert(false && "corrupt log entry");
   }
+  return nullptr;
 }
 
 // ------------------------------------------------------------- file ops --
@@ -556,29 +599,31 @@ int NovaFs::create(ThreadCtx& ctx, const std::string& name) {
   return static_cast<int>(ino);
 }
 
+NovaFs::Dirent NovaFs::make_dirent(EntryType type, unsigned target,
+                                   const std::string& name) const {
+  const std::uint32_t meta[2] = {target,
+                                 static_cast<std::uint32_t>(name.size())};
+  std::vector<std::uint8_t> payload(8 + name.size());
+  std::memcpy(payload.data(), meta, 8);
+  std::memcpy(payload.data() + 8, name.data(), name.size());
+  return {make_entry(type, payload.size()), std::move(payload)};
+}
+
 std::uint64_t NovaFs::append_dirent(ThreadCtx& ctx, EntryType type,
                                     unsigned target_ino,
                                     const std::string& name) {
-  std::vector<std::uint8_t> payload(8 + name.size());
-  const std::uint32_t meta[2] = {target_ino,
-                                 static_cast<std::uint32_t>(name.size())};
-  std::memcpy(payload.data(), meta, 8);
-  std::memcpy(payload.data() + 8, name.data(), name.size());
-  LogEntry e{};
-  e.magic_type = kEntryMagic | type;
-  e.total_len = entry_len(payload.size());
-  return log_append(ctx, 0, e, payload);
+  const Dirent d = make_dirent(type, target_ino, name);
+  return log_append(ctx, 0, d.e, d.payload);
 }
 
 void NovaFs::release_inode_storage(ThreadCtx& ctx, unsigned ino) {
   DInode& di = inodes_[ino];
   for (auto& [idx, ps] : di.pages)
     if (ps.page_off != 0) free_page(ps.page_off);
-  for (std::uint64_t lp = di.log_head; lp != 0;) {
-    const auto next = ns_.load_pod<std::uint64_t>(ctx, lp);
+  walk_chain(ctx, di.log_head, /*staged=*/false, [&](std::uint64_t lp) {
     free_page(lp);
-    lp = next;
-  }
+    return true;
+  });
   di = DInode{};
 }
 
@@ -614,39 +659,19 @@ bool NovaFs::rename(ThreadCtx& ctx, const std::string& from,
   const unsigned old_ino =
       replace ? static_cast<unsigned>(to_it->second) : 0;
 
-  auto dirent_payload = [](unsigned target, const std::string& name) {
-    std::vector<std::uint8_t> p(8 + name.size());
-    const std::uint32_t meta[2] = {target,
-                                   static_cast<std::uint32_t>(name.size())};
-    std::memcpy(p.data(), meta, 8);
-    std::memcpy(p.data() + 8, name.data(), name.size());
-    return p;
-  };
-
+  std::vector<Dirent> dirents;
+  dirents.push_back(make_dirent(kDirentDel, ino, from));
+  if (replace) dirents.push_back(make_dirent(kDirentDel, old_ino, to));
+  dirents.push_back(make_dirent(kDirent, ino, to));
   if (opt_.batch_log_appends) {
     // One crash-atomic directory-log batch: the deletion dirent(s) and
     // the insertion commit together, so recovery sees the rename whole
     // or not at all — never the name lost or doubled.
-    std::vector<std::vector<std::uint8_t>> payloads;
-    payloads.push_back(dirent_payload(ino, from));
-    if (replace) payloads.push_back(dirent_payload(old_ino, to));
-    payloads.push_back(dirent_payload(ino, to));
     std::vector<PendingEntry> entries;
-    std::size_t i = 0;
-    for (const EntryType type :
-         replace ? std::vector<EntryType>{kDirentDel, kDirentDel, kDirent}
-                 : std::vector<EntryType>{kDirentDel, kDirent}) {
-      LogEntry e{};
-      e.magic_type = kEntryMagic | type;
-      e.total_len = entry_len(payloads[i].size());
-      entries.push_back({e, payloads[i]});
-      ++i;
-    }
+    for (const Dirent& d : dirents) entries.push_back({d.e, d.payload});
     log_append_batch(ctx, 0, entries);
   } else {
-    append_dirent(ctx, kDirentDel, ino, from);
-    if (replace) append_dirent(ctx, kDirentDel, old_ino, to);
-    append_dirent(ctx, kDirent, ino, to);
+    for (const Dirent& d : dirents) log_append(ctx, 0, d.e, d.payload);
   }
 
   if (replace) {
@@ -673,10 +698,7 @@ void NovaFs::truncate(ThreadCtx& ctx, int ino_s, std::uint64_t new_size) {
       cow_page(ctx, ino, boundary_page, zeros, keep);
     }
   }
-  LogEntry e{};
-  e.magic_type = kEntryMagic | kSetSize;
-  e.total_len = entry_len(0);
-  e.new_size = new_size;
+  const LogEntry e = make_entry(kSetSize, 0, 0, 0, new_size);
   const std::uint64_t at = log_append(ctx, ino, e, {});
   apply_entry(ctx, ino, at, e, /*during_replay=*/false);
 }
@@ -702,14 +724,10 @@ void NovaFs::cow_page(ThreadCtx& ctx, unsigned ino, std::uint64_t page_idx,
   ns_.ntstore(ctx, np, buf);
   ns_.sfence(ctx);
 
-  LogEntry e{};
-  e.magic_type = kEntryMagic | kWrite;
-  e.total_len = entry_len(0);
-  e.foff = page_idx * kPage;
-  e.page = np;
-  e.new_size = std::max<std::uint64_t>(
-      di.size, seg.empty() ? di.size : page_idx * kPage + seg_in_page +
-                                           seg.size());
+  const std::uint64_t end =
+      seg.empty() ? di.size : page_idx * kPage + seg_in_page + seg.size();
+  const LogEntry e = make_entry(kWrite, 0, page_idx * kPage, np,
+                                std::max<std::uint64_t>(di.size, end));
   const std::uint64_t at = log_append(ctx, ino, e, {});
   apply_entry(ctx, ino, at, e, /*during_replay=*/false);
   di.size = std::max(di.size, e.new_size);
@@ -763,12 +781,9 @@ void NovaFs::write(ThreadCtx& ctx, int ino_s, std::uint64_t off,
     // terminator); larger sub-page writes fall back to CoW.
     constexpr std::size_t kEmbedMax = 3072;
     if (opt_.datalog && n <= kEmbedMax && n < kPage) {
-      // Embedded write entry: data rides in the log (Fig 11).
-      LogEntry e{};
-      e.magic_type = kEntryMagic | kEmbed;
-      e.total_len = entry_len(n);
-      e.foff = foff;
-      e.page = n;  // exact payload length
+      // Embedded write entry: data rides in the log (Fig 11), and the
+      // exact payload length in the `page` field.
+      LogEntry e = make_entry(kEmbed, n, foff, n);
       if (opt_.batch_log_appends) {
         e.new_size = std::max(staged_size, foff + n);
         staged_size = e.new_size;
@@ -808,14 +823,9 @@ void NovaFs::read_page(ThreadCtx& ctx, DInode& di, std::uint64_t page_idx,
     return;
   }
   const PageState& ps = it->second;
-  const bool combine = opt_.read_combine;
   if (ps.page_off != 0) {
-    if (combine) {
-      lreader_.read(ctx, ns_, ps.page_off + begin,
-                    std::span<std::uint8_t>(out, len));
-    } else {
-      ns_.load(ctx, ps.page_off + begin, std::span<std::uint8_t>(out, len));
-    }
+    pm_read(ctx, ps.page_off + begin, std::span<std::uint8_t>(out, len),
+            opt_.read_combine);
   } else {
     std::memset(out, 0, len);
   }
@@ -826,12 +836,9 @@ void NovaFs::read_page(ThreadCtx& ctx, DInode& di, std::uint64_t page_idx,
     const std::size_t r_begin = std::max(begin, e_begin);
     const std::size_t r_end = std::min(begin + len, e_end);
     if (r_begin >= r_end) continue;
-    std::span<std::uint8_t> dst(out + (r_begin - begin), r_end - r_begin);
-    if (combine) {
-      lreader_.read(ctx, ns_, e.data_off + (r_begin - e_begin), dst);
-    } else {
-      ns_.load(ctx, e.data_off + (r_begin - e_begin), dst);
-    }
+    pm_read(ctx, e.data_off + (r_begin - e_begin),
+            std::span<std::uint8_t>(out + (r_begin - begin), r_end - r_begin),
+            opt_.read_combine);
   }
 }
 
@@ -863,9 +870,28 @@ std::uint64_t NovaFs::size(ThreadCtx& ctx, int ino) {
   return inodes_[static_cast<unsigned>(ino)].size;
 }
 
+template <typename Emit>
+void NovaFs::rewrite_log(ThreadCtx& ctx, unsigned ino, Emit emit) {
+  DInode& di = inodes_[ino];
+  std::vector<std::uint64_t> old_pages;
+  walk_chain(ctx, di.log_head, /*staged=*/false, [&](std::uint64_t lp) {
+    old_pages.push_back(lp);
+    return true;
+  });
+  di.log_head = 0;
+  di.log_tail = 0;
+  di.log_page_count = 0;
+  suppress_head_persist_ = true;
+  emit();
+  suppress_head_persist_ = false;
+  pmem::store_persist_pod(ctx, ns_,
+                          inode_off(ino) + offsetof(PInode, log_head),
+                          di.log_head);
+  for (const std::uint64_t lp : old_pages) free_page(lp);
+}
+
 void NovaFs::clean_log(ThreadCtx& ctx, unsigned ino) {
-  // Log cleaner: merge overlays into pages (embedded data becomes dead),
-  // then rewrite the log as pure kWrite entries and free the old pages.
+  // Embedded data becomes dead once its overlays are merged into pages.
   ++cleanings_;
   DInode& di = inodes_[ino];
   // Merge every page that still has live embedded data.
@@ -874,62 +900,13 @@ void NovaFs::clean_log(ThreadCtx& ctx, unsigned ino) {
     if (!ps.overlays.empty()) to_merge.push_back(idx);
   for (std::uint64_t idx : to_merge) cow_page(ctx, ino, idx, {}, 0);
 
-  // Collect the old log pages.
-  std::vector<std::uint64_t> old_pages;
-  for (std::uint64_t lp = di.log_head; lp != 0;) {
-    old_pages.push_back(lp);
-    lp = ns_.load_pod<std::uint64_t>(ctx, lp);
-  }
-
-  // Build the replacement log fully (entries persisted, head persist
-  // suppressed), then switch the inode's log_head atomically. A crash
-  // before the switch leaves the old log authoritative; the orphaned new
-  // chain is reclaimed by mount's reachability scan.
-  di.log_head = 0;
-  di.log_tail = 0;
-  di.log_page_count = 0;
-  suppress_head_persist_ = true;
-  for (const auto& [idx, ps] : di.pages) {
-    if (ps.page_off == 0) continue;
-    LogEntry e{};
-    e.magic_type = kEntryMagic | kWrite;
-    e.total_len = entry_len(0);
-    e.foff = idx * kPage;
-    e.page = ps.page_off;
-    e.new_size = di.size;
-    log_append(ctx, ino, e, {});
-  }
-  suppress_head_persist_ = false;
-  pmem::store_persist_pod(ctx, ns_,
-                          inode_off(ino) + offsetof(PInode, log_head),
-                          di.log_head);
-  for (std::uint64_t lp : old_pages) free_page(lp);
-}
-
-void NovaFs::rebuild_dir_log(ThreadCtx& ctx) {
-  // Directory analogue of clean_log(): re-emit a dirent per live name
-  // into a fresh chain, switch the head atomically, free the old pages.
-  DInode& di = inodes_[0];
-  std::vector<std::uint64_t> old_pages;
-  try {
-    for (std::uint64_t lp = di.log_head; lp != 0;) {
-      old_pages.push_back(lp);
-      lp = ns_.load_pod<std::uint64_t>(ctx, lp);
+  rewrite_log(ctx, ino, [&] {
+    for (const auto& [idx, ps] : di.pages) {
+      if (ps.page_off == 0) continue;
+      log_append(ctx, ino,
+                 make_entry(kWrite, 0, idx * kPage, ps.page_off, di.size), {});
     }
-  } catch (const hw::MediaError&) {
-    // Unreachable tail: reclaimed by the next mount's scan instead.
-  }
-  di.log_head = 0;
-  di.log_tail = 0;
-  di.log_page_count = 0;
-  suppress_head_persist_ = true;
-  for (const auto& [name, ino] : namei_)
-    append_dirent(ctx, kDirent, static_cast<unsigned>(ino), name);
-  suppress_head_persist_ = false;
-  pmem::store_persist_pod(ctx, ns_,
-                          inode_off(0) + offsetof(PInode, log_head),
-                          di.log_head);
-  for (const std::uint64_t lp : old_pages) free_page(lp);
+  });
 }
 
 void NovaFs::repair(ThreadCtx& ctx) {
@@ -938,7 +915,7 @@ void NovaFs::repair(ThreadCtx& ctx) {
   const std::set<std::uint64_t> bad_lines(bad.begin(), bad.end());
   std::set<std::uint64_t> bad_pages;
   for (const std::uint64_t b : bad)
-    if (b >= data_start_) bad_pages.insert(b / kPage * kPage);
+    if (b >= kDataStart) bad_pages.insert(b / kPage * kPage);
 
   // Which inodes own damaged pages? Log pages via the chains, data pages
   // and overlays via the replayed DRAM maps.
@@ -948,10 +925,10 @@ void NovaFs::repair(ThreadCtx& ctx) {
     DInode& di = inodes_[ino];
     if (!di.in_use) continue;
     try {
-      for (std::uint64_t lp = di.log_head; lp != 0;) {
+      walk_chain(ctx, di.log_head, /*staged=*/false, [&](std::uint64_t lp) {
         if (bad_pages.count(lp) != 0) log_damaged.insert(ino);
-        lp = ns_.load_pod<std::uint64_t>(ctx, lp);
-      }
+        return true;
+      });
     } catch (const hw::MediaError&) {
       log_damaged.insert(ino);
     }
@@ -985,13 +962,18 @@ void NovaFs::repair(ThreadCtx& ctx) {
   }
 
   // Scrub everything, then rebuild the damaged logs from DRAM state so a
-  // later remount replays an intact chain instead of stopping at zeros.
+  // later remount replays an intact chain instead of stopping at zeros:
+  // the directory re-emits a dirent per live name.
   for (const std::uint64_t b : bad) scrub_line(ctx, b);
   for (const unsigned ino : log_damaged) {
-    if (ino == 0)
-      rebuild_dir_log(ctx);
-    else
+    if (ino != 0) {
       clean_log(ctx, ino);
+      continue;
+    }
+    rewrite_log(ctx, 0, [&] {
+      for (const auto& [name, target] : namei_)
+        append_dirent(ctx, kDirent, static_cast<unsigned>(target), name);
+    });
   }
   for (const unsigned ino : data_damaged)
     recovery_.inodes_damaged.push_back(ino);
@@ -1011,23 +993,19 @@ Status NovaFs::fsck(ThreadCtx& ctx) {
 }
 
 std::string NovaFs::fsck_impl(ThreadCtx& ctx) {
-  const auto s = ns_.load_pod<Super>(ctx, 0);
-  if (s.magic != kMagic) return "super: bad magic";
-  if (s.fs_size != ns_.size()) return "super: fs_size mismatch";
-  if (s.data_start != data_start_ || s.data_start % kPage != 0)
-    return "super: bad data_start";
+  if (const char* err = super_error(ns_.load_pod<Super>(ctx, 0))) return err;
 
   // Page ownership map: every data-area page has at most one role and at
   // most one owner. 0 = free, 'L' = log page, 'D' = base data page.
-  const std::uint64_t npages = (ns_.size() - data_start_) / kPage;
+  const std::uint64_t npages = (ns_.size() - kDataStart) / kPage;
   std::vector<char> role(npages, 0);
   std::vector<unsigned> owner(npages, 0);
   auto claim = [&](std::uint64_t off, char r, unsigned ino) -> std::string {
-    if (off < data_start_ || off % kPage != 0 ||
-        (off - data_start_) / kPage >= npages)
+    if (off < kDataStart || off % kPage != 0 ||
+        (off - kDataStart) / kPage >= npages)
       return "inode " + std::to_string(ino) + ": page ref @" +
              std::to_string(off) + " outside data area";
-    const std::uint64_t i = (off - data_start_) / kPage;
+    const std::uint64_t i = (off - kDataStart) / kPage;
     if (role[i] != 0)
       return "page @" + std::to_string(off) + ": claimed as " + role[i] +
              " by inode " + std::to_string(owner[i]) + " and as " + r +
@@ -1042,44 +1020,25 @@ std::string NovaFs::fsck_impl(ThreadCtx& ctx) {
     if (pi.in_use == 0) continue;
     const std::string tag = "inode " + std::to_string(ino);
 
-    // Log chain: in-bounds, acyclic (claim() rejects the second visit of
-    // a page), every entry well formed up to the first invalid magic.
-    std::uint64_t pages_seen = 0;
-    for (std::uint64_t lp = pi.log_head; lp != 0;) {
-      if (std::string err = claim(lp, 'L', ino); !err.empty())
-        return tag + " log: " + err;
-      if (++pages_seen > npages) return tag + " log: cycle";
-      lp = ns_.load_pod<std::uint64_t>(ctx, lp);
-    }
+    // Log chain: in-bounds, acyclic, and no page shared with another log
+    // or data reference; then every entry obeys the entry rule up to the
+    // first invalid magic.
+    std::string err;
+    const std::uint64_t back =
+        walk_chain(ctx, pi.log_head, /*staged=*/false, [&](std::uint64_t lp) {
+          err = claim(lp, 'L', ino);
+          return err.empty();
+        });
+    if (!err.empty()) return tag + " log: " + err;
+    if (back != 0) return tag + " log: cycle at page @" + std::to_string(back);
     if (pi.log_head == 0) continue;
-    std::uint64_t pos = pi.log_head + kLogDataStart;
-    while (true) {
-      const auto e = ns_.load_pod<LogEntry>(ctx, pos);
-      if ((e.magic_type & 0xFFFF0000u) != kEntryMagic) break;
-      const std::uint32_t type = e.magic_type & 0xFFFFu;
-      if (type == kEndOfPage) {
-        const auto next =
-            ns_.load_pod<std::uint64_t>(ctx, pos / kPage * kPage);
-        if (next == 0) break;  // torn page link: end of log
-        pos = next + kLogDataStart;
-        continue;
-      }
-      if (type != kWrite && type != kEmbed && type != kDirent &&
-          type != kDirentDel && type != kSetSize)
-        return tag + ": bad entry type " + std::to_string(type) + " @" +
-               std::to_string(pos);
-      const std::uint32_t footer = opt_.log_checksum ? 8u : 0u;
-      if (e.total_len < sizeof(LogEntry) + footer || e.total_len % 8 != 0 ||
-          pos % kPage + e.total_len + 8 > kPage)
-        return tag + ": bad entry length @" + std::to_string(pos);
-      if (type == kEmbed &&
-          sizeof(LogEntry) + e.page + footer > e.total_len)
-        return tag + ": embed payload overruns entry @" +
-               std::to_string(pos);
-      if (opt_.log_checksum && !entry_crc_ok(ctx, pos, e))
-        return tag + ": entry crc mismatch @" + std::to_string(pos);
-      pos += e.total_len;
-    }
+    LogCursor at;
+    walk_entries(ctx, pi.log_head, /*staged=*/false, at,
+                 [](std::uint64_t, const LogEntry&) -> const char* {
+                   return nullptr;
+                 });
+    if (at.why != nullptr)
+      return tag + ": " + at.why + " @" + std::to_string(at.pos);
   }
 
   // Replayed references (built by mount): base pages owned exactly once
@@ -1095,10 +1054,10 @@ std::string NovaFs::fsck_impl(ThreadCtx& ctx) {
       }
       for (const Embed& em : ps.overlays) {
         const std::uint64_t host = em.data_off / kPage * kPage;
-        if (host < data_start_ ||
-            (host - data_start_) / kPage >= npages ||
-            role[(host - data_start_) / kPage] != 'L' ||
-            owner[(host - data_start_) / kPage] != ino)
+        if (host < kDataStart ||
+            (host - kDataStart) / kPage >= npages ||
+            role[(host - kDataStart) / kPage] != 'L' ||
+            owner[(host - kDataStart) / kPage] != ino)
           return tag + ": embedded extent @" + std::to_string(em.data_off) +
                  " not inside this inode's log";
       }

@@ -195,6 +195,11 @@ class NovaFs final : public FileSystem {
   // Redundant superblock copy, written at format() time; the primary's
   // line going bad must not take the whole file system with it.
   static constexpr std::uint64_t kSuperBackupOff = 2048;
+  // First data page: the inode table (from the second 4 KB block) rounded
+  // up to a page.
+  static constexpr std::uint64_t kDataStart =
+      (4096 + kMaxInodes * sizeof(PInode) + kPageSize - 1) / kPageSize *
+      kPageSize;
 
   // ---- DRAM state ---------------------------------------------------------
   struct Embed {
@@ -223,6 +228,68 @@ class NovaFs final : public FileSystem {
   std::uint64_t alloc_page(ThreadCtx& ctx);
   void free_page(std::uint64_t off);
 
+  // ---- reading ------------------------------------------------------------
+  // The read path's one switch: under `staged` the bytes come through the
+  // line reader (staging `window` bytes ahead for a scan), otherwise from
+  // one plain timed load.
+  void pm_read(ThreadCtx& ctx, std::uint64_t off, std::span<std::uint8_t> out,
+               bool staged, std::size_t window = 0);
+  template <typename T>
+  T pm_read_pod(ThreadCtx& ctx, std::uint64_t off, bool staged,
+                std::size_t window = 0) {
+    T v{};
+    pm_read(ctx, off,
+            std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(&v),
+                                    sizeof(T)),
+            staged, window);
+    return v;
+  }
+
+  // The one walk of a log's page chain: visit(page) for each page from
+  // `head` in link order, loading each page's `next` after its visit
+  // (through the line reader when `staged`). Ends at next == 0, at a visit
+  // that returns false, or at a link back to a page already visited: then
+  // it returns the page holding that link (0 otherwise).
+  template <typename Visit>
+  std::uint64_t walk_chain(ThreadCtx& ctx, std::uint64_t head, bool staged,
+                           Visit visit);
+
+  // Where an entry walk stopped: the end of the log, or the entry (or
+  // end-of-page marker) at which it stopped early, and why.
+  struct LogCursor {
+    std::uint64_t pos = 0;
+    std::size_t pages = 0;      // log pages entered
+    const char* why = nullptr;  // null: a clean end of log
+  };
+  // The one walk of a log's entries, shared by replay and fsck: from the
+  // head page in log order, following end-of-page links, to the first
+  // invalid magic. Every entry that entry_error() accepts goes to
+  // apply(pos, entry), which may reject it too (a non-null reason). The
+  // walk stops early at the first rejected entry, and at an end-of-page
+  // link to a page it has already walked. `at` tracks the walk, so a
+  // caller catching MediaError knows where it struck.
+  template <typename Apply>
+  void walk_entries(ThreadCtx& ctx, std::uint64_t head, bool staged,
+                    LogCursor& at, Apply apply);
+  // The one entry rule: a known type, an 8-aligned length that fits its
+  // page (footer and terminator included), an embed payload inside its
+  // entry, and the CRC when log_checksum is on. Returns why the entry at
+  // `pos` is malformed, or null.
+  const char* entry_error(ThreadCtx& ctx, std::uint64_t pos,
+                          const LogEntry& e);
+  // The one superblock rule, for mount and fsck: returns why `s` is not
+  // this namespace's superblock, or null.
+  const char* super_error(const Super& s) const;
+
+  void replay_inode(ThreadCtx& ctx, unsigned ino);
+  // Apply a well-formed entry to the DRAM state. Returns why a dirent is
+  // malformed (a name that overruns its entry, or no such inode), else
+  // null.
+  const char* apply_entry(ThreadCtx& ctx, unsigned ino,
+                          std::uint64_t entry_off, const LogEntry& e,
+                          bool during_replay);
+
+  // ---- appending ----------------------------------------------------------
   // Append one log entry (+payload); persists entry then tail. Returns
   // the ns offset of the entry.
   std::uint64_t log_append(ThreadCtx& ctx, unsigned ino, const LogEntry& e,
@@ -243,13 +310,24 @@ class NovaFs final : public FileSystem {
   std::vector<std::uint64_t> log_append_batch(
       ThreadCtx& ctx, unsigned ino, std::span<const PendingEntry> entries);
 
+  // The one entry encoder: stage `e` and its payload at the end of
+  // batch_, zero-padded to e.total_len, with the CRC footer when enabled.
+  void encode_entry(const LogEntry& e, std::span<const std::uint8_t> payload);
+
   // Make room in `ino`'s log for `needed` more bytes (+terminator):
   // allocates and links a fresh log page when the current one is full.
   void ensure_log_space(ThreadCtx& ctx, unsigned ino, std::uint32_t needed);
 
-  void replay_inode(ThreadCtx& ctx, unsigned ino);
-  void apply_entry(ThreadCtx& ctx, unsigned ino, std::uint64_t entry_off,
-                   const LogEntry& e, bool during_replay);
+  // The one dirent builder: a kDirent or kDirentDel entry naming `target`,
+  // with its payload (u32 target ino, u32 name length, the name's bytes).
+  struct Dirent {
+    LogEntry e;
+    std::vector<std::uint8_t> payload;
+  };
+  Dirent make_dirent(EntryType type, unsigned target,
+                     const std::string& name) const;
+  std::uint64_t append_dirent(ThreadCtx& ctx, EntryType type,
+                              unsigned target_ino, const std::string& name);
 
   // Copy-on-write the page containing file offset `page_idx*4K`, merging
   // current overlays and the optional new segment.
@@ -259,27 +337,43 @@ class NovaFs final : public FileSystem {
   void read_page(ThreadCtx& ctx, DInode& di, std::uint64_t page_idx,
                  std::size_t begin, std::size_t len, std::uint8_t* out);
 
+  // The one log rewrite, for the cleaner and repair: collect the old
+  // chain, re-emit the live state through emit() into a fresh chain with
+  // the head persist suppressed, switch the inode's log_head with one
+  // 8-byte persist, then free the old pages. A crash before the switch
+  // leaves the old log authoritative; mount's reachability scan reclaims
+  // the orphaned new chain.
+  template <typename Emit>
+  void rewrite_log(ThreadCtx& ctx, unsigned ino, Emit emit);
+  // Log cleaner: merge overlays into pages, then rewrite the log as pure
+  // kWrite entries.
   void clean_log(ThreadCtx& ctx, unsigned ino);
   void release_inode_storage(ThreadCtx& ctx, unsigned ino);
-  std::uint64_t append_dirent(ThreadCtx& ctx, EntryType type,
-                              unsigned target_ino, const std::string& name);
 
+  // The header of an entry of `type` with `payload` bytes after it.
+  LogEntry make_entry(EntryType type, std::size_t payload,
+                      std::uint64_t foff = 0, std::uint64_t page = 0,
+                      std::uint64_t new_size = 0) const {
+    return {kEntryMagic | type, entry_len(payload), foff, page, new_size};
+  }
+  // Checksum footer bytes per entry (log_checksum).
+  std::uint32_t footer() const { return opt_.log_checksum ? 8u : 0u; }
   // Total entry length for `payload` bytes (header + payload, 8-aligned,
   // plus the optional checksum footer).
   std::uint32_t entry_len(std::size_t payload) const {
     return static_cast<std::uint32_t>(
                (sizeof(LogEntry) + payload + 7) / 8 * 8) +
-           (opt_.log_checksum ? 8u : 0u);
+           footer();
   }
-  bool entry_crc_ok(ThreadCtx& ctx, std::uint64_t pos, const LogEntry& e);
   void scrub_line(ThreadCtx& ctx, std::uint64_t line_off);
-  // End the log durably at `pos` after media damage: scrub the page's bad
-  // lines, write a terminator, persist the tail hint, and report it.
+  // End the log durably at `pos` after media damage or a malformed entry:
+  // scrub the page's bad lines, write a terminator, persist the tail
+  // hint, and report it.
   void truncate_log_at(ThreadCtx& ctx, unsigned ino, std::uint64_t pos,
                        const std::string& why);
-  // Rebuild the directory log (inode 0) from the in-DRAM namei map; the
-  // file-log equivalent is clean_log().
-  void rebuild_dir_log(ThreadCtx& ctx);
+  // Add `ino` to recovery().logs_truncated unless it is the last one
+  // there (replay and mount's chain walk can both end one log).
+  void report_truncated(unsigned ino);
   std::string fsck_impl(ThreadCtx& ctx);
   // Per-format/mount read-path state (pmem::reset_read_path); the line
   // cache is built only under read_combine.
@@ -287,17 +381,16 @@ class NovaFs final : public FileSystem {
 
   PmemNamespace& ns_;
   NovaOptions opt_;
-  std::uint64_t data_start_ = 0;
   std::vector<std::uint64_t> free_pages_;  // LIFO, kSpread policy
   std::vector<std::vector<std::uint64_t>> free_by_channel_;  // kPinned
   std::map<std::string, int> namei_;
   std::vector<DInode> inodes_;
   std::uint64_t cleanings_ = 0;
   RecoveryInfo recovery_;
-  // Set while the cleaner rebuilds a log so the atomic head switch can
-  // happen once, after the whole replacement chain is persisted.
+  // Set while rewrite_log() builds a replacement chain, so the atomic head
+  // switch can happen once, after the whole chain is persisted.
   bool suppress_head_persist_ = false;
-  pmem::LineBatcher batch_;  // reused staging for log_append_batch
+  pmem::LineBatcher batch_;  // reused staging for both append paths
   // ---- read-path state (NovaOptions::read_combine), idle when off --------
   std::unique_ptr<pmem::ReadCache> rcache_;
   pmem::LineReader lreader_;

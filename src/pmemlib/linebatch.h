@@ -21,6 +21,13 @@
 // recovery — it atomically appears whole or not at all. `flush` is the
 // plain variant for callers that order durability themselves.
 //
+// `publish_record` is the same protocol for a log that appends one record
+// at a time (the lsmkv WAL's per-record append, a novafs log entry): a
+// zero commit word past the record, the record's body, one fence, then
+// its commit word. Group commit and per-record publish are the two ways
+// the stores make an append durable; both live here so each store's log
+// keeps only its record format.
+//
 // The staging buffer is a reused member (capacity sticks across
 // batches): steady-state appends allocate nothing.
 #pragma once
@@ -79,7 +86,7 @@ class LineBatcher {
   // Write the whole batch (no fence; callers order durability).
   void flush(ThreadCtx& ctx, PmemNamespace& ns,
              WriteHint hint = WriteHint::kAuto) {
-    if (!buf_.empty()) write(ctx, ns, base_, buf_, hint);
+    if (!buf_.empty()) memcpy_flush(ctx, ns, base_, buf_, hint);
   }
 
   // Publish the batch: bytes [hold, size) first, one fence, then the
@@ -94,29 +101,39 @@ class LineBatcher {
     // a crash would land, so announce it to the schedule explorer.
     ctx.sched_point(sim::SchedPoint::kBatchCommit);
     if (buf_.size() > hold)
-      write(ctx, ns, base_ + hold,
-            std::span<const std::uint8_t>(buf_.data() + hold,
-                                          buf_.size() - hold),
-            hint);
+      memcpy_flush(ctx, ns, base_ + hold,
+                   std::span<const std::uint8_t>(buf_.data() + hold,
+                                                 buf_.size() - hold),
+                   hint);
     ns.sfence(ctx);
     if (hold > 0)
-      write(ctx, ns, base_,
-            std::span<const std::uint8_t>(buf_.data(), hold), hint);
+      memcpy_flush(ctx, ns, base_,
+                   std::span<const std::uint8_t>(buf_.data(), hold), hint);
+  }
+
+  // Publish the one record staged in the batch: a zero commit word just
+  // past it, then its bytes [4, size), one fence, and its own 4-byte
+  // commit word last. A recovery scan stops at the first word that is not
+  // a commit word, so a torn record is invisible and the scan never runs
+  // past the record into stale bytes. No trailing fence, as for commit(),
+  // and no schedule point: the per-record paths are not batch windows.
+  void publish_record(ThreadCtx& ctx, PmemNamespace& ns, WriteHint hint) {
+    assert(buf_.size() > 4);
+    const std::uint32_t zero = 0;
+    memcpy_flush(ctx, ns, cursor(),
+                 std::span<const std::uint8_t>(
+                     reinterpret_cast<const std::uint8_t*>(&zero), 4),
+                 hint);
+    memcpy_flush(ctx, ns, base_ + 4,
+                 std::span<const std::uint8_t>(buf_.data() + 4,
+                                               buf_.size() - 4),
+                 hint);
+    ns.sfence(ctx);
+    memcpy_flush(ctx, ns, base_,
+                 std::span<const std::uint8_t>(buf_.data(), 4), hint);
   }
 
  private:
-  static void write(ThreadCtx& ctx, PmemNamespace& ns, std::uint64_t off,
-                    std::span<const std::uint8_t> data, WriteHint hint) {
-    const bool use_nt =
-        hint == WriteHint::kNt ||
-        (hint == WriteHint::kAuto && data.size() >= kNtCrossoverBytes);
-    if (use_nt) {
-      ns.ntstore(ctx, off, data);
-    } else {
-      ns.store_flush(ctx, off, data);
-    }
-  }
-
   std::uint64_t base_ = 0;
   std::vector<std::uint8_t> buf_;
 };

@@ -52,9 +52,9 @@ struct WalFixture : ::testing::Test {
 TEST_F(WalFixture, AppendReplayRoundTrip) {
   ThreadCtx t = make_thread();
   wal.truncate(t);
-  wal.append(t, "alpha", "1", false, true);
-  wal.append(t, "beta", "2", false, true);
-  wal.append(t, "alpha", "", true, true);
+  wal.append(t, "alpha", "1", false);
+  wal.append(t, "beta", "2", false);
+  wal.append(t, "alpha", "", true);
 
   std::vector<std::tuple<std::string, std::string, bool>> got;
   Wal replayer(ns, 0, 1 << 20, WalMode::kFlex, opts);
@@ -71,9 +71,9 @@ TEST_F(WalFixture, AppendReplayRoundTrip) {
 TEST_F(WalFixture, TruncateHidesOldRecords) {
   ThreadCtx t = make_thread();
   wal.truncate(t);
-  wal.append(t, "old", "x", false, true);
+  wal.append(t, "old", "x", false);
   wal.truncate(t);
-  wal.append(t, "new", "y", false, true);
+  wal.append(t, "new", "y", false);
 
   int count = 0;
   std::string first;
@@ -88,7 +88,7 @@ TEST_F(WalFixture, TruncateHidesOldRecords) {
 TEST_F(WalFixture, SyncedRecordsSurviveCrash) {
   ThreadCtx t = make_thread();
   wal.truncate(t);
-  wal.append(t, "durable", "yes", false, true);
+  wal.append(t, "durable", "yes", false);
   platform.crash();
   int count = 0;
   Wal replayer(ns, 0, 1 << 20, WalMode::kFlex, opts);
@@ -103,16 +103,16 @@ TEST_F(WalFixture, PosixModeCostsMoreTime) {
   Wal posix(ns, 8 << 20, 1 << 20, WalMode::kPosix, opts);
   posix.truncate(t1);
   const sim::Time p0 = t1.now();
-  for (int i = 0; i < 100; ++i) posix.append(t1, key_of(i), value_of(i),
-                                             false, true);
+  for (int i = 0; i < 100; ++i)
+    posix.append(t1, key_of(i), value_of(i), false);
   const sim::Time posix_time = t1.now() - p0;
 
   ThreadCtx t2 = make_thread(2);
   Wal flex(ns, 16 << 20, 1 << 20, WalMode::kFlex, opts);
   flex.truncate(t2);
   const sim::Time f0 = t2.now();
-  for (int i = 0; i < 100; ++i) flex.append(t2, key_of(i), value_of(i),
-                                            false, true);
+  for (int i = 0; i < 100; ++i)
+    flex.append(t2, key_of(i), value_of(i), false);
   const sim::Time flex_time = t2.now() - f0;
 
   EXPECT_GT(posix_time, flex_time);
@@ -760,6 +760,86 @@ TEST(DbRepair, OpenFallsBackToBackupManifest) {
                    (poison ? ", poisoned" : ", zeroed"));
       run(persistent, poison);
     }
+}
+
+// store_manifest() mirrors a manifest into the backup slot before its
+// transaction commits, so a crash inside the commit leaves the mirror one
+// manifest ahead of the primary that pool recovery rolls back. open()
+// re-mirrors the manifest it recovers: crash at every persist event of
+// one flush (and, with two runs already in L0, of the compaction it
+// triggers), reopen, zero the primary's line as a salvage heal would, and
+// reopen again. Every key must read back and check() must pass.
+TEST(DbRepair, BackupManifestSurvivesCrashInFlush) {
+  const DbOptions o{.wal = WalMode::kFlex,
+                    .memtable = MemtableMode::kVolatile,
+                    .memtable_bytes = 1 << 20,
+                    .l0_compaction_trigger = 3,
+                    .wal_capacity = 1 << 20};
+  const int per_run = 20;
+  for (const int prior_runs : {0, 2}) {
+    SCOPED_TRACE(std::to_string(prior_runs) + " runs in L0");
+    const int n = (prior_runs + 1) * per_run;
+    // Fill the store up to the flush under test; every key is acked.
+    auto fill = [&](ThreadCtx& t, Db& db) {
+      db.create(t);
+      for (int i = 0; i < n; ++i) {
+        db.put(t, key_of(i), value_of(i));
+        if (i % per_run == per_run - 1 && i + 1 < n) db.flush(t);
+      }
+    };
+    std::uint64_t events = 0;
+    {
+      Platform platform;
+      PmemNamespace& ns = platform.optane(64 << 20);
+      ThreadCtx t = make_thread();
+      Db db(ns, o);
+      fill(t, db);
+      const std::uint64_t before = platform.persist_events();
+      db.flush(t);
+      events = platform.persist_events() - before;
+      EXPECT_EQ(db.stats().compactions, prior_runs == 2 ? 1u : 0u);
+    }
+    ASSERT_GT(events, 0u);
+    // One crash point per call; an ASSERT ends only its own point.
+    auto crash_at = [&](std::uint64_t k) {
+      Platform platform;
+      PmemNamespace& ns = platform.optane(64 << 20);
+      ThreadCtx t = make_thread();
+      {
+        Db db(ns, o);
+        fill(t, db);
+        platform.crash_after(k);
+        try {
+          db.flush(t);
+        } catch (const hw::CrashPointHit&) {
+        }
+        ASSERT_TRUE(platform.crash_fired());
+      }
+      platform.clear_crash_trigger();
+      std::uint64_t root = 0;
+      {
+        Db db(ns, o);
+        ASSERT_TRUE(db.open(t));
+        root = db.pool().root(t);
+      }
+      platform.crash();
+      ns.poke(root, std::vector<std::uint8_t>(Platform::kXpLineBytes, 0));
+      Db db(ns, o);
+      ASSERT_TRUE(db.open(t));
+      EXPECT_TRUE(db.recovery().manifest_restored);
+      EXPECT_TRUE(db.check(t).ok());
+      std::string v;
+      for (int i = 0; i < n; ++i) {
+        ASSERT_TRUE(db.get(t, key_of(i), &v)) << i;
+        EXPECT_EQ(v, value_of(i));
+      }
+    };
+    for (std::uint64_t k = 1; k <= events; ++k) {
+      SCOPED_TRACE("crash at persist event " + std::to_string(k) + " of " +
+                   std::to_string(events));
+      crash_at(k);
+    }
+  }
 }
 
 // ---- Fig 8 anchor -------------------------------------------------------

@@ -103,9 +103,8 @@ TEST(WalGroupCommit, GroupReplaysLikePerRecordAppends) {
   };
   std::string big(300, 'b');
   recs[1].value = big;
-  wal.append_group(t, recs, true);
-  wal.append_group(t, std::vector<kv::WalRecord>{{"gamma", "3", false}},
-                   true);
+  wal.append_group(t, recs);
+  wal.append_group(t, std::vector<kv::WalRecord>{{"gamma", "3", false}});
 
   std::vector<std::tuple<std::string, std::string, bool>> got;
   kv::Wal replayer(ns, 0, 1 << 20, kv::WalMode::kFlex, opts);
@@ -214,12 +213,12 @@ TEST(WalGroupCommit, GroupCommitFixesWriteAmplification) {
           keys[i] = key;
           recs[i] = {keys[i], value, false};
         }
-        wal.append_group(t, recs, true);
+        wal.append_group(t, recs);
       }
     } else {
       for (int i = 0; i < 2000; ++i) {
         std::snprintf(key, sizeof key, "k%06d", i);
-        wal.append(t, key, value, false, true);
+        wal.append(t, key, value, false);
       }
     }
     t.drain();
