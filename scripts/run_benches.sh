@@ -2,7 +2,9 @@
 # Build Release, run the self-measurement harnesses (bench_timing writes
 # BENCH_sweep.json, bench_stores writes BENCH_stores.json, bench_ycsb
 # writes BENCH_YCSB.json), hash the output of every figure and ablation
-# bench into BENCH_figs.sha256, and guard the sweep engine's determinism
+# bench into BENCH_figs.sha256, record the repository benchmark's
+# simulated metrics (perfbench, every workload at seed 1 for one second)
+# in BENCH_perfbench_sim.txt, and guard the sweep engine's determinism
 # contract: every converted figure bench must print byte-identical
 # tables with --jobs 1 and --jobs N. Intended for CI and for refreshing
 # the committed baselines.
@@ -11,10 +13,10 @@
 #   --check  write the baselines to a temp dir instead of the repo root,
 #            and fail if the new BENCH_stores.json or BENCH_YCSB.json
 #            differs from the tracked copy in anything but its host_cores
-#            and jobs lines, or if any line of BENCH_figs.sha256 differs.
-#            All of them are simulated quantities, so every change to
-#            them must be re-recorded. BENCH_sweep.json holds host
-#            timings and is not compared.
+#            and jobs lines, or if any line of BENCH_figs.sha256 or
+#            BENCH_perfbench_sim.txt differs. All of them are simulated
+#            quantities, so every change to them must be re-recorded.
+#            BENCH_sweep.json holds host timings and is not compared.
 #   jobs     defaults to the machine's core count (or XP_JOBS if set).
 set -euo pipefail
 
@@ -81,6 +83,28 @@ for fig in "${FIGS[@]}"; do
 done
 echo "  ${#FIGS[@]} outputs hashed"
 
+# Repository benchmark: sim_kops and media_write_amp repeat bit for bit
+# across runs, so one second of each workload pins them (repr() keeps
+# every bit). Its host metrics (host_kops, setup_s, peak_rss_mb) are not
+# recorded. perfbench builds its own tree under .bench_build/.
+echo
+echo "== perfbench simulated metrics (seed 1, 1 s) =="
+: > "$OUT/BENCH_perfbench_sim.txt"
+for w in kv-update kv-read kv-scan device-calib; do
+  if ! result=$(python3 perfbench/run.py --workload "$w" --seed 1 \
+                    --seconds 1 --trace 0 2> /dev/null | tail -1); then
+    echo "  perfbench $w: build failed or run incorrect"
+    exit 1
+  fi
+  python3 -c '
+import json, sys
+m = json.loads(sys.argv[2])["metrics"]
+for k in ("sim_kops", "media_write_amp"):
+    print(sys.argv[1], k, repr(m[k]["value"]))' "$w" "$result" \
+      >> "$OUT/BENCH_perfbench_sim.txt"
+done
+echo "  $(wc -l < "$OUT/BENCH_perfbench_sim.txt") values recorded"
+
 # Determinism guard: byte-identical tables regardless of job count. The
 # quick benches run their full sweeps; the long ones are already covered
 # point-for-point by bench_timing's identical-results check above.
@@ -141,6 +165,15 @@ if [ "$CHECK" = 1 ]; then
   else
     echo "  BENCH_figs.sha256: DIFFERS (a figure output changed)"
     diff BENCH_figs.sha256 "$OUT/BENCH_figs.sha256" || true
+    status=1
+  fi
+  if diff BENCH_perfbench_sim.txt "$OUT/BENCH_perfbench_sim.txt" \
+      > /dev/null; then
+    echo "  BENCH_perfbench_sim.txt: matches"
+  else
+    echo "  BENCH_perfbench_sim.txt: DIFFERS (a simulated perfbench metric" \
+         "moved)"
+    diff BENCH_perfbench_sim.txt "$OUT/BENCH_perfbench_sim.txt" || true
     status=1
   fi
 fi

@@ -117,11 +117,22 @@ std::uint64_t SsTable::size_bytes(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
   return h.magic == kMagic ? h.total_bytes : 0;
 }
 
+SsTable::Header SsTable::load_header(sim::ThreadCtx& ctx,
+                                    hw::PmemNamespace& ns,
+                                    std::uint64_t off) {
+  const auto h = ns.load_pod<Header>(ctx, off);
+  if (h.magic != kMagic) {
+    const std::uint64_t line = off & ~(hw::Platform::kXpLineBytes - 1);
+    throw hw::MediaError(ns.name(), line, ns.socket(),
+                         ns.decode(line).channel);
+  }
+  return h;
+}
+
 FindResult SsTable::get(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                         std::uint64_t off, std::string_view key,
                         std::string* value, std::string* keybuf) {
-  const auto h = ns.load_pod<Header>(ctx, off);
-  assert(h.magic == kMagic);
+  const Header h = load_header(ctx, ns, off);
   // Bloom check first: absent keys skip the run with high probability.
   std::vector<std::uint8_t> filter(h.filter_len);
   if (h.filter_len > 0) ns.load(ctx, off + sizeof(Header), filter);
@@ -164,8 +175,7 @@ FindResult SsTable::get(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
 SsTable::Residency SsTable::load_residency(sim::ThreadCtx& ctx,
                                            hw::PmemNamespace& ns,
                                            std::uint64_t off) {
-  const auto h = ns.load_pod<Header>(ctx, off);
-  assert(h.magic == kMagic);
+  const Header h = load_header(ctx, ns, off);
   Residency r;
   r.count = h.count;
   r.filter.resize(h.filter_len);
@@ -227,8 +237,7 @@ FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
 SsTable::Cursor::Cursor(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                         std::uint64_t off, std::string_view start)
     : ns_(&ns) {
-  const auto h = ns.load_pod<Header>(ctx, off);
-  assert(h.magic == kMagic);
+  const Header h = load_header(ctx, ns, off);
   offsets_at_ = off + sizeof(Header) + h.filter_len;
   data_at_ = offsets_at_ + std::uint64_t{h.count} * 4;
   count_ = h.count;

@@ -133,6 +133,13 @@ class SsTable {
     std::uint32_t filter_len;
     std::uint32_t crc;  // CRC32C over everything after the header
   };
+  // The header of the table at `off`, for a read that needs a valid one.
+  // A header without the magic is what a salvage scrub of a poisoned line
+  // leaves (zeros), so it throws hw::MediaError for the header's XPLine:
+  // the caller's containment fails the op and repair() quarantines the
+  // table, where an assert would end the process.
+  static Header load_header(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
+                            std::uint64_t off);
   static constexpr std::uint32_t kTombstoneBit = 0x80000000u;
 };
 

@@ -130,11 +130,13 @@ bool NovaFs::mount(ThreadCtx& ctx) {
                        return true;
                      });
       if (back != 0) {
-        // The chain links back to a page already walked: end it durably
-        // at the page holding that link.
+        // The chain links outside the data area or back to a page already
+        // walked: end it durably at the page holding that link.
         lreader_.discard();
         pmem::store_persist_pod(ctx, ns_, back, std::uint64_t{0});
-        recovery_.detail = "log chain links back to a page already walked";
+        recovery_.detail =
+            "log chain links outside the data area or back to a page "
+            "already walked";
         report_truncated(ino);
       }
     } catch (const hw::MediaError&) {
@@ -370,10 +372,15 @@ std::uint64_t NovaFs::walk_chain(ThreadCtx& ctx, std::uint64_t head,
     if (!visit(lp)) return 0;
     seen.insert(lp);
     const auto next = pm_read_pod<std::uint64_t>(ctx, lp, staged);
-    if (seen.count(next) != 0) return lp;
+    if (next != 0 && (!data_page(next) || seen.count(next) != 0)) return lp;
     lp = next;
   }
   return 0;
+}
+
+bool NovaFs::data_page(std::uint64_t off) const {
+  return off >= kDataStart && off % kPage == 0 &&
+         (off - kDataStart) / kPage < (ns_.size() - kDataStart) / kPage;
 }
 
 template <typename Apply>
@@ -394,6 +401,10 @@ void NovaFs::walk_entries(ThreadCtx& ctx, std::uint64_t head, bool staged,
       // that needed the new page was never acknowledged, so this is
       // simply the end of the log.
       if (next == 0) return;
+      if (!data_page(next)) {
+        at.why = "end-of-page link outside the data area";
+        return;
+      }
       if (!pages.insert(next).second) {
         at.why = "end-of-page link to a page already walked";
         return;
@@ -421,6 +432,8 @@ const char* NovaFs::entry_error(ThreadCtx& ctx, std::uint64_t pos,
   // The exact embed payload length rides in the `page` field.
   if (type == kEmbed && e.page > e.total_len - sizeof(LogEntry) - footer())
     return "embed payload overruns entry";
+  if (type == kWrite && e.page != 0 && !data_page(e.page))
+    return "write entry page outside the data area";
   if (opt_.log_checksum) {
     std::vector<std::uint8_t> buf(e.total_len - 8);
     ns_.load(ctx, pos, buf);
@@ -442,6 +455,18 @@ const char* NovaFs::super_error(const Super& s) const {
 void NovaFs::replay_inode(ThreadCtx& ctx, unsigned ino) {
   DInode& di = inodes_[ino];
   if (di.log_head == 0) return;
+  if (!data_page(di.log_head)) {
+    // Nothing of a log whose head lies outside the data area can be read:
+    // end it durably at the head, so the file restarts empty.
+    di.log_head = 0;
+    di.log_tail = 0;
+    pmem::store_persist_pod(ctx, ns_,
+                            inode_off(ino) + offsetof(PInode, log_head),
+                            di.log_head);
+    report_truncated(ino);
+    recovery_.detail = "log head outside the data area";
+    return;
+  }
   // With read_combine the first fetch in each 4 KB log page stages the
   // whole page as one line burst; the entry walk and payload reads are
   // then pure DRAM. The page header (next pointer) rides along for free:
@@ -1001,8 +1026,7 @@ std::string NovaFs::fsck_impl(ThreadCtx& ctx) {
   std::vector<char> role(npages, 0);
   std::vector<unsigned> owner(npages, 0);
   auto claim = [&](std::uint64_t off, char r, unsigned ino) -> std::string {
-    if (off < kDataStart || off % kPage != 0 ||
-        (off - kDataStart) / kPage >= npages)
+    if (!data_page(off))
       return "inode " + std::to_string(ino) + ": page ref @" +
              std::to_string(off) + " outside data area";
     const std::uint64_t i = (off - kDataStart) / kPage;
@@ -1030,7 +1054,9 @@ std::string NovaFs::fsck_impl(ThreadCtx& ctx) {
           return err.empty();
         });
     if (!err.empty()) return tag + " log: " + err;
-    if (back != 0) return tag + " log: cycle at page @" + std::to_string(back);
+    if (back != 0)
+      return tag + " log: page @" + std::to_string(back) +
+             " links outside the data area or back into its chain";
     if (pi.log_head == 0) continue;
     LogCursor at;
     walk_entries(ctx, pi.log_head, /*staged=*/false, at,

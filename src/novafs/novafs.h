@@ -248,11 +248,17 @@ class NovaFs final : public FileSystem {
   // The one walk of a log's page chain: visit(page) for each page from
   // `head` in link order, loading each page's `next` after its visit
   // (through the line reader when `staged`). Ends at next == 0, at a visit
-  // that returns false, or at a link back to a page already visited: then
-  // it returns the page holding that link (0 otherwise).
+  // that returns false, or at a link that is not a data_page() or leads
+  // back to a page already visited: then it returns the page holding that
+  // link (0 otherwise).
   template <typename Visit>
   std::uint64_t walk_chain(ThreadCtx& ctx, std::uint64_t head, bool staged,
                            Visit visit);
+
+  // Whether `off` names a whole page of the data area: the bound on every
+  // page reference (a log head or link, a kWrite entry's page) that mount
+  // follows and fsck claims.
+  bool data_page(std::uint64_t off) const;
 
   // Where an entry walk stopped: the end of the log, or the entry (or
   // end-of-page marker) at which it stopped early, and why.
@@ -266,15 +272,17 @@ class NovaFs final : public FileSystem {
   // invalid magic. Every entry that entry_error() accepts goes to
   // apply(pos, entry), which may reject it too (a non-null reason). The
   // walk stops early at the first rejected entry, and at an end-of-page
-  // link to a page it has already walked. `at` tracks the walk, so a
-  // caller catching MediaError knows where it struck.
+  // link that is not a data_page() or leads to a page it has already
+  // walked. `at` tracks the walk, so a caller catching MediaError knows
+  // where it struck.
   template <typename Apply>
   void walk_entries(ThreadCtx& ctx, std::uint64_t head, bool staged,
                     LogCursor& at, Apply apply);
   // The one entry rule: a known type, an 8-aligned length that fits its
   // page (footer and terminator included), an embed payload inside its
-  // entry, and the CRC when log_checksum is on. Returns why the entry at
-  // `pos` is malformed, or null.
+  // entry, a kWrite page that is a hole (0) or a data_page(), and the CRC
+  // when log_checksum is on. Returns why the entry at `pos` is malformed,
+  // or null.
   const char* entry_error(ThreadCtx& ctx, std::uint64_t pos,
                           const LogEntry& e);
   // The one superblock rule, for mount and fsck: returns why `s` is not

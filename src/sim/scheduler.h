@@ -16,12 +16,12 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <vector>
 
+#include "sim/ring.h"
 #include "sim/rng.h"
 #include "sim/simtime.h"
 
@@ -161,7 +161,7 @@ class ThreadCtx {
   Time now_ = 0;
   unsigned write_stream_ = kOwnStream;
   SchedHook* sched_hook_ = nullptr;
-  std::deque<Time> inflight_;
+  Ring<Time> inflight_;  // outstanding completions, oldest first
 };
 
 // A mutual-exclusion point visible to the schedule explorer: the lock a

@@ -17,9 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
+#include "sim/flat_index.h"
 #include "sim/resource.h"
 #include "sim/simtime.h"
 #include "xpsim/counters.h"
@@ -46,8 +46,13 @@ class Media {
     c.media_write_bytes += timing_.xpline;
     const Grant g = banks_.acquire(t, timing_.xp_media_write);
     if (timing_.wear_threshold != 0) {
-      std::uint64_t& wear = wear_[line_index];
-      if (++wear % timing_.wear_threshold == 0) {
+      std::uint32_t slot = wear_index_.find(line_index, wear_, &Wear::line);
+      if (slot == sim::FlatIndex::kNone) {
+        slot = static_cast<std::uint32_t>(wear_.size());
+        wear_index_.insert(line_index, slot);
+        wear_.push_back(Wear{line_index, 0});
+      }
+      if (++wear_[slot].writes % timing_.wear_threshold == 0) {
         ++c.wear_migrations;
         // The relocation copies the line: one media read from the worn
         // location plus one media write to the fresh one. The copy's
@@ -74,8 +79,9 @@ class Media {
   Time next_free(Time t) const { return banks_.next_free(t); }
 
   std::uint64_t wear_of(std::uint64_t line_index) const {
-    auto it = wear_.find(line_index);
-    return it == wear_.end() ? 0 : it->second;
+    const std::uint32_t slot =
+        wear_index_.find(line_index, wear_, &Wear::line);
+    return slot == sim::FlatIndex::kNone ? 0 : wear_[slot].writes;
   }
 
   // Forget reservation state (new measurement epoch); wear persists.
@@ -85,46 +91,79 @@ class Media {
   }
 
  private:
+  struct Wear {
+    std::uint64_t line;
+    std::uint64_t writes;
+  };
+
   const Timing& timing_;
   sim::Resource banks_;
   Time stall_until_ = 0;
-  std::unordered_map<std::uint64_t, std::uint64_t> wear_;
+  std::vector<Wear> wear_;  // one per XPLine ever written
+  sim::FlatIndex wear_index_;  // XPLine -> wear_ slot
 };
 
 // Address Indirection Table cache: the XPController translates 4 KB
 // logical regions to physical media locations. A translation miss costs an
-// extra media read. Modeled as an LRU set of region ids.
+// extra media read. Modeled as an LRU set of region ids: a slab of regions
+// threaded on an MRU-first doubly linked list, with a sim::FlatIndex from
+// region to slab slot.
 class AitCache {
  public:
   explicit AitCache(unsigned entries) : capacity_(entries) {}
 
   // Returns true on hit; on miss, installs the region (evicting LRU).
   bool access(std::uint64_t region) {
-    auto it = map_.find(region);
-    if (it != map_.end()) {
-      touch(it);
+    std::uint32_t slot = index_.find(region, nodes_, &Node::region);
+    if (slot != sim::FlatIndex::kNone) {
+      unlink(slot);
+      push_front(slot);
       return true;
     }
-    if (map_.size() >= capacity_) {
-      map_.erase(lru_.back());
-      lru_.pop_back();
+    if (nodes_.size() >= capacity_) {
+      // Reuse the least-recent region's slot for the new one.
+      slot = lru_;
+      index_.erase(nodes_[slot].region, slot);
+      unlink(slot);
+      nodes_[slot].region = region;
+    } else {
+      slot = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(Node{region, kNil, kNil});
     }
-    lru_.push_front(region);
-    map_[region] = lru_.begin();
+    push_front(slot);
+    index_.insert(region, slot);
     return false;
   }
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return nodes_.size(); }
 
  private:
-  using List = std::list<std::uint64_t>;
-  void touch(std::unordered_map<std::uint64_t, List::iterator>::iterator it) {
-    lru_.splice(lru_.begin(), lru_, it->second);
+  static constexpr std::uint32_t kNil = sim::FlatIndex::kNone;
+  struct Node {
+    std::uint64_t region;
+    std::uint32_t prev;  // toward the MRU end
+    std::uint32_t next;  // toward the LRU end
+  };
+
+  void unlink(std::uint32_t slot) {
+    Node& n = nodes_[slot];
+    (n.prev == kNil ? mru_ : nodes_[n.prev].next) = n.next;
+    (n.next == kNil ? lru_ : nodes_[n.next].prev) = n.prev;
+  }
+
+  void push_front(std::uint32_t slot) {
+    Node& n = nodes_[slot];
+    n.prev = kNil;
+    n.next = mru_;
+    (mru_ == kNil ? lru_ : nodes_[mru_].prev) = slot;
+    mru_ = slot;
   }
 
   std::size_t capacity_;
-  List lru_;
-  std::unordered_map<std::uint64_t, List::iterator> map_;
+  std::vector<Node> nodes_;  // <= capacity_
+  std::uint32_t mru_ = kNil;
+  std::uint32_t lru_ = kNil;
+  sim::FlatIndex index_;  // region -> nodes_ slot
 };
 
 }  // namespace xp::hw

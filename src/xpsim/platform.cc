@@ -467,15 +467,11 @@ void Platform::coherence_flush(unsigned requesting_socket,
                                std::uint64_t paddr_line, Time t) {
   for (unsigned s = 0; s < timing_.sockets; ++s) {
     if (s == requesting_socket) continue;
-    CacheModel& cache = *caches_[s];
-    if (cache.is_dirty(paddr_line)) {
-      const std::uint8_t* p = cache.find(paddr_line);
+    CacheModel::Line* line = caches_[s]->lookup(paddr_line);
+    if (line != nullptr && line->dirty) {
       PmemNamespace* ns = namespace_of(paddr_line);
-      if (ns != nullptr) {
-        ns->image_write(paddr_line - ns->base_,
-                        std::span<const std::uint8_t>(p, 64));
-      }
-      cache.mark_dirty(paddr_line, false);
+      if (ns != nullptr) ns->image_write(paddr_line - ns->base_, line->data);
+      line->dirty = false;
       note_persist_event(PersistEventKind::kCoherenceFlush, t);
     }
   }
@@ -580,8 +576,8 @@ void Platform::do_load(ThreadCtx& ctx, PmemNamespace& ns, std::uint64_t off,
 
     const Time t0 = ctx.begin_access(timing_.issue_gap);
     Time done;
-    if (const std::uint8_t* p = cache.find(paddr_line)) {
-      std::memcpy(out.data() + out_pos, p + in_line, n);
+    if (const CacheModel::Line* line = cache.lookup(paddr_line)) {
+      std::memcpy(out.data() + out_pos, line->data.data() + in_line, n);
       done = t0 + timing_.cache_hit;
       ++cc.load_hits;
     } else {
@@ -622,9 +618,9 @@ void Platform::do_store(ThreadCtx& ctx, PmemNamespace& ns, std::uint64_t off,
 
     const Time t0 = ctx.begin_access(timing_.issue_gap);
     Time done;
-    if (std::uint8_t* p = cache.find(paddr_line)) {
-      std::memcpy(p + in_line, data.data() + in_pos, n);
-      cache.mark_dirty(paddr_line, true);
+    if (CacheModel::Line* line = cache.lookup(paddr_line)) {
+      std::memcpy(line->data.data() + in_line, data.data() + in_pos, n);
+      line->dirty = true;
       done = t0 + timing_.store_hit;
       ++cc.store_hits;
     } else {
@@ -704,18 +700,19 @@ void Platform::do_flush(ThreadCtx& ctx, PmemNamespace& ns, std::uint64_t off,
     ++cc.explicit_flushes;
     Time done = t0 + sim::ns(2);
     bool entered_wpq = false;
-    if (cache.is_dirty(paddr_line)) {
-      const std::uint8_t* p = cache.find(paddr_line);
-      ns.image_write(line_off, std::span<const std::uint8_t>(p, 64));
-      done = device_write64(ctx, ns, line_off, t0);
-      if (kind == FlushKind::kClwb) {
-        cache.mark_dirty(paddr_line, false);
-      } else {
-        cache.mark_dirty(paddr_line, false);
+    CacheModel::Line* line = cache.lookup(paddr_line);
+    if (line != nullptr && line->dirty) {
+      ns.image_write(line_off, line->data);
+      // Clean or drop the line before the device write, which may
+      // discard it: a wear-out there poisons the XPLine and drops its
+      // cached sub-lines. Nothing else in that write reads a cache.
+      if (kind == FlushKind::kClwb)
+        line->dirty = false;
+      else
         cache.erase(paddr_line);
-      }
+      done = device_write64(ctx, ns, line_off, t0);
       entered_wpq = true;
-    } else if (kind != FlushKind::kClwb) {
+    } else if (line != nullptr && kind != FlushKind::kClwb) {
       cache.erase(paddr_line);
     }
     ctx.complete_access(done);

@@ -9,7 +9,8 @@
 // last-page cache short-circuits that: consecutive lines land on the same
 // 64 KB page 1023 times out of 1024. The cache also remembers *absent*
 // pages, which is what the discard-data bandwidth namespaces hit on every
-// load.
+// load. Other lookups go through a sim::FlatIndex over the resident
+// pages.
 //
 // THREADING CONTRACT: like the rest of a Platform, a SparseImage is
 // single-owner — only one host thread may touch it, ever (the sweep
@@ -28,7 +29,9 @@
 #include <memory>
 #include <span>
 #include <thread>
-#include <unordered_map>
+#include <vector>
+
+#include "sim/flat_index.h"
 
 namespace xp::hw {
 
@@ -90,6 +93,7 @@ class SparseImage {
   void clear() {
     check_owner();
     pages_.clear();
+    page_index_.clear();
     cached_index_ = kNoPage;
     cached_page_ = nullptr;
   }
@@ -99,37 +103,47 @@ class SparseImage {
   static constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
   using Page = std::array<std::uint8_t, kPage>;
 
+  struct Resident {
+    std::uint64_t index;
+    std::unique_ptr<Page> page;
+  };
+
   // Cached lookup. A null result ("page absent") is cached too; it stays
   // valid because the only way a page materializes is ensure_page(),
   // which refreshes the cache. Page storage is heap-allocated, so cached
-  // pointers survive rehashing of the map.
+  // pointers survive growth of pages_.
   const Page* find_page(std::uint64_t page) const {
     if (page == cached_index_) return cached_page_;
-    auto it = pages_.find(page);
+    const std::uint32_t slot =
+        page_index_.find(page, pages_, &Resident::index);
     cached_index_ = page;
-    cached_page_ = it == pages_.end() ? nullptr : it->second.get();
+    cached_page_ =
+        slot == sim::FlatIndex::kNone ? nullptr : pages_[slot].page.get();
     return cached_page_;
   }
 
   Page* ensure_page(std::uint64_t page) {
     if (page == cached_index_ && cached_page_ != nullptr)
       return cached_page_;
-    auto& p = pages_[page];
-    if (!p) {
-      p = std::make_unique<Page>();
-      p->fill(0);
+    std::uint32_t slot = page_index_.find(page, pages_, &Resident::index);
+    if (slot == sim::FlatIndex::kNone) {
+      slot = static_cast<std::uint32_t>(pages_.size());
+      page_index_.insert(page, slot);
+      pages_.push_back(Resident{page, std::make_unique<Page>()});  // zeroed
     }
     cached_index_ = page;
-    cached_page_ = p.get();
+    cached_page_ = pages_[slot].page.get();
     return cached_page_;
   }
 
 #ifndef NDEBUG
   // Latch the first host thread that touches the image and fail fast on
   // any other. The mutable page cache makes even const reads writes, so
-  // shared use is a data race no matter how it is interleaved.
+  // shared use is a data race no matter how it is interleaved. Once the
+  // latch is set, the owner's accesses pass on a relaxed load.
   void check_owner() const {
     const std::thread::id self = std::this_thread::get_id();
+    if (owner_.load(std::memory_order_relaxed) == self) return;
     std::thread::id expected{};
     if (!owner_.compare_exchange_strong(expected, self,
                                         std::memory_order_relaxed) &&
@@ -144,7 +158,8 @@ class SparseImage {
 #endif
 
   std::uint64_t size_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+  std::vector<Resident> pages_;  // materialized pages, in creation order
+  sim::FlatIndex page_index_;    // page number -> pages_ slot
   mutable std::uint64_t cached_index_ = kNoPage;
   mutable Page* cached_page_ = nullptr;
 #ifndef NDEBUG

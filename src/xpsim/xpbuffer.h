@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/flat_index.h"
 #include "sim/simtime.h"
 #include "xpsim/counters.h"
 #include "xpsim/media.h"
@@ -36,6 +37,7 @@ class XpBuffer {
   XpBuffer(const Timing& t, Media& media)
       : timing_(t), media_(media) {
     entries_.reserve(t.xpbuffer_lines);
+    last_touch_.reserve(t.xpbuffer_lines);
   }
 
   // Merge one 64 B write into the buffer. `line` is the XPLine index,
@@ -48,7 +50,7 @@ class XpBuffer {
   Time read64(Time t, std::uint64_t line, XpCounters& c);
 
   bool contains(std::uint64_t line) const {
-    return find(line) != nullptr;
+    return find(line) != sim::FlatIndex::kNone;
   }
 
   std::size_t occupancy() const { return entries_.size(); }
@@ -80,18 +82,23 @@ class XpBuffer {
   struct Entry {
     std::uint64_t line = 0;
     std::uint8_t dirty_mask = 0;   // bit per 64 B sub-block
-    Time last_touch = 0;
     Time ready_at = 0;             // install completes (media fetch)
   };
 
-  const Entry* find(std::uint64_t line) const;
-  Entry* find(std::uint64_t line);
+  // Slot of `line`, or sim::FlatIndex::kNone.
+  std::uint32_t find(std::uint64_t line) const {
+    return index_.find(line, entries_, &Entry::line);
+  }
+
+  // Append an entry for a line not in the buffer.
+  void install(const Entry& e, Time last_touch);
 
   // Ensure a free slot exists at time `t`; returns the time the slot is
   // usable. Also opportunistically drains aged entries.
   Time make_room(Time t, XpCounters& c);
 
-  // Evict `entries_[idx]`; returns the time the slot becomes free.
+  // Evict `entries_[idx]` (swap-remove); returns the time the slot
+  // becomes free.
   Time evict(std::size_t idx, Time t, XpCounters& c);
 
   void drain_aged(Time t, XpCounters& c);
@@ -100,7 +107,11 @@ class XpBuffer {
 
   const Timing& timing_;
   Media& media_;
-  std::vector<Entry> entries_;  // <= xpbuffer_lines; linear scan (64 max)
+  // <= xpbuffer_lines entries. last_touch_[i] belongs to entries_[i]; it
+  // is kept apart so the LRU victim scan reads one contiguous array.
+  std::vector<Entry> entries_;
+  std::vector<Time> last_touch_;
+  sim::FlatIndex index_;  // XPLine -> slot
   TelemetrySink* sink_ = nullptr;
   unsigned socket_ = 0;
   unsigned channel_ = 0;

@@ -13,6 +13,17 @@ Time XpDimm::ait_lookup(Time t, std::uint64_t dimm_addr) {
   return t + timing_.ait_hit + timing_.ait_miss;
 }
 
+sim::Ring<Time>& XpDimm::credits_of(unsigned stream) {
+  std::uint32_t slot =
+      credit_index_.find(stream, credits_, &Credits::stream);
+  if (slot == sim::FlatIndex::kNone) {
+    slot = static_cast<std::uint32_t>(credits_.size());
+    credit_index_.insert(stream, slot);
+    credits_.push_back(Credits{stream, {}});
+  }
+  return credits_[slot].acks;
+}
+
 bool XpDimm::touch_stream(std::vector<unsigned>& lru, unsigned capacity,
                           unsigned thread) {
   auto it = std::find(lru.begin(), lru.end(), thread);
@@ -30,7 +41,7 @@ Time XpDimm::write64(Time t, std::uint64_t dimm_addr, unsigned thread,
                      Time* admit_wait) {
   // Per-thread WPQ credit: at most wpq_thread_credit 64 B entries in
   // flight from one thread (256 B, §5.3).
-  auto& credit = thread_credits_[thread];
+  sim::Ring<Time>& credit = credits_of(thread);
   if (credit.size() >= timing_.wpq_thread_credit) {
     t = std::max(t, credit.front());
     credit.pop_front();
@@ -95,7 +106,7 @@ void XpDimm::reset_timing() {
   ctrl_.reset();
   wpq_.reset();
   rpq_.reset();
-  thread_credits_.clear();
+  for (Credits& c : credits_) c.acks.clear();
   write_streams_.clear();
   read_streams_.clear();
 }

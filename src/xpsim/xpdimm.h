@@ -20,11 +20,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/flat_index.h"
 #include "sim/resource.h"
+#include "sim/ring.h"
 #include "sim/simtime.h"
 #include "xpsim/counters.h"
 #include "xpsim/media.h"
@@ -87,6 +87,7 @@ class XpDimm {
 
  private:
   Time ait_lookup(Time t, std::uint64_t dimm_addr);
+  sim::Ring<Time>& credits_of(unsigned stream);
   static bool touch_stream(std::vector<unsigned>& lru, unsigned capacity,
                            unsigned thread);
 
@@ -107,7 +108,14 @@ class XpDimm {
   TelemetrySink* sink_ = nullptr;
   unsigned socket_ = 0;
   unsigned channel_ = 0;
-  std::unordered_map<unsigned, std::deque<Time>> thread_credits_;
+  // Per-stream WPQ credits: the acks of a stream's last
+  // wpq_thread_credit writes, oldest first.
+  struct Credits {
+    unsigned stream;
+    sim::Ring<Time> acks;
+  };
+  std::vector<Credits> credits_;
+  sim::FlatIndex credit_index_;  // stream -> credits_ slot
   std::vector<unsigned> write_streams_;  // LRU, front = most recent
   std::vector<unsigned> read_streams_;
 };

@@ -97,6 +97,21 @@ TEST(AitCache, LruEviction) {
   EXPECT_FALSE(ait.access(2));  // 2 was evicted
 }
 
+TEST(AitCache, RegionPastCapacityEvictsExactlyTheLru) {
+  const unsigned entries = Timing{}.ait_cache_entries;
+  AitCache ait(entries);
+  for (std::uint64_t r = 0; r < entries; ++r) EXPECT_FALSE(ait.access(r));
+  EXPECT_TRUE(ait.access(0));  // region 1 is now the least recent
+  EXPECT_FALSE(ait.access(entries));
+  EXPECT_EQ(ait.size(), entries);
+  // Every region but 1 is still cached; touching them evicts nothing.
+  EXPECT_TRUE(ait.access(0));
+  for (std::uint64_t r = 2; r <= entries; ++r)
+    ASSERT_TRUE(ait.access(r)) << r;
+  EXPECT_FALSE(ait.access(1));  // evicts 0, now the least recent
+  EXPECT_FALSE(ait.access(0));
+}
+
 // ---------------------------------------------------------------- XpBuffer
 struct BufferFixture : ::testing::Test {
   BufferFixture() : media(timing), buffer(timing, media) {}
@@ -161,6 +176,49 @@ TEST_F(BufferFixture, ReadsCompeteForSpace) {
   buffer.write64(sim::us(100), 1, 0, c);
   EXPECT_EQ(c.evictions_clean, 1u);
   EXPECT_EQ(c.media_write_bytes, 0u);
+}
+
+TEST_F(BufferFixture, AfterResetTimingMissesEvictInSlotOrder) {
+  // reset_timing() ties every entry at last touch 0, so a miss evicts the
+  // lowest slot still at 0, and the eviction moves the last slot's line
+  // into the hole. Lines 0..63 sit in slots 0..63: the first miss evicts
+  // line 0 and moves line 63 to slot 0, the second evicts line 63 and
+  // moves the first new line (touched after the reset) there, and from
+  // then on slots 1, 2, ... go in order.
+  for (std::uint64_t line = 0; line < timing.xpbuffer_lines; ++line)
+    buffer.write64(line * 10, line, 0, c);
+  buffer.reset_timing();
+  const std::uint64_t order[] = {0, timing.xpbuffer_lines - 1, 1, 2, 3};
+  for (std::size_t k = 0; k < std::size(order); ++k) {
+    EXPECT_TRUE(buffer.contains(order[k])) << k;
+    buffer.read64(sim::us(1), 1000 + k, c);
+    EXPECT_FALSE(buffer.contains(order[k])) << k;
+    EXPECT_EQ(buffer.occupancy(), timing.xpbuffer_lines);
+  }
+  EXPECT_EQ(c.evictions_partial, std::size(order));
+}
+
+TEST_F(BufferFixture, EvictionKindsKeepTheirCounters) {
+  for (unsigned sub = 0; sub < 4; ++sub) buffer.write64(0, 1, sub, c);
+  buffer.write64(0, 2, 0, c);     // partial
+  buffer.read64(0, 3, c);         // clean
+  buffer.write64(sim::us(1), 1, 2, c);  // rewrite of a full line
+  EXPECT_EQ(c.evictions_full, 1u);
+  EXPECT_EQ(buffer.dirty_lines(), 2u);
+  // Full, partial and clean evictions through capacity pressure: the
+  // oldest touches go first.
+  for (unsigned sub = 0; sub < 4; ++sub) buffer.write64(sim::us(2), 4, sub, c);
+  for (std::uint64_t line = 100; line < 100 + timing.xpbuffer_lines; ++line)
+    buffer.write64(sim::us(3), line, 0, c);
+  EXPECT_EQ(c.evictions_clean, 1u);
+  EXPECT_EQ(c.evictions_full, 2u);
+  EXPECT_EQ(c.evictions_partial, 2u);
+  EXPECT_EQ(c.buffer_miss_reads, 1u);
+  // Conservation: every media write is one eviction of a dirty line.
+  EXPECT_EQ(c.media_write_bytes,
+            timing.xpline * (c.evictions_full + c.evictions_partial));
+  EXPECT_EQ(c.media_read_bytes,
+            timing.xpline * (c.buffer_miss_reads + c.evictions_partial));
 }
 
 // ------------------------------------------------------------------ XpDimm

@@ -619,7 +619,19 @@ TEST(NovaTruncate, SurvivesRemount) {
 // 4 KB with 64 B inodes (log_head at +8), a log page's `next` word at +0
 // and its entries from +16, a 32 B entry header (magic_type, total_len),
 // and a dirent payload of (u32 target ino, u32 name length).
-enum class Damage { kUnknownType, kZeroLength, kDirentOverrun, kSelfLink };
+//
+// The far cases point a page reference past the namespace end (2^40):
+// f1's head-page link, its first entry's data page, or its inode's
+// log_head. Mount must bound each before following it.
+enum class Damage {
+  kUnknownType,
+  kZeroLength,
+  kDirentOverrun,
+  kSelfLink,
+  kFarLink,
+  kFarPage,
+  kFarHead,
+};
 
 struct MalformedParam {
   Damage damage;
@@ -688,6 +700,7 @@ TEST_P(NovaMalformedLog, MountTruncatesAndReports) {
 
   unsigned victim = 2;  // f1's log; the dirent case damages the directory
   std::string lost = "f1";
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 40;
   switch (p.damage) {
     case Damage::kUnknownType:
       poke_pod<std::uint32_t>(ns, entry_at(ns, 2, 1), 0x4e560007);
@@ -703,6 +716,15 @@ TEST_P(NovaMalformedLog, MountTruncatesAndReports) {
       break;
     case Damage::kSelfLink:
       poke_pod<std::uint64_t>(ns, log_head(ns, 2), log_head(ns, 2));
+      break;
+    case Damage::kFarLink:
+      poke_pod<std::uint64_t>(ns, log_head(ns, 2), kFar);
+      break;
+    case Damage::kFarPage:
+      poke_pod<std::uint64_t>(ns, entry_at(ns, 2, 0) + 16, kFar);
+      break;
+    case Damage::kFarHead:
+      poke_pod<std::uint64_t>(ns, 4096 + 2 * 64 + 8, kFar);
       break;
   }
 
@@ -741,7 +763,13 @@ INSTANTIATE_TEST_SUITE_P(
         MalformedParam{Damage::kUnknownType, true, "unknown_type_crc"},
         MalformedParam{Damage::kZeroLength, true, "zero_length_crc"},
         MalformedParam{Damage::kDirentOverrun, true, "dirent_overrun_crc"},
-        MalformedParam{Damage::kSelfLink, true, "self_link_crc"}),
+        MalformedParam{Damage::kSelfLink, true, "self_link_crc"},
+        MalformedParam{Damage::kFarLink, false, "far_link"},
+        MalformedParam{Damage::kFarPage, false, "far_page"},
+        MalformedParam{Damage::kFarHead, false, "far_head"},
+        MalformedParam{Damage::kFarLink, true, "far_link_crc"},
+        MalformedParam{Damage::kFarPage, true, "far_page_crc"},
+        MalformedParam{Damage::kFarHead, true, "far_head_crc"}),
     [](const auto& i) { return std::string(i.param.name); });
 
 }  // namespace

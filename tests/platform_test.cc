@@ -5,8 +5,11 @@
 
 #include <cstring>
 #include <numeric>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
+#include "sim/rng.h"
 #include "xpsim/cache.h"
 #include "xpsim/interleave.h"
 #include "xpsim/platform.h"
@@ -69,13 +72,13 @@ TEST(CacheModel, InsertFindErase) {
   CacheModel::LineData d{};
   d[0] = 42;
   EXPECT_FALSE(cache.insert(64, d, true, cc).has_value());
-  ASSERT_NE(cache.find(64), nullptr);
-  EXPECT_EQ(cache.find(64)[0], 42);
-  EXPECT_TRUE(cache.is_dirty(64));
+  ASSERT_NE(cache.lookup(64), nullptr);
+  EXPECT_EQ(cache.lookup(64)->data[0], 42);
+  EXPECT_TRUE(cache.lookup(64)->dirty);
   auto victim = cache.erase(64);
   ASSERT_TRUE(victim.has_value());
   EXPECT_TRUE(victim->dirty);
-  EXPECT_EQ(cache.find(64), nullptr);
+  EXPECT_EQ(cache.lookup(64), nullptr);
 }
 
 TEST(CacheModel, EraseCleanReturnsNothing) {
@@ -102,7 +105,7 @@ TEST(CacheModel, ReinsertDoesNotEvict) {
   cache.insert(0, {}, false, cc);
   cache.insert(64, {}, false, cc);
   EXPECT_FALSE(cache.insert(64, {}, true, cc).has_value());
-  EXPECT_TRUE(cache.is_dirty(64));
+  EXPECT_TRUE(cache.lookup(64)->dirty);
 }
 
 TEST(CacheModel, DropAllCountsDirty) {
@@ -115,6 +118,134 @@ TEST(CacheModel, DropAllCountsDirty) {
   EXPECT_EQ(cache.drop_all(&dirty), 3u);
   EXPECT_EQ(dirty, 2u);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// The LLC as it was before its slab: a node map plus an address vector,
+// a random victim over vector positions, and swap-remove. The flat
+// CacheModel must make every choice this model makes.
+class RefCache {
+ public:
+  RefCache(std::size_t capacity, std::uint64_t seed)
+      : capacity_(capacity), rng_(seed) {}
+
+  std::optional<CacheModel::Victim> insert(std::uint64_t addr,
+                                           const CacheModel::LineData& data,
+                                           bool dirty) {
+    std::optional<CacheModel::Victim> victim;
+    if (map_.size() >= capacity_ && map_.count(addr) == 0) {
+      const std::size_t idx =
+          static_cast<std::size_t>(rng_.uniform(order_.size()));
+      auto it = map_.find(order_[idx]);
+      victim = CacheModel::Victim{it->first, it->second.dirty,
+                                  it->second.data};
+      remove_from_order(idx);
+      map_.erase(it);
+    }
+    auto [it, inserted] = map_.try_emplace(addr);
+    it->second.data = data;
+    it->second.dirty = it->second.dirty || dirty;
+    if (inserted) {
+      it->second.pos = order_.size();
+      order_.push_back(addr);
+    }
+    return victim;
+  }
+
+  std::optional<CacheModel::Victim> erase(std::uint64_t addr) {
+    auto it = map_.find(addr);
+    if (it == map_.end()) return std::nullopt;
+    const CacheModel::Victim v{addr, it->second.dirty, it->second.data};
+    remove_from_order(it->second.pos);
+    map_.erase(it);
+    if (!v.dirty) return std::nullopt;
+    return v;
+  }
+
+  std::size_t drop_all(std::size_t* dirty_lost) {
+    *dirty_lost = 0;
+    for (const auto& [addr, line] : map_)
+      if (line.dirty) ++*dirty_lost;
+    const std::size_t n = map_.size();
+    map_.clear();
+    order_.clear();
+    return n;
+  }
+
+  struct Line {
+    CacheModel::LineData data{};
+    bool dirty = false;
+    std::size_t pos = 0;
+  };
+  std::unordered_map<std::uint64_t, Line> map_;
+
+ private:
+  void remove_from_order(std::size_t idx) {
+    const std::uint64_t moved = order_.back();
+    order_[idx] = moved;
+    order_.pop_back();
+    if (idx < order_.size()) map_.find(moved)->second.pos = idx;
+  }
+
+  std::size_t capacity_;
+  sim::Rng rng_;
+  std::vector<std::uint64_t> order_;
+};
+
+void expect_same_victim(const std::optional<CacheModel::Victim>& got,
+                        const std::optional<CacheModel::Victim>& want,
+                        int step) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+  if (!want) return;
+  EXPECT_EQ(got->line_addr, want->line_addr) << "step " << step;
+  EXPECT_EQ(got->dirty, want->dirty) << "step " << step;
+  EXPECT_EQ(got->data, want->data) << "step " << step;
+}
+
+TEST(CacheModel, MatchesMapAndOrderReference) {
+  for (const std::size_t capacity : {4u, 512u, 4096u}) {
+    SCOPED_TRACE(capacity);
+    CacheModel cache(capacity, 77);
+    RefCache ref(capacity, 77);
+    CacheCounters cc;
+    sim::Rng rng(capacity);
+    std::uint64_t evictions = 0;
+    for (int step = 0; step < 120000; ++step) {
+      // Twice the capacity in distinct lines: hits, misses and evictions.
+      const std::uint64_t addr = rng.uniform(2 * capacity + 3) * 64;
+      const std::uint64_t op = rng.uniform(1000);
+      if (step % 30000 == 29999) {
+        std::size_t dirty_lost = 0, want_dirty = 0;
+        const std::size_t want = ref.drop_all(&want_dirty);
+        EXPECT_EQ(cache.drop_all(&dirty_lost), want) << "step " << step;
+        EXPECT_EQ(dirty_lost, want_dirty) << "step " << step;
+      } else if (op < 500) {
+        CacheModel::LineData d;
+        d.fill(static_cast<std::uint8_t>(step));
+        const bool dirty = rng.uniform(2) == 0;
+        const auto want = ref.insert(addr, d, dirty);
+        expect_same_victim(cache.insert(addr, d, dirty, cc), want, step);
+        if (want) ++evictions;
+      } else if (op < 700) {
+        const auto it = ref.map_.find(addr);
+        const CacheModel::Line* line = cache.lookup(addr);
+        ASSERT_EQ(line != nullptr, it != ref.map_.end()) << "step " << step;
+        if (line != nullptr) {
+          EXPECT_EQ(line->dirty, it->second.dirty) << "step " << step;
+          EXPECT_EQ(line->data, it->second.data) << "step " << step;
+        }
+      } else if (op < 850) {
+        const bool dirty = rng.uniform(2) == 0;
+        if (CacheModel::Line* line = cache.lookup(addr)) line->dirty = dirty;
+        if (auto it = ref.map_.find(addr); it != ref.map_.end())
+          it->second.dirty = dirty;
+      } else {
+        expect_same_victim(cache.erase(addr), ref.erase(addr), step);
+      }
+      ASSERT_EQ(cache.size(), ref.map_.size()) << "step " << step;
+    }
+    EXPECT_EQ(cc.natural_evictions, evictions);
+    EXPECT_GT(evictions, 1000u);
+  }
 }
 
 // --------------------------------------------------- read-your-write (P)

@@ -1,11 +1,15 @@
 // Unit tests for the discrete-event kernel: time, RNG, resources,
-// histograms, scheduler/ThreadCtx.
+// histograms, scheduler/ThreadCtx, and the flat index and ring behind the
+// simulator's per-access structures.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
+#include "sim/flat_index.h"
 #include "sim/histogram.h"
 #include "sim/resource.h"
 #include "sim/rng.h"
@@ -323,6 +327,107 @@ TEST(ThreadCtx, CompletionsRetireInOrder) {
   ctx.begin_access(ns(1));
   // Third access had to wait for the first completion (FIFO retire).
   EXPECT_GE(ctx.now(), t1 + ns(100));
+}
+
+// The MLP window as a std::deque, the way ThreadCtx kept it before its
+// ring: the ring must give the same issue times in every regime.
+struct DequeWindow {
+  unsigned mlp;
+  Time now = 0;
+  std::deque<Time> inflight;
+  Time begin_access(Time gap) {
+    Time t = now + gap;
+    if (inflight.size() >= mlp) {
+      if (inflight.front() > t) t = inflight.front();
+      inflight.pop_front();
+    }
+    now = t;
+    return t;
+  }
+  void complete_access(Time done) {
+    if (!inflight.empty() && done < inflight.back()) done = inflight.back();
+    inflight.push_back(done);
+  }
+  void drain() {
+    if (!inflight.empty()) {
+      now = std::max(now, inflight.back());
+      inflight.clear();
+    }
+  }
+};
+
+TEST(ThreadCtx, RingWindowMatchesDeque) {
+  // Widths past the ring's first allocation (8), a shrink that leaves
+  // completions in flight, a widen after it, and fences in between.
+  ThreadCtx ctx({.id = 0, .socket = 0, .mlp = 20, .seed = 1});
+  DequeWindow ref{20, 0, {}};
+  Rng rng(7);
+  const unsigned widths[] = {20, 2, 32, 1, 12, 64};
+  for (int step = 0; step < 20000; ++step) {
+    if (step % 1500 == 0) {
+      const unsigned m = widths[(step / 1500) % std::size(widths)];
+      ctx.set_mlp(m);
+      ref.mlp = m;
+    }
+    if (rng.uniform(97) == 0) {
+      ctx.drain();
+      ref.drain();
+    }
+    const Time gap = ns(rng.uniform(3));
+    const Time t = ctx.begin_access(gap);
+    ASSERT_EQ(t, ref.begin_access(gap)) << "step " << step;
+    const Time done = t + ns(5 + rng.uniform(600));
+    ctx.complete_access(done);
+    ref.complete_access(done);
+    ASSERT_EQ(ctx.now(), ref.now) << "step " << step;
+  }
+  ctx.drain();
+  ref.drain();
+  EXPECT_EQ(ctx.now(), ref.now);
+}
+
+// --------------------------------------------------------------- FlatIndex
+TEST(FlatIndex, TracksASwapRemovedArray) {
+  // Keys in a dense array with swap-remove, as every owner keeps them;
+  // keys share low and high bits so probe runs collide and wrap.
+  struct Slot {
+    std::uint64_t key;
+  };
+  std::vector<Slot> slots;
+  FlatIndex index;
+  std::unordered_map<std::uint64_t, std::uint32_t> ref;
+  Rng rng(11);
+  for (int step = 0; step < 200000; ++step) {
+    const std::uint64_t key = rng.uniform(3000) << 6;
+    const auto it = ref.find(key);
+    ASSERT_EQ(index.find(key, slots, &Slot::key),
+              it == ref.end() ? FlatIndex::kNone : it->second);
+    if (it == ref.end() && rng.uniform(3) != 0) {
+      const auto slot = static_cast<std::uint32_t>(slots.size());
+      index.insert(key, slot);
+      slots.push_back({key});
+      ref[key] = slot;
+    } else if (it != ref.end()) {
+      const std::uint32_t slot = it->second;
+      index.erase(key, slot);
+      ref.erase(it);
+      const auto last = static_cast<std::uint32_t>(slots.size() - 1);
+      if (slot != last) {
+        slots[slot] = slots[last];
+        index.move(slots[slot].key, last, slot);
+        ref[slots[slot].key] = slot;
+      }
+      slots.pop_back();
+    }
+    ASSERT_EQ(index.size(), ref.size());
+    if (step % 20000 == 0) {
+      for (const auto& [k, s] : ref)
+        ASSERT_EQ(index.find(k, slots, &Slot::key), s);
+    }
+  }
+  index.clear();
+  EXPECT_EQ(index.find(slots.empty() ? 0 : slots[0].key, slots, &Slot::key),
+            FlatIndex::kNone);
 }
 
 // -------------------------------------------------------------- scheduler

@@ -1,10 +1,12 @@
 // Tests for SparseImage, in particular the one-entry last-page cache on
-// the read/write path (one hash lookup per 64 B line otherwise).
+// the read/write path (one hash lookup per 64 B line otherwise), and the
+// single-owner latch.
 #include "xpsim/sparse_image.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 namespace xp::hw {
@@ -90,10 +92,10 @@ TEST(SparseImage, ClearInvalidatesCachedPointer) {
 }
 
 TEST(SparseImage, CachedPointerSurvivesRehash) {
-  // Materialize enough pages to force the unordered_map to rehash
-  // several times; reads must keep returning each page's bytes (page
-  // storage is heap-allocated, so pointers are stable — this guards
-  // that invariant).
+  // Materialize enough pages to force the page index to grow several
+  // times; reads must keep returning each page's bytes (page storage is
+  // heap-allocated, so pointers are stable — this guards that
+  // invariant).
   constexpr unsigned kPages = 512;
   SparseImage img(kPages * kPage);
   for (unsigned p = 0; p < kPages; ++p) {
@@ -106,6 +108,22 @@ TEST(SparseImage, CachedPointerSurvivesRehash) {
     img.read(std::uint64_t{p} * kPage, out);
     ASSERT_EQ(out, pattern(64, static_cast<std::uint8_t>(p))) << p;
   }
+}
+
+TEST(SparseImageDeathTest, SecondHostThreadTripsTheOwnerLatch) {
+  // The owner's accesses pass the latch on a load; any other host thread
+  // still fails fast.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SparseImage img(kPage);
+  img.write(0, pattern(64, 1));
+  std::vector<std::uint8_t> out(64);
+  img.read(0, out);
+  EXPECT_DEATH(
+      {
+        std::thread other([&] { img.read(0, out); });
+        other.join();
+      },
+      "single-owner");
 }
 
 }  // namespace
