@@ -4,7 +4,8 @@
 # writes BENCH_YCSB.json), hash the output of every figure and ablation
 # bench into BENCH_figs.sha256, record the repository benchmark's
 # simulated metrics (perfbench, every workload at seed 1 for one second)
-# in BENCH_perfbench_sim.txt, and guard the sweep engine's determinism
+# in BENCH_perfbench_sim.txt and the crash/fault/schedule panel tables in
+# BENCH_panels.txt, and guard the sweep engine's determinism
 # contract: every converted figure bench must print byte-identical
 # tables with --jobs 1 and --jobs N. Intended for CI and for refreshing
 # the committed baselines.
@@ -13,9 +14,10 @@
 #   --check  write the baselines to a temp dir instead of the repo root,
 #            and fail if the new BENCH_stores.json or BENCH_YCSB.json
 #            differs from the tracked copy in anything but its host_cores
-#            and jobs lines, or if any line of BENCH_figs.sha256 or
-#            BENCH_perfbench_sim.txt differs. All of them are simulated
-#            quantities, so every change to them must be re-recorded.
+#            and jobs lines, or if any line of BENCH_figs.sha256,
+#            BENCH_perfbench_sim.txt or BENCH_panels.txt differs. All of
+#            them are simulated quantities, so every change to them must
+#            be re-recorded.
 #            BENCH_sweep.json holds host timings and is not compared.
 #   jobs     defaults to the machine's core count (or XP_JOBS if set).
 set -euo pipefail
@@ -48,7 +50,8 @@ FIGS=(fig02_idle_latency fig03_tail_latency fig04_bw_threads
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target \
-    bench_timing bench_stores bench_ycsb "${FIGS[@]}" > /dev/null
+    bench_timing bench_stores bench_ycsb crashmc_sweep schedmc_sweep \
+    "${FIGS[@]}" > /dev/null
 
 echo "== bench_timing (jobs=$JOBS) =="
 "$BUILD/bench/bench_timing" --jobs "$JOBS" --host-cores "$CORES" \
@@ -104,6 +107,29 @@ for k in ("sim_kops", "media_write_amp"):
       >> "$OUT/BENCH_perfbench_sim.txt"
 done
 echo "  $(wc -l < "$OUT/BENCH_perfbench_sim.txt") values recorded"
+
+# Crash, fault and schedule panels: the three sweeps scripts/run_tests.sh
+# runs. Each table's host-speed column (points/sec, sched/s) is dropped;
+# every other column is a simulated count that repeats exactly. A panel
+# with a violation exits non-zero, which fails this script.
+echo
+echo "== crash/fault/schedule panels =="
+{
+  "$BUILD/bench/crashmc_sweep" --points 200
+  "$BUILD/bench/crashmc_sweep" --faults --points 80 --poison-points 20 \
+      --seed 42 --checksums
+  "$BUILD/bench/schedmc_sweep" --schedules 60 --dfs 24 --crash 2
+} | awk '{
+  for (i = 1; i <= NF; ++i)
+    if ($i == "points/sec" || $i == "sched/s") { col = i; width = NF }
+  if (col && NF == width && $1 !~ /^#/) {
+    line = $1
+    for (i = 2; i <= NF; ++i) if (i != col) line = line " " $i
+    $0 = line
+  }
+  print
+}' > "$OUT/BENCH_panels.txt"
+echo "  $(wc -l < "$OUT/BENCH_panels.txt") lines recorded"
 
 # Determinism guard: byte-identical tables regardless of job count. The
 # quick benches run their full sweeps; the long ones are already covered
@@ -174,6 +200,14 @@ if [ "$CHECK" = 1 ]; then
     echo "  BENCH_perfbench_sim.txt: DIFFERS (a simulated perfbench metric" \
          "moved)"
     diff BENCH_perfbench_sim.txt "$OUT/BENCH_perfbench_sim.txt" || true
+    status=1
+  fi
+  if diff BENCH_panels.txt "$OUT/BENCH_panels.txt" > /dev/null; then
+    echo "  BENCH_panels.txt: matches"
+  else
+    echo "  BENCH_panels.txt: DIFFERS (a crash/fault/schedule panel count" \
+         "moved)"
+    diff BENCH_panels.txt "$OUT/BENCH_panels.txt" || true
     status=1
   fi
 fi

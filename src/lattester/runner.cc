@@ -73,8 +73,7 @@ std::uint64_t pick_offset(const WorkloadSpec& spec, ThreadCtx& ctx,
         ctx.rng().uniform(std::max<std::uint64_t>(stripes, 1));
     const std::uint64_t within =
         ctx.rng().uniform(std::max<std::uint64_t>(chunk / acc, 1)) * acc;
-    return spec.region_offset + stripe * chunk * channels + channel * chunk +
-           within;
+    return stripe * chunk * channels + channel * chunk + within;
   }
   if (spec.pattern == Pattern::kRand) {
     const std::uint64_t slots = std::max<std::uint64_t>(st.slice_len / acc, 1);
@@ -154,15 +153,14 @@ Result run(hw::Platform& platform, hw::PmemNamespace& ns,
   const std::uint64_t acc = spec.access_size;
   for (unsigned i = 0; i < spec.threads; ++i) {
     ThreadState& st = states[i];
-    if (spec.private_regions && spec.dimms_per_thread == 0) {
+    if (spec.dimms_per_thread == 0) {
       std::uint64_t slice = spec.region_size / spec.threads;
       slice = std::max<std::uint64_t>(slice / acc * acc, acc);
-      st.slice_start = spec.region_offset +
-                       std::min<std::uint64_t>(i * slice,
-                                               spec.region_size - slice);
+      st.slice_start =
+          std::min<std::uint64_t>(i * slice, spec.region_size - slice);
       st.slice_len = slice;
     } else {
-      st.slice_start = spec.region_offset;
+      st.slice_start = 0;
       st.slice_len = spec.region_size;
     }
     st.buf.resize(std::max<std::size_t>(std::min<std::size_t>(acc, kBufCap),

@@ -28,8 +28,7 @@ struct WorkloadSpec {
   Pattern pattern = Pattern::kSeq;
   std::size_t access_size = 64;       // bytes per application access
   std::size_t stride = 4096;          // for kStride: gap between accesses
-  std::uint64_t region_offset = 0;    // start of working set in namespace
-  std::uint64_t region_size = 64 << 20;
+  std::uint64_t region_size = 64 << 20;  // working set, from offset 0
   unsigned threads = 1;
   unsigned socket = 0;                // socket the threads are pinned to
   unsigned mlp = 0;                   // 0 = platform default
@@ -40,9 +39,9 @@ struct WorkloadSpec {
   std::size_t flush_every = 64;
   double read_fraction = 0.5;         // only for kMixed
   // Restrict each thread to this many interleave chunks' worth of DIMMs
-  // (Fig 16). 0 = no restriction.
+  // (Fig 16). 0 = no restriction: each thread works on its own slice of
+  // the region.
   unsigned dimms_per_thread = 0;
-  bool private_regions = true;        // slice region per thread
   sim::Time warmup = sim::us(50);
   sim::Time duration = sim::ms(2);
   std::uint64_t max_ops_per_thread = 0;  // 0 = until duration

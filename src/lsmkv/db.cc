@@ -110,11 +110,7 @@ FindResult Db::get_table(sim::ThreadCtx& ctx, std::uint64_t table_off,
 }
 
 Db::Manifest Db::backup_manifest() {
-  Manifest m{};
-  pool_.ns().peek(kManifestBackupOff,
-                  std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(&m),
-                                          sizeof(m)));
-  return m;
+  return pool_.ns().peek_pod<Manifest>(kManifestBackupOff);
 }
 
 void Db::restore_manifest(sim::ThreadCtx& ctx, const Manifest& m,
@@ -381,14 +377,8 @@ std::vector<std::pair<std::string, std::string>> Db::scan(
 }
 
 Status Db::check(sim::ThreadCtx& ctx) {
-  try {
-    if (Status s = pool_.check(ctx); !s.ok()) return s;
-    const std::string err = check_impl(ctx);
-    if (err.empty()) return Status::Ok();
-    return Status::Corruption(err);
-  } catch (const hw::MediaError& e) {
-    return Status::MediaFault(e.what());
-  }
+  if (Status s = pool_.check(ctx); !s.ok()) return s;
+  return pmem::run_check([&] { return check_impl(ctx); });
 }
 
 std::string Db::check_impl(sim::ThreadCtx& ctx) {

@@ -7,18 +7,13 @@
 
 namespace xp::kv {
 
-namespace {
-std::span<const std::uint8_t> bytes_of(const void* p, std::size_t n) {
-  return {static_cast<const std::uint8_t*>(p), n};
-}
-}  // namespace
-
 void PSkiplist::create(sim::ThreadCtx& ctx) {
   NodeHeader head{};
   head.level = kMaxLevel;
   head_ = pool_.ns().size();  // placeholder until allocated
   head_ = pool_.alloc_raw(ctx, sizeof(NodeHeader));
-  pool_.ns().ntstore_persist(ctx, head_, bytes_of(&head, sizeof(head)));
+  pool_.ns().ntstore_persist(ctx, head_,
+                             pmem::bytes_of(&head, sizeof(head)));
   pmem::store_persist_pod(ctx, pool_.ns(), root_off_, head_);
 }
 

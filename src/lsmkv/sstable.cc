@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "lsmkv/bloom.h"
+#include "pmemlib/pmem_ops.h"
 #include "sim/crc32.h"
 
 namespace xp::kv {
@@ -80,29 +81,22 @@ std::uint64_t SsTable::build(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
 
 Status SsTable::verify_checksum(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                                 std::uint64_t off) {
-  Header h{};
-  try {
-    h = ns.load_pod<Header>(ctx, off);
-  } catch (const hw::MediaError& e) {
-    return Status::MediaFault(e.what());
-  }
-  if (h.magic != kMagic) return Status::Corruption("sstable: bad magic");
-  if (h.total_bytes < sizeof(Header))
-    return Status::Corruption("sstable: total_bytes smaller than header");
-  std::uint32_t crc = 0;
-  constexpr std::size_t kChunk = 4096;
-  std::vector<std::uint8_t> buf(kChunk);
-  try {
+  return pmem::run_check([&]() -> std::string {
+    const auto h = ns.load_pod<Header>(ctx, off);
+    if (h.magic != kMagic) return "sstable: bad magic";
+    if (h.total_bytes < sizeof(Header))
+      return "sstable: total_bytes smaller than header";
+    std::uint32_t crc = 0;
+    constexpr std::size_t kChunk = 4096;
+    std::vector<std::uint8_t> buf(kChunk);
     for (std::uint64_t p = sizeof(Header); p < h.total_bytes; p += kChunk) {
       const std::size_t n = std::min<std::uint64_t>(kChunk, h.total_bytes - p);
       ns.load(ctx, off + p, std::span<std::uint8_t>(buf.data(), n));
       crc = sim::crc32c(buf.data(), n, crc);
     }
-  } catch (const hw::MediaError& e) {
-    return Status::MediaFault(e.what());
-  }
-  if (crc != h.crc) return Status::Corruption("sstable: content crc mismatch");
-  return Status::Ok();
+    if (crc != h.crc) return "sstable: content crc mismatch";
+    return "";
+  });
 }
 
 std::uint32_t SsTable::count(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,

@@ -49,7 +49,6 @@ void Wal::append(ThreadCtx& ctx, std::string_view key, std::string_view value,
                                                  : pmem::WriteHint::kNt);
 
   tail_ += rec_len;
-  bytes_appended_ += rec_len;
   sync(ctx);
 }
 
@@ -78,9 +77,7 @@ void Wal::append_group(ThreadCtx& ctx, std::span<const WalRecord> recs) {
                 mode_ == WalMode::kPosix ? pmem::WriteHint::kCached
                                          : pmem::WriteHint::kAuto);
 
-  const std::uint64_t group_bytes = batch_.size() - 4;  // minus terminator
-  tail_ += group_bytes;
-  bytes_appended_ += group_bytes;
+  tail_ += batch_.size() - 4;  // minus the terminator
   sync(ctx);
 }
 

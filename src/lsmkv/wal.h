@@ -83,7 +83,6 @@ class Wal {
   std::uint64_t capacity() const { return capacity_; }
 
   std::uint64_t tail() const { return tail_; }
-  std::uint64_t bytes_appended() const { return bytes_appended_; }
   WalMode mode() const { return mode_; }
 
  private:
@@ -100,7 +99,6 @@ class Wal {
   WalMode mode_;
   const DbOptions& opts_;
   std::uint64_t tail_ = 0;  // next append offset, relative to base_
-  std::uint64_t bytes_appended_ = 0;
   // Reused staging memory for both append paths, so steady-state appends
   // do no heap allocation.
   pmem::LineBatcher batch_;

@@ -13,9 +13,7 @@
 namespace xp::nova {
 
 namespace {
-std::span<const std::uint8_t> bytes_of(const void* p, std::size_t n) {
-  return {static_cast<const std::uint8_t*>(p), n};
-}
+using pmem::bytes_of;
 constexpr std::uint64_t kPage = NovaFs::kPageSize;
 }  // namespace
 
@@ -88,8 +86,9 @@ bool NovaFs::mount(ThreadCtx& ctx) {
   free_by_channel_.assign(6, {});
 
   // Pass 1: replay every in-use inode's log (rebuilds page maps, sizes,
-  // and the directory).
-  std::vector<bool> page_used((ns_.size() - kDataStart) / kPage, false);
+  // and the directory) and claim its pages by fsck's rule.
+  PageOwners pages(*this);
+  std::vector<unsigned> truncated;  // inodes whose replay kept a prefix
   for (unsigned ino = 0; ino < kMaxInodes; ++ino) {
     PInode pi{};
     try {
@@ -111,22 +110,14 @@ bool NovaFs::mount(ThreadCtx& ctx) {
     di.in_use = true;
     di.log_head = pi.log_head;
     di.log_tail = pi.log_tail;
-    replay_inode(ctx, ino);
-    // Mark pages referenced by this inode as used.
-    auto mark = [&](std::uint64_t off) {
-      if (off >= kDataStart) page_used[(off - kDataStart) / kPage] = true;
-    };
-    for (const auto& [idx, ps] : di.pages) {
-      if (ps.page_off != 0) mark(ps.page_off);
-      for (const Embed& e : ps.overlays) mark(e.data_off / kPage * kPage);
-    }
+    const bool kept_prefix = replay_inode(ctx, ino);
     try {
       // Log-page headers were just staged/cached by the replay above, so
       // the combined walk re-serves them from DRAM.
       const std::uint64_t back =
           walk_chain(ctx, di.log_head, opt_.read_combine,
                      [&](std::uint64_t lp) {
-                       mark(lp);
+                       pages.claim(lp, 'L', ino);
                        return true;
                      });
       if (back != 0) {
@@ -141,9 +132,40 @@ bool NovaFs::mount(ThreadCtx& ctx) {
       }
     } catch (const hw::MediaError&) {
       // A link beyond the replayed (truncated) portion is unreadable; the
-      // unreachable tail pages stay unmarked and return to the free pool.
+      // unreachable tail pages stay unclaimed and return to the free pool.
       report_truncated(ino);
     }
+    if (kept_prefix)
+      truncated.push_back(ino);
+    else
+      claim_data(pages, ino);  // a clash is fsck's to report
+  }
+
+  // A truncated log's kept prefix can name a page that an entry it
+  // dropped had freed and another owner reused. So its data pages claim
+  // after every other page, and a reference to one already claimed is
+  // dropped durably: the log ends at the entry that set it, and the
+  // shorter log replays (its earlier page for that offset may clash too).
+  for (const unsigned ino : truncated) {
+    DInode& di = inodes_[ino];
+    auto clash = [&] {
+      return std::find_if(di.pages.begin(), di.pages.end(),
+                          [&](const auto& kv) {
+                            return kv.second.page_off != 0 &&
+                                   pages.claimed(kv.second.page_off);
+                          });
+    };
+    for (auto it = clash(); it != di.pages.end(); it = clash()) {
+      truncate_log_at(ctx, ino, it->second.entry_off,
+                      "write entry names a page another owner claims");
+      di.pages.clear();
+      di.size = 0;
+      replay_inode(ctx, ino);
+      if (recovery_.inodes_damaged.empty() ||
+          recovery_.inodes_damaged.back() != ino)
+        recovery_.inodes_damaged.push_back(ino);
+    }
+    claim_data(pages, ino);
   }
 
   // Dirents can name inodes whose table line was lost: drop them (and
@@ -167,16 +189,14 @@ bool NovaFs::mount(ThreadCtx& ctx) {
   // inside live data stay poisoned (reads raise MediaError) until
   // repair() excises them.
   if (recovery_.damaged()) {
-    for (const std::uint64_t bad : ns_.platform().ars(ns_, 0, ns_.size())) {
-      const bool live = bad >= kDataStart &&
-                        page_used[(bad - kDataStart) / kPage];
-      if (!live) scrub_line(ctx, bad);
-    }
+    for (const std::uint64_t bad : ns_.platform().ars(ns_, 0, ns_.size()))
+      if (!pages.claimed(bad / kPage * kPage)) scrub_line(ctx, bad);
   }
 
-  // Pass 2: rebuild the free-page pool.
-  for (std::size_t i = page_used.size(); i-- > 0;) {
-    if (!page_used[i]) free_page(kDataStart + i * kPage);
+  // Pass 2: rebuild the free-page pool from the unclaimed pages.
+  for (std::size_t i = pages.count(); i-- > 0;) {
+    const std::uint64_t off = kDataStart + i * kPage;
+    if (!pages.claimed(off)) free_page(off);
   }
   return true;
 }
@@ -383,6 +403,55 @@ bool NovaFs::data_page(std::uint64_t off) const {
          (off - kDataStart) / kPage < (ns_.size() - kDataStart) / kPage;
 }
 
+NovaFs::PageOwners::PageOwners(const NovaFs& fs)
+    : fs_(fs),
+      role_((fs.ns_.size() - kDataStart) / kPage, 0),
+      owner_(role_.size(), 0) {}
+
+std::string NovaFs::PageOwners::claim(std::uint64_t off, char role,
+                                      unsigned ino) {
+  if (!fs_.data_page(off))
+    return "inode " + std::to_string(ino) + ": page ref @" +
+           std::to_string(off) + " outside data area";
+  const std::uint64_t i = (off - kDataStart) / kPage;
+  if (role_[i] != 0)
+    return "page @" + std::to_string(off) + ": claimed as " + role_[i] +
+           " by inode " + std::to_string(owner_[i]) + " and as " + role +
+           " by inode " + std::to_string(ino);
+  role_[i] = role;
+  owner_[i] = ino;
+  return "";
+}
+
+bool NovaFs::PageOwners::claimed(std::uint64_t off) const {
+  return fs_.data_page(off) && role_[(off - kDataStart) / kPage] != 0;
+}
+
+bool NovaFs::PageOwners::in_log_of(std::uint64_t off, unsigned ino) const {
+  const std::uint64_t page = off / kPage * kPage;
+  if (!fs_.data_page(page)) return false;
+  const std::uint64_t i = (page - kDataStart) / kPage;
+  return role_[i] == 'L' && owner_[i] == ino;
+}
+
+std::string NovaFs::claim_data(PageOwners& pages, unsigned ino) const {
+  const std::string tag = "inode " + std::to_string(ino);
+  std::string first;
+  for (const auto& [idx, ps] : inodes_[ino].pages) {
+    std::string err;
+    if (ps.page_off != 0) {
+      err = pages.claim(ps.page_off, 'D', ino);
+      if (!err.empty()) err = tag + " data: " + err;
+    }
+    for (const Embed& em : ps.overlays)
+      if (err.empty() && !pages.in_log_of(em.data_off, ino))
+        err = tag + ": embedded extent @" + std::to_string(em.data_off) +
+              " not inside this inode's log";
+    if (first.empty()) first = std::move(err);
+  }
+  return first;
+}
+
 template <typename Apply>
 void NovaFs::walk_entries(ThreadCtx& ctx, std::uint64_t head, bool staged,
                           LogCursor& at, Apply apply) {
@@ -452,9 +521,9 @@ const char* NovaFs::super_error(const Super& s) const {
   return nullptr;
 }
 
-void NovaFs::replay_inode(ThreadCtx& ctx, unsigned ino) {
+bool NovaFs::replay_inode(ThreadCtx& ctx, unsigned ino) {
   DInode& di = inodes_[ino];
-  if (di.log_head == 0) return;
+  if (di.log_head == 0) return false;
   if (!data_page(di.log_head)) {
     // Nothing of a log whose head lies outside the data area can be read:
     // end it durably at the head, so the file restarts empty.
@@ -465,7 +534,7 @@ void NovaFs::replay_inode(ThreadCtx& ctx, unsigned ino) {
                             di.log_head);
     report_truncated(ino);
     recovery_.detail = "log head outside the data area";
-    return;
+    return true;
   }
   // With read_combine the first fetch in each 4 KB log page stages the
   // whole page as one line burst; the entry walk and payload reads are
@@ -485,13 +554,15 @@ void NovaFs::replay_inode(ThreadCtx& ctx, unsigned ino) {
   } catch (const hw::MediaError& err) {
     di.log_page_count = at.pages;
     truncate_log_at(ctx, ino, at.pos, err.what());
-    return;
+    return true;
   }
   di.log_page_count = at.pages;
-  if (at.why != nullptr)
+  if (at.why != nullptr) {
     truncate_log_at(ctx, ino, at.pos, at.why);
-  else
-    di.log_tail = at.pos;
+    return true;
+  }
+  di.log_tail = at.pos;
+  return false;
 }
 
 void NovaFs::scrub_line(ThreadCtx& ctx, std::uint64_t line_off) {
@@ -537,6 +608,7 @@ const char* NovaFs::apply_entry(ThreadCtx& ctx, unsigned ino,
       PageState& ps = di.pages[e.foff / kPage];
       if (!during_replay && ps.page_off != 0) free_page(ps.page_off);
       ps.page_off = e.page;
+      ps.entry_off = entry_off;
       ps.overlays.clear();
       di.size = std::max(di.size, e.new_size);
       break;
@@ -937,10 +1009,6 @@ void NovaFs::clean_log(ThreadCtx& ctx, unsigned ino) {
 void NovaFs::repair(ThreadCtx& ctx) {
   const auto bad = ns_.platform().ars(ns_, 0, ns_.size());
   if (bad.empty()) return;
-  const std::set<std::uint64_t> bad_lines(bad.begin(), bad.end());
-  std::set<std::uint64_t> bad_pages;
-  for (const std::uint64_t b : bad)
-    if (b >= kDataStart) bad_pages.insert(b / kPage * kPage);
 
   // Which inodes own damaged pages? Log pages via the chains, data pages
   // and overlays via the replayed DRAM maps.
@@ -951,35 +1019,25 @@ void NovaFs::repair(ThreadCtx& ctx) {
     if (!di.in_use) continue;
     try {
       walk_chain(ctx, di.log_head, /*staged=*/false, [&](std::uint64_t lp) {
-        if (bad_pages.count(lp) != 0) log_damaged.insert(ino);
+        if (hw::Platform::touches_bad_line(bad, lp, kPage))
+          log_damaged.insert(ino);
         return true;
       });
     } catch (const hw::MediaError&) {
       log_damaged.insert(ino);
     }
     for (auto& [idx, ps] : di.pages) {
-      if (ps.page_off != 0) {
-        for (std::uint64_t l = ps.page_off; l < ps.page_off + kPage;
-             l += hw::Platform::kXpLineBytes) {
-          if (bad_lines.count(l) != 0) {
-            data_damaged.insert(ino);
-            break;
-          }
-        }
-      }
+      if (ps.page_off != 0 &&
+          hw::Platform::touches_bad_line(bad, ps.page_off, kPage))
+        data_damaged.insert(ino);
       // Drop overlays whose embedded bytes sit on a bad line: the base
       // page's older content wins, which is historical — never garbage.
       auto& ov = ps.overlays;
       const auto old_n = ov.size();
       ov.erase(std::remove_if(ov.begin(), ov.end(),
                               [&](const Embed& e) {
-                                for (std::uint64_t l =
-                                         e.data_off &
-                                         ~(hw::Platform::kXpLineBytes - 1);
-                                     l < e.data_off + e.len;
-                                     l += hw::Platform::kXpLineBytes)
-                                  if (bad_lines.count(l) != 0) return true;
-                                return false;
+                                return hw::Platform::touches_bad_line(
+                                    bad, e.data_off, e.len);
                               }),
                ov.end());
       if (ov.size() != old_n) data_damaged.insert(ino);
@@ -1008,37 +1066,13 @@ void NovaFs::repair(ThreadCtx& ctx) {
 }
 
 Status NovaFs::fsck(ThreadCtx& ctx) {
-  try {
-    const std::string err = fsck_impl(ctx);
-    if (err.empty()) return Status::Ok();
-    return Status::Corruption(err);
-  } catch (const hw::MediaError& e) {
-    return Status::MediaFault(e.what());
-  }
+  return pmem::run_check([&] { return fsck_impl(ctx); });
 }
 
 std::string NovaFs::fsck_impl(ThreadCtx& ctx) {
   if (const char* err = super_error(ns_.load_pod<Super>(ctx, 0))) return err;
 
-  // Page ownership map: every data-area page has at most one role and at
-  // most one owner. 0 = free, 'L' = log page, 'D' = base data page.
-  const std::uint64_t npages = (ns_.size() - kDataStart) / kPage;
-  std::vector<char> role(npages, 0);
-  std::vector<unsigned> owner(npages, 0);
-  auto claim = [&](std::uint64_t off, char r, unsigned ino) -> std::string {
-    if (!data_page(off))
-      return "inode " + std::to_string(ino) + ": page ref @" +
-             std::to_string(off) + " outside data area";
-    const std::uint64_t i = (off - kDataStart) / kPage;
-    if (role[i] != 0)
-      return "page @" + std::to_string(off) + ": claimed as " + role[i] +
-             " by inode " + std::to_string(owner[i]) + " and as " + r +
-             " by inode " + std::to_string(ino);
-    role[i] = r;
-    owner[i] = ino;
-    return "";
-  };
-
+  PageOwners pages(*this);
   for (unsigned ino = 0; ino < kMaxInodes; ++ino) {
     const auto pi = ns_.load_pod<PInode>(ctx, inode_off(ino));
     if (pi.in_use == 0) continue;
@@ -1050,7 +1084,7 @@ std::string NovaFs::fsck_impl(ThreadCtx& ctx) {
     std::string err;
     const std::uint64_t back =
         walk_chain(ctx, pi.log_head, /*staged=*/false, [&](std::uint64_t lp) {
-          err = claim(lp, 'L', ino);
+          err = pages.claim(lp, 'L', ino);
           return err.empty();
         });
     if (!err.empty()) return tag + " log: " + err;
@@ -1070,24 +1104,8 @@ std::string NovaFs::fsck_impl(ThreadCtx& ctx) {
   // Replayed references (built by mount): base pages owned exactly once
   // and never inside a log; embedded extents inside this inode's own log.
   for (unsigned ino = 0; ino < kMaxInodes; ++ino) {
-    const DInode& di = inodes_[ino];
-    if (!di.in_use) continue;
-    const std::string tag = "inode " + std::to_string(ino);
-    for (const auto& [idx, ps] : di.pages) {
-      if (ps.page_off != 0) {
-        if (std::string err = claim(ps.page_off, 'D', ino); !err.empty())
-          return tag + " data: " + err;
-      }
-      for (const Embed& em : ps.overlays) {
-        const std::uint64_t host = em.data_off / kPage * kPage;
-        if (host < kDataStart ||
-            (host - kDataStart) / kPage >= npages ||
-            role[(host - kDataStart) / kPage] != 'L' ||
-            owner[(host - kDataStart) / kPage] != ino)
-          return tag + ": embedded extent @" + std::to_string(em.data_off) +
-                 " not inside this inode's log";
-      }
-    }
+    if (!inodes_[ino].in_use) continue;
+    if (std::string err = claim_data(pages, ino); !err.empty()) return err;
   }
   return "";
 }

@@ -85,9 +85,11 @@ class NovaFs final : public FileSystem {
   // Media-error tolerant: a poisoned superblock falls back to the backup
   // copy; a poisoned inode-table line loses (and reports) the up-to-4
   // inodes on it; a log that stops replaying (poison or checksum failure)
-  // is truncated at the damage point. Everything is reported through
-  // recovery() — committed data can be lost to bad media, but never
-  // silently.
+  // is truncated at the damage point. Pages are claimed by fsck's
+  // ownership rule, and a truncated log's reference to a page another
+  // owner claims ends that log at the entry that set it (the inode goes
+  // in inodes_damaged). Everything is reported through recovery() —
+  // committed data can be lost to bad media, but never silently.
   bool mount(ThreadCtx& ctx);
 
   // What mount()/repair() had to do about damaged media.
@@ -209,6 +211,7 @@ class NovaFs final : public FileSystem {
   };
   struct PageState {
     std::uint64_t page_off = 0;  // 0 = hole (zeros)
+    std::uint64_t entry_off = 0;  // the kWrite entry that set page_off
     std::vector<Embed> overlays;
   };
   struct DInode {
@@ -260,6 +263,30 @@ class NovaFs final : public FileSystem {
   // follows and fsck claims.
   bool data_page(std::uint64_t off) const;
 
+  // The one page-ownership rule, which fsck checks and mount builds its
+  // used-page set with: a page of the data area has at most one role
+  // ('L' log page, 'D' base data page) and one owner.
+  class PageOwners {
+   public:
+    explicit PageOwners(const NovaFs& fs);
+    // Claim the page at `off` as `role` for `ino`. Returns why it cannot
+    // be claimed (not a data_page(), or claimed already), or "".
+    std::string claim(std::uint64_t off, char role, unsigned ino);
+    bool claimed(std::uint64_t off) const;
+    // Whether `off` lies in a log page that `ino` claimed.
+    bool in_log_of(std::uint64_t off, unsigned ino) const;
+    std::size_t count() const { return role_.size(); }  // data-area pages
+
+   private:
+    const NovaFs& fs_;
+    std::vector<char> role_;  // 0 = unclaimed
+    std::vector<unsigned> owner_;
+  };
+  // Claim `ino`'s replayed base pages as 'D' and check that its embedded
+  // extents lie in its own log. Claims every page even past a clash, and
+  // returns the first failure, or "".
+  std::string claim_data(PageOwners& pages, unsigned ino) const;
+
   // Where an entry walk stopped: the end of the log, or the entry (or
   // end-of-page marker) at which it stopped early, and why.
   struct LogCursor {
@@ -289,7 +316,9 @@ class NovaFs final : public FileSystem {
   // this namespace's superblock, or null.
   const char* super_error(const Super& s) const;
 
-  void replay_inode(ThreadCtx& ctx, unsigned ino);
+  // Replay `ino`'s log into its DRAM state. Returns whether the log was
+  // truncated: replay kept only a prefix of it.
+  bool replay_inode(ThreadCtx& ctx, unsigned ino);
   // Apply a well-formed entry to the DRAM state. Returns why a dirent is
   // malformed (a name that overruns its entry, or no such inode), else
   // null.

@@ -1,7 +1,6 @@
 #include "pmemkv/cmap.h"
 
 #include <cstring>
-#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -10,14 +9,6 @@
 namespace xp::pmemkv {
 
 namespace {
-
-template <typename T>
-T peek_pod(const hw::PmemNamespace& ns, std::uint64_t off) {
-  T t{};
-  ns.peek(off, std::span<std::uint8_t>(
-                   reinterpret_cast<std::uint8_t*>(&t), sizeof(t)));
-  return t;
-}
 
 // Software cost per engine operation: bucket locking, hashing, string
 // handling and allocator bookkeeping. PMemKV's measured per-op overhead
@@ -135,46 +126,34 @@ bool CMap::remove(sim::ThreadCtx& ctx, std::string_view key) {
 }
 
 Status CMap::check(sim::ThreadCtx& ctx) {
-  try {
-    const std::string err = check_impl(ctx);
-    if (err.empty()) return Status::Ok();
-    return Status::Corruption(err);
-  } catch (const hw::MediaError& e) {
-    return Status::MediaFault(e.what());
-  }
+  return pmem::run_check([&] { return check_impl(ctx); });
 }
 
 void CMap::repair(sim::ThreadCtx& ctx) {
   auto& ns = pool_.ns();
   const auto bad = ns.platform().ars(ns, 0, ns.size());
   if (bad.empty()) return;
-  const std::set<std::uint64_t> bad_lines(bad.begin(), bad.end());
-  constexpr std::uint64_t kLine = hw::Platform::kXpLineBytes;
-  auto range_bad = [&](std::uint64_t off, std::uint64_t len) {
-    for (std::uint64_t l = off & ~(kLine - 1); l < off + len; l += kLine)
-      if (bad_lines.count(l) != 0) return true;
-    return false;
-  };
 
   for (std::uint32_t b = 0; b < kBuckets; ++b) {
     std::uint64_t link = table_ + b * 8;
-    if (range_bad(link, 8)) {
+    if (hw::Platform::touches_bad_line(bad, link, 8)) {
       // The head pointer itself is gone; scrubbing below zeroes it, so
       // this bucket comes back empty and its whole chain leaks.
       ++recovery_.buckets_zeroed;
       continue;
     }
-    std::uint64_t node = peek_pod<std::uint64_t>(ns, link);
+    std::uint64_t node = ns.peek_pod<std::uint64_t>(link);
     while (node != 0) {
-      if (range_bad(node, sizeof(NodeHeader))) {
+      if (hw::Platform::touches_bad_line(bad, node, sizeof(NodeHeader))) {
         // Header (and its next pointer) unreadable: cut the chain here.
         // `link` is on a clean line — it was just read.
         pmem::store_persist_pod(ctx, ns, link, std::uint64_t{0});
         ++recovery_.chains_cut;
         break;
       }
-      const auto hd = peek_pod<NodeHeader>(ns, node);
-      if (range_bad(node + sizeof(NodeHeader), hd.klen + hd.vlen)) {
+      const auto hd = ns.peek_pod<NodeHeader>(node);
+      if (hw::Platform::touches_bad_line(bad, node + sizeof(NodeHeader),
+                                         hd.klen + hd.vlen)) {
         // Payload damaged but the header is intact: splice the node out
         // and keep walking the preserved tail.
         pmem::store_persist_pod(ctx, ns, link, hd.next);
@@ -201,7 +180,7 @@ std::string CMap::check_impl(sim::ThreadCtx& ctx) {
   const std::uint64_t max_nodes = (heap_hi - heap_lo) / 64;
   for (std::uint32_t b = 0; b < kBuckets; ++b) {
     std::unordered_set<std::string> keys;
-    std::uint64_t node = peek_pod<std::uint64_t>(ns, table_ + b * 8);
+    std::uint64_t node = ns.peek_pod<std::uint64_t>(table_ + b * 8);
     std::uint64_t steps = 0;
     while (node != 0) {
       const std::string tag =
@@ -210,7 +189,7 @@ std::string CMap::check_impl(sim::ThreadCtx& ctx) {
       if (node % 64 != 0 || node < heap_lo ||
           node + sizeof(NodeHeader) > heap_hi)
         return tag + ": offset outside allocated heap";
-      const auto hd = peek_pod<NodeHeader>(ns, node);
+      const auto hd = ns.peek_pod<NodeHeader>(node);
       if (node + sizeof(NodeHeader) + hd.klen + hd.vlen > heap_hi)
         return tag + ": key/value overrun heap";
       std::string k(hd.klen, '\0');

@@ -10,20 +10,6 @@
 
 namespace xp::pmemkv {
 
-namespace {
-std::span<const std::uint8_t> bytes_of(const void* p, std::size_t n) {
-  return {static_cast<const std::uint8_t*>(p), n};
-}
-
-template <typename T>
-T peek_pod(const hw::PmemNamespace& ns, std::uint64_t off) {
-  T t{};
-  ns.peek(off, std::span<std::uint8_t>(
-                   reinterpret_cast<std::uint8_t*>(&t), sizeof(t)));
-  return t;
-}
-}  // namespace
-
 STree::LeafHeader STree::read_header(sim::ThreadCtx& ctx,
                                      std::uint64_t leaf) {
   // The header fetch stages the whole leaf (header + all slots) as one
@@ -62,7 +48,7 @@ std::uint64_t STree::write_value_blob(sim::ThreadCtx& ctx,
 void STree::create(sim::ThreadCtx& ctx) {
   first_leaf_ = pool_.alloc_raw(ctx, kLeafSize);
   LeafHeader h{0, 0, 0};
-  pool_.ns().ntstore_persist(ctx, first_leaf_, bytes_of(&h, sizeof(h)));
+  pool_.ns().ntstore_persist(ctx, first_leaf_, pmem::bytes_of(&h, sizeof(h)));
   pmem::store_persist_pod(ctx, pool_.ns(), pool_.root(ctx), first_leaf_);
   index_.clear();
   index_[""] = first_leaf_;
@@ -155,7 +141,7 @@ bool STree::put(sim::ThreadCtx& ctx, std::string_view key,
   std::memcpy(s.key, key.data(), key.size());
   s.val_off = write_value_blob(ctx, value);
   pool_.ns().store_persist(ctx, slot_off(leaf, free_slot),
-                           bytes_of(&s, sizeof(s)));
+                           pmem::bytes_of(&s, sizeof(s)));
   const std::uint32_t new_bitmap = h.bitmap | (1u << free_slot);
   pmem::store_persist_pod(ctx, pool_.ns(),
                           leaf + offsetof(LeafHeader, bitmap), new_bitmap);
@@ -203,7 +189,7 @@ std::uint64_t STree::split_leaf(sim::ThreadCtx& ctx, std::uint64_t leaf,
   const std::uint32_t left_bitmap = h.bitmap & ~moved;
   tx.add(leaf, sizeof(LeafHeader));
   LeafHeader lh{right, left_bitmap, 0};
-  tx.store(leaf, bytes_of(&lh, sizeof(lh)));
+  tx.store(leaf, pmem::bytes_of(&lh, sizeof(lh)));
   tx.commit();
   // The caller re-reads the left leaf's header right after the split, so
   // the staged (pre-split) copy must go now, not at end of put().
@@ -264,28 +250,15 @@ std::vector<std::pair<std::string, std::string>> STree::scan(
 }
 
 Status STree::check(sim::ThreadCtx& ctx) {
-  try {
-    const std::string err = check_impl(ctx);
-    if (err.empty()) return Status::Ok();
-    return Status::Corruption(err);
-  } catch (const hw::MediaError& e) {
-    return Status::MediaFault(e.what());
-  }
+  return pmem::run_check([&] { return check_impl(ctx); });
 }
 
 void STree::repair(sim::ThreadCtx& ctx) {
   auto& ns = pool_.ns();
   const auto bad = ns.platform().ars(ns, 0, ns.size());
   if (bad.empty()) return;
-  const std::set<std::uint64_t> bad_lines(bad.begin(), bad.end());
-  constexpr std::uint64_t kLine = hw::Platform::kXpLineBytes;
-  auto range_bad = [&](std::uint64_t off, std::uint64_t len) {
-    for (std::uint64_t l = off & ~(kLine - 1); l < off + len; l += kLine)
-      if (bad_lines.count(l) != 0) return true;
-    return false;
-  };
 
-  if (range_bad(pool_.root(ctx), 8)) {
+  if (hw::Platform::touches_bad_line(bad, pool_.root(ctx), 8)) {
     // The root pointer itself is gone, so the whole chain is unreachable
     // (a reported total loss). Scrub everything and re-create an empty
     // tree so later opens see a valid structure.
@@ -295,11 +268,11 @@ void STree::repair(sim::ThreadCtx& ctx) {
     return;
   }
   if (first_leaf_ == 0)  // open() never completed; the root line is clean
-    first_leaf_ = peek_pod<std::uint64_t>(ns, pool_.root(ctx));
+    first_leaf_ = ns.peek_pod<std::uint64_t>(pool_.root(ctx));
 
   std::uint64_t prev = 0;
   for (std::uint64_t leaf = first_leaf_; leaf != 0;) {
-    if (range_bad(leaf, sizeof(LeafHeader))) {
+    if (hw::Platform::touches_bad_line(bad, leaf, sizeof(LeafHeader))) {
       // Header (next pointer + bitmap) unreadable: everything from here
       // on is unreachable. Scrubbing zeroes the header, which for the
       // first leaf *is* a fresh empty leaf {next=0, bitmap=0}.
@@ -312,15 +285,17 @@ void STree::repair(sim::ThreadCtx& ctx) {
       ++recovery_.leaves_dropped;
       break;
     }
-    const auto h = peek_pod<LeafHeader>(ns, leaf);
+    const auto h = ns.peek_pod<LeafHeader>(leaf);
     std::uint32_t bitmap = h.bitmap;
     for (unsigned i = 0; i < kLeafSlots; ++i) {
       if ((bitmap & (1u << i)) == 0) continue;
-      bool drop = range_bad(slot_off(leaf, i), sizeof(Slot));
+      bool drop =
+          hw::Platform::touches_bad_line(bad, slot_off(leaf, i), sizeof(Slot));
       if (!drop) {
-        const auto s = peek_pod<Slot>(ns, slot_off(leaf, i));
-        drop = range_bad(s.val_off, 4) ||
-               range_bad(s.val_off, 4 + peek_pod<std::uint32_t>(ns, s.val_off));
+        const auto s = ns.peek_pod<Slot>(slot_off(leaf, i));
+        drop = hw::Platform::touches_bad_line(bad, s.val_off, 4) ||
+               hw::Platform::touches_bad_line(
+                   bad, s.val_off, 4 + ns.peek_pod<std::uint32_t>(s.val_off));
       }
       if (drop) {
         bitmap &= ~(1u << i);
@@ -356,18 +331,18 @@ std::string STree::check_impl(sim::ThreadCtx& ctx) {
     if (++leaves > max_leaves) return "leaf chain: cycle";
     if (leaf % 64 != 0 || leaf < heap_lo || leaf + kLeafSize > heap_hi)
       return tag + ": outside allocated heap";
-    const auto h = peek_pod<LeafHeader>(ns, leaf);
+    const auto h = ns.peek_pod<LeafHeader>(leaf);
     std::string leaf_min, leaf_max;
     bool have_any = false;
     for (unsigned i = 0; i < kLeafSlots; ++i) {
       if ((h.bitmap & (1u << i)) == 0) continue;
-      const auto s = peek_pod<Slot>(ns, slot_off(leaf, i));
+      const auto s = ns.peek_pod<Slot>(slot_off(leaf, i));
       if (s.key_len > kMaxKey)
         return tag + " slot " + std::to_string(i) + ": bad key_len";
       std::string k(s.key, s.key_len);
       if (s.val_off < heap_lo || s.val_off + 4 > heap_hi)
         return tag + " key '" + k + "': val_off outside heap";
-      const auto vlen = peek_pod<std::uint32_t>(ns, s.val_off);
+      const auto vlen = ns.peek_pod<std::uint32_t>(s.val_off);
       if (s.val_off + 4 + vlen > heap_hi)
         return tag + " key '" + k + "': value blob overruns heap";
       if (!keys.insert(k).second) return "duplicate key '" + k + "'";

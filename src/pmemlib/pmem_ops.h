@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 
+#include "sim/status.h"
 #include "xpsim/platform.h"
 
 namespace xp::pmem {
@@ -56,13 +58,29 @@ inline void memcpy_flush(ThreadCtx& ctx, PmemNamespace& ns, std::uint64_t off,
   }
 }
 
+// The `n` bytes at `p`, as the source of a store.
+inline std::span<const std::uint8_t> bytes_of(const void* p, std::size_t n) {
+  return {static_cast<const std::uint8_t*>(p), n};
+}
+
 template <typename T>
 void store_persist_pod(ThreadCtx& ctx, PmemNamespace& ns, std::uint64_t off,
                        const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  ns.store_persist(ctx, off,
-                   std::span<const std::uint8_t>(
-                       reinterpret_cast<const std::uint8_t*>(&v), sizeof(T)));
+  ns.store_persist(ctx, off, bytes_of(&v, sizeof(T)));
+}
+
+// The one check wrapper, for every persistent structure's recovery
+// checker: `check()` returns "" when the invariants hold, else what is
+// broken (Corruption); a poisoned line the walk hits is a MediaFault.
+template <typename Check>
+Status run_check(Check check) {
+  try {
+    const std::string err = check();
+    return err.empty() ? Status::Ok() : Status::Corruption(err);
+  } catch (const hw::MediaError& e) {
+    return Status::MediaFault(e.what());
+  }
 }
 
 }  // namespace xp::pmem

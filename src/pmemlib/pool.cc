@@ -16,9 +16,28 @@ std::uint32_t Pool::header_crc(const Header& h) {
   return sim::crc32c(&h, 4 * sizeof(std::uint64_t));
 }
 
-bool Pool::header_valid(const Header& h) const {
-  return h.magic == kMagic && h.pool_size == ns_.size() &&
-         h.identity_crc == header_crc(h);
+const char* Pool::header_error(const Header& h) const {
+  if (h.magic != kMagic) return "header: bad magic";
+  if (h.identity_crc != header_crc(h)) return "header: identity crc mismatch";
+  if (h.pool_size != ns_.size()) return "header: pool_size != namespace size";
+  if (h.heap_top < kHeapBase || h.heap_top > h.pool_size)
+    return "header: heap_top outside [heap_base, pool_size]";
+  if (h.heap_top % 64 != 0) return "header: heap_top misaligned";
+  if (h.root_off < kHeapBase || h.root_off + h.root_size > h.heap_top)
+    return "header: root object outside allocated heap";
+  return nullptr;
+}
+
+std::string Pool::chunk_error(ThreadCtx& ctx, const Header& h,
+                              std::uint64_t cur, FreeChunk& chunk) {
+  const auto at = [cur] { return "free chunk @" + std::to_string(cur); };
+  if (cur % 64 != 0) return at() + ": misaligned";
+  if (cur < kHeapBase || cur + sizeof(FreeChunk) > h.heap_top)
+    return at() + ": outside heap";
+  chunk = ns_.load_pod<FreeChunk>(ctx, cur);
+  if (chunk.size < 64 || chunk.size % 64 != 0 || cur + chunk.size > h.heap_top)
+    return at() + ": bad size " + std::to_string(chunk.size);
+  return "";
 }
 
 void Pool::create(ThreadCtx& ctx, std::uint64_t root_size) {
@@ -62,7 +81,7 @@ bool Pool::open(ThreadCtx& ctx) {
   bool primary_ok = false;
   try {
     h = read_header(ctx);
-    primary_ok = header_valid(h);
+    primary_ok = header_error(h) == nullptr;
   } catch (const hw::MediaError&) {
     primary_ok = false;
   }
@@ -77,7 +96,7 @@ bool Pool::open(ThreadCtx& ctx) {
     } catch (const hw::MediaError&) {
       return false;  // both copies unreadable: not a recoverable pool
     }
-    if (!header_valid(b)) return false;
+    if (header_error(b) != nullptr) return false;
     h = b;
     h.heap_top = h.pool_size / 64 * 64;
     h.free_head = 0;
@@ -132,20 +151,16 @@ void Pool::repair_free_list(ThreadCtx& ctx) {
   std::uint64_t cur = h.free_head;
   std::uint64_t steps = 0;
   while (cur != 0) {
-    bool bad = ++steps > max_chunks || cur % 64 != 0 || cur < kHeapBase ||
-               cur + sizeof(FreeChunk) > h.heap_top;
+    bool bad = ++steps > max_chunks;
     FreeChunk chunk{};
     if (!bad) {
       try {
-        chunk = ns_.load_pod<FreeChunk>(ctx, cur);
+        bad = !chunk_error(ctx, h, cur, chunk).empty();
       } catch (const hw::MediaError& e) {
         scrub_line(ctx, e.line_off);
         bad = true;
       }
     }
-    if (!bad && (chunk.size < 64 || chunk.size % 64 != 0 ||
-                 cur + chunk.size > h.heap_top))
-      bad = true;
     if (bad) {
       // Truncate at the damage point: the unreachable suffix is leaked
       // (reported), never chased into garbage.
@@ -162,25 +177,12 @@ void Pool::repair_free_list(ThreadCtx& ctx) {
 }
 
 Status Pool::check(ThreadCtx& ctx) {
-  try {
-    const std::string err = check_impl(ctx);
-    if (err.empty()) return Status::Ok();
-    return Status::Corruption(err);
-  } catch (const hw::MediaError& e) {
-    return Status::MediaFault(e.what());
-  }
+  return run_check([&] { return check_impl(ctx); });
 }
 
 std::string Pool::check_impl(ThreadCtx& ctx) {
   const Header h = read_header(ctx);
-  if (h.magic != kMagic) return "header: bad magic";
-  if (h.identity_crc != header_crc(h)) return "header: identity crc mismatch";
-  if (h.pool_size != ns_.size()) return "header: pool_size != namespace size";
-  if (h.heap_top < kHeapBase || h.heap_top > h.pool_size)
-    return "header: heap_top outside [heap_base, pool_size]";
-  if (h.heap_top % 64 != 0) return "header: heap_top misaligned";
-  if (h.root_off < kHeapBase || h.root_off + h.root_size > h.heap_top)
-    return "header: root object outside allocated heap";
+  if (const char* err = header_error(h)) return err;
 
   // After open() every lane must be durably idle: recovery retires active
   // lanes, so a state!=0 lane here means recovery was skipped or lost.
@@ -190,7 +192,7 @@ std::string Pool::check_impl(ThreadCtx& ctx) {
       return "lane " + std::to_string(l) + ": not idle after recovery";
   }
 
-  // Free list: acyclic, aligned, inside the allocated heap, chunks
+  // Free list: acyclic, every chunk passing chunk_error(), chunks
   // non-overlapping. The step bound doubles as a cycle detector — the
   // heap can hold at most heap_bytes/64 distinct chunks.
   const std::uint64_t max_chunks = (h.heap_top - kHeapBase) / 64;
@@ -198,15 +200,9 @@ std::string Pool::check_impl(ThreadCtx& ctx) {
   std::uint64_t cur = h.free_head;
   while (cur != 0) {
     if (spans.size() > max_chunks) return "free list: cycle";
-    if (cur % 64 != 0)
-      return "free chunk @" + std::to_string(cur) + ": misaligned";
-    if (cur < kHeapBase || cur + sizeof(FreeChunk) > h.heap_top)
-      return "free chunk @" + std::to_string(cur) + ": outside heap";
-    const FreeChunk chunk = ns_.load_pod<FreeChunk>(ctx, cur);
-    if (chunk.size < 64 || chunk.size % 64 != 0 ||
-        cur + chunk.size > h.heap_top)
-      return "free chunk @" + std::to_string(cur) + ": bad size " +
-             std::to_string(chunk.size);
+    FreeChunk chunk{};
+    if (std::string err = chunk_error(ctx, h, cur, chunk); !err.empty())
+      return err;
     spans.emplace_back(cur, cur + chunk.size);
     cur = chunk.next;
   }
@@ -227,10 +223,6 @@ std::uint64_t Pool::root_size(ThreadCtx& ctx) {
 
 std::uint64_t Pool::heap_top(ThreadCtx& ctx) {
   return read_header(ctx).heap_top;
-}
-
-std::uint64_t Pool::free_list_head(ThreadCtx& ctx) {
-  return read_header(ctx).free_head;
 }
 
 std::uint64_t Pool::tx_alloc(Tx& tx, std::uint64_t size) {

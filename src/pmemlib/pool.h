@@ -39,15 +39,16 @@ class Pool {
 
   // Open an existing pool; replays/rolls back interrupted transactions.
   // Returns false if the namespace does not hold a valid pool (neither
-  // header copy readable and intact).
+  // header copy readable and passing header_error()).
   //
-  // Media-error tolerant: a poisoned primary header falls back to the
-  // backup copy (identity restored, allocator state sealed), a lane whose
-  // undo log is unreadable is scrubbed and forced idle (its unacknowledged
-  // transaction is neither rolled back nor completed — every logged store
-  // is individually ordered, so the pool stays structurally consistent),
-  // and a poisoned rollback *target* line is scrubbed and then restored
-  // from its snapshot. Everything done is reported in recovery().
+  // Media-error tolerant: a primary header that is poisoned or fails
+  // header_error() falls back to the backup copy (identity restored,
+  // allocator state sealed), a lane whose undo log is unreadable is
+  // scrubbed and forced idle (its unacknowledged transaction is neither
+  // rolled back nor completed — every logged store is individually
+  // ordered, so the pool stays structurally consistent), and a poisoned
+  // rollback *target* line is scrubbed and then restored from its
+  // snapshot. Everything done is reported in recovery().
   bool open(ThreadCtx& ctx);
 
   // What the last open()/repair() had to do to get here. Empty vectors /
@@ -113,7 +114,6 @@ class Pool {
 
   // Introspection for tests.
   std::uint64_t heap_top(ThreadCtx& ctx);
-  std::uint64_t free_list_head(ThreadCtx& ctx);
 
   // Heap bounds, for structural checkers validating that object offsets
   // written by higher-level stores point into allocated pool memory.
@@ -163,10 +163,19 @@ class Pool {
   void recover_lane(ThreadCtx& ctx, unsigned lane);
 
   static std::uint32_t header_crc(const Header& h);
-  bool header_valid(const Header& h) const;
+  // The one header rule, for open() (on both copies) and check(): the
+  // identity (magic, size, CRC) and the allocator fields' bounds. Returns
+  // why `h` is not this namespace's pool header, or null.
+  const char* header_error(const Header& h) const;
+  // The one free-chunk rule, for repair_free_list() and check(): `cur`
+  // aligned inside `h`'s allocated heap, then (loaded into `chunk`) a
+  // size that is a positive multiple of 64 ending inside it. Returns why
+  // `cur` cannot be a free chunk, or "".
+  std::string chunk_error(ThreadCtx& ctx, const Header& h, std::uint64_t cur,
+                          FreeChunk& chunk);
   std::string check_impl(ThreadCtx& ctx);
   // Drop the unreachable/damaged suffix of the free list at the first
-  // chunk that is unreadable or structurally invalid.
+  // chunk that is unreadable or breaks chunk_error().
   void repair_free_list(ThreadCtx& ctx);
 
   // Point `prev` (a free chunk, or the header's free_head when 0) at

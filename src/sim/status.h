@@ -18,8 +18,6 @@ enum class ErrorCode {
   kCorruption,    // structural invariant violated (bad magic, cycle, ...)
   kMediaError,    // an uncorrectable media error (poisoned line) was hit
   kDataLoss,      // store is consistent but acknowledged data was dropped
-  kNotFound,      // requested object does not exist
-  kInvalid,       // bad argument / unusable configuration
 };
 
 class Status {
@@ -36,12 +34,6 @@ class Status {
   static Status DataLoss(std::string msg) {
     return Status{ErrorCode::kDataLoss, std::move(msg)};
   }
-  static Status NotFound(std::string msg) {
-    return Status{ErrorCode::kNotFound, std::move(msg)};
-  }
-  static Status Invalid(std::string msg) {
-    return Status{ErrorCode::kInvalid, std::move(msg)};
-  }
 
   bool ok() const { return code_ == ErrorCode::kOk; }
   ErrorCode code() const { return code_; }
@@ -53,8 +45,6 @@ class Status {
       case ErrorCode::kCorruption: return "CORRUPTION";
       case ErrorCode::kMediaError: return "MEDIA_ERROR";
       case ErrorCode::kDataLoss: return "DATA_LOSS";
-      case ErrorCode::kNotFound: return "NOT_FOUND";
-      case ErrorCode::kInvalid: return "INVALID";
     }
     return "?";
   }

@@ -38,13 +38,6 @@ hw::XpCounters Snapshot::xp_total() const {
   return sum;
 }
 
-hw::DramCounters Snapshot::dram_total() const {
-  hw::DramCounters sum;
-  for (const auto& socket : dram)
-    for (const hw::DramCounters& d : socket) sum += d;
-  return sum;
-}
-
 hw::CacheCounters Snapshot::cache_total() const {
   hw::CacheCounters sum;
   for (const hw::CacheCounters& c : cache) sum += c;

@@ -53,7 +53,6 @@ struct Snapshot {
 
   // Sums across all DIMMs / sockets.
   hw::XpCounters xp_total() const;
-  hw::DramCounters dram_total() const;
   hw::CacheCounters cache_total() const;
 
   // Interval delta: counters subtract, gauges keep *this* (interval-end)

@@ -12,6 +12,10 @@ namespace xp::telemetry {
 
 namespace {
 
+// Sampler ring slots, and the cap on events one trace file holds.
+constexpr std::size_t kRingCapacity = 1024;
+constexpr std::size_t kMaxTraceEvents = std::size_t{1} << 20;
+
 const char* persist_kind_name(hw::PersistEventKind k) {
   switch (k) {
     case hw::PersistEventKind::kWpqEntry: return "wpq_entry";
@@ -129,9 +133,9 @@ Session::Session(hw::Platform& platform, Options opts)
       opts_(std::move(opts)),
       sampler_(platform,
                {.interval = opts_.sample_interval,
-                .capacity = opts_.ring_capacity}) {
+                .capacity = kRingCapacity}) {
   if (!opts_.trace_path.empty()) {
-    trace_ = std::make_unique<TraceWriter>(opts_.max_trace_events);
+    trace_ = std::make_unique<TraceWriter>(kMaxTraceEvents);
     const hw::Timing& t = platform_.timing();
     for (unsigned s = 0; s < t.sockets; ++s) {
       char name[32];

@@ -43,8 +43,6 @@ namespace xp::telemetry {
 struct Options {
   std::string trace_path;  // empty = timelines/histograms only, no file
   sim::Time sample_interval = sim::us(10);
-  std::size_t ring_capacity = 1024;
-  std::size_t max_trace_events = std::size_t{1} << 20;
 };
 
 // Resolve the trace path for a bench/test binary: an explicit

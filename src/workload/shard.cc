@@ -6,16 +6,6 @@
 
 namespace xp::workload {
 
-const char* shard_health_name(ShardHealth h) {
-  switch (h) {
-    case ShardHealth::kHealthy: return "healthy";
-    case ShardHealth::kDegraded: return "degraded";
-    case ShardHealth::kQuarantined: return "quarantined";
-    case ShardHealth::kRebuilding: return "rebuilding";
-  }
-  return "?";
-}
-
 std::vector<hw::PmemNamespace*> ShardedStore::make_namespaces(
     hw::Platform& platform, unsigned shards, std::uint64_t bytes_per_shard,
     unsigned socket) {

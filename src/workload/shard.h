@@ -92,7 +92,6 @@ enum class ShardHealth : unsigned char {
   kQuarantined,
   kRebuilding,
 };
-const char* shard_health_name(ShardHealth h);
 
 // Host-side resilience counters (DRAM bookkeeping, no simulated cost);
 // mirrors the telemetry "resilience" section for direct test access.

@@ -75,10 +75,6 @@ class MemoryModeChannel {
   std::uint64_t sets() const { return sets_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-  double hit_rate() const {
-    const double total = static_cast<double>(hits_ + misses_);
-    return total == 0 ? 1.0 : static_cast<double>(hits_) / total;
-  }
 
  private:
   struct TagEntry {

@@ -157,14 +157,6 @@ XpCounters PmemNamespace::xp_counters() const {
   return sum;
 }
 
-DramCounters PmemNamespace::dram_counters() const {
-  DramCounters sum;
-  if (opts_.device != Device::kDram) return sum;
-  for (unsigned ch = 0; ch < platform_.timing().channels_per_socket; ++ch)
-    sum += platform_.sockets_[opts_.socket].dram[ch]->counters();
-  return sum;
-}
-
 // ---------------------------------------------------------------------------
 // Platform
 // ---------------------------------------------------------------------------

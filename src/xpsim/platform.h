@@ -17,6 +17,7 @@
 //    crash-consistency checking.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -163,6 +164,14 @@ class PmemNamespace {
   // peek() reads the *durable* image — what would survive a crash.
   void peek(std::uint64_t off, std::span<std::uint8_t> out) const;
   void poke(std::uint64_t off, std::span<const std::uint8_t> in);
+  template <typename T>
+  T peek_pod(std::uint64_t off) const {
+    static_assert(std::is_trivially_copyable_v<T>);
+    T v{};
+    peek(off, std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(&v),
+                                      sizeof(T)));
+    return v;
+  }
 
   // ---- Introspection -----------------------------------------------------
   std::uint64_t size() const { return opts_.size; }
@@ -175,7 +184,6 @@ class PmemNamespace {
 
   // Aggregated DIMM hardware counters for the DIMMs this namespace spans.
   XpCounters xp_counters() const;
-  DramCounters dram_counters() const;
 
   // Maps a namespace offset to (channel, DIMM-local address).
   DimmAddr decode(std::uint64_t off) const;
@@ -319,6 +327,15 @@ class Platform {
   // lines_scrubbed and emits kScrubFound telemetry per bad line.
   std::vector<std::uint64_t> ars(PmemNamespace& ns, std::uint64_t off,
                                  std::uint64_t len);
+  // The one damage lookup over an ars() result: whether [off, off+len),
+  // widened like ars() to start at the XPLine holding `off`, touches a
+  // line of `bad`. Binary search; no side effects.
+  static bool touches_bad_line(std::span<const std::uint64_t> bad,
+                               std::uint64_t off, std::uint64_t len) {
+    const auto it =
+        std::lower_bound(bad.begin(), bad.end(), off & ~(kXpLineBytes - 1));
+    return it != bad.end() && *it < off + len;
+  }
 
   // Start a new measurement epoch: forget every queue/bank/link
   // reservation so freshly spawned ThreadCtx clocks (which start at 0)

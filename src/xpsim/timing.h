@@ -21,7 +21,6 @@ struct Timing {
   // ---- Topology ---------------------------------------------------------
   unsigned sockets = 2;
   unsigned channels_per_socket = 6;  // 2 iMCs x 3 channels
-  unsigned cores_per_socket = 24;
 
   // ---- Granularities ----------------------------------------------------
   std::size_t cacheline = 64;          // CPU + DDR-T transfer unit
@@ -62,8 +61,6 @@ struct Timing {
   std::size_t xpbuffer_lines = 64;     // 64 x 256 B = 16 KB (Fig 10)
   Time xpbuffer_merge = sim::ns(6);    // coalesce one 64 B into a line
   Time xpbuffer_read = sim::ns(60);    // read 64 B out of the buffer
-  // Optional age-based eager drain (0 = disabled; see bench/abl_xpbuffer).
-  Time xpbuffer_drain_age = 0;
   Time xp_write_ack = sim::ns(4);      // controller accept for a write
   unsigned ait_cache_entries = 16384;  // cached 4 KB translation regions
   Time ait_hit = sim::ns(8);          // translation when cached
@@ -114,9 +111,6 @@ struct Timing {
   // Per-socket near-memory (DRAM cache) capacity. The testbed has 32 GB;
   // ablations scale it down so tag-array fill fits a short simulation.
   std::uint64_t memory_mode_near_bytes = 32ull << 30;
-
-  // Convenience
-  unsigned total_cores() const { return sockets * cores_per_socket; }
 };
 
 // Emulation knobs applied per namespace; models the methodologies the

@@ -31,7 +31,6 @@ void XpBuffer::install(const Entry& e, Time last_touch) {
 
 Time XpBuffer::write64(Time t, std::uint64_t line, unsigned sub,
                        XpCounters& c) {
-  drain_aged(t, c);
   if (const std::uint32_t slot = find(line); slot != sim::FlatIndex::kNone) {
     Entry& e = entries_[slot];
     if (e.dirty_mask == kFullMask) {
@@ -62,7 +61,6 @@ Time XpBuffer::write64(Time t, std::uint64_t line, unsigned sub,
 }
 
 Time XpBuffer::read64(Time t, std::uint64_t line, XpCounters& c) {
-  drain_aged(t, c);
   if (const std::uint32_t slot = find(line); slot != sim::FlatIndex::kNone) {
     ++c.buffer_hit_reads;
     const Time done =
@@ -120,25 +118,6 @@ Time XpBuffer::evict(std::size_t idx, Time t, XpCounters& c) {
                                     channel_);
   const Time read_done = media_.read_line(start, e.line, c).end;
   return media_.write_line(read_done, e.line, c).start;
-}
-
-void XpBuffer::drain_aged(Time t, XpCounters& c) {
-  if (timing_.xpbuffer_drain_age == 0) return;
-  // Optional eager drain (disabled by default; see bench/abl_xpbuffer):
-  // write out up to two lines idle longer than the drain age.
-  for (int pass = 0; pass < 2; ++pass) {
-    std::size_t oldest = entries_.size();
-    Time oldest_touch = ~Time{0};
-    for (std::size_t i = 0; i < last_touch_.size(); ++i) {
-      if (last_touch_[i] < oldest_touch) {
-        oldest_touch = last_touch_[i];
-        oldest = i;
-      }
-    }
-    if (oldest == entries_.size()) return;
-    if (oldest_touch + timing_.xpbuffer_drain_age > t) return;
-    evict(oldest, t, c);  // caller does not wait; slot simply frees
-  }
 }
 
 void XpBuffer::flush_all(Time t, XpCounters& c) {

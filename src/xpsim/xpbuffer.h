@@ -10,10 +10,9 @@
 //    EWR 0.25; sequential ones at ~1.0.
 //  * The 16 KB locality cliff (Fig 10): updates that return to a line
 //    still resident coalesce for free; beyond 64 lines they miss.
-//  * Thread-count collapse (§5.3): an age-based eager drain writes out
-//    lines idle for `xpbuffer_drain_age`; with many writers per DIMM each
-//    stream's arrival rate drops, lines get drained partially dirty, and
-//    EWR (and thus bandwidth) falls.
+//
+// The thread-count collapse of §5.3 is not this buffer's doing: the
+// controller's stream trackers model it (Timing::xp_write_streams).
 //
 // The buffer tracks dirty *masks* only; actual bytes live in the
 // namespace backing image (writes are applied at WPQ admission, which is
@@ -94,14 +93,12 @@ class XpBuffer {
   void install(const Entry& e, Time last_touch);
 
   // Ensure a free slot exists at time `t`; returns the time the slot is
-  // usable. Also opportunistically drains aged entries.
+  // usable.
   Time make_room(Time t, XpCounters& c);
 
   // Evict `entries_[idx]` (swap-remove); returns the time the slot
   // becomes free.
   Time evict(std::size_t idx, Time t, XpCounters& c);
-
-  void drain_aged(Time t, XpCounters& c);
 
   static constexpr std::uint8_t kFullMask = 0x0f;
 

@@ -433,6 +433,30 @@ TEST(MediaFault, ArsReportsSortedBadLinesInRange) {
   EXPECT_EQ(ns.xp_counters().lines_scrubbed, 4u);
 }
 
+TEST(MediaFault, TouchesBadLineEdges) {
+  Platform platform;
+  PmemNamespace& ns = platform.optane(1 << 20);
+  FaultInjector injector(platform);
+  injector.poison(ns, 1024);
+  injector.poison(ns, 4096);
+  const auto bad = platform.ars(ns, 0, ns.size());
+  const auto scrubbed = ns.xp_counters().lines_scrubbed;
+
+  // A range that ends exactly where a bad line starts misses it; one
+  // more byte touches it.
+  EXPECT_FALSE(Platform::touches_bad_line(bad, 768, 256));
+  EXPECT_TRUE(Platform::touches_bad_line(bad, 768, 257));
+  // A range straddling a clean line and a bad one touches it; one
+  // straddling two clean lines does not.
+  EXPECT_TRUE(Platform::touches_bad_line(bad, 1000, 100));
+  EXPECT_FALSE(Platform::touches_bad_line(bad, 1500, 1000));
+  // Like ars(), the range starts at the line holding `off`.
+  EXPECT_TRUE(Platform::touches_bad_line(bad, 4351, 1));
+  EXPECT_FALSE(Platform::touches_bad_line(bad, 4352, 4096));
+  // A lookup is no scrub: the firmware counter stays put.
+  EXPECT_EQ(ns.xp_counters().lines_scrubbed, scrubbed);
+}
+
 TEST(MediaFault, EccTransientCorrectsExactlyOnce) {
   Platform platform;
   PmemNamespace& ns = platform.optane(1 << 20);

@@ -623,6 +623,13 @@ TEST(NovaTruncate, SurvivesRemount) {
 // The far cases point a page reference past the namespace end (2^40):
 // f1's head-page link, its first entry's data page, or its inode's
 // log_head. Mount must bound each before following it.
+//
+// Every case also runs on a second image whose f1 overwrites page 0 130
+// times. Copy-on-write alternates that page between two data pages, so a
+// truncated f1 keeps an entry naming a page that a dropped entry freed
+// and f2 or f1's own second log page may have reused. Mount must drop
+// that reference (ending the log before the entry that set it) rather
+// than leave the page with two owners.
 enum class Damage {
   kUnknownType,
   kZeroLength,
@@ -637,28 +644,22 @@ struct MalformedParam {
   Damage damage;
   bool log_checksum;
   const char* name;
+  bool overwrite = false;  // f1 rewrites one page instead of 130
 };
 void PrintTo(const MalformedParam& p, std::ostream* os) { *os << p.name; }
 
-template <typename T>
-T peek_pod(PmemNamespace& ns, std::uint64_t off) {
-  T v{};
-  ns.peek(off, std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(&v),
-                                       sizeof(T)));
-  return v;
-}
 template <typename T>
 void poke_pod(PmemNamespace& ns, std::uint64_t off, const T& v) {
   ns.poke(off, std::span<const std::uint8_t>(
                    reinterpret_cast<const std::uint8_t*>(&v), sizeof(T)));
 }
 std::uint64_t log_head(PmemNamespace& ns, unsigned ino) {
-  return peek_pod<std::uint64_t>(ns, 4096 + ino * 64 + 8);
+  return ns.peek_pod<std::uint64_t>(4096 + ino * 64 + 8);
 }
 // Offset of entry `k` of the log's first page.
 std::uint64_t entry_at(PmemNamespace& ns, unsigned ino, int k) {
   std::uint64_t pos = log_head(ns, ino) + 16;
-  for (int i = 0; i < k; ++i) pos += peek_pod<std::uint32_t>(ns, pos + 4);
+  for (int i = 0; i < k; ++i) pos += ns.peek_pod<std::uint32_t>(pos + 4);
   return pos;
 }
 
@@ -672,16 +673,14 @@ TEST_P(NovaMalformedLog, MountTruncatesAndReports) {
   o.log_checksum = p.log_checksum;
   ThreadCtx t = make_thread();
   // f0..f2 are inodes 1..3, named by the directory log's first three
-  // dirents. f1 writes 130 pages once each, so its log spans two pages
-  // in either format. Writing each page once also means no entry that a
-  // truncation drops has freed a page: a truncated log that overwrote a
-  // page still names the page its dropped entry freed, which f2 may have
-  // reused, and mount does not yet resolve that double ownership.
+  // dirents. f1 writes 130 pages once each (or page 0 130 times), so its
+  // log spans two pages in either format.
   std::map<std::string, std::vector<std::uint8_t>> model;
   model["f0"] = pattern(2 * NovaFs::kPageSize, 1);
   model["f2"] = pattern(2 * NovaFs::kPageSize, 3);
   std::vector<std::uint8_t>& f1 = model["f1"];
-  f1.assign(129 * NovaFs::kPageSize + 64, 0);
+  const std::uint64_t stride = p.overwrite ? 0 : NovaFs::kPageSize;
+  f1.assign(129 * stride + 64, 0);
   {
     NovaFs fs(ns, o);
     fs.format(t);
@@ -690,8 +689,8 @@ TEST_P(NovaMalformedLog, MountTruncatesAndReports) {
     fs.write(t, fs.open(t, "f0"), 0, model["f0"]);
     for (unsigned i = 0; i < 130; ++i) {
       const auto d = pattern(64, i);
-      fs.write(t, fs.open(t, "f1"), i * NovaFs::kPageSize, d);
-      std::copy(d.begin(), d.end(), f1.begin() + i * NovaFs::kPageSize);
+      fs.write(t, fs.open(t, "f1"), i * stride, d);
+      std::copy(d.begin(), d.end(), f1.begin() + i * stride);
     }
     fs.write(t, fs.open(t, "f2"), 0, model["f2"]);
     ASSERT_EQ(fs.log_pages(2), 2u);
@@ -728,13 +727,9 @@ TEST_P(NovaMalformedLog, MountTruncatesAndReports) {
       break;
   }
 
-  {
-    NovaFs fs(ns, o);
-    ASSERT_TRUE(fs.mount(t));
-    const auto& truncated = fs.recovery().logs_truncated;
-    EXPECT_NE(std::find(truncated.begin(), truncated.end(), victim),
-              truncated.end())
-        << fs.recovery().detail;
+  // After each mount: fsck accepts the image and every undamaged file
+  // reads back.
+  auto verify = [&](NovaFs& fs) {
     const Status st = fs.fsck(t);
     EXPECT_TRUE(st.ok()) << st.message();
     for (const auto& [name, data] : model) {
@@ -745,12 +740,21 @@ TEST_P(NovaMalformedLog, MountTruncatesAndReports) {
       EXPECT_EQ(fs.read(t, f, 0, out), data.size()) << name;
       EXPECT_EQ(out, data) << name;
     }
+  };
+  {
+    NovaFs fs(ns, o);
+    ASSERT_TRUE(fs.mount(t));
+    const auto& truncated = fs.recovery().logs_truncated;
+    EXPECT_NE(std::find(truncated.begin(), truncated.end(), victim),
+              truncated.end())
+        << fs.recovery().detail;
+    verify(fs);
   }
   platform.crash();
   NovaFs fs(ns, o);
   ASSERT_TRUE(fs.mount(t));
   EXPECT_FALSE(fs.recovery().damaged()) << fs.recovery().detail;
-  EXPECT_TRUE(fs.fsck(t).ok());
+  verify(fs);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -769,7 +773,24 @@ INSTANTIATE_TEST_SUITE_P(
         MalformedParam{Damage::kFarHead, false, "far_head"},
         MalformedParam{Damage::kFarLink, true, "far_link_crc"},
         MalformedParam{Damage::kFarPage, true, "far_page_crc"},
-        MalformedParam{Damage::kFarHead, true, "far_head_crc"}),
+        MalformedParam{Damage::kFarHead, true, "far_head_crc"},
+        MalformedParam{Damage::kUnknownType, false, "unknown_type_ow", true},
+        MalformedParam{Damage::kZeroLength, false, "zero_length_ow", true},
+        MalformedParam{Damage::kDirentOverrun, false, "dirent_overrun_ow",
+                       true},
+        MalformedParam{Damage::kSelfLink, false, "self_link_ow", true},
+        MalformedParam{Damage::kUnknownType, true, "unknown_type_crc_ow",
+                       true},
+        MalformedParam{Damage::kZeroLength, true, "zero_length_crc_ow", true},
+        MalformedParam{Damage::kDirentOverrun, true, "dirent_overrun_crc_ow",
+                       true},
+        MalformedParam{Damage::kSelfLink, true, "self_link_crc_ow", true},
+        MalformedParam{Damage::kFarLink, false, "far_link_ow", true},
+        MalformedParam{Damage::kFarPage, false, "far_page_ow", true},
+        MalformedParam{Damage::kFarHead, false, "far_head_ow", true},
+        MalformedParam{Damage::kFarLink, true, "far_link_crc_ow", true},
+        MalformedParam{Damage::kFarPage, true, "far_page_crc_ow", true},
+        MalformedParam{Damage::kFarHead, true, "far_head_crc_ow", true}),
     [](const auto& i) { return std::string(i.param.name); });
 
 }  // namespace

@@ -104,6 +104,75 @@ TEST_F(PoolFixture, FreeChunkSplitting) {
   EXPECT_EQ(c, a + 256);  // carved from the same chunk
 }
 
+// ------------------------------------------------------- pool recovery --
+// open(), repair() and check() share one header rule and one free-chunk
+// rule. The header is {magic, pool_size, root_off, root_size, heap_top,
+// free_head, identity_crc}; a free chunk starts with {next, size}.
+constexpr std::uint64_t kHeapTopOff = 32;
+
+TEST_F(PoolFixture, OutOfRangeHeapTopRestoresFromBackup) {
+  // The identity CRC covers only the first four fields, so this primary
+  // still looks like this pool's; its allocator state is impossible.
+  ThreadCtx t = make_thread();
+  pool.create(t, 1024);
+  platform.crash();
+  const std::uint64_t past_end = ns.size() + 4096;
+  ns.poke(kHeapTopOff, bytes_of(&past_end, sizeof(past_end)));
+
+  Pool p(ns);
+  ASSERT_TRUE(p.open(t));
+  EXPECT_TRUE(p.recovery().header_restored);
+  EXPECT_TRUE(p.recovery().heap_sealed);
+  EXPECT_EQ(p.root(t), pool.root(t));
+  const Status st = p.check(t);
+  EXPECT_TRUE(st.ok()) << st.to_string();
+}
+
+TEST_F(PoolFixture, ZeroedPrimaryHeaderRestoresFromBackup) {
+  ThreadCtx t = make_thread();
+  pool.create(t, 1024);
+  platform.crash();
+  const std::vector<std::uint8_t> zeros(64, 0);
+  ns.poke(0, zeros);
+
+  Pool p(ns);
+  ASSERT_TRUE(p.open(t));
+  EXPECT_TRUE(p.recovery().header_restored);
+  EXPECT_EQ(p.root_size(t), 1024u);
+  EXPECT_TRUE(p.check(t).ok());
+}
+
+TEST_F(PoolFixture, RepairCutsFreeChunkWithBadSize) {
+  ThreadCtx t = make_thread();
+  pool.create(t, 64);
+  std::uint64_t a, b;
+  {
+    Tx tx(pool, t);
+    a = pool.tx_alloc(tx, 256);
+    b = pool.tx_alloc(tx, 256);
+    tx.commit();
+  }
+  {
+    Tx tx(pool, t);
+    pool.tx_free(tx, a, 256);
+    pool.tx_free(tx, b, 256);  // free list: b -> a
+    tx.commit();
+  }
+  platform.crash();
+  const std::uint64_t bad_size = 100;
+  ns.poke(a + 8, bytes_of(&bad_size, sizeof(bad_size)));
+
+  Pool p(ns);
+  ASSERT_TRUE(p.open(t));
+  EXPECT_EQ(p.check(t).code(), ErrorCode::kCorruption);
+  p.repair(t);
+  EXPECT_TRUE(p.recovery().free_list_truncated);
+  EXPECT_TRUE(p.check(t).ok());
+  Tx tx(p, t);
+  EXPECT_EQ(p.tx_alloc(tx, 256), b);  // the chunk before the cut survives
+  tx.commit();
+}
+
 TEST_F(PoolFixture, TxCommitDurable) {
   ThreadCtx t = make_thread();
   pool.create(t, 64);
