@@ -54,10 +54,12 @@ struct Cfg {
 };
 
 lat::Result run_cfg_impl(const Cfg& c, bool telemetry,
-                         std::string* summary) {
+                         std::string* summary,
+                         const telemetry::Options& tel_opts = {}) {
   hw::Platform platform;
   std::unique_ptr<telemetry::Session> tel;
-  if (telemetry) tel = std::make_unique<telemetry::Session>(platform);
+  if (telemetry)
+    tel = std::make_unique<telemetry::Session>(platform, tel_opts);
   hw::NamespaceOptions o;
   o.device = c.device;
   o.interleaved = c.interleaved;
@@ -254,10 +256,12 @@ int main(int argc, char** argv) {
 
   // One instrumented reference run whose summary rides along in the
   // perf log: proof the sampler/registry produce sane numbers on the
-  // same workload the canaries time.
+  // same workload the canaries time. Sampled every 100 us rather than
+  // the default 10 us, so ten samples cover the whole 1 ms run and the
+  // file stays small enough to read.
   std::string summary;
   run_cfg_impl({.op = lat::Op::kNtStore, .duration = sim::ms(1)}, true,
-               &summary);
+               &summary, {.trace_path = "", .sample_interval = sim::us(100)});
   std::fprintf(f, "  \"telemetry_summary\": %s\n", summary.c_str());
   std::fprintf(f, "}\n");
   std::fclose(f);

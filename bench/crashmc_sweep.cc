@@ -10,8 +10,9 @@
 // crashing at persist events it poisons the XPLine under enumerated
 // device reads (plus --poison-points at-rest scatter points), runs each
 // store's repair path, and checks the containment contract — recovery or
-// a typed error, never silent corruption. --checksums turns on the
-// optional WAL/log record checksums for the stores that have them.
+// a typed error, never silent corruption. In either mode --checksums
+// turns on the optional WAL/log record checksums for the stores that
+// have them.
 //
 // Usage: crashmc_sweep [--points N] [--seed S] [--store NAME] [--trace F]
 //                      [--faults] [--poison-points N] [--checksums]
@@ -21,7 +22,6 @@
 #include <string>
 
 #include "src/crashmc/explorer.h"
-#include "src/crashmc/faultcampaign.h"
 #include "src/crashmc/workloads.h"
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
@@ -50,22 +50,11 @@ class CrashTraceSink : public xp::hw::TelemetrySink {
   void media_fault(xp::hw::MediaFaultKind kind, xp::sim::Time t,
                    unsigned /*socket*/, unsigned channel,
                    std::uint64_t line_off) override {
-    const char* name = "media_fault";
-    switch (kind) {
-      case xp::hw::MediaFaultKind::kCorrected: name = "ecc_corrected"; break;
-      case xp::hw::MediaFaultKind::kPoisoned: name = "poisoned"; break;
-      case xp::hw::MediaFaultKind::kUncorrectable:
-        name = "uncorrectable";
-        break;
-      case xp::hw::MediaFaultKind::kClearedByWrite:
-        name = "cleared_by_write";
-        break;
-      case xp::hw::MediaFaultKind::kScrubFound: name = "scrub_found"; break;
-    }
     char args[64];
     std::snprintf(args, sizeof(args), "{\"line_off\":%llu}",
                   static_cast<unsigned long long>(line_off));
-    writer_->instant(name, "media_fault", t, pid_, channel, args);
+    writer_->instant(xp::telemetry::media_fault_kind_name(kind),
+                     "media_fault", t, pid_, channel, args);
   }
 
  private:
@@ -113,15 +102,19 @@ int main(int argc, char** argv) {
 
   xp::telemetry::TraceWriter writer;
   CrashTraceSink sink(&writer);
+  xp::crashmc::Options opts;
+  opts.max_exhaustive = points;
+  opts.samples = points;
+  opts.seed = seed;
+  opts.poison_points = poison_points;
+  if (!trace_path.empty()) opts.sink = &sink;
 
+  // The two modes differ in the sweep, the header, the event column and
+  // the fault mode's poisoned column; the loop is shared.
+  const char* what = faults ? "fault" : "crash";
+  const auto explore =
+      faults ? xp::crashmc::explore_faults : xp::crashmc::explore;
   if (faults) {
-    xp::crashmc::FaultOptions fopts;
-    fopts.max_exhaustive = points;
-    fopts.samples = points;
-    fopts.poison_points = poison_points;
-    fopts.seed = seed;
-    if (!trace_path.empty()) fopts.sink = &sink;
-
     std::printf(
         "# crashmc_sweep --faults: <= %llu read points + %llu at-rest "
         "points per store, seed %llu, checksums %s\n",
@@ -130,81 +123,39 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(seed), checksums ? "on" : "off");
     std::printf("%-16s %10s %10s %10s %10s %11s %12s\n", "store", "reads",
                 "points", "fired", "poisoned", "violations", "points/sec");
-
-    bool failed = false;
-    std::uint64_t total_points = 0;
-    for (auto& target : xp::crashmc::all_targets(checksums)) {
-      if (!only.empty() && target->name() != only) continue;
-      if (fopts.sink) sink.begin_store(target->name());
-      const xp::crashmc::FaultResult r =
-          xp::crashmc::explore_faults(*target, fopts);
-      std::printf("%-16s %10llu %10llu %10llu %10llu %11zu %12.1f\n",
-                  target->name().c_str(),
-                  static_cast<unsigned long long>(r.total_reads),
-                  static_cast<unsigned long long>(r.points_explored),
-                  static_cast<unsigned long long>(r.faults_fired),
-                  static_cast<unsigned long long>(r.lines_poisoned),
-                  r.violations.size(),
-                  r.seconds > 0.0
-                      ? static_cast<double>(r.points_explored) / r.seconds
-                      : 0.0);
-      total_points += r.points_explored;
-      for (const auto& v : r.violations) {
-        std::fprintf(stderr, "VIOLATION %s @ fault point %llu: %s\n",
-                     target->name().c_str(),
-                     static_cast<unsigned long long>(v.point),
-                     v.detail.c_str());
-        failed = true;
-      }
-    }
-    std::printf("# total fault points explored: %llu\n",
-                static_cast<unsigned long long>(total_points));
-    if (!trace_path.empty()) {
-      if (!writer.write_file(trace_path)) {
-        std::fprintf(stderr, "failed to write trace to %s\n",
-                     trace_path.c_str());
-        return 2;
-      }
-      std::printf("# trace: %s (%zu events)\n", trace_path.c_str(),
-                  writer.events());
-    }
-    return failed ? 1 : 0;
+  } else {
+    std::printf("# crashmc_sweep: <= %llu crash points per store, "
+                "seed %llu%s\n",
+                static_cast<unsigned long long>(points),
+                static_cast<unsigned long long>(seed),
+                checksums ? ", checksums on" : "");
+    std::printf("%-16s %10s %10s %10s %11s %12s\n", "store", "events",
+                "points", "fired", "violations", "points/sec");
   }
-
-  xp::crashmc::Options opts;
-  opts.max_exhaustive = points;
-  opts.samples = points;
-  opts.seed = seed;
-  if (!trace_path.empty()) opts.sink = &sink;
-
-  std::printf("# crashmc_sweep: <= %llu crash points per store, seed %llu\n",
-              static_cast<unsigned long long>(points),
-              static_cast<unsigned long long>(seed));
-  std::printf("%-16s %10s %10s %10s %11s %12s\n", "store", "events",
-              "points", "fired", "violations", "points/sec");
 
   bool failed = false;
   std::uint64_t total_points = 0;
-  for (auto& target : xp::crashmc::all_targets()) {
+  for (auto& target : xp::crashmc::all_targets(checksums)) {
     if (!only.empty() && target->name() != only) continue;
     if (opts.sink) sink.begin_store(target->name());
-    const xp::crashmc::Result r = xp::crashmc::explore(*target, opts);
-    std::printf("%-16s %10llu %10llu %10llu %11zu %12.1f\n",
-                target->name().c_str(),
+    const xp::crashmc::Result r = explore(*target, opts);
+    std::printf("%-16s %10llu %10llu %10llu", target->name().c_str(),
                 static_cast<unsigned long long>(r.total_events),
                 static_cast<unsigned long long>(r.points_explored),
-                static_cast<unsigned long long>(r.crashes_fired),
-                r.violations.size(), r.points_per_sec());
+                static_cast<unsigned long long>(r.fired));
+    if (faults)
+      std::printf(" %10llu", static_cast<unsigned long long>(r.lines_poisoned));
+    std::printf(" %11zu %12.1f\n", r.violations.size(), r.points_per_sec());
     total_points += r.points_explored;
     for (const auto& v : r.violations) {
-      std::fprintf(stderr, "VIOLATION %s @ crash point %llu: %s\n",
-                   target->name().c_str(),
+      std::fprintf(stderr, "VIOLATION %s @ %s point %llu: %s\n",
+                   target->name().c_str(), what,
                    static_cast<unsigned long long>(v.point),
                    v.detail.c_str());
       failed = true;
     }
   }
-  std::printf("# total crash points explored: %llu\n",
+  std::printf("# total %s points explored: %llu\n", what,
               static_cast<unsigned long long>(total_points));
   if (!trace_path.empty()) {
     if (!writer.write_file(trace_path)) {

@@ -109,17 +109,14 @@ done
 echo "  $(wc -l < "$OUT/BENCH_perfbench_sim.txt") values recorded"
 
 # Crash, fault and schedule panels: the three sweeps scripts/run_tests.sh
-# runs. Each table's host-speed column (points/sec, sched/s) is dropped;
-# every other column is a simulated count that repeats exactly. A panel
-# with a violation exits non-zero, which fails this script.
+# runs, defined once in scripts/panels.sh. Each table's host-speed column
+# (points/sec, sched/s) is dropped; every other column is a simulated
+# count that repeats exactly. A panel with a violation exits non-zero,
+# which fails this script.
 echo
 echo "== crash/fault/schedule panels =="
-{
-  "$BUILD/bench/crashmc_sweep" --points 200
-  "$BUILD/bench/crashmc_sweep" --faults --points 80 --poison-points 20 \
-      --seed 42 --checksums
-  "$BUILD/bench/schedmc_sweep" --schedules 60 --dfs 24 --crash 2
-} | awk '{
+source scripts/panels.sh
+run_panels "$BUILD" | awk '{
   for (i = 1; i <= NF; ++i)
     if ($i == "points/sec" || $i == "sched/s") { col = i; width = NF }
   if (col && NF == width && $1 !~ /^#/) {
@@ -174,41 +171,25 @@ rm -rf "$t1" "$tn"
 if [ "$CHECK" = 1 ]; then
   echo
   echo "== check: simulated BENCH files vs the tracked copies =="
-  for f in BENCH_stores.json BENCH_YCSB.json; do
-    host_lines='^  "(host_cores|jobs)": '
+  # Each file with what its difference means. The host_cores/jobs lines
+  # (only the JSON files have them) are not compared.
+  host_lines='^  "(host_cores|jobs)": '
+  for entry in \
+      "BENCH_stores.json|re-record it with scripts/run_benches.sh" \
+      "BENCH_YCSB.json|re-record it with scripts/run_benches.sh" \
+      "BENCH_figs.sha256|a figure output changed" \
+      "BENCH_perfbench_sim.txt|a simulated perfbench metric moved" \
+      "BENCH_panels.txt|a crash/fault/schedule panel count moved"; do
+    f="${entry%%|*}"
     if diff <(grep -Ev "$host_lines" "$f") \
             <(grep -Ev "$host_lines" "$OUT/$f") > /dev/null; then
       echo "  $f: matches"
     else
-      echo "  $f: DIFFERS (re-record it with scripts/run_benches.sh)"
+      echo "  $f: DIFFERS (${entry#*|})"
       diff <(grep -Ev "$host_lines" "$f") \
-           <(grep -Ev "$host_lines" "$OUT/$f") | head -20 || true
+           <(grep -Ev "$host_lines" "$OUT/$f") | head -50 || true
       status=1
     fi
   done
-  if diff BENCH_figs.sha256 "$OUT/BENCH_figs.sha256" > /dev/null; then
-    echo "  BENCH_figs.sha256: matches"
-  else
-    echo "  BENCH_figs.sha256: DIFFERS (a figure output changed)"
-    diff BENCH_figs.sha256 "$OUT/BENCH_figs.sha256" || true
-    status=1
-  fi
-  if diff BENCH_perfbench_sim.txt "$OUT/BENCH_perfbench_sim.txt" \
-      > /dev/null; then
-    echo "  BENCH_perfbench_sim.txt: matches"
-  else
-    echo "  BENCH_perfbench_sim.txt: DIFFERS (a simulated perfbench metric" \
-         "moved)"
-    diff BENCH_perfbench_sim.txt "$OUT/BENCH_perfbench_sim.txt" || true
-    status=1
-  fi
-  if diff BENCH_panels.txt "$OUT/BENCH_panels.txt" > /dev/null; then
-    echo "  BENCH_panels.txt: matches"
-  else
-    echo "  BENCH_panels.txt: DIFFERS (a crash/fault/schedule panel count" \
-         "moved)"
-    diff BENCH_panels.txt "$OUT/BENCH_panels.txt" || true
-    status=1
-  fi
 fi
 exit $status

@@ -58,14 +58,16 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build build-release -j "$JOBS" > /dev/null
 (cd build-release && ctest --output-on-failure -j "$JOBS")
 
-echo
-echo "== crashmc smoke sweep (~200 points per store) =="
-build-release/bench/crashmc_sweep --points 200
-
-echo
-echo "== media fault-injection smoke campaign (~100 points per store) =="
-build-release/bench/crashmc_sweep --faults --points 80 --poison-points 20 \
-    --seed 42 --checksums
+# The crash, fault and schedule panels (scripts/panels.sh, the commands
+# scripts/run_benches.sh records in BENCH_panels.txt): a ~200-point crash
+# sweep and a ~100-point media fault campaign per store, and a bounded
+# schedule exploration with crash composition.
+source scripts/panels.sh
+for i in "${!PANELS[@]}"; do
+  echo
+  echo "== panel: ${PANELS[$i]} =="
+  run_panel build-release "$i"
+done
 
 echo
 echo "== resilience fault smoke (bench_ycsb --faults, ASan/UBSan) =="
@@ -77,10 +79,9 @@ echo "== resilience fault smoke (bench_ycsb --faults, ASan/UBSan) =="
 build-asan/bench/bench_ycsb --mini --faults --out "$(mktemp)"
 
 echo
-echo "== schedmc smoke sweep (bounded schedule exploration) =="
-build-release/bench/schedmc_sweep --schedules 60 --dfs 24 --crash 2
-# Negative run: the seeded lock-elision regression must be caught (the
-# binary exits non-zero if the oracle misses it).
+echo "== schedmc negative run (seeded lock-elision regression) =="
+# The seeded lock-elision regression must be caught (the binary exits
+# non-zero if the oracle misses it).
 build-release/bench/schedmc_sweep --schedules 60 --dfs 24 --crash 0 --fault
 
 echo

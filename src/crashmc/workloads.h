@@ -22,7 +22,7 @@
 //    recovered image must recover to itself). Each domain must read
 //    back as its pre- or post-op state, and any read status other than
 //    Ok or NotFound is a violation.
-//  * Media repair (faultcampaign.h) adds repair_media after open, also
+//  * Media repair (explore_faults) adds repair_media after open, also
 //    after an open that threw (stree salvages the half-open tree; lsmkv
 //    and cmap answer MediaFault). A store that no longer opens, or whose
 //    half-open image cannot be salvaged, is a typed, reported total loss.

@@ -88,7 +88,8 @@ bool NovaFs::mount(ThreadCtx& ctx) {
   // Pass 1: replay every in-use inode's log (rebuilds page maps, sizes,
   // and the directory) and claim its pages by fsck's rule.
   PageOwners pages(*this);
-  std::vector<unsigned> truncated;  // inodes whose replay kept a prefix
+  // Inodes whose replay kept a prefix, with their log pages in link order.
+  std::vector<std::pair<unsigned, std::vector<std::uint64_t>>> truncated;
   for (unsigned ino = 0; ino < kMaxInodes; ++ino) {
     PInode pi{};
     try {
@@ -111,6 +112,7 @@ bool NovaFs::mount(ThreadCtx& ctx) {
     di.log_head = pi.log_head;
     di.log_tail = pi.log_tail;
     const bool kept_prefix = replay_inode(ctx, ino);
+    std::vector<std::uint64_t> chain;
     try {
       // Log-page headers were just staged/cached by the replay above, so
       // the combined walk re-serves them from DRAM.
@@ -118,6 +120,7 @@ bool NovaFs::mount(ThreadCtx& ctx) {
           walk_chain(ctx, di.log_head, opt_.read_combine,
                      [&](std::uint64_t lp) {
                        pages.claim(lp, 'L', ino);
+                       chain.push_back(lp);
                        return true;
                      });
       if (back != 0) {
@@ -136,7 +139,7 @@ bool NovaFs::mount(ThreadCtx& ctx) {
       report_truncated(ino);
     }
     if (kept_prefix)
-      truncated.push_back(ino);
+      truncated.emplace_back(ino, std::move(chain));
     else
       claim_data(pages, ino);  // a clash is fsck's to report
   }
@@ -146,7 +149,9 @@ bool NovaFs::mount(ThreadCtx& ctx) {
   // after every other page, and a reference to one already claimed is
   // dropped durably: the log ends at the entry that set it, and the
   // shorter log replays (its earlier page for that offset may clash too).
-  for (const unsigned ino : truncated) {
+  // The cut unlinks the log pages past the entry's page, which the chain
+  // walk claimed: they are released to the free pool.
+  for (auto& [ino, chain] : truncated) {
     DInode& di = inodes_[ino];
     auto clash = [&] {
       return std::find_if(di.pages.begin(), di.pages.end(),
@@ -156,6 +161,12 @@ bool NovaFs::mount(ThreadCtx& ctx) {
                           });
     };
     for (auto it = clash(); it != di.pages.end(); it = clash()) {
+      const auto cut = std::find(chain.begin(), chain.end(),
+                                 it->second.entry_off / kPage * kPage);
+      if (cut != chain.end()) {
+        for (auto lp = cut + 1; lp != chain.end(); ++lp) pages.release(*lp);
+        chain.erase(cut + 1, chain.end());
+      }
       truncate_log_at(ctx, ino, it->second.entry_off,
                       "write entry names a page another owner claims");
       di.pages.clear();
@@ -335,9 +346,14 @@ std::vector<std::uint64_t> NovaFs::log_append_batch(
   // atomically. A crash leaves a durable prefix of whole chunks, never
   // a torn entry — the same entry-prefix guarantee as the stock path,
   // at a fraction of the fences.
+  // A batch that fits in one log page starts on a page with room for all
+  // of it, so it commits as one chunk.
+  std::uint32_t batch_len = 0;
+  for (const PendingEntry& p : entries) batch_len += p.e.total_len;
+  const bool one_page = kLogDataStart + batch_len + 8 <= kPage;
   std::size_t i = 0;
   while (i < entries.size()) {
-    ensure_log_space(ctx, ino, entries[i].e.total_len);
+    ensure_log_space(ctx, ino, one_page ? batch_len : entries[i].e.total_len);
     // Room to the end-of-page marker slot; ensure_log_space guarantees
     // at least the first entry (plus terminator) fits.
     const std::uint64_t room =
@@ -421,6 +437,10 @@ std::string NovaFs::PageOwners::claim(std::uint64_t off, char role,
   role_[i] = role;
   owner_[i] = ino;
   return "";
+}
+
+void NovaFs::PageOwners::release(std::uint64_t off) {
+  if (fs_.data_page(off)) role_[(off - kDataStart) / kPage] = 0;
 }
 
 bool NovaFs::PageOwners::claimed(std::uint64_t off) const {
@@ -583,6 +603,10 @@ void NovaFs::truncate_log_at(ThreadCtx& ctx, unsigned ino,
   const std::uint64_t page = pos / kPage * kPage;
   for (const std::uint64_t bad : ns_.platform().ars(ns_, page, kPage))
     scrub_line(ctx, bad);
+  // Unlink the pages past the cut before ending the log, so no crash can
+  // leave a shorter log that still links them: they leave the chain, and
+  // mount returns them to the free pool.
+  pmem::store_persist_pod(ctx, ns_, page, std::uint64_t{0});
   const std::uint32_t zero = 0;
   ns_.store_persist(ctx, pos, bytes_of(&zero, 4));
   inodes_[ino].log_tail = pos;
@@ -785,17 +809,22 @@ void NovaFs::truncate(ThreadCtx& ctx, int ino_s, std::uint64_t new_size) {
   ctx.advance_by(kFsCosts.write_syscall);
   const auto ino = static_cast<unsigned>(ino_s);
   DInode& di = inodes_[ino];
-  if (new_size < di.size) {
-    // Zero the tail of the boundary page so a later extension reads
-    // zeros, then log the authoritative size.
-    const std::uint64_t boundary_page = new_size / kPage;
-    const std::size_t keep = static_cast<std::size_t>(new_size % kPage);
-    if (keep != 0 && di.pages.count(boundary_page) != 0) {
-      std::vector<std::uint8_t> zeros(kPage - keep, 0);
-      cow_page(ctx, ino, boundary_page, zeros, keep);
-    }
-  }
   const LogEntry e = make_entry(kSetSize, 0, 0, 0, new_size);
+  const std::uint64_t boundary_page = new_size / kPage;
+  const std::size_t keep = static_cast<std::size_t>(new_size % kPage);
+  if (new_size < di.size && keep != 0 && di.pages.count(boundary_page) != 0) {
+    // Shrinking inside a page: a copy of the boundary page with its tail
+    // zeroed (so a later extension reads zeros) and the authoritative size
+    // commit as one batch. Alone, the copy's entry would recover a file
+    // that ends at the page end.
+    const std::vector<std::uint8_t> zeros(kPage - keep, 0);
+    const PendingEntry batch[] = {
+        {copy_page(ctx, ino, boundary_page, zeros, keep), {}}, {e, {}}};
+    const auto offs = log_append_batch(ctx, ino, batch);
+    for (std::size_t k = 0; k < offs.size(); ++k)
+      apply_entry(ctx, ino, offs[k], batch[k].e, /*during_replay=*/false);
+    return;
+  }
   const std::uint64_t at = log_append(ctx, ino, e, {});
   apply_entry(ctx, ino, at, e, /*during_replay=*/false);
 }
@@ -810,6 +839,17 @@ void NovaFs::cow_page(ThreadCtx& ctx, unsigned ino, std::uint64_t page_idx,
                       std::span<const std::uint8_t> seg,
                       std::size_t seg_in_page) {
   DInode& di = inodes_[ino];
+  const LogEntry e = copy_page(ctx, ino, page_idx, seg, seg_in_page);
+  const std::uint64_t at = log_append(ctx, ino, e, {});
+  apply_entry(ctx, ino, at, e, /*during_replay=*/false);
+  di.size = std::max(di.size, e.new_size);
+}
+
+NovaFs::LogEntry NovaFs::copy_page(ThreadCtx& ctx, unsigned ino,
+                                   std::uint64_t page_idx,
+                                   std::span<const std::uint8_t> seg,
+                                   std::size_t seg_in_page) {
+  DInode& di = inodes_[ino];
   std::vector<std::uint8_t> buf(kPage, 0);
   // Base content + overlays (the read path's merge) — skipped when the
   // new segment covers the whole page.
@@ -823,11 +863,8 @@ void NovaFs::cow_page(ThreadCtx& ctx, unsigned ino, std::uint64_t page_idx,
 
   const std::uint64_t end =
       seg.empty() ? di.size : page_idx * kPage + seg_in_page + seg.size();
-  const LogEntry e = make_entry(kWrite, 0, page_idx * kPage, np,
-                                std::max<std::uint64_t>(di.size, end));
-  const std::uint64_t at = log_append(ctx, ino, e, {});
-  apply_entry(ctx, ino, at, e, /*during_replay=*/false);
-  di.size = std::max(di.size, e.new_size);
+  return make_entry(kWrite, 0, page_idx * kPage, np,
+                    std::max<std::uint64_t>(di.size, end));
 }
 
 void NovaFs::write(ThreadCtx& ctx, int ino_s, std::uint64_t off,
@@ -1106,6 +1143,27 @@ std::string NovaFs::fsck_impl(ThreadCtx& ctx) {
   for (unsigned ino = 0; ino < kMaxInodes; ++ino) {
     if (!inodes_[ino].in_use) continue;
     if (std::string err = claim_data(pages, ino); !err.empty()) return err;
+  }
+
+  // The allocator rule: every data page is claimed or free, never both
+  // (a live page the allocator could hand out) and never neither (a page
+  // leaked until the next mount).
+  std::vector<bool> free(pages.count(), false);
+  std::vector<const std::vector<std::uint64_t>*> pools{&free_pages_};
+  for (const auto& list : free_by_channel_) pools.push_back(&list);
+  for (const auto* pool : pools) {
+    for (const std::uint64_t off : *pool) {
+      const std::string at = "free page @" + std::to_string(off);
+      if (!data_page(off)) return at + " outside the data area";
+      if (pages.claimed(off)) return at + " is claimed";
+      if (free[(off - kDataStart) / kPage]) return at + " listed twice";
+      free[(off - kDataStart) / kPage] = true;
+    }
+  }
+  for (std::size_t i = 0; i < free.size(); ++i) {
+    const std::uint64_t off = kDataStart + i * kPage;
+    if (!free[i] && !pages.claimed(off))
+      return "page @" + std::to_string(off) + " is neither claimed nor free";
   }
   return "";
 }

@@ -131,6 +131,8 @@ class NovaFs final : public FileSystem {
   bool rename(ThreadCtx& ctx, const std::string& from, const std::string& to);
   // Shrink or extend the file. Shrinking discards data beyond new_size
   // (re-extension reads zeros); extension is a metadata-only size bump.
+  // Crash-atomic: a shrink inside a page logs its zeroed copy of that
+  // page and the new size as one batch.
   void truncate(ThreadCtx& ctx, int ino, std::uint64_t new_size);
   void write(ThreadCtx& ctx, int ino, std::uint64_t off,
              std::span<const std::uint8_t> data,
@@ -148,7 +150,9 @@ class NovaFs final : public FileSystem {
   // validates the superblock, every in-use inode's log chain (in-bounds,
   // acyclic, well-formed entries, checksums when enabled) and page
   // ownership — no data page referenced twice, no page serving as both
-  // log and data, embedded extents inside their own inode's log.
+  // log and data, embedded extents inside their own inode's log — and the
+  // allocator: every data page is either owned or free, never both and
+  // never neither.
   Status fsck(ThreadCtx& ctx);
 
   // Introspection for tests/benches.
@@ -272,6 +276,7 @@ class NovaFs final : public FileSystem {
     // Claim the page at `off` as `role` for `ino`. Returns why it cannot
     // be claimed (not a data_page(), or claimed already), or "".
     std::string claim(std::uint64_t off, char role, unsigned ino);
+    void release(std::uint64_t off);  // unclaim the page at `off`
     bool claimed(std::uint64_t off) const;
     // Whether `off` lies in a log page that `ino` claimed.
     bool in_log_of(std::uint64_t off, unsigned ino) const;
@@ -332,14 +337,16 @@ class NovaFs final : public FileSystem {
   std::uint64_t log_append(ThreadCtx& ctx, unsigned ino, const LogEntry& e,
                            std::span<const std::uint8_t> payload);
 
-  // Batched variant (batch_log_appends): append several entries to one
-  // inode's log as coalesced bursts — the batch is split into chunks of
-  // consecutive entries sized to the log page, each chunk getting one
-  // terminator + fence pair, with one tail persist for the whole batch.
-  // Crash-atomic per chunk: a chunk's first magic word is persisted
-  // after everything else in it, so replay sees a durable prefix of
-  // whole chunks, never a torn entry. Returns each entry's ns offset,
-  // in order.
+  // Batched variant (batch_log_appends, and truncate's page copy):
+  // append several entries to one inode's log as coalesced bursts — the
+  // batch is split into chunks of consecutive entries sized to the log
+  // page, each chunk getting one terminator + fence pair, with one tail
+  // persist for the whole batch. Crash-atomic per chunk: a chunk's first
+  // magic word is persisted after everything else in it, so replay sees
+  // a durable prefix of whole chunks, never a torn entry. A batch that
+  // fits in one log page starts on a page with room for all of it, so it
+  // is one chunk and commits whole. Returns each entry's ns offset, in
+  // order.
   struct PendingEntry {
     LogEntry e;
     std::span<const std::uint8_t> payload;
@@ -367,9 +374,15 @@ class NovaFs final : public FileSystem {
                               unsigned target_ino, const std::string& name);
 
   // Copy-on-write the page containing file offset `page_idx*4K`, merging
-  // current overlays and the optional new segment.
+  // current overlays and the optional new segment: copy_page(), then log
+  // and apply its entry.
   void cow_page(ThreadCtx& ctx, unsigned ino, std::uint64_t page_idx,
                 std::span<const std::uint8_t> seg, std::size_t seg_in_page);
+  // Write that merged copy to a fresh page and return the kWrite entry
+  // that would publish it (not yet logged).
+  LogEntry copy_page(ThreadCtx& ctx, unsigned ino, std::uint64_t page_idx,
+                     std::span<const std::uint8_t> seg,
+                     std::size_t seg_in_page);
 
   void read_page(ThreadCtx& ctx, DInode& di, std::uint64_t page_idx,
                  std::size_t begin, std::size_t len, std::uint8_t* out);
@@ -404,8 +417,9 @@ class NovaFs final : public FileSystem {
   }
   void scrub_line(ThreadCtx& ctx, std::uint64_t line_off);
   // End the log durably at `pos` after media damage or a malformed entry:
-  // scrub the page's bad lines, write a terminator, persist the tail
-  // hint, and report it.
+  // scrub the page's bad lines, clear the page's `next` link (the pages
+  // past it leave the log), write a terminator, persist the tail hint,
+  // and report it.
   void truncate_log_at(ThreadCtx& ctx, unsigned ino, std::uint64_t pos,
                        const std::string& why);
   // Add `ino` to recovery().logs_truncated unless it is the last one

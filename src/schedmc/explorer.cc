@@ -12,6 +12,20 @@ namespace xp::schedmc {
 
 namespace {
 
+// The search's fixed shape. PCT's base preemption depth (each schedule
+// adds s % 4) and its expected decisions per run, which the serial
+// baseline's decision count lowers.
+constexpr unsigned kPctDepth = 3;
+constexpr std::uint64_t kPctHorizon = 256;
+// DFS keeps schedules within this many preemptions and branches only in
+// the first kDfsBranchHorizon decisions.
+constexpr std::uint64_t kDfsPreemptionBound = 2;
+constexpr std::size_t kDfsBranchHorizon = 96;
+// Crash composition: every persist event of a schedule with at most
+// kCrashMaxExhaustive of them, else kCrashPointsPerSchedule seeded ones.
+constexpr std::uint64_t kCrashMaxExhaustive = 8;
+constexpr std::uint64_t kCrashPointsPerSchedule = 16;
+
 // Preemptions in a decision sequence: decision k preempts when it picks
 // a different thread than k-1 while k-1's thread was still runnable.
 std::uint64_t count_preemptions(
@@ -36,8 +50,7 @@ struct Driver {
   Interleaver::Options il_opts() {
     Interleaver::Options io;
     io.platform = &target.platform();
-    io.sink = opts.sink;
-    io.record_runnable = opts.dfs_branch_horizon;
+    io.record_runnable = kDfsBranchHorizon;
     return io;
   }
 
@@ -102,7 +115,7 @@ struct Driver {
     const std::uint64_t sig = rr0.signature;
 
     for (const std::uint64_t k : crashmc::choose_points(
-             total, opts.crash_max_exhaustive, opts.crash_points_per_schedule,
+             total, kCrashMaxExhaustive, kCrashPointsPerSchedule,
              opts.seed + schedule_seed)) {
       target.reset();
       target.platform().crash_after(k);
@@ -111,7 +124,6 @@ struct Driver {
       const Interleaver::RunResult rr =
           il.run(target.specs(), replay, il_opts());
       ++res.crash_runs;
-      const bool crashed = target.platform().crash_fired();
       target.platform().clear_crash_trigger();
       target.platform().reset_timing();
       if (!rr.error.empty()) {
@@ -132,7 +144,6 @@ struct Driver {
       const std::map<std::string, std::string> init = target.initial_state();
       // Crash-mode check even if the trigger never fired (k past the end):
       // a clean image must still match a durable linearization.
-      (void)crashed;
       const CheckResult cr =
           check_history(target.history().ops(), &recovered, true, &init);
       ++res.histories_checked;
@@ -159,7 +170,7 @@ Result explore(Target& target, const Options& opts) {
   // drawn past the end of the run never fire, so an oversized horizon
   // collapses schedules onto the few base priority orders.
   std::vector<std::vector<unsigned>> crash_traces;
-  std::uint64_t horizon = opts.pct_horizon;
+  std::uint64_t horizon = kPctHorizon;
   {
     ReplayPolicy serial({});
     const Interleaver::RunResult rr = d.run_live(serial, opts.seed);
@@ -173,7 +184,7 @@ Result explore(Target& target, const Options& opts) {
     const std::size_t nthreads = target.specs().size();
     // Cycle the preemption depth: deeper schedules distinguish runs the
     // base priority orders cannot.
-    const unsigned depth = opts.pct_depth + s % 4;
+    const unsigned depth = kPctDepth + s % 4;
     PctPolicy policy(opts.seed + s, static_cast<unsigned>(nthreads), depth,
                      horizon);
     const Interleaver::RunResult rr = d.run_live(policy, opts.seed + s);
@@ -195,7 +206,7 @@ Result explore(Target& target, const Options& opts) {
       // Branch at decisions >= |prefix| (earlier branches were enumerated
       // by this run's ancestors), inside the recorded horizon.
       const std::size_t lim =
-          std::min(rr.runnable_at.size(), opts.dfs_branch_horizon);
+          std::min(rr.runnable_at.size(), kDfsBranchHorizon);
       for (std::size_t i = prefix.size(); i < lim; ++i) {
         for (const unsigned alt : rr.runnable_at[i]) {
           if (alt == rr.trace[i]) continue;
@@ -204,7 +215,7 @@ Result explore(Target& target, const Options& opts) {
                                           static_cast<std::ptrdiff_t>(i));
           child.push_back(alt);
           if (count_preemptions(child, rr.runnable_at) <=
-              opts.dfs_preemption_bound)
+              kDfsPreemptionBound)
             frontier.push_back(std::move(child));
         }
       }

@@ -79,22 +79,14 @@ struct Violation {
   std::string detail;
 };
 
+// The budgets a caller chooses; the shape of each phase's search (PCT
+// depth and horizon, the DFS preemption bound and branch horizon, crash
+// points per schedule) is fixed by constants in explorer.cc.
 struct Options {
   std::uint64_t seed = 1;
-  // Phase 1: PCT.
-  unsigned pct_schedules = 200;
-  unsigned pct_depth = 3;
-  std::uint64_t pct_horizon = 256;  // expected decisions per run
-  // Phase 2: preemption-bounded DFS.
-  unsigned dfs_schedules = 64;          // run budget
-  unsigned dfs_preemption_bound = 2;    // max preemptions per schedule
-  std::size_t dfs_branch_horizon = 96;  // branch in the first N decisions
-  // Phase 3: crash composition.
-  unsigned crash_schedules = 0;  // how many PCT schedules to crash-sweep
-  unsigned crash_points_per_schedule = 16;
-  unsigned crash_max_exhaustive = 8;
-
-  hw::TelemetrySink* sink = nullptr;  // schedule-point counters
+  unsigned pct_schedules = 200;  // phase 1: PCT runs
+  unsigned dfs_schedules = 64;   // phase 2: DFS run budget
+  unsigned crash_schedules = 0;  // phase 3: PCT schedules to crash-sweep
   bool keep_going = false;  // collect every violation instead of stopping
 };
 

@@ -158,7 +158,7 @@ unsigned Interleaver::decide(unsigned current, sim::SchedPoint point) {
     abort_ = true;
     return kNobody;
   }
-  if (budget_exhausted_ || decisions_ >= opts_.max_decisions) {
+  if (budget_exhausted_ || decisions_ >= kMaxDecisions) {
     // Out of decision budget: stop branching and finish the run serially
     // (keep the current thread while it can run).
     budget_exhausted_ = true;

@@ -108,12 +108,14 @@ struct ThreadSpec {
 
 class Interleaver final : public sim::SchedHook {
  public:
+  // Runaway guard: past this many decisions a run finishes serially.
+  static constexpr std::uint64_t kMaxDecisions = std::uint64_t{1} << 20;
+
   struct Options {
     // Adopt this platform's debug image-owner latch on every token
     // handoff (required whenever the bodies touch a Platform).
     hw::Platform* platform = nullptr;
     hw::TelemetrySink* sink = nullptr;  // schedule-point counters
-    std::uint64_t max_decisions = std::uint64_t{1} << 20;  // runaway guard
     // Record the runnable set for the first N decisions (DFS branching).
     std::size_t record_runnable = 512;
   };
@@ -127,7 +129,7 @@ class Interleaver final : public sim::SchedHook {
     std::array<std::uint64_t, sim::kNumSchedPoints> points{};
     bool crashed = false;       // a CrashPointHit fired mid-run
     bool deadlocked = false;    // every live thread blocked on a SchedLock
-    bool budget_exhausted = false;  // max_decisions hit; run finished serially
+    bool budget_exhausted = false;  // kMaxDecisions hit; finished serially
     std::string error;          // unexpected exception text ("" = none)
   };
 

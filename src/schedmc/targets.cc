@@ -20,8 +20,13 @@ using sim::SchedLockGuard;
 
 namespace {
 
-sim::ThreadCtx::Options worker_opts(const TargetOptions& o, unsigned t) {
-  return {.id = t, .socket = 0, .mlp = 8, .seed = o.workload_seed * 97 + t + 1};
+// Every workload runs kThreads workers, each a function of kWorkloadSeed
+// and its thread id.
+constexpr unsigned kThreads = 3;
+constexpr std::uint64_t kWorkloadSeed = 7;
+
+sim::ThreadCtx::Options worker_opts(unsigned t) {
+  return {.id = t, .socket = 0, .mlp = 8, .seed = kWorkloadSeed * 97 + t + 1};
 }
 
 // Setup/recovery/state-reading contexts run outside the interleaver (no
@@ -30,10 +35,10 @@ sim::ThreadCtx service_ctx(unsigned id = 32) {
   return sim::ThreadCtx({.id = id, .socket = 0, .mlp = 8, .seed = id + 1});
 }
 
-// Per-(thread, run) RNG stream: pure function of the options, so a
+// Per-(thread, run) RNG stream: pure function of the thread id, so a
 // replayed schedule re-executes the identical op sequence.
-sim::Rng body_rng(const TargetOptions& o, unsigned t) {
-  return sim::Rng(o.workload_seed * 1315423911ULL + t * 2654435761ULL + 1);
+sim::Rng body_rng(unsigned t) {
+  return sim::Rng(kWorkloadSeed * 1315423911ULL + t * 2654435761ULL + 1);
 }
 
 bool elide(const TargetOptions& o) {
@@ -47,8 +52,7 @@ bool fail(std::string* error, std::string what) {
 }
 
 // The frame every target here shares: a fresh platform per run, a
-// History, and one worker thread per TargetOptions::threads running
-// body(ctx, t).
+// History, and kThreads worker threads running body(ctx, t).
 class WorkerTarget : public Target {
  public:
   explicit WorkerTarget(const TargetOptions& o) : opts_(o) {}
@@ -58,8 +62,8 @@ class WorkerTarget : public Target {
 
   std::vector<ThreadSpec> specs() override {
     std::vector<ThreadSpec> v;
-    for (unsigned t = 0; t < opts_.threads; ++t)
-      v.push_back({worker_opts(opts_, t),
+    for (unsigned t = 0; t < kThreads; ++t)
+      v.push_back({worker_opts(t),
                    [this, t](sim::ThreadCtx& ctx) { body(ctx, t); }});
     return v;
   }
@@ -160,7 +164,7 @@ class PmemlibTarget final : public WorkerTarget {
   }
 
   void body(sim::ThreadCtx& ctx, unsigned t) override {
-    sim::Rng rng = body_rng(opts_, t);
+    sim::Rng rng = body_rng(t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned slot = static_cast<unsigned>(rng.uniform(kSlots));
       if (rng.uniform(4) == 0)
@@ -281,7 +285,7 @@ class NovafsTarget final : public WorkerTarget {
   }
 
   void body(sim::ThreadCtx& ctx, unsigned t) override {
-    sim::Rng rng = body_rng(opts_, t);
+    sim::Rng rng = body_rng(t);
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {
       const unsigned r = static_cast<unsigned>(rng.uniform(8));
       const unsigned fi = static_cast<unsigned>(rng.uniform(kNames));
@@ -409,7 +413,7 @@ class KvTarget final : public WorkerTarget {
   std::vector<ThreadSpec> specs() override {
     std::vector<ThreadSpec> v = WorkerTarget::specs();
     if (mix_.store.defers_compaction())
-      v.push_back({worker_opts(opts_, opts_.threads),
+      v.push_back({worker_opts(kThreads),
                    [this](sim::ThreadCtx& ctx) {
                      std::vector<unsigned> all(locks_.size());
                      for (unsigned s = 0; s < all.size(); ++s) all[s] = s;
@@ -492,7 +496,7 @@ class KvTarget final : public WorkerTarget {
   }
 
   void body(sim::ThreadCtx& ctx, unsigned t) override {
-    sim::Rng rng = body_rng(opts_, t);
+    sim::Rng rng = body_rng(t);
     const unsigned total =
         mix_.put + mix_.get + mix_.del + mix_.batch + mix_.rmw;
     for (unsigned op = 0; op < opts_.ops_per_thread; ++op) {

@@ -3,9 +3,9 @@
 // Each factory builds a Target (schedmc/explorer.h) that runs a small
 // multi-threaded workload against one store, records every operation
 // into a History, and knows how to rebuild the store from the durable
-// image after a crash. The workloads are deterministic functions of
-// (workload_seed, thread id), which is what lets the explorer replay a
-// recorded schedule exactly.
+// image after a crash. The workloads are deterministic functions of the
+// thread id (three workers, one fixed workload seed), which is what lets
+// the explorer replay a recorded schedule exactly.
 //
 // lsmkv, cmap, stree and the sharded frontend run through one generic
 // target that drives the store only through StoreIface's typed try_*
@@ -48,8 +48,6 @@ enum class TestFault {
 };
 
 struct TargetOptions {
-  std::uint64_t workload_seed = 7;
-  unsigned threads = 3;
   unsigned ops_per_thread = 5;
   TestFault fault = TestFault::kNone;
 };

@@ -62,17 +62,6 @@ const char* resilience_kind_name(hw::ResilienceEventKind k) {
   return "resilience_unknown";
 }
 
-const char* media_fault_kind_name(hw::MediaFaultKind k) {
-  switch (k) {
-    case hw::MediaFaultKind::kCorrected: return "ecc_corrected";
-    case hw::MediaFaultKind::kPoisoned: return "poisoned";
-    case hw::MediaFaultKind::kUncorrectable: return "uncorrectable";
-    case hw::MediaFaultKind::kClearedByWrite: return "cleared_by_write";
-    case hw::MediaFaultKind::kScrubFound: return "scrub_found";
-  }
-  return "media_fault_unknown";
-}
-
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
@@ -102,6 +91,17 @@ void append_kv(std::string& out, const char* key, std::uint64_t v,
 }
 
 }  // namespace
+
+const char* media_fault_kind_name(hw::MediaFaultKind k) {
+  switch (k) {
+    case hw::MediaFaultKind::kCorrected: return "ecc_corrected";
+    case hw::MediaFaultKind::kPoisoned: return "poisoned";
+    case hw::MediaFaultKind::kUncorrectable: return "uncorrectable";
+    case hw::MediaFaultKind::kClearedByWrite: return "cleared_by_write";
+    case hw::MediaFaultKind::kScrubFound: return "scrub_found";
+  }
+  return "media_fault_unknown";
+}
 
 std::string trace_path_from_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {

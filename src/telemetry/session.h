@@ -56,6 +56,10 @@ std::string trace_path_from_args(int argc, char** argv);
 // set is identical at any --jobs count. Returns "" for an empty base.
 std::string trace_point_path(const std::string& base, std::size_t index);
 
+// The trace and summary name of a media-fault kind ("ecc_corrected",
+// "poisoned", ...): the one table for every sink that reports them.
+const char* media_fault_kind_name(hw::MediaFaultKind k);
+
 class Session final : public hw::TelemetrySink {
  public:
   Session(hw::Platform& platform, Options opts = {});

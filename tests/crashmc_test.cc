@@ -41,7 +41,7 @@ void expect_clean_sweep(crashmc::Target& target, const Options& opts,
   EXPECT_GE(r.points_explored, min_points)
       << target.name() << ": workload too small (total events "
       << r.total_events << ")";
-  EXPECT_GT(r.crashes_fired, 0u) << target.name();
+  EXPECT_GT(r.fired, 0u) << target.name();
 }
 
 // ---- Explorer sweeps: every store, zero violations ----------------------

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "crashmc/faultcampaign.h"
+#include "crashmc/explorer.h"
 #include "crashmc/workloads.h"
 #include "sim/rng.h"
 #include "workload/shard.h"
@@ -24,7 +24,7 @@
 namespace xp::crashmc {
 namespace {
 
-std::string first_violation(const FaultResult& r) {
+std::string first_violation(const Result& r) {
   if (r.violations.empty()) return "";
   return "@" + std::to_string(r.violations[0].point) + ": " +
          r.violations[0].detail;
@@ -49,35 +49,35 @@ TEST(PanelCoverage, CrashAndFaultPanelsNameEveryConfiguration) {
 // novafs, cmap, stree, the sharded and replicated frontends), CI's
 // tier-1 gate.
 TEST(FaultCampaign, SmokeEveryStoreContainsMediaFaults) {
-  FaultOptions opts;
+  Options opts;
   opts.max_exhaustive = 0;  // always sample
   opts.samples = 20;
   opts.seed = 42;
   for (const auto& target : all_targets(/*checksums=*/true)) {
-    const FaultResult r = explore_faults(*target, opts);
+    const Result r = explore_faults(*target, opts);
     EXPECT_TRUE(r.ok()) << target->name() << " " << first_violation(r);
-    EXPECT_GT(r.total_reads, 0u) << target->name();
-    EXPECT_GT(r.faults_fired, 0u) << target->name();
+    EXPECT_GT(r.total_events, 0u) << target->name();
+    EXPECT_GT(r.fired, 0u) << target->name();
     // Every fired machine check must surface as a typed MediaError; a
     // workload that swallows one is itself flagged as a violation.
-    EXPECT_EQ(r.faults_fired, r.typed_errors) << target->name();
+    EXPECT_EQ(r.fired, r.typed_errors) << target->name();
   }
 }
 
 // The acceptance sweep: >= 500 distinct injection points spread across
 // the whole panel, zero silent corruption.
 TEST(FaultCampaign, FiveHundredPointsZeroSilentCorruption) {
-  FaultOptions opts;
+  Options opts;
   opts.max_exhaustive = 0;
   opts.samples = 120;       // phase 1: every reachable read site
   opts.poison_points = 60;  // phase 2: at-rest poison vs. recovery
   opts.seed = 1;
   std::uint64_t injected = 0;
   for (const auto& target : all_targets(/*checksums=*/true)) {
-    const FaultResult r = explore_faults(*target, opts);
+    const Result r = explore_faults(*target, opts);
     EXPECT_TRUE(r.ok()) << target->name() << " " << first_violation(r);
-    EXPECT_EQ(r.faults_fired, r.typed_errors) << target->name();
-    injected += r.faults_fired + r.lines_poisoned;
+    EXPECT_EQ(r.fired, r.typed_errors) << target->name();
+    injected += r.fired + r.lines_poisoned;
   }
   EXPECT_GE(injected, 500u);
 }
@@ -85,12 +85,12 @@ TEST(FaultCampaign, FiveHundredPointsZeroSilentCorruption) {
 // The checksum options change the on-media format; the campaign must
 // hold without them too (poison alone is still a typed signal).
 TEST(FaultCampaign, ContainmentHoldsWithoutChecksums) {
-  FaultOptions opts;
+  Options opts;
   opts.max_exhaustive = 0;
   opts.samples = 8;
   opts.seed = 7;
   for (const auto& target : all_targets(/*checksums=*/false)) {
-    const FaultResult r = explore_faults(*target, opts);
+    const Result r = explore_faults(*target, opts);
     EXPECT_TRUE(r.ok()) << target->name() << " " << first_violation(r);
   }
 }
@@ -127,16 +127,16 @@ TEST(FaultCampaign, ArmedButUnfiredInjectorIsInert) {
 // Deterministic replay: the same seed explores the same points with the
 // same outcome counts.
 TEST(FaultCampaign, SameSeedReplaysIdentically) {
-  FaultOptions opts;
+  Options opts;
   opts.max_exhaustive = 0;
   opts.samples = 6;
   opts.seed = 99;
   const auto t1 = make_stree_target();
   const auto t2 = make_stree_target();
-  const FaultResult a = explore_faults(*t1, opts);
-  const FaultResult b = explore_faults(*t2, opts);
-  EXPECT_EQ(a.total_reads, b.total_reads);
-  EXPECT_EQ(a.faults_fired, b.faults_fired);
+  const Result a = explore_faults(*t1, opts);
+  const Result b = explore_faults(*t2, opts);
+  EXPECT_EQ(a.total_events, b.total_events);
+  EXPECT_EQ(a.fired, b.fired);
   EXPECT_EQ(a.typed_errors, b.typed_errors);
   EXPECT_EQ(a.violations.size(), b.violations.size());
 }

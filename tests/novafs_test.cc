@@ -610,6 +610,108 @@ TEST(NovaTruncate, SurvivesRemount) {
   EXPECT_EQ(fs2.size(t, f), 3000u);
 }
 
+// ----------------------------------------------- multi-entry commits --
+// Crash at every persist event of `op` (run after `setup` on a freshly
+// formatted file system), remount, and hand each recovered file system to
+// `check` with the crash point (0 once the op ran to completion, which
+// ends the sweep). Returns how many points crashed the op.
+template <typename Setup, typename Op, typename Check>
+unsigned crash_sweep(const NovaOptions& o, Setup setup, Op op, Check check) {
+  unsigned fired = 0;
+  for (std::uint64_t k = 1;; ++k) {
+    Platform platform;
+    PmemNamespace& ns = platform.optane(8 << 20);
+    {
+      ThreadCtx t = make_thread();
+      NovaFs fs(ns, o);
+      fs.format(t);
+      setup(fs, t);
+      platform.crash_after(k);
+      try {
+        op(fs, t);
+      } catch (const hw::CrashPointHit&) {
+      }
+    }
+    const bool crashed = platform.crash_fired();
+    platform.clear_crash_trigger();
+    platform.reset_timing();
+    ThreadCtx t = make_thread(1);
+    NovaFs fs(ns, o);
+    if (!fs.mount(t)) {
+      ADD_FAILURE() << "mount failed after crash point " << k;
+      return fired;
+    }
+    const Status st = fs.fsck(t);
+    EXPECT_TRUE(st.ok()) << "crash point " << k << ": " << st.message();
+    check(fs, t, crashed ? k : 0);
+    if (!crashed) return fired;
+    ++fired;
+  }
+}
+
+// A batched rename commits its dirents as one chunk: a crash never loses
+// or doubles the name. Each directory size puts the log's tail at a
+// different distance from its page end; a batch that split there into
+// two separately committed chunks (deletion on the full page, insertion
+// on the next) could lose the name.
+TEST(NovaCrashAtomic, BatchedRenameNeverLosesOrDoublesTheName) {
+  NovaOptions o;
+  o.batch_log_appends = true;
+  unsigned fired = 0;
+  for (int files = 60; files < 100; ++files) {
+    fired += crash_sweep(
+        o,
+        [&](NovaFs& fs, ThreadCtx& t) {
+          for (int i = 0; i < files; ++i)
+            ASSERT_GE(fs.create(t, "file" + std::to_string(i)), 0);
+        },
+        [](NovaFs& fs, ThreadCtx& t) { fs.rename(t, "file0", "renamed"); },
+        [&](NovaFs& fs, ThreadCtx& t, std::uint64_t k) {
+          const bool from = fs.open(t, "file0") >= 0;
+          const bool to = fs.open(t, "renamed") >= 0;
+          EXPECT_NE(from, to) << files << " files, crash point " << k;
+          EXPECT_EQ(fs.names().size(), static_cast<std::size_t>(files))
+              << files << " files, crash point " << k;
+        });
+  }
+  EXPECT_GT(fired, 0u);
+}
+
+// A shrink inside a page logs a zeroed copy of that page and the new
+// size. They commit as one batch, in both append modes: a crash recovers
+// the old file or the new one, never the copy's page-end size.
+TEST(NovaCrashAtomic, TruncateInsidePageRecoversOldOrNewFile) {
+  const auto data = pattern(100, 9);
+  for (const bool batched : {false, true}) {
+    NovaOptions o;
+    o.batch_log_appends = batched;
+    int ino = -1;
+    const unsigned fired = crash_sweep(
+        o,
+        [&](NovaFs& fs, ThreadCtx& t) {
+          ino = fs.create(t, "x");
+          fs.write(t, ino, 0, data);
+        },
+        [&](NovaFs& fs, ThreadCtx& t) { fs.truncate(t, ino, 20); },
+        [&](NovaFs& fs, ThreadCtx& t, std::uint64_t k) {
+          const int f = fs.open(t, "x");
+          ASSERT_GE(f, 0);
+          const std::uint64_t size = fs.size(t, f);
+          EXPECT_TRUE(size == 100 || size == 20)
+              << "batched=" << batched << " crash point " << k
+              << ": size " << size;
+          if (k == 0) {
+            EXPECT_EQ(size, 20u);
+          }
+          std::vector<std::uint8_t> out(size);
+          fs.read(t, f, 0, out);
+          EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin()))
+              << "batched=" << batched << " crash point " << k;
+        });
+    EXPECT_GT(fired, 0u) << "batched=" << batched;
+  }
+}
+
 // ------------------------------------------------------- malformed logs --
 // Media that still parses can break the entry rule. Each case damages one
 // log of a restarted image; mount must end that log at the damage (or the
@@ -623,6 +725,11 @@ TEST(NovaTruncate, SurvivesRemount) {
 // The far cases point a page reference past the namespace end (2^40):
 // f1's head-page link, its first entry's data page, or its inode's
 // log_head. Mount must bound each before following it.
+//
+// After the first mount f1 takes 200 more writes, enough to outgrow the
+// page a cut log ends on. The cut must have freed the log pages past it
+// (fsck's allocator rule finds a page neither owned nor free), and the
+// appended data must survive the second mount.
 //
 // Every case also runs on a second image whose f1 overwrites page 0 130
 // times. Copy-on-write alternates that page between two data pages, so a
@@ -728,7 +835,8 @@ TEST_P(NovaMalformedLog, MountTruncatesAndReports) {
   }
 
   // After each mount: fsck accepts the image and every undamaged file
-  // reads back.
+  // reads back, and so does every write appended to f1 since.
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> appended;
   auto verify = [&](NovaFs& fs) {
     const Status st = fs.fsck(t);
     EXPECT_TRUE(st.ok()) << st.message();
@@ -740,6 +848,11 @@ TEST_P(NovaMalformedLog, MountTruncatesAndReports) {
       EXPECT_EQ(fs.read(t, f, 0, out), data.size()) << name;
       EXPECT_EQ(out, data) << name;
     }
+    for (const auto& [off, data] : appended) {
+      std::vector<std::uint8_t> out(data.size());
+      EXPECT_EQ(fs.read(t, fs.open(t, "f1"), off, out), data.size()) << off;
+      EXPECT_EQ(out, data) << off;
+    }
   };
   {
     NovaFs fs(ns, o);
@@ -748,6 +861,17 @@ TEST_P(NovaMalformedLog, MountTruncatesAndReports) {
     EXPECT_NE(std::find(truncated.begin(), truncated.end(), victim),
               truncated.end())
         << fs.recovery().detail;
+    verify(fs);
+    const int f = fs.open(t, "f1");
+    ASSERT_GE(f, 0);
+    for (unsigned i = 0; i < 200; ++i) {
+      appended.emplace_back(i * NovaFs::kPageSize, pattern(64, 200 + i));
+      fs.write(t, f, appended.back().first, appended.back().second);
+      const std::uint64_t end = appended.back().first + 64;
+      if (f1.size() < end) f1.resize(end, 0);
+      std::copy(appended.back().second.begin(), appended.back().second.end(),
+                f1.begin() + static_cast<std::ptrdiff_t>(end - 64));
+    }
     verify(fs);
   }
   platform.crash();

@@ -281,8 +281,6 @@ Options crash_options() {
   o.pct_schedules = 4;
   o.dfs_schedules = 0;
   o.crash_schedules = 3;
-  o.crash_points_per_schedule = 12;
-  o.crash_max_exhaustive = 8;
   return o;
 }
 
