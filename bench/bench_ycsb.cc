@@ -140,9 +140,12 @@ Row run_point(const Cfg& c) {
   sim::ThreadCtx setup({.id = 100, .socket = 0, .mlp = 8, .seed = 1});
   store.create(setup);
   workload::load(store, spec, setup);
-  platform.reset_timing();
+  // Finish the load before the measured epoch starts: its last accesses
+  // and buffered lines retire at the setup thread's clock, so resetting
+  // first would make every worker's first op wait for the whole load.
   setup.drain();
   platform.flush_xp_buffers(setup.now());
+  platform.reset_timing();
 
   const auto s0 = telemetry::Snapshot::capture(platform);
   workload::EngineOptions eo;

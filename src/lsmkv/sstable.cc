@@ -10,6 +10,23 @@
 
 namespace xp::kv {
 
+namespace {
+
+// Throws hw::MediaError for the XPLine holding `off`.
+[[noreturn]] void fail(hw::PmemNamespace& ns, std::uint64_t off) {
+  const std::uint64_t line = off & ~(hw::Platform::kXpLineBytes - 1);
+  throw hw::MediaError(ns.name(), line, ns.socket(), ns.decode(line).channel);
+}
+
+// The entry rule every reader applies: bytes [at, at + len) of the entry
+// at `at` must end by the table's `end`, else fail(ns, at).
+void bound(hw::PmemNamespace& ns, std::uint64_t at, std::uint64_t len,
+           std::uint64_t end) {
+  if (at + len > end) fail(ns, at);
+}
+
+}  // namespace
+
 std::uint64_t SsTable::encoded_size(const std::vector<Entry>& entries) {
   BloomBuilder bloom(entries.size());
   std::uint64_t size =
@@ -60,6 +77,7 @@ std::uint64_t SsTable::build(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
 
   if (residency != nullptr) {
     residency->count = h.count;
+    residency->total_bytes = h.total_bytes;
     residency->filter.assign(buf.data() + sizeof(Header),
                              buf.data() + sizeof(Header) + h.filter_len);
     residency->offsets.resize(entries.size());
@@ -115,11 +133,12 @@ SsTable::Header SsTable::load_header(sim::ThreadCtx& ctx,
                                     hw::PmemNamespace& ns,
                                     std::uint64_t off) {
   const auto h = ns.load_pod<Header>(ctx, off);
-  if (h.magic != kMagic) {
-    const std::uint64_t line = off & ~(hw::Platform::kXpLineBytes - 1);
-    throw hw::MediaError(ns.name(), line, ns.socket(),
-                         ns.decode(line).channel);
-  }
+  if (h.magic != kMagic ||
+      sizeof(Header) + std::uint64_t{h.filter_len} +
+              std::uint64_t{h.count} * 4 >
+          h.total_bytes ||
+      off + h.total_bytes > ns.size())
+    fail(ns, off);
   return h;
 }
 
@@ -133,17 +152,21 @@ FindResult SsTable::get(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
   if (!BloomBuilder::may_contain(filter.data(), filter.size(), key))
     return FindResult::kNotFound;
   const std::uint64_t offsets_at = off + sizeof(Header) + h.filter_len;
-  const std::uint64_t data_at = offsets_at + h.count * 4;
+  const std::uint64_t data_at = offsets_at + std::uint64_t{h.count} * 4;
+  const std::uint64_t end = off + h.total_bytes;
 
   std::string local;
   std::string& k = keybuf != nullptr ? *keybuf : local;
   std::uint32_t lo = 0, hi = h.count;
   while (lo < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
-    const auto rel = ns.load_pod<std::uint32_t>(ctx, offsets_at + mid * 4);
-    const auto klen = ns.load_pod<std::uint32_t>(ctx, data_at + rel);
+    const std::uint64_t at =
+        data_at + ns.load_pod<std::uint32_t>(ctx, offsets_at + mid * 4);
+    bound(ns, at, 8, end);
+    const auto klen = ns.load_pod<std::uint32_t>(ctx, at);
+    bound(ns, at, 8 + std::uint64_t{klen}, end);
     k.resize(klen);
-    ns.load(ctx, data_at + rel + 8,
+    ns.load(ctx, at + 8,
             std::span<std::uint8_t>(
                 reinterpret_cast<std::uint8_t*>(k.data()), klen));
     if (k < key) {
@@ -151,12 +174,13 @@ FindResult SsTable::get(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
     } else if (k > key) {
       hi = mid;
     } else {
-      const auto vraw = ns.load_pod<std::uint32_t>(ctx, data_at + rel + 4);
-      if (vraw & kTombstoneBit) return FindResult::kTombstone;
+      const auto vraw = ns.load_pod<std::uint32_t>(ctx, at + 4);
       const std::uint32_t vlen = vraw & ~kTombstoneBit;
+      bound(ns, at, 8 + std::uint64_t{klen} + vlen, end);
+      if (vraw & kTombstoneBit) return FindResult::kTombstone;
       if (value != nullptr) {
         value->resize(vlen);
-        ns.load(ctx, data_at + rel + 8 + klen,
+        ns.load(ctx, at + 8 + klen,
                 std::span<std::uint8_t>(
                     reinterpret_cast<std::uint8_t*>(value->data()), vlen));
       }
@@ -172,6 +196,7 @@ SsTable::Residency SsTable::load_residency(sim::ThreadCtx& ctx,
   const Header h = load_header(ctx, ns, off);
   Residency r;
   r.count = h.count;
+  r.total_bytes = h.total_bytes;
   r.filter.resize(h.filter_len);
   if (h.filter_len > 0) ns.load(ctx, off + sizeof(Header), r.filter);
   r.offsets.resize(h.count);
@@ -191,20 +216,23 @@ FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
     return FindResult::kNotFound;
   const std::uint64_t offsets_at = off + sizeof(Header) + res.filter.size();
   const std::uint64_t data_at = offsets_at + std::uint64_t{res.count} * 4;
+  const std::uint64_t end = off + res.total_bytes;
 
   std::uint32_t lo = 0, hi = res.count;
   while (lo < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
-    const std::uint32_t rel = res.offsets[mid];
+    const std::uint64_t at = data_at + res.offsets[mid];
+    bound(ns, at, 8, end);
     // One line-aligned fetch stages the entry header and (for the
     // expected key size) the whole probe key; klen/vraw must be copied
     // out before the next fetch invalidates the staged pointer.
-    const std::uint8_t* e =
-        reader.fetch(ctx, ns, data_at + rel, 8, 8 + key.size());
+    const std::uint8_t* e = reader.fetch(ctx, ns, at, 8, 8 + key.size());
     std::uint32_t klen, vraw;
     std::memcpy(&klen, e, 4);
     std::memcpy(&vraw, e + 4, 4);
-    const std::uint8_t* kb = reader.fetch(ctx, ns, data_at + rel + 8, klen);
+    const std::uint32_t vlen = vraw & ~kTombstoneBit;
+    bound(ns, at, 8 + std::uint64_t{klen}, end);
+    const std::uint8_t* kb = reader.fetch(ctx, ns, at + 8, klen);
     const std::size_t n = std::min<std::size_t>(klen, key.size());
     int c = n == 0 ? 0 : std::memcmp(kb, key.data(), n);
     if (c == 0 && klen != key.size()) c = klen < key.size() ? -1 : 1;
@@ -213,11 +241,11 @@ FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
     } else if (c > 0) {
       hi = mid;
     } else {
+      bound(ns, at, 8 + std::uint64_t{klen} + vlen, end);
       if (vraw & kTombstoneBit) return FindResult::kTombstone;
-      const std::uint32_t vlen = vraw & ~kTombstoneBit;
       if (value != nullptr) {
         value->resize(vlen);
-        reader.read(ctx, ns, data_at + rel + 8 + klen,
+        reader.read(ctx, ns, at + 8 + klen,
                     std::span<std::uint8_t>(
                         reinterpret_cast<std::uint8_t*>(value->data()),
                         vlen));
@@ -232,24 +260,32 @@ SsTable::Cursor::Cursor(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                         std::uint64_t off, std::string_view start)
     : ns_(&ns) {
   const Header h = load_header(ctx, ns, off);
-  offsets_at_ = off + sizeof(Header) + h.filter_len;
-  data_at_ = offsets_at_ + std::uint64_t{h.count} * 4;
+  const std::uint64_t offsets_at = off + sizeof(Header) + h.filter_len;
+  next_ = offsets_at + std::uint64_t{h.count} * 4;  // entry 0
+  end_ = off + h.total_bytes;
   count_ = h.count;
   if (!start.empty()) {
-    // Lower bound: the first entry whose key is >= start.
+    // Lower bound: the first entry whose key is >= start. The last probe
+    // that lowers hi is the entry the cursor lands on.
+    const std::uint64_t data_at = next_;
     std::uint32_t hi = count_;
     while (i_ < hi) {
       const std::uint32_t mid = i_ + (hi - i_) / 2;
-      const auto rel = ns.load_pod<std::uint32_t>(ctx, offsets_at_ + mid * 4);
-      const auto klen = ns.load_pod<std::uint32_t>(ctx, data_at_ + rel);
+      const std::uint64_t at =
+          data_at + ns.load_pod<std::uint32_t>(ctx, offsets_at + mid * 4);
+      bound(ns, at, 8, end_);
+      const auto klen = ns.load_pod<std::uint32_t>(ctx, at);
+      bound(ns, at, 8 + std::uint64_t{klen}, end_);
       key_.resize(klen);
-      ns.load(ctx, data_at_ + rel + 8,
+      ns.load(ctx, at + 8,
               std::span<std::uint8_t>(
                   reinterpret_cast<std::uint8_t*>(key_.data()), klen));
-      if (key_ < start)
+      if (key_ < start) {
         i_ = mid + 1;
-      else
+      } else {
         hi = mid;
+        next_ = at;
+      }
     }
   }
   if (valid()) load_entry(ctx);
@@ -257,23 +293,40 @@ SsTable::Cursor::Cursor(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
 
 void SsTable::Cursor::next(sim::ThreadCtx& ctx) {
   ++i_;
-  if (valid()) load_entry(ctx);
+  if (valid())
+    load_entry(ctx);
+  else if (next_ != end_)
+    fail(*ns_, next_);  // count entries must end exactly at total_bytes
 }
 
 void SsTable::Cursor::load_entry(sim::ThreadCtx& ctx) {
-  const auto rel = ns_->load_pod<std::uint32_t>(ctx, offsets_at_ + i_ * 4);
-  const auto klen = ns_->load_pod<std::uint32_t>(ctx, data_at_ + rel);
-  const auto vraw = ns_->load_pod<std::uint32_t>(ctx, data_at_ + rel + 4);
-  const std::uint32_t vlen = vraw & ~kTombstoneBit;
-  key_.resize(klen);
+  const std::uint64_t at = next_;
+  bound(*ns_, at, 8, end_);
+  std::uint32_t len[2];  // klen, vlen | tombstone bit
+  copy(ctx, at, sizeof len, len);
+  const std::uint32_t vlen = len[1] & ~kTombstoneBit;
+  bound(*ns_, at, 8 + std::uint64_t{len[0]} + vlen, end_);
+  key_.resize(len[0]);
   value_.resize(vlen);
-  ns_->load(ctx, data_at_ + rel + 8,
-            std::span<std::uint8_t>(
-                reinterpret_cast<std::uint8_t*>(key_.data()), klen));
-  ns_->load(ctx, data_at_ + rel + 8 + klen,
-            std::span<std::uint8_t>(
-                reinterpret_cast<std::uint8_t*>(value_.data()), vlen));
-  tombstone_ = (vraw & kTombstoneBit) != 0;
+  copy(ctx, at + 8, len[0], key_.data());
+  copy(ctx, at + 8 + len[0], vlen, value_.data());
+  tombstone_ = (len[1] & kTombstoneBit) != 0;
+  next_ = at + 8 + len[0] + vlen;
+}
+
+void SsTable::Cursor::copy(sim::ThreadCtx& ctx, std::uint64_t at,
+                           std::size_t n, void* out) {
+  // One fetch per XPLine: a fetch inside the staged line is served from
+  // DRAM, and one past it stages exactly the next line.
+  auto* dst = static_cast<std::uint8_t*>(out);
+  while (n > 0) {
+    const std::size_t k = std::min<std::uint64_t>(
+        n, pmem::LineReader::kLine - at % pmem::LineReader::kLine);
+    std::memcpy(dst, reader_.fetch(ctx, *ns_, at, k), k);
+    at += k;
+    dst += k;
+    n -= k;
+  }
 }
 
 }  // namespace xp::kv

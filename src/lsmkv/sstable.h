@@ -12,7 +12,14 @@
 // giving realistic read amplification. Sequential reads go through one
 // routine, the Cursor: a range scan seeks it to its start key and stops
 // it after the rows it needs, compaction merges whole tables through
-// cursors seeked to "", and check() walks each table with one.
+// cursors seeked to "", and check() walks each table with one. The
+// cursor streams whole XPLines (guideline #1): each line under an entry
+// is loaded once, and the next entry in a loaded line costs no device
+// access.
+//
+// Every reader holds an entry to its table: lengths that run past the
+// header's total_bytes, or a walk that does not end exactly there, throw
+// hw::MediaError, as a header without the magic does.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +50,7 @@ class SsTable {
   // the staging buffer at build() time, or loaded once from PM at open.
   struct Residency {
     std::uint32_t count = 0;
+    std::uint32_t total_bytes = 0;  // the table's end, for the entry bound
     std::vector<std::uint8_t> filter;
     std::vector<std::uint32_t> offsets;
   };
@@ -99,8 +107,13 @@ class SsTable {
   // constructor loads the header and, for a non-empty start, binary-
   // searches the offset array with the timed loads a stock probe issues
   // (offset word, key length, key bytes); "" sorts before every key, so
-  // it starts at entry 0 with no search. Each entry the cursor lands on
-  // is loaded whole: offset word, key length, value length, key, value.
+  // it starts at entry 0 with no search. From there each entry is read
+  // through the cursor's own LineReader one XPLine at a time: every line
+  // the entry covers is staged whole, once, so the next entry in a staged
+  // line costs no device access, and next() steps by the entry's own
+  // lengths instead of loading its offset word. Nothing past the current
+  // entry's last line is read, so a scan that stops after n rows never
+  // loads (or faults on) a line that lies wholly beyond them.
   class Cursor {
    public:
     Cursor(sim::ThreadCtx& ctx, hw::PmemNamespace& ns, std::uint64_t off,
@@ -114,10 +127,13 @@ class SsTable {
 
    private:
     void load_entry(sim::ThreadCtx& ctx);
+    void copy(sim::ThreadCtx& ctx, std::uint64_t at, std::size_t n,
+              void* out);
 
     hw::PmemNamespace* ns_;
-    std::uint64_t offsets_at_ = 0;
-    std::uint64_t data_at_ = 0;
+    pmem::LineReader reader_;
+    std::uint64_t next_ = 0;  // where the entry after the current one starts
+    std::uint64_t end_ = 0;   // the table's end
     std::uint32_t count_ = 0;
     std::uint32_t i_ = 0;
     std::string key_;
@@ -137,7 +153,9 @@ class SsTable {
   // A header without the magic is what a salvage scrub of a poisoned line
   // leaves (zeros), so it throws hw::MediaError for the header's XPLine:
   // the caller's containment fails the op and repair() quarantines the
-  // table, where an assert would end the process.
+  // table, where an assert would end the process. So does a header whose
+  // filter and offset array overrun its total_bytes, or whose table
+  // overruns the namespace.
   static Header load_header(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
                             std::uint64_t off);
   static constexpr std::uint32_t kTombstoneBit = 0x80000000u;

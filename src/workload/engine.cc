@@ -31,6 +31,9 @@ struct ReadOracle {
 // Idle period of the background thread between turns that found no work.
 constexpr sim::Time kBackgroundPoll = sim::us(2);
 
+// Bound on the turns load() donates to retire the load's background debt.
+constexpr int kMaxLoadTurns = 100000;
+
 struct PerThread {
   PerThread(const Spec& spec, unsigned t)
       : rng(mix64(spec.seed * 0x9e3779b97f4a7c15ULL) + t + 1),
@@ -53,6 +56,8 @@ std::uint64_t load(StoreIface& store, const Spec& spec, sim::ThreadCtx& ctx) {
              .ok())
       ++unacked;
   store.flush_pending(ctx);
+  int turns = 0;
+  while (turns < kMaxLoadTurns && store.background_turn(ctx)) ++turns;
   return unacked;
 }
 

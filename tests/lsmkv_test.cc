@@ -193,6 +193,108 @@ TEST(SsTableTest, CursorSeeksToLowerBound) {
   EXPECT_EQ(walked, built);
 }
 
+// The offset of entry i of the table at `off`, read with untimed peeks
+// (header: u64 magic, u32 count, u32 total_bytes, u32 filter_len, u32 crc).
+std::uint64_t entry_off(const PmemNamespace& ns, std::uint64_t off,
+                        std::uint32_t i) {
+  const auto count = ns.peek_pod<std::uint32_t>(off + 8);
+  const auto filter_len = ns.peek_pod<std::uint32_t>(off + 16);
+  const std::uint64_t offsets_at = off + 24 + filter_len;
+  return offsets_at + std::uint64_t{count} * 4 +
+         ns.peek_pod<std::uint32_t>(offsets_at + std::uint64_t{i} * 4);
+}
+
+void poke_u32(PmemNamespace& ns, std::uint64_t off, std::uint32_t v) {
+  std::uint8_t b[4];
+  std::memcpy(b, &v, 4);
+  ns.poke(off, b);
+}
+
+// A walk loads each XPLine under its entries once. Entries with values
+// of 100-178 B straddle line boundaries and the last one ends inside a
+// line; the walk still returns exactly the built rows, tombstones
+// included, in fewer cache-line accesses per entry than five loads per
+// entry (offset word, two lengths, key, value) take.
+TEST(SsTableTest, CursorStreamsWholeXpLines) {
+  hw::Timing tm;
+  tm.llc_lines = 512;
+  Platform platform(tm, /*seed=*/1);
+  PmemNamespace& ns = platform.optane(64 << 20);
+  ThreadCtx t = make_thread();
+  std::vector<SsTable::Entry> entries;
+  for (int i = 0; i < 2000; ++i) {
+    const bool tomb = i % 7 == 3;
+    entries.push_back(
+        {key_of(i),
+         tomb ? "" : std::string(100 + i % 79, static_cast<char>('a' + i % 26)),
+         tomb});
+  }
+  const std::uint64_t size = SsTable::build(t, ns, 0, entries);
+  ASSERT_NE(size % Platform::kXpLineBytes, 0u);
+
+  using Row = std::tuple<std::string, std::string, bool>;
+  std::vector<Row> built, walked;
+  for (const SsTable::Entry& e : entries)
+    built.emplace_back(e.key, e.value, e.tombstone);
+  const hw::CacheCounters before = platform.cache_counters(0);
+  for (SsTable::Cursor c(t, ns, 0, ""); c.valid(); c.next(t))
+    walked.emplace_back(c.key(), c.value(), c.tombstone());
+  const hw::CacheCounters& after = platform.cache_counters(0);
+  EXPECT_EQ(walked, built);
+  // The entries average 143 B, about 2.2 cache lines; five loads per
+  // entry took 7.0 accesses per entry on this table.
+  const std::uint64_t accesses = after.load_hits + after.load_misses -
+                                 before.load_hits - before.load_misses;
+  EXPECT_LT(accesses, 3 * entries.size());
+}
+
+// Every reader holds an entry's lengths to its table. Entry 7's key
+// length poked to 0 or 300 stays inside the table, and the walk reads
+// the next "entry" from the middle of another; 70000 and 0x7fffffff run
+// past the table. Each ends in hw::MediaError, never in a wrong key, a
+// read past the table or an abort: a walk from "" and one seeked to
+// key 2 (whose search does not probe entry 7) throw, and so do both
+// point lookups where the length runs past the table. A walk that ends
+// short of total_bytes after `count` entries throws as well.
+TEST(SsTableTest, DamagedEntryLengthsThrowMediaError) {
+  std::vector<SsTable::Entry> entries;
+  for (int i = 0; i < 40; ++i)
+    entries.push_back({key_of(i), value_of(i), false});
+  auto walk = [](ThreadCtx& t, PmemNamespace& ns, std::string_view start) {
+    std::size_t rows = 0;
+    for (SsTable::Cursor c(t, ns, 0, start); c.valid(); c.next(t)) ++rows;
+    return rows;
+  };
+  for (const std::uint32_t klen : {0u, 300u, 70000u, 0x7fffffffu}) {
+    SCOPED_TRACE(klen);
+    Platform platform;
+    PmemNamespace& ns = platform.optane(64 << 20);
+    ThreadCtx t = make_thread();
+    SsTable::Residency res;
+    SsTable::build(t, ns, 0, entries, nullptr, &res);
+    poke_u32(ns, entry_off(ns, 0, 7), klen);
+    EXPECT_THROW(walk(t, ns, ""), hw::MediaError);
+    EXPECT_THROW(walk(t, ns, key_of(2)), hw::MediaError);
+    if (klen >= 70000) {
+      std::string v;
+      EXPECT_THROW(SsTable::get(t, ns, 0, key_of(7), &v), hw::MediaError);
+      pmem::LineReader reader;
+      EXPECT_THROW(SsTable::get_ex(t, ns, 0, key_of(7), &v, res, reader),
+                   hw::MediaError);
+    }
+  }
+
+  // The last entry's value one byte short: every length stays inside the
+  // table, and the walk of 40 entries ends one byte before its end.
+  Platform platform;
+  PmemNamespace& ns = platform.optane(64 << 20);
+  ThreadCtx t = make_thread();
+  SsTable::build(t, ns, 0, entries);
+  const std::uint64_t last = entry_off(ns, 0, 39);
+  poke_u32(ns, last + 4, ns.peek_pod<std::uint32_t>(last + 4) - 1);
+  EXPECT_THROW(walk(t, ns, ""), hw::MediaError);
+}
+
 TEST(SsTableTest, SurvivesCrash) {
   Platform platform;
   PmemNamespace& ns = platform.optane(64 << 20);

@@ -45,6 +45,36 @@ Tuple fingerprint(const telemetry::Delta& d, sim::Time t) {
           xc.media_read_bytes, t};
 }
 
+// The offset of the first SSTable header in `ns` (0 if none), found by
+// its magic with untimed peeks.
+std::uint64_t first_table(const hw::PmemNamespace& ns) {
+  std::vector<std::uint8_t> image(4 << 20);
+  ns.peek(0, image);
+  for (std::uint64_t off = 0; off + 8 <= image.size(); off += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, image.data() + off, 8);
+    if (word == kv::SsTable::kMagic) return off;
+  }
+  return 0;
+}
+
+// The offset of entry i of the table at `off` (header: u64 magic,
+// u32 count, u32 total_bytes, u32 filter_len, u32 crc).
+std::uint64_t entry_off(const hw::PmemNamespace& ns, std::uint64_t off,
+                        std::uint32_t i) {
+  const auto count = ns.peek_pod<std::uint32_t>(off + 8);
+  const auto filter_len = ns.peek_pod<std::uint32_t>(off + 16);
+  const std::uint64_t offsets_at = off + 24 + filter_len;
+  return offsets_at + std::uint64_t{count} * 4 +
+         ns.peek_pod<std::uint32_t>(offsets_at + std::uint64_t{i} * 4);
+}
+
+void poke_u32(hw::PmemNamespace& ns, std::uint64_t off, std::uint32_t v) {
+  std::uint8_t b[4];
+  std::memcpy(b, &v, 4);
+  ns.poke(off, b);
+}
+
 // ---------------------------------------------------------------------
 // Generators.
 
@@ -421,6 +451,28 @@ TEST(BackgroundCompaction, PendingDebtSurvivesReopen) {
   EXPECT_TRUE(db2.check(t).ok());
 }
 
+// load() retires the deferred compactions its puts scheduled, so the
+// measured phase after it does not pay for the load.
+TEST(BackgroundCompaction, LoadLeavesNoDebt) {
+  hw::Platform platform;
+  const auto ns =
+      workload::ShardedStore::make_namespaces(platform, 2, 48ull << 20);
+  workload::ShardOptions so;
+  so.kind = workload::StoreKind::kLsmkv;
+  so.tuning.memtable_bytes = 8 << 10;
+  so.tuning.write_combine = true;
+  so.tuning.read_path = true;
+  so.tuning.background_compaction = true;
+  workload::ShardedStore store(ns, so);
+  workload::Spec spec = workload::ycsb('A');
+  spec.records = 1000;
+  sim::ThreadCtx setup = make_thread(100);
+  store.create(setup);
+  EXPECT_EQ(workload::load(store, spec, setup), 0u);
+  EXPECT_FALSE(store.background_turn(setup));
+  EXPECT_TRUE(store.check(setup).ok());
+}
+
 // ---------------------------------------------------------------------
 // Sharded frontend.
 
@@ -518,6 +570,99 @@ TEST(ShardedStore, ReopenRecoversAllShards) {
   EXPECT_TRUE(again.check(t).ok());
 }
 
+// An entry length poked inside an SSTable fails reads with a media error
+// instead of wrong rows. Key lengths of 0 and 300 stay inside the table,
+// 70000 and 0x7fffffff run past it. A scan over the entry returns
+// kMediaError, and the inline compaction that would otherwise copy the
+// damage into a new run with a valid CRC throws hw::MediaError. repair()
+// then quarantines the damaged table, whose CRC no longer matches.
+TEST(DbRepair, DamagedEntryLengthFailsScanAndCompaction) {
+  for (const std::uint32_t klen : {0u, 300u, 70000u, 0x7fffffffu}) {
+    SCOPED_TRACE(klen);
+    hw::Platform platform;
+    hw::PmemNamespace& ns = platform.optane(64 << 20);
+    sim::ThreadCtx t = make_thread();
+    kv::DbOptions o;
+    o.l0_compaction_trigger = 3;  // the third flush merges
+    o.wal_capacity = 1 << 20;
+    auto value = [](int i) { return workload::make_value(i, 0, 100); };
+    {
+      kv::Db db(ns, o);
+      db.create(t);
+      for (int i = 0; i < 80; ++i) {
+        db.put(t, workload::key_name(i), value(i));
+        if (i % 40 == 39) db.flush(t);
+      }
+    }
+    const std::uint64_t table = first_table(ns);
+    ASSERT_NE(table, 0u);
+    poke_u32(ns, entry_off(ns, table, 7), klen);
+
+    {
+      auto store = workload::make_store(ns, o);
+      ASSERT_TRUE(store->open(t));
+      std::vector<std::pair<std::string, std::string>> rows;
+      EXPECT_EQ(store->try_scan(t, "", 100, &rows).status,
+                workload::OpStatus::kMediaError);
+    }
+
+    kv::Db db(ns, o);
+    ASSERT_TRUE(db.open(t));
+    db.put(t, workload::key_name(80), value(80));
+    EXPECT_THROW(db.flush(t), hw::MediaError);
+    db.repair(t);
+    EXPECT_EQ(db.recovery().tables_quarantined,
+              std::vector<std::string>{"l0[0]"});
+    EXPECT_TRUE(db.check(t).ok());
+    for (int i = 40; i <= 80; ++i) {
+      std::string v;
+      ASSERT_TRUE(db.get(t, workload::key_name(i), &v)) << i;
+      EXPECT_EQ(v, value(i)) << i;
+    }
+  }
+}
+
+// A scan loads only the XPLines under the entries it reads: no readahead.
+// A 5-row scan from "" of one table reads entries 0-4, so poison on the
+// first line past entry 4 leaves it Ok, and poison under entry 2's key
+// fails it with a typed media error.
+TEST(DbRepair, ScanReadsNoLinePastItsRows) {
+  auto scan = [](bool past, std::vector<std::pair<std::string, std::string>>*
+                                rows) {
+    hw::Platform platform;
+    hw::PmemNamespace& ns = platform.optane(64 << 20);
+    sim::ThreadCtx t = make_thread();
+    kv::DbOptions o;
+    o.wal_capacity = 1 << 20;
+    {
+      kv::Db db(ns, o);
+      db.create(t);
+      for (int i = 0; i < 40; ++i)
+        db.put(t, workload::key_name(i), workload::make_value(i, 0, 100));
+      db.flush(t);
+    }
+    const std::uint64_t table = first_table(ns);
+    constexpr std::uint64_t kLine = hw::Platform::kXpLineBytes;
+    const std::uint64_t line =
+        past ? (entry_off(ns, table, 5) + kLine - 1) / kLine * kLine
+             : (entry_off(ns, table, 2) + 8) / kLine * kLine;
+    EXPECT_LT(line, table + ns.peek_pod<std::uint32_t>(table + 12));
+    auto store = workload::make_store(ns, o);
+    EXPECT_TRUE(store->open(t));
+    platform.poison_line(ns, line);
+    return store->try_scan(t, "", 5, rows).status;
+  };
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_EQ(scan(/*past=*/true, &rows), workload::OpStatus::kOk);
+  ASSERT_EQ(rows.size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(rows[i].first, workload::key_name(i));
+    EXPECT_EQ(rows[i].second, workload::make_value(i, 0, 100));
+  }
+  rows.clear();
+  EXPECT_EQ(scan(/*past=*/false, &rows), workload::OpStatus::kMediaError);
+}
+
 // ---------------------------------------------------------------------
 // Self-healing resilience layer.
 
@@ -580,17 +725,7 @@ TEST(DbRepair, ZeroedTableHeaderFailsTypedReadsUntilRepair) {
       for (int i = 0; i < n; ++i) db.put(t, workload::key_name(i), value(i));
       db.flush(t);
     }
-    std::vector<std::uint8_t> image(4 << 20);
-    ns.peek(0, image);
-    std::uint64_t header = 0;
-    for (std::uint64_t off = 0; off + 8 <= image.size(); off += 8) {
-      std::uint64_t word;
-      std::memcpy(&word, image.data() + off, 8);
-      if (word == kv::SsTable::kMagic) {
-        header = off;
-        break;
-      }
-    }
+    const std::uint64_t header = first_table(ns);
     ASSERT_NE(header, 0u);
     const std::uint64_t line = header / hw::Platform::kXpLineBytes *
                                hw::Platform::kXpLineBytes;
