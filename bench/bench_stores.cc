@@ -374,6 +374,13 @@ Row run_lsmkv_read(const Cfg& c) {
   platform.flush_xp_buffers(t.now());
   fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
                 t.now() - t0);
+  // The read-path headline is measured on one L1 run: a compaction policy
+  // that leaves this setup another layout fails here, not by moving the
+  // speedup ratio.
+  if (const std::uint32_t runs = db.l1_runs(t); runs != 1) {
+    std::fprintf(stderr, "lsmkv read setup: %u L1 runs, want 1\n", runs);
+    std::_Exit(1);
+  }
   return r;
 }
 

@@ -23,8 +23,10 @@
 // background thread), plus a fault-free replicas=1 vs replicas=2
 // result-identity check. Gates (exit non-zero on violation): zero
 // silent corruptions under the host-side read oracle, degraded
-// throughput >= 0.6x healthy, the rebuilt shard byte-identical to its
-// surviving replica, and the identity checksums equal.
+// throughput within 0.6x-1.25x of healthy (a degraded run that beats
+// healthy measures an artifact, not resilience), the rebuilt shard
+// byte-identical to its surviving replica, and the identity checksums
+// equal.
 //
 // Usage: bench_ycsb [--mini] [--faults] [--jobs N] [--out FILE]
 //                   [--host-cores N]
@@ -214,6 +216,12 @@ const Row* find_row(const std::vector<Row>& rows, const char* store,
 
 // ---- --faults: degraded-mode grid and resilience gates ------------------
 
+// Degraded/healthy throughput bounds. Losing one of four shards may cost
+// throughput; degraded beating healthy by more than its spread over
+// workload seeds means the two rows measure different regimes.
+constexpr double kDegradedMin = 0.6;
+constexpr double kDegradedMax = 1.25;
+
 struct FaultRow {
   std::string name;
   double kops = 0;
@@ -258,6 +266,9 @@ FaultRow run_fault_point(const char* name, bool degraded, unsigned replicas,
     hw::FaultInjector(platform).poison_live(*shard_ns[0], 16,
                                             /*stride=*/4);
   }
+  // As in run_point: finish the setup before the measured epoch starts.
+  setup.drain();
+  platform.flush_xp_buffers(setup.now());
   platform.reset_timing();
 
   workload::EngineOptions eo;
@@ -437,8 +448,8 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(r.failovers),
                      static_cast<unsigned long long>(r.stats.keys_resilvered),
                      r.healthy_at_end ? "yes" : "NO");
-    benchutil::row("degraded/healthy throughput: %.2fx (gate >= 0.60x)",
-                   degraded_ratio);
+    benchutil::row("degraded/healthy throughput: %.2fx (gate %.2fx-%.2fx)",
+                   degraded_ratio, kDegradedMin, kDegradedMax);
     benchutil::row("replicas=1 vs replicas=2 identity: %s",
                    identity_ok ? "identical" : "MISMATCH");
 
@@ -460,8 +471,9 @@ int main(int argc, char** argv) {
                          degraded.stats.keys_lost));
       fault_gates_ok = false;
     }
-    if (degraded_ratio < 0.6) {
-      benchutil::row("GATE: degraded throughput below 0.6x healthy");
+    if (degraded_ratio < kDegradedMin || degraded_ratio > kDegradedMax) {
+      benchutil::row("GATE: degraded throughput outside %.2fx-%.2fx healthy",
+                     kDegradedMin, kDegradedMax);
       fault_gates_ok = false;
     }
     if (degraded.failovers == 0 || degraded.stats.keys_resilvered == 0) {

@@ -72,10 +72,10 @@ done
 echo
 echo "== resilience fault smoke (bench_ycsb --faults, ASan/UBSan) =="
 # Degraded-mode grid on the replicated sharded frontend: zero silent
-# corruptions under the read oracle, degraded throughput >= 0.6x
-# healthy, the rebuilt shard byte-identical to its surviving replica,
-# and replicas=1 result-identity. The binary exits non-zero if any
-# resilience gate fails.
+# corruptions under the read oracle, degraded throughput within
+# 0.6x-1.25x of healthy, the rebuilt shard byte-identical to its
+# surviving replica, and replicas=1 result-identity. The binary exits
+# non-zero if any resilience gate fails.
 build-asan/bench/bench_ycsb --mini --faults --out "$(mktemp)"
 
 echo

@@ -86,6 +86,10 @@ struct DbStats {
   // many times a writer hit the stall gate and paid the merge inline.
   std::uint64_t background_compactions = 0;
   std::uint64_t write_stalls = 0;
+  // Table bytes compaction merged (the runs it freed) and wrote (its
+  // output run). Host-side counters: they cost no simulated time.
+  std::uint64_t compaction_read_bytes = 0;
+  std::uint64_t compaction_write_bytes = 0;
 };
 
 }  // namespace xp::kv

@@ -321,13 +321,14 @@ std::vector<SsTable::Entry> Db::memtable_rows(sim::ThreadCtx& ctx,
   return rows;
 }
 
-void Db::merge(sim::ThreadCtx& ctx, const Manifest& m, std::string_view start,
-               const std::vector<SsTable::Entry>& mem, const MergeFn& emit) {
+void Db::merge(sim::ThreadCtx& ctx, const Manifest& m, std::uint32_t l1_from,
+               std::string_view start, const std::vector<SsTable::Entry>& mem,
+               const MergeFn& emit) {
   std::vector<SsTable::Cursor> runs;
-  runs.reserve(m.n_l0 + m.n_l1);
+  runs.reserve(m.n_l0 + m.n_l1 - l1_from);
   for (std::uint32_t i = m.n_l0; i-- > 0;)
     runs.emplace_back(ctx, pool_.ns(), m.l0[i].off, start);
-  for (std::uint32_t i = m.n_l1; i-- > 0;)
+  for (std::uint32_t i = m.n_l1; i-- > l1_from;)
     runs.emplace_back(ctx, pool_.ns(), m.l1[i].off, start);
 
   // At most 1 + kMaxL0 + kMaxL1 sources, so a linear pick.
@@ -368,7 +369,7 @@ std::vector<std::pair<std::string, std::string>> Db::scan(
   if (opts_.memtable != MemtableMode::kPersistent)
     ctx.advance_by(kCpuMemtableOp);
   // Tombstones hide their key and do not count toward max_results.
-  merge(ctx, load_manifest(ctx), start_key, mem,
+  merge(ctx, load_manifest(ctx), 0, start_key, mem,
         [&](std::string_view k, std::string_view v, bool tomb) {
           if (!tomb) out.emplace_back(k, v);
           return out.size() < max_results;
@@ -517,10 +518,12 @@ void Db::flush(sim::ThreadCtx& ctx) {
     pmem::Tx tx(pool_, ctx);
     m.l0[m.n_l0++] = write_table(ctx, tx, entries);
     if (opts_.memtable == MemtableMode::kPersistent) {
-      // Start a fresh persistent memtable: new head slot, old nodes are
-      // reclaimed wholesale (arena-style) by a full compaction. The new
-      // head is initialized before commit so a post-commit crash never
-      // exposes an uninitialized root.
+      // Start a fresh persistent memtable: a new head slot. Nothing frees
+      // the old skiplist's head or nodes: each was bumped off the pool's
+      // heap top on its own, not carved from an arena a flush could
+      // release at once, so every flush leaks them. The new head is
+      // initialized before commit so a post-commit crash never exposes an
+      // uninitialized root.
       const std::uint64_t new_root = pool_.tx_alloc(tx, 64);
       m.pskiplist_root = new_root;
       store_manifest(ctx, tx, m);
@@ -560,26 +563,54 @@ bool Db::background_work(sim::ThreadCtx& ctx) {
   return true;
 }
 
+std::size_t Db::plan_compaction(std::span<const std::uint64_t> l1_sizes,
+                                std::uint64_t l0_bytes) {
+  std::size_t keep = l1_sizes.size();
+  std::uint64_t gathered = l0_bytes;
+  while (keep > 0 && l1_sizes[keep - 1] <= kTierRatio * gathered)
+    gathered += l1_sizes[--keep];
+  // The output joins the kept runs: leave room for the next merge's.
+  return std::min<std::size_t>(keep, kMaxL1 - 2);
+}
+
 void Db::compact(sim::ThreadCtx& ctx, Manifest m) {
   ++stats_.compactions;
-  // Full merge of every run: the newest version wins, and tombstones drop
-  // because no older run is left for them to hide.
+  // Size-tiered: every L0 run merges with the newest L1 runs of
+  // comparable size, and the output becomes the newest L1 run. The older,
+  // larger runs stay as they are, so their keys' tombstones must survive
+  // unless the merge reaches the oldest run.
+  std::uint64_t l0_bytes = 0;
+  for (std::uint32_t i = 0; i < m.n_l0; ++i) l0_bytes += m.l0[i].size;
+  std::uint64_t l1_sizes[kMaxL1];
+  for (std::uint32_t i = 0; i < m.n_l1; ++i) l1_sizes[i] = m.l1[i].size;
+  const auto keep = static_cast<std::uint32_t>(
+      plan_compaction(std::span(l1_sizes, m.n_l1), l0_bytes));
+
   std::vector<SsTable::Entry> entries;
-  merge(ctx, m, "", {},
+  merge(ctx, m, keep, "", {},
         [&](std::string_view k, std::string_view v, bool tomb) {
-          if (!tomb) entries.push_back({std::string(k), std::string(v)});
+          if (!tomb || keep > 0)
+            entries.push_back({std::string(k), std::string(v), tomb});
           return true;
         });
 
+  // The merged runs join the free list only at commit, so the output
+  // cannot land on one of them: a crash before the commit leaves them
+  // intact for the manifest it rolls back to.
   pmem::Tx tx(pool_, ctx);
   Manifest out = m;
-  for (std::uint32_t i = 0; i < m.n_l0; ++i)
-    pool_.tx_free(tx, m.l0[i].off, m.l0[i].size);
-  for (std::uint32_t i = 0; i < m.n_l1; ++i)
-    pool_.tx_free(tx, m.l1[i].off, m.l1[i].size);
+  auto free_run = [&](const TableRef& t) {
+    pool_.tx_free(tx, t.off, t.size);
+    stats_.compaction_read_bytes += t.size;
+  };
+  for (std::uint32_t i = 0; i < m.n_l0; ++i) free_run(m.l0[i]);
+  for (std::uint32_t i = keep; i < m.n_l1; ++i) free_run(m.l1[i]);
   out.n_l0 = 0;
-  out.n_l1 = 0;
-  if (!entries.empty()) out.l1[out.n_l1++] = write_table(ctx, tx, entries);
+  out.n_l1 = keep;
+  if (!entries.empty()) {
+    out.l1[out.n_l1++] = write_table(ctx, tx, entries);
+    stats_.compaction_write_bytes += out.l1[keep].size;
+  }
   store_manifest(ctx, tx, out);
   tx.commit();
   prune_residency(out);

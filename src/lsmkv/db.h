@@ -6,16 +6,18 @@
 //   * persistent skiplist memtable, no WAL (fine-grained persistence).
 //
 // Writes go to the memtable (+WAL); when the memtable exceeds the
-// threshold it is flushed to an L0 SSTable; when L0 fills up, all runs
-// are merge-compacted into a single L1 run. The manifest lives in the
-// pool root and is updated transactionally, so crash-recovery resumes
-// from a consistent table set plus WAL replay.
+// threshold it is flushed to an L0 SSTable; when L0 fills up, the L0 runs
+// are merge-compacted with the newest L1 runs of comparable size into one
+// new L1 run (size-tiered: older, larger runs are not rewritten). The
+// manifest lives in the pool root and is updated transactionally, so
+// crash-recovery resumes from a consistent table set plus WAL replay.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -35,6 +37,19 @@ class Db {
  public:
   static constexpr unsigned kMaxL0 = 16;
   static constexpr unsigned kMaxL1 = 16;
+  // Size-tiered compaction absorbs the next-older L1 run while it holds
+  // at most this many times the bytes the merge has gathered so far.
+  static constexpr std::uint64_t kTierRatio = 2;
+
+  // How many of the oldest L1 runs a compaction of `l0_bytes` of L0 runs
+  // leaves in place, given the L1 run sizes oldest first (the manifest's
+  // order); it merges the rest. Walking back from the newest run, each
+  // next-older run is absorbed while it is at most kTierRatio times the
+  // bytes gathered so far; and a merge that would leave kMaxL1 runs
+  // absorbs one more. Tombstones drop only when it keeps none, as nothing
+  // older is then left for them to hide.
+  static std::size_t plan_compaction(std::span<const std::uint64_t> l1_sizes,
+                                     std::uint64_t l0_bytes);
 
   Db(hw::PmemNamespace& ns, DbOptions opts)
       : opts_(opts), pool_(ns) {}
@@ -122,6 +137,12 @@ class Db {
       sim::ThreadCtx& ctx, std::string_view start_key,
       std::size_t max_results);
 
+  // The committed manifest's L1 run count (one timed manifest load), for
+  // tests and benches that pin the layout they measure.
+  std::uint32_t l1_runs(sim::ThreadCtx& ctx) {
+    return load_manifest(ctx).n_l1;
+  }
+
   const DbStats& stats() const { return stats_; }
   const DbOptions& options() const { return opts_; }
   pmem::Pool& pool() { return pool_; }
@@ -165,15 +186,17 @@ class Db {
                                             std::string_view start,
                                             std::size_t max_live);
   // The k-way merge scan and compaction share. `mem` (memtable rows, the
-  // newest source) and one SsTable::Cursor per run of `m`, newest first
-  // and seeked to `start`, meet in a linear pick: the smallest key comes
-  // next, the newest source holding it wins, and every source at that key
-  // steps past it. emit(key, value, tombstone) sees each key once, in
-  // order, and returns false to stop.
+  // newest source) and one SsTable::Cursor per run of `m` from its newest
+  // down to L1 run `l1_from` (every L0 run; a scan passes 0, a compaction
+  // the runs it keeps), each seeked to `start`, meet in a linear pick:
+  // the smallest key comes next, the newest source holding it wins, and
+  // every source at that key steps past it. emit(key, value, tombstone)
+  // sees each key once, in order, and returns false to stop.
   using MergeFn =
       std::function<bool(std::string_view, std::string_view, bool)>;
-  void merge(sim::ThreadCtx& ctx, const Manifest& m, std::string_view start,
-             const std::vector<SsTable::Entry>& mem, const MergeFn& emit);
+  void merge(sim::ThreadCtx& ctx, const Manifest& m, std::uint32_t l1_from,
+             std::string_view start, const std::vector<SsTable::Entry>& mem,
+             const MergeFn& emit);
   // Allocate and build one run of sorted `entries` inside `tx` (and keep
   // its residency under read_combine).
   TableRef write_table(sim::ThreadCtx& ctx, pmem::Tx& tx,

@@ -8,8 +8,10 @@
 //
 // Crash consistency: a node is fully persistent before it is linked; the
 // level-0 link is a single atomic 64-bit persist. Crashes leak at most
-// one unlinked node (reclaimed by the next flush's rebuild) and may leave
-// upper-level links unset, which only affects search speed.
+// one unlinked node and may leave upper-level links unset, which only
+// affects search speed. Nothing reclaims a leaked node: each node is
+// bumped off the pool's heap top on its own, and Db::flush starts a new
+// skiplist without freeing the old one's nodes either.
 #pragma once
 
 #include <cstdint>

@@ -29,14 +29,18 @@ const char* Pool::header_error(const Header& h) const {
 }
 
 std::string Pool::chunk_error(ThreadCtx& ctx, const Header& h,
-                              std::uint64_t cur, FreeChunk& chunk) {
+                              std::uint64_t prev_end, std::uint64_t cur,
+                              FreeChunk& chunk) {
   const auto at = [cur] { return "free chunk @" + std::to_string(cur); };
   if (cur % 64 != 0) return at() + ": misaligned";
   if (cur < kHeapBase || cur + sizeof(FreeChunk) > h.heap_top)
     return at() + ": outside heap";
+  if (cur <= prev_end)
+    return at() + ": not past the chunk before it (unordered or uncoalesced)";
   chunk = ns_.load_pod<FreeChunk>(ctx, cur);
   if (chunk.size < 64 || chunk.size % 64 != 0 || cur + chunk.size > h.heap_top)
     return at() + ": bad size " + std::to_string(chunk.size);
+  if (cur + chunk.size == h.heap_top) return at() + ": reaches heap_top";
   return "";
 }
 
@@ -146,20 +150,18 @@ void Pool::repair(ThreadCtx& ctx) {
 
 void Pool::repair_free_list(ThreadCtx& ctx) {
   const Header h = read_header(ctx);  // header line is clean by now
-  const std::uint64_t max_chunks = (h.heap_top - kHeapBase) / 64;
+  // chunk_error() keeps the walk address-ordered, so it ends.
   std::uint64_t prev = 0;
+  std::uint64_t prev_end = 0;
   std::uint64_t cur = h.free_head;
-  std::uint64_t steps = 0;
   while (cur != 0) {
-    bool bad = ++steps > max_chunks;
+    bool bad = false;
     FreeChunk chunk{};
-    if (!bad) {
-      try {
-        bad = !chunk_error(ctx, h, cur, chunk).empty();
-      } catch (const hw::MediaError& e) {
-        scrub_line(ctx, e.line_off);
-        bad = true;
-      }
+    try {
+      bad = !chunk_error(ctx, h, prev_end, cur, chunk).empty();
+    } catch (const hw::MediaError& e) {
+      scrub_line(ctx, e.line_off);
+      bad = true;
     }
     if (bad) {
       // Truncate at the damage point: the unreachable suffix is leaked
@@ -172,6 +174,7 @@ void Pool::repair_free_list(ThreadCtx& ctx) {
       return;
     }
     prev = cur;
+    prev_end = cur + chunk.size;
     cur = chunk.next;
   }
 }
@@ -192,25 +195,16 @@ std::string Pool::check_impl(ThreadCtx& ctx) {
       return "lane " + std::to_string(l) + ": not idle after recovery";
   }
 
-  // Free list: acyclic, every chunk passing chunk_error(), chunks
-  // non-overlapping. The step bound doubles as a cycle detector — the
-  // heap can hold at most heap_bytes/64 distinct chunks.
-  const std::uint64_t max_chunks = (h.heap_top - kHeapBase) / 64;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
-  std::uint64_t cur = h.free_head;
-  while (cur != 0) {
-    if (spans.size() > max_chunks) return "free list: cycle";
+  // Free list: every chunk passes chunk_error(), which keeps the list
+  // address-ordered (so acyclic and non-overlapping) and coalesced.
+  std::uint64_t prev_end = 0;
+  for (std::uint64_t cur = h.free_head; cur != 0;) {
     FreeChunk chunk{};
-    if (std::string err = chunk_error(ctx, h, cur, chunk); !err.empty())
+    if (std::string err = chunk_error(ctx, h, prev_end, cur, chunk);
+        !err.empty())
       return err;
-    spans.emplace_back(cur, cur + chunk.size);
+    prev_end = cur + chunk.size;
     cur = chunk.next;
-  }
-  std::sort(spans.begin(), spans.end());
-  for (std::size_t i = 1; i < spans.size(); ++i) {
-    if (spans[i].first < spans[i - 1].second)
-      return "free chunks @" + std::to_string(spans[i - 1].first) + " and @" +
-             std::to_string(spans[i].first) + ": overlap";
   }
   return "";
 }
@@ -230,7 +224,7 @@ std::uint64_t Pool::tx_alloc(Tx& tx, std::uint64_t size) {
   ThreadCtx& ctx = tx.ctx_;
   size = std::max<std::uint64_t>((size + 63) / 64 * 64, 64);
 
-  // First-fit walk of the free list.
+  // First-fit walk of the free list (lowest address first).
   Header h = read_header(ctx);
   std::uint64_t prev = 0;  // 0 = head pointer in the header
   std::uint64_t cur = h.free_head;
@@ -275,15 +269,56 @@ std::uint64_t Pool::tx_alloc(Tx& tx, std::uint64_t size) {
 
 void Pool::tx_free(Tx& tx, std::uint64_t off, std::uint64_t size) {
   assert(tx.active());
+  tx.frees_.emplace_back(off,
+                         std::max<std::uint64_t>((size + 63) / 64 * 64, 64));
+}
+
+void Pool::link_free(Tx& tx, std::uint64_t off, std::uint64_t size) {
   ThreadCtx& ctx = tx.ctx_;
-  size = std::max<std::uint64_t>((size + 63) / 64 * 64, 64);
   const Header h = read_header(ctx);
-  FreeChunk chunk{h.free_head, size};
-  tx.add(off, sizeof(FreeChunk));
-  tx.store(off, std::span<const std::uint8_t>(
-                    reinterpret_cast<const std::uint8_t*>(&chunk),
-                    sizeof(chunk)));
-  relink(tx, 0, off);
+  // The chunks either side of `off`: `before` (last below it, `b` its
+  // header, `link` the chunk pointing at it) and `after` (first above).
+  std::uint64_t link = 0, before = 0, after = h.free_head;
+  FreeChunk b{};
+  while (after != 0 && after < off) {
+    link = before;
+    before = after;
+    b = ns_.load_pod<FreeChunk>(ctx, before);
+    after = b.next;
+  }
+  std::uint64_t next = after;
+  if (after != 0 && off + size == after) {  // absorb `after`
+    const FreeChunk a = ns_.load_pod<FreeChunk>(ctx, after);
+    size += a.size;
+    next = a.next;
+  }
+  const bool join = before != 0 && before + b.size == off;
+  if (join) {  // grow `before` over it
+    off = before;
+    size += b.size;
+  }
+  auto set = [&tx](std::uint64_t at, std::uint64_t v) {
+    tx.add(at, sizeof v);
+    tx.store(at, bytes_of(&v, sizeof v));
+  };
+
+  // Unlink before shrinking the heap or growing `before`, so no prefix of
+  // these stores leaves a chunk past heap_top or two chunks overlapping.
+  if (off + size == h.heap_top) {  // back to the bump allocator
+    if (join) relink(tx, link, next);
+    else if (next != after) relink(tx, before, next);
+    set(offsetof(Header, heap_top), off);
+    return;
+  }
+  if (join) {
+    if (next != after) relink(tx, before, next);
+    set(off + offsetof(FreeChunk, size), size);
+    return;
+  }
+  const FreeChunk chunk{next, size};
+  tx.add(off, sizeof chunk);
+  tx.store(off, bytes_of(&chunk, sizeof chunk));
+  relink(tx, before, off);
 }
 
 void Pool::relink(Tx& tx, std::uint64_t prev, std::uint64_t next) {
@@ -363,6 +398,10 @@ void Tx::store(std::uint64_t off, std::span<const std::uint8_t> data) {
 
 void Tx::commit() {
   assert(active_);
+  // The transaction's frees join the free list only now, so none of its
+  // allocations landed on them.
+  for (const auto& [off, size] : frees_) pool_.link_free(*this, off, size);
+  frees_.clear();
   // User stores were flushed as they were made; one fence makes them
   // durable, then retiring the lane (state 0) makes the commit atomic.
   pool_.ns_.sfence(ctx_);
@@ -385,6 +424,7 @@ void Tx::commit() {
 
 void Tx::abort() {
   assert(active_);
+  frees_.clear();
   // Roll back in reverse order.
   for (std::uint32_t i = hdr_.nentries; i-- > 0;) {
     const Entry e = pool_.ns_.load_pod<Entry>(

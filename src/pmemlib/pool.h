@@ -2,9 +2,10 @@
 //
 // Mini-PMDK (libpmemobj) equivalent: a pool has a header, a fixed array of
 // per-thread transaction lanes (undo logs), and a heap managed by a
-// logged first-fit free-list allocator. All mutations of pool metadata go
-// through transactions, so a crash at any instruction boundary recovers to
-// a consistent state (tests verify this property at random crash points).
+// logged first-fit allocator over an address-ordered, coalescing free
+// list. All mutations of pool metadata go through transactions, so a
+// crash at any instruction boundary recovers to a consistent state (tests
+// verify this property at random crash points).
 //
 // Layout:
 //   [0, 4K)                 header
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pmemlib/pmem_ops.h"
@@ -81,8 +83,9 @@ class Pool {
 
   // Recovery invariants (crashmc checker entry point). Call after open():
   // verifies the header, that every lane is durably idle, and that the
-  // allocator metadata is sane — heap_top within bounds and the free list
-  // acyclic, aligned, in-heap, and non-overlapping.
+  // allocator metadata is sane — heap_top within bounds and every free
+  // chunk passing chunk_error() (so the list is address-ordered and
+  // coalesced).
   Status check(ThreadCtx& ctx);
 
   // Test-only fault injection for crashmc's negative tests: deliberately
@@ -103,7 +106,10 @@ class Pool {
   // Transactional allocation (PMDK pmemobj_tx_alloc/_free equivalents).
   // Returned offsets are 64-byte aligned. Allocation metadata updates are
   // undo-logged in `tx`, so an aborted or crashed transaction leaks
-  // nothing and frees nothing.
+  // nothing and frees nothing. A freed chunk joins the free list only
+  // when `tx` commits, as in PMDK: nothing the same transaction allocates
+  // lands on it, so a caller may free an object and write its replacement
+  // (with raw, unlogged stores) in one transaction.
   std::uint64_t tx_alloc(Tx& tx, std::uint64_t size);
   void tx_free(Tx& tx, std::uint64_t off, std::uint64_t size);
 
@@ -168,10 +174,13 @@ class Pool {
   // why `h` is not this namespace's pool header, or null.
   const char* header_error(const Header& h) const;
   // The one free-chunk rule, for repair_free_list() and check(): `cur`
-  // aligned inside `h`'s allocated heap, then (loaded into `chunk`) a
-  // size that is a positive multiple of 64 ending inside it. Returns why
-  // `cur` cannot be a free chunk, or "".
-  std::string chunk_error(ThreadCtx& ctx, const Header& h, std::uint64_t cur,
+  // aligned inside `h`'s allocated heap and past `prev_end` (the end of
+  // the chunk before it, 0 for the first), then (loaded into `chunk`) a
+  // size that is a positive multiple of 64 ending below heap_top. So the
+  // list is address-ordered and coalesced: no two chunks touch, and none
+  // reaches heap_top. Returns why `cur` cannot be a free chunk, or "".
+  std::string chunk_error(ThreadCtx& ctx, const Header& h,
+                          std::uint64_t prev_end, std::uint64_t cur,
                           FreeChunk& chunk);
   std::string check_impl(ThreadCtx& ctx);
   // Drop the unreachable/damaged suffix of the free list at the first
@@ -181,6 +190,12 @@ class Pool {
   // Point `prev` (a free chunk, or the header's free_head when 0) at
   // `next`, undo-logged in `tx`.
   void relink(Tx& tx, std::uint64_t prev, std::uint64_t next);
+  // Tx::commit's half of tx_free: insert [off, off+size) into the
+  // address-ordered list, joining the chunks on either side that it
+  // touches; a chunk that reaches heap_top lowers heap_top instead. Every
+  // step is undo-logged and each prefix of its stores leaves a valid
+  // list (at worst one that leaks the chunk).
+  void link_free(Tx& tx, std::uint64_t off, std::uint64_t size);
 
   hw::PmemNamespace& ns_;
   TestFault test_fault_ = TestFault::kNone;
@@ -242,6 +257,8 @@ class Tx {
   std::uint64_t base_;  // namespace offset of the lane
   LaneHeader hdr_{};
   bool active_ = false;
+  // tx_free's chunks {off, size}, linked into the free list at commit.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> frees_;
 };
 
 }  // namespace xp::pmem

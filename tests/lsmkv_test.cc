@@ -944,6 +944,297 @@ TEST(DbRepair, BackupManifestSurvivesCrashInFlush) {
   }
 }
 
+// ---- size-tiered compaction ---------------------------------------------
+// The absorb rule on synthetic sizes (L1 oldest first, as in the
+// manifest).
+TEST(DbCompaction, PlanAbsorbsRunsUpToTheTierRatio) {
+  // How many of the oldest runs the merge keeps; it drops tombstones
+  // only when that is none.
+  auto keep = [](std::vector<std::uint64_t> l1, std::uint64_t l0) {
+    return Db::plan_compaction(l1, l0);
+  };
+  static_assert(Db::kTierRatio == 2);
+  // No L1 run: the merge reaches the (empty) bottom.
+  EXPECT_EQ(keep({}, 100), 0u);
+  // Exactly twice the gathered bytes is absorbed; one byte more stays.
+  EXPECT_EQ(keep({200}, 100), 0u);
+  EXPECT_EQ(keep({201}, 100), 1u);
+  // Each absorbed run adds to the bytes gathered: 100 <= 2 * 50, then
+  // 300 <= 2 * 150, then 1000 > 2 * 450 stays, and so do the runs
+  // older than it.
+  EXPECT_EQ(keep({100, 1000, 300, 100}, 50), 2u);
+  // Absorbing every run reaches the oldest.
+  EXPECT_EQ(keep({400, 150, 100}, 50), 0u);
+  // A merge that would leave kMaxL1 runs absorbs one more.
+  const std::vector<std::uint64_t> full(Db::kMaxL1 - 1, 1 << 20);
+  EXPECT_EQ(keep(full, 1), Db::kMaxL1 - 2);
+  const std::vector<std::uint64_t> fewer(Db::kMaxL1 - 2, 1 << 20);
+  EXPECT_EQ(keep(fewer, 1), Db::kMaxL1 - 2);
+}
+
+// The store's rows in key order, as an SSTable would hold them.
+std::vector<SsTable::Entry> rows_of(
+    const std::map<std::string, std::string>& model) {
+  std::vector<SsTable::Entry> rows;
+  for (const auto& [k, v] : model) rows.push_back({k, v});
+  return rows;
+}
+
+// A tombstone for a key that only an older, kept L1 run holds survives
+// the partial merge (written into its output), stays hidden from get and
+// scan, and drops at the next merge that reaches the oldest run. Each
+// merge's output is checked byte for byte through the write counter.
+TEST(DbCompaction, TombstoneSurvivesUntilTheMergeReachesTheOldestRun) {
+  Platform platform;
+  PmemNamespace& ns = platform.optane(64 << 20);
+  ThreadCtx t = make_thread();
+  const DbOptions o{.memtable_bytes = 1 << 20,
+                    .l0_compaction_trigger = 2,
+                    .wal_capacity = 1 << 20};
+  Db db(ns, o);
+  db.create(t);
+  std::map<std::string, std::string> model;
+  auto put = [&](int i) {
+    db.put(t, key_of(i), value_of(i));
+    model[key_of(i)] = value_of(i);
+  };
+  auto expect_model = [&] {
+    std::string v;
+    EXPECT_FALSE(db.get(t, key_of(0), &v));
+    for (const auto& [k, want] : model) {
+      ASSERT_TRUE(db.get(t, k, &v)) << k;
+      EXPECT_EQ(v, want);
+    }
+    const std::vector<std::pair<std::string, std::string>> rows(
+        model.begin(), model.end());
+    EXPECT_EQ(db.scan(t, "", static_cast<std::size_t>(-1)), rows);
+    EXPECT_TRUE(db.check(t).ok());
+  };
+
+  // Two flushes, one full merge: the L1 run every later merge sits on.
+  for (int i = 0; i < 60; ++i) {
+    put(i);
+    if (i == 29) db.flush(t);
+  }
+  db.flush(t);
+  ASSERT_EQ(db.stats().compactions, 1u);
+  const std::uint64_t oldest = db.stats().compaction_write_bytes;
+  EXPECT_EQ(oldest, SsTable::encoded_size(rows_of(model)));
+
+  // Delete a key only that run holds; two small flushes merge alone.
+  db.del(t, key_of(0));
+  model.erase(key_of(0));
+  put(100);
+  db.flush(t);
+  put(101);
+  DbStats before = db.stats();
+  db.flush(t);
+  ASSERT_EQ(db.stats().compactions, 2u);
+  EXPECT_LT(db.stats().compaction_read_bytes - before.compaction_read_bytes,
+            oldest);
+  EXPECT_EQ(db.stats().compaction_write_bytes - before.compaction_write_bytes,
+            SsTable::encoded_size({{key_of(0), "", true},
+                                   {key_of(100), value_of(100)},
+                                   {key_of(101), value_of(101)}}));
+  expect_model();
+
+  // L0 runs as large as the oldest run: the merge absorbs both L1 runs,
+  // and its output holds no tombstone.
+  for (int i = 200; i < 260; ++i) {
+    put(i);
+    if (i == 229) db.flush(t);
+  }
+  before = db.stats();
+  db.flush(t);
+  ASSERT_EQ(db.stats().compactions, 3u);
+  EXPECT_GT(db.stats().compaction_read_bytes - before.compaction_read_bytes,
+            oldest);
+  EXPECT_EQ(db.stats().compaction_write_bytes - before.compaction_write_bytes,
+            SsTable::encoded_size(rows_of(model)));
+  expect_model();
+}
+
+// A partial merge keeps the older L1 run and writes the tombstone of a
+// key only that run holds. Crash at every persist event of the flush that
+// triggers it and reopen: check() passes, the key stays deleted through
+// get and scan, and every other key reads its last committed value.
+TEST(DbCompaction, CrashInPartialMergeKeepsTheTombstone) {
+  const DbOptions o{.memtable_bytes = 1 << 20,
+                    .l0_compaction_trigger = 2,
+                    .wal_capacity = 1 << 20};
+  std::map<std::string, std::string> want;
+  for (int i = 1; i < 60; ++i) want[key_of(i)] = value_of(i);
+  want[key_of(100)] = value_of(100);
+  want[key_of(101)] = value_of(101);
+  // L1 = one merged run of keys 0..59, then L0 = {del 0, put 100} and the
+  // memtable {put 101}; the flush under test merges the two L0 runs.
+  auto fill = [](ThreadCtx& t, Db& db) {
+    db.create(t);
+    for (int i = 0; i < 60; ++i) {
+      db.put(t, key_of(i), value_of(i));
+      if (i == 29 || i == 59) db.flush(t);
+    }
+    db.del(t, key_of(0));
+    db.put(t, key_of(100), value_of(100));
+    db.flush(t);
+    db.put(t, key_of(101), value_of(101));
+  };
+  std::uint64_t events = 0;
+  {
+    Platform platform;
+    ThreadCtx t = make_thread();
+    Db db(platform.optane(64 << 20), o);
+    fill(t, db);
+    const DbStats before = db.stats();
+    const std::uint64_t events_before = platform.persist_events();
+    db.flush(t);
+    events = platform.persist_events() - events_before;
+    // The merge leaves the older run in place: it reads and writes fewer
+    // bytes than that run (the first merge's output) holds.
+    ASSERT_EQ(db.stats().compactions, before.compactions + 1);
+    const std::uint64_t older = before.compaction_write_bytes;
+    EXPECT_LT(db.stats().compaction_read_bytes - before.compaction_read_bytes,
+              older);
+    EXPECT_LT(
+        db.stats().compaction_write_bytes - before.compaction_write_bytes,
+        older);
+  }
+  ASSERT_GT(events, 0u);
+  const std::vector<std::pair<std::string, std::string>> rows(want.begin(),
+                                                              want.end());
+  // One crash point per call; an ASSERT ends only its own point.
+  auto crash_at = [&](std::uint64_t k) {
+    Platform platform;
+    PmemNamespace& ns = platform.optane(64 << 20);
+    ThreadCtx t = make_thread();
+    {
+      Db db(ns, o);
+      fill(t, db);
+      platform.crash_after(k);
+      try {
+        db.flush(t);
+      } catch (const hw::CrashPointHit&) {
+      }
+      ASSERT_TRUE(platform.crash_fired());
+    }
+    platform.clear_crash_trigger();
+    Db db(ns, o);
+    ASSERT_TRUE(db.open(t));
+    EXPECT_TRUE(db.check(t).ok());
+    std::string v;
+    EXPECT_FALSE(db.get(t, key_of(0), &v));
+    for (const auto& [k, value] : want) {
+      ASSERT_TRUE(db.get(t, k, &v)) << k;
+      EXPECT_EQ(v, value);
+    }
+    EXPECT_EQ(db.scan(t, "", static_cast<std::size_t>(-1)), rows);
+  };
+  for (std::uint64_t k = 1; k <= events; ++k) {
+    SCOPED_TRACE("crash at persist event " + std::to_string(k) + " of " +
+                 std::to_string(events));
+    crash_at(k);
+  }
+}
+
+// A merge that absorbs the L1 run writes an output the same size as
+// that run. The merged runs join the free list only at commit, so the
+// output cannot be written over the run the rolled-back manifest still
+// names: crash at every persist event of the flush that triggers the
+// merge, and every key reads its last value and check() passes.
+TEST(DbCompaction, CrashWhileWritingTheOutputKeepsTheMergedRuns) {
+  const DbOptions o{.memtable_bytes = 1 << 20,
+                    .l0_compaction_trigger = 2,
+                    .wal_capacity = 1 << 20};
+  // L1 = one merged run of keys 0..59, L0 = {keys 0..24 rewritten} and
+  // the memtable {keys 25..49 rewritten}: the flush under test merges
+  // both L0 runs with the L1 run into a run of the same 60 keys.
+  auto fill = [](ThreadCtx& t, Db& db) {
+    db.create(t);
+    for (int i = 0; i < 60; ++i) {
+      db.put(t, key_of(i), value_of(i));
+      if (i == 29 || i == 59) db.flush(t);
+    }
+    for (int i = 0; i < 50; ++i) {
+      db.put(t, key_of(i), value_of(1000 + i));
+      if (i == 24) db.flush(t);
+    }
+  };
+  std::map<std::string, std::string> want;
+  for (int i = 0; i < 60; ++i)
+    want[key_of(i)] = value_of(i < 50 ? 1000 + i : i);
+  std::uint64_t events = 0;
+  {
+    Platform platform;
+    ThreadCtx t = make_thread();
+    Db db(platform.optane(64 << 20), o);
+    fill(t, db);
+    const DbStats before = db.stats();
+    const std::uint64_t events_before = platform.persist_events();
+    db.flush(t);
+    events = platform.persist_events() - events_before;
+    // The merge reached the L1 run and rewrote it whole.
+    ASSERT_EQ(db.stats().compactions, before.compactions + 1);
+    EXPECT_EQ(db.stats().compaction_write_bytes - before.compaction_write_bytes,
+              before.compaction_write_bytes);
+  }
+  ASSERT_GT(events, 0u);
+  for (std::uint64_t k = 1; k <= events; ++k) {
+    SCOPED_TRACE("crash at persist event " + std::to_string(k) + " of " +
+                 std::to_string(events));
+    Platform platform;
+    PmemNamespace& ns = platform.optane(64 << 20);
+    ThreadCtx t = make_thread();
+    {
+      Db db(ns, o);
+      fill(t, db);
+      platform.crash_after(k);
+      try {
+        db.flush(t);
+      } catch (const hw::CrashPointHit&) {
+      }
+      ASSERT_TRUE(platform.crash_fired());
+    }
+    platform.clear_crash_trigger();
+    Db db(ns, o);
+    ASSERT_TRUE(db.open(t));
+    const Status st = db.check(t);
+    EXPECT_TRUE(st.ok()) << st.to_string();
+    std::string v;
+    for (const auto& [key, value] : want) {
+      ASSERT_TRUE(db.get(t, key, &v)) << key;
+      EXPECT_EQ(v, value) << key;
+    }
+  }
+}
+
+// Steady overwrites of a fixed key set must not grow the heap: every
+// merge frees runs that later outputs reuse, so heap_top levels off once
+// the run sizes have settled. Size-tiered outputs rarely fit one freed
+// run, so this holds only while adjacent free chunks coalesce.
+TEST(DbCompaction, SteadyOverwritesKeepTheHeapBounded) {
+  Platform platform;
+  PmemNamespace& ns = platform.optane(64 << 20);
+  ThreadCtx t = make_thread();
+  const DbOptions o{.memtable_bytes = 16 << 10,
+                    .l0_compaction_trigger = 4,
+                    .wal_capacity = 1 << 20};
+  Db db(ns, o);
+  db.create(t);
+  const std::uint64_t base = db.pool().heap_top(t);
+  // heap_top's peak over rounds 0-19, then over rounds 20-59, of 4000
+  // overwrites of keys 0-3999 each.
+  std::uint64_t early = 0, late = 0;
+  for (int r = 0; r < 60; ++r) {
+    for (int i = 0; i < 4000; ++i) db.put(t, key_of(i), value_of(r));
+    std::uint64_t& peak = r < 20 ? early : late;
+    peak = std::max(peak, db.pool().heap_top(t) - base);
+  }
+  EXPECT_GT(db.stats().compactions, 100u);
+  EXPECT_LE(late, early * 5 / 4)
+      << "heap peaked at " << early << " bytes over rounds 0-19 and at "
+      << late << " over rounds 20-59";
+}
+
 // ---- Fig 8 anchor -------------------------------------------------------
 double set_throughput(hw::Device device, WalMode wal, MemtableMode mem) {
   Platform platform;

@@ -71,6 +71,7 @@ TEST_F(PoolFixture, FreeListReuse) {
   {
     Tx tx(pool, t);
     a = pool.tx_alloc(tx, 256);
+    pool.tx_alloc(tx, 64);  // keeps `a` a free-list chunk once freed
     tx.commit();
   }
   {
@@ -93,6 +94,7 @@ TEST_F(PoolFixture, FreeChunkSplitting) {
   {
     Tx tx(pool, t);
     a = pool.tx_alloc(tx, 1024);
+    pool.tx_alloc(tx, 64);  // keeps `a` a free-list chunk once freed
     pool.tx_free(tx, a, 1024);
     tx.commit();
   }
@@ -102,6 +104,140 @@ TEST_F(PoolFixture, FreeChunkSplitting) {
   tx.commit();
   EXPECT_EQ(b, a);
   EXPECT_EQ(c, a + 256);  // carved from the same chunk
+}
+
+// Frees take effect at commit: an allocation in the same transaction
+// cannot land on a chunk it freed, and the next transaction reuses it.
+TEST_F(PoolFixture, FreedChunkJoinsTheListAtCommit) {
+  ThreadCtx t = make_thread();
+  pool.create(t, 64);
+  std::uint64_t a;
+  {
+    Tx tx(pool, t);
+    a = pool.tx_alloc(tx, 256);
+    pool.tx_alloc(tx, 256);  // keeps `a` off the heap top
+    tx.commit();
+  }
+  {
+    Tx tx(pool, t);
+    pool.tx_free(tx, a, 256);
+    EXPECT_NE(pool.tx_alloc(tx, 256), a);
+    tx.commit();
+  }
+  EXPECT_TRUE(pool.check(t).ok());
+  Tx tx(pool, t);
+  EXPECT_EQ(pool.tx_alloc(tx, 256), a);
+  tx.commit();
+}
+
+// Adjacent free chunks coalesce, and a chunk that reaches the heap top
+// gives its bytes back to it: four neighbours freed out of address order
+// leave an empty free list and heap_top where the first one began.
+TEST_F(PoolFixture, AdjacentFreesCoalesceAndLowerTheHeapTop) {
+  ThreadCtx t = make_thread();
+  pool.create(t, 64);
+  std::uint64_t r[4];
+  {
+    Tx tx(pool, t);
+    for (std::uint64_t& x : r) x = pool.tx_alloc(tx, 256);
+    tx.commit();
+  }
+  auto free_runs = [&](std::initializer_list<int> which) {
+    Tx tx(pool, t);
+    for (int i : which) pool.tx_free(tx, r[i], 256);
+    tx.commit();
+    const Status st = pool.check(t);
+    EXPECT_TRUE(st.ok()) << st.to_string();
+  };
+  free_runs({1, 2});  // r[2] grows r[1]'s chunk
+  {
+    Tx tx(pool, t);
+    EXPECT_EQ(pool.tx_alloc(tx, 512), r[1]);  // one 512 B chunk
+    tx.abort();
+  }
+  free_runs({0});  // r[0] absorbs the chunk after it
+  free_runs({3});  // r[3] joins that chunk, which then reaches the top
+  EXPECT_EQ(pool.heap_top(t), r[0]);
+}
+
+// A crash at any persist event of a transaction whose commit joins,
+// absorbs and finally lowers the heap top recovers all of it or none of
+// it: a marker the transaction stores tells which, and "none" must leave
+// the header and every chunk header byte for byte as they were.
+TEST(PoolCoalesceCrash, EveryCrashPointRecoversAllOrNothing) {
+  // r[0..4] live, then r[1] freed; the transaction under test sets the
+  // marker and frees r[2] and r[3] (each grows r[1]'s chunk), r[0] (it
+  // absorbs that chunk) and r[4] (it joins it and reaches the top).
+  auto fill = [](Pool& pool, ThreadCtx& t, std::uint64_t (&r)[5]) {
+    pool.create(t, 64);
+    {
+      Tx tx(pool, t);
+      for (std::uint64_t& x : r) x = pool.tx_alloc(tx, 256);
+      tx.commit();
+    }
+    Tx tx(pool, t);
+    pool.tx_free(tx, r[1], 256);
+    tx.commit();
+  };
+  auto free_all = [](Pool& pool, ThreadCtx& t, const std::uint64_t (&r)[5]) {
+    Tx tx(pool, t);
+    const std::uint64_t marker = 1;
+    tx.add(pool.root(t), sizeof marker);
+    tx.store(pool.root(t), bytes_of(&marker, sizeof marker));
+    for (int i : {2, 3, 0, 4}) pool.tx_free(tx, r[i], 256);
+    tx.commit();
+  };
+  // The header's allocator fields and each run's first 16 bytes.
+  auto image = [](PmemNamespace& ns, const std::uint64_t (&r)[5]) {
+    std::vector<std::uint8_t> out(48 + 5 * 16);
+    ns.peek(0, std::span(out).first(48));
+    for (int i = 0; i < 5; ++i)
+      ns.peek(r[i], std::span(out).subspan(48 + 16 * i, 16));
+    return out;
+  };
+  std::uint64_t events = 0;
+  {
+    Platform platform;
+    PmemNamespace& ns = platform.optane(64 << 20);
+    ThreadCtx t = make_thread();
+    Pool pool(ns);
+    std::uint64_t r[5];
+    fill(pool, t, r);
+    const std::uint64_t before = platform.persist_events();
+    free_all(pool, t, r);
+    events = platform.persist_events() - before;
+    ASSERT_EQ(pool.heap_top(t), r[0]);
+    EXPECT_TRUE(pool.check(t).ok());
+  }
+  ASSERT_GT(events, 0u);
+  for (std::uint64_t k = 1; k <= events; ++k) {
+    SCOPED_TRACE("crash at persist event " + std::to_string(k));
+    Platform platform;
+    PmemNamespace& ns = platform.optane(64 << 20);
+    ThreadCtx t = make_thread();
+    std::uint64_t r[5];
+    std::vector<std::uint8_t> old_image;
+    {
+      Pool pool(ns);
+      fill(pool, t, r);
+      old_image = image(ns, r);
+      platform.crash_after(k);
+      try {
+        free_all(pool, t, r);
+      } catch (const hw::CrashPointHit&) {
+      }
+      ASSERT_TRUE(platform.crash_fired());
+    }
+    platform.clear_crash_trigger();
+    Pool p(ns);
+    ASSERT_TRUE(p.open(t));
+    const Status st = p.check(t);
+    EXPECT_TRUE(st.ok()) << st.to_string();
+    if (ns.load_pod<std::uint64_t>(t, p.root(t)) == 1)
+      EXPECT_EQ(p.heap_top(t), r[0]);
+    else
+      EXPECT_EQ(image(ns, r), old_image);
+  }
 }
 
 // ------------------------------------------------------- pool recovery --
@@ -149,18 +285,20 @@ TEST_F(PoolFixture, RepairCutsFreeChunkWithBadSize) {
   {
     Tx tx(pool, t);
     a = pool.tx_alloc(tx, 256);
+    pool.tx_alloc(tx, 256);  // live neighbours keep the two frees apart
     b = pool.tx_alloc(tx, 256);
+    pool.tx_alloc(tx, 256);
     tx.commit();
   }
   {
     Tx tx(pool, t);
     pool.tx_free(tx, a, 256);
-    pool.tx_free(tx, b, 256);  // free list: b -> a
+    pool.tx_free(tx, b, 256);  // free list: a -> b
     tx.commit();
   }
   platform.crash();
   const std::uint64_t bad_size = 100;
-  ns.poke(a + 8, bytes_of(&bad_size, sizeof(bad_size)));
+  ns.poke(b + 8, bytes_of(&bad_size, sizeof(bad_size)));
 
   Pool p(ns);
   ASSERT_TRUE(p.open(t));
@@ -169,8 +307,46 @@ TEST_F(PoolFixture, RepairCutsFreeChunkWithBadSize) {
   EXPECT_TRUE(p.recovery().free_list_truncated);
   EXPECT_TRUE(p.check(t).ok());
   Tx tx(p, t);
-  EXPECT_EQ(p.tx_alloc(tx, 256), b);  // the chunk before the cut survives
+  EXPECT_EQ(p.tx_alloc(tx, 256), a);  // the chunk before the cut survives
   tx.commit();
+}
+
+// check() accepts only an address-ordered, coalesced free list, and
+// repair() cuts a list at the first chunk that breaks that rule.
+TEST_F(PoolFixture, CheckRejectsTouchingFreeChunks) {
+  ThreadCtx t = make_thread();
+  pool.create(t, 64);
+  std::uint64_t a, b;
+  {
+    Tx tx(pool, t);
+    a = pool.tx_alloc(tx, 256);
+    b = pool.tx_alloc(tx, 256);
+    pool.tx_alloc(tx, 256);
+    tx.commit();
+  }
+  {
+    Tx tx(pool, t);
+    pool.tx_free(tx, a, 256);
+    tx.commit();
+  }
+  // Link `b` behind `a` by hand, as an allocator that never coalesced
+  // would have: two chunks {next, size} that touch.
+  platform.crash();
+  const std::uint64_t chunk_a[2] = {b, 256};
+  const std::uint64_t chunk_b[2] = {0, 256};
+  ns.poke(a, bytes_of(chunk_a, sizeof(chunk_a)));
+  ns.poke(b, bytes_of(chunk_b, sizeof(chunk_b)));
+
+  Pool p(ns);
+  ASSERT_TRUE(p.open(t));
+  const Status st = p.check(t);
+  EXPECT_EQ(st.code(), ErrorCode::kCorruption);
+  EXPECT_NE(st.to_string().find("not past the chunk before it"),
+            std::string::npos)
+      << st.to_string();
+  p.repair(t);
+  EXPECT_TRUE(p.recovery().free_list_truncated);
+  EXPECT_TRUE(p.check(t).ok());
 }
 
 TEST_F(PoolFixture, TxCommitDurable) {

@@ -408,6 +408,9 @@ TEST(LsmkvReadPath, AcceleratedGetsReadFewerMediaBytesAndLowerErr) {
     platform.flush_xp_buffers(t.now());
     const auto d = telemetry::Snapshot::capture(platform).xp_total() - s0;
     EXPECT_EQ(hits, 3000u);
+    // The 2x gate below holds for this layout, one L1 run; a compaction
+    // policy that leaves another one must fail here first.
+    EXPECT_EQ(db.l1_runs(t), 1u);
     struct Out {
       std::uint64_t media_read, imc_read;
       double err;
