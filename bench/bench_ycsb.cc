@@ -107,15 +107,15 @@ hw::Timing small_llc_timing() {
   return tm;
 }
 
+// Every switch is set from `c.knobs`, so a `-stock` row stays knobs-off
+// whatever the library defaults are.
 workload::StoreTuning tuning_for(const Cfg& c) {
   workload::StoreTuning t;
   t.memtable_bytes = 16 << 10;  // mixed traffic must reach SSTables
-  if (c.knobs) {
-    t.write_combine = true;
-    t.read_path = true;
-    t.read_cache_lines = 2048;
-    t.background_compaction = c.kind == workload::StoreKind::kLsmkv;
-  }
+  t.write_combine = c.knobs;
+  t.read_path = c.knobs;
+  t.read_cache_lines = 2048;
+  t.background_compaction = c.knobs && c.kind == workload::StoreKind::kLsmkv;
   return t;
 }
 

@@ -40,15 +40,16 @@ const char* store_kind_name(StoreKind k);
 
 // The §5 fast-path knobs, mapped per family by make_store. stree and
 // cmap each run one read path (stree stages whole leaves through a
-// LineReader, cmap walks its chains with plain loads); lsmkv and novafs
-// still pick theirs with `read_path`, default off.
+// LineReader, cmap walks its chains with plain loads). lsmkv and novafs
+// run the §5.1 read path by default; `read_path = false` keeps their
+// stock gets for the stock-versus-knobs comparisons.
 struct StoreTuning {
   // §5.1/§5.2 write combining: lsmkv WAL group commit / novafs batched
   // log appends. No-op for cmap/stree (their writes are line-local).
   bool write_combine = false;
   // §5.1 read path for lsmkv and novafs: DRAM residency + line-granular
   // read combining.
-  bool read_path = false;
+  bool read_path = true;
   // DRAM read cache of 256 B lines behind stree's read path and, with
   // read_path, lsmkv's and novafs's (0 = none). cmap has no cache.
   std::size_t read_cache_lines = 2048;

@@ -234,6 +234,15 @@ void run_and_shrink(const DiffCfg& cfg, std::uint64_t seed, unsigned nops) {
          << hi << ")";
 }
 
+// The stock adapter paths: every §5 switch off, whatever the defaults.
+workload::StoreTuning stock() {
+  workload::StoreTuning t;
+  t.write_combine = false;
+  t.read_path = false;
+  t.background_compaction = false;
+  return t;
+}
+
 workload::StoreTuning knobs_on() {
   workload::StoreTuning t;
   t.write_combine = true;
@@ -258,19 +267,21 @@ TEST_P(Differential, StoreMatchesModel) {
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, Differential,
     testing::Values(
-        DiffCfg{"lsmkv-stock", workload::StoreKind::kLsmkv},
+        DiffCfg{"lsmkv-stock", workload::StoreKind::kLsmkv, stock()},
+        DiffCfg{"lsmkv-default", workload::StoreKind::kLsmkv},
         DiffCfg{"lsmkv-knobs", workload::StoreKind::kLsmkv, knobs_on()},
         DiffCfg{"lsmkv-bg", workload::StoreKind::kLsmkv, lsmkv_full()},
         DiffCfg{"lsmkv-sharded", workload::StoreKind::kLsmkv, lsmkv_full(), 3},
         DiffCfg{"lsmkv-replicated", workload::StoreKind::kLsmkv, lsmkv_full(),
                 3, 2},
-        DiffCfg{"cmap-stock", workload::StoreKind::kCmap},
-        DiffCfg{"stree-stock", workload::StoreKind::kStree},
+        DiffCfg{"cmap-stock", workload::StoreKind::kCmap, stock()},
+        DiffCfg{"stree-stock", workload::StoreKind::kStree, stock()},
         DiffCfg{"stree-knobs", workload::StoreKind::kStree, knobs_on()},
         DiffCfg{"stree-sharded", workload::StoreKind::kStree, knobs_on(), 2},
         DiffCfg{"stree-replicated", workload::StoreKind::kStree, knobs_on(), 3,
                 2},
-        DiffCfg{"nova-stock", workload::StoreKind::kNova},
+        DiffCfg{"nova-stock", workload::StoreKind::kNova, stock()},
+        DiffCfg{"nova-default", workload::StoreKind::kNova},
         DiffCfg{"nova-knobs", workload::StoreKind::kNova, knobs_on()}),
     [](const testing::TestParamInfo<DiffCfg>& info) {
       std::string n = info.param.label;

@@ -6,12 +6,15 @@
 // media bytes than the dribbling seed paths (§5.1), the read cache must
 // change what a store reads from media but never what a get returns,
 // knobs-off runs stay bit-and-timing-identical, and every per-DIMM byte
-// conservation law keeps holding with the cache in play.
+// conservation law keeps holding with the cache in play. The workload
+// adapters ship with the lsmkv and novafs read paths on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -25,6 +28,9 @@
 #include "sim/scheduler.h"
 #include "telemetry/registry.h"
 #include "telemetry/session.h"
+#include "workload/shard.h"
+#include "workload/store_iface.h"
+#include "workload/ycsb.h"
 #include "xpsim/fault.h"
 #include "xpsim/platform.h"
 
@@ -543,6 +549,86 @@ TEST(NovafsReadPath, CombinedReplayAndReadsLowerMediaReads) {
   // sides of the ratio.)
   EXPECT_LT(on.first, off.first);
   EXPECT_LE(on.second, 1.05);
+}
+
+// ----------------------------------------------------- workload defaults --
+
+// What an adapter's gets return, and the iMC read bytes they move.
+struct AdapterGets {
+  std::vector<std::string> values;
+  std::uint64_t imc_read_bytes = 0;
+};
+
+// Loads `records` 100 B values into a workload adapter, behind a
+// 2-shard ShardedStore or bare, then gets every key three times. The
+// tuning is the shipped StoreTuning or, for `stock`, that with the read
+// path off.
+AdapterGets adapter_gets(workload::StoreKind kind, bool sharded, bool stock,
+                         int records) {
+  hw::Timing tm;
+  tm.llc_lines = 512;  // 32 KB LLC < data: gets reach the DIMMs
+  Platform platform(tm, /*seed=*/1);
+  workload::StoreTuning tuning;
+  if (stock) tuning.read_path = false;
+  std::unique_ptr<workload::StoreIface> store;
+  if (sharded) {
+    workload::ShardOptions so;
+    so.kind = kind;
+    so.tuning = tuning;
+    store = std::make_unique<workload::ShardedStore>(
+        workload::ShardedStore::make_namespaces(platform, 2, 64ull << 20),
+        so);
+  } else {
+    store = workload::make_store(kind, platform.optane(64ull << 20), tuning);
+  }
+  ThreadCtx t = make_thread();
+  store->create(t);
+  for (int i = 0; i < records; ++i)
+    store->put(t, workload::key_name(i), workload::make_value(i, 0, 100));
+  t.drain();
+  platform.flush_xp_buffers(t.now());
+  const auto s0 = telemetry::Snapshot::capture(platform).xp_total();
+  AdapterGets out;
+  std::string v;
+  for (int round = 0; round < 3; ++round)
+    for (int i = 0; i < records; ++i)
+      out.values.push_back(store->get(t, workload::key_name(i), &v)
+                               ? v
+                               : std::string("<miss>"));
+  t.drain();
+  platform.flush_xp_buffers(t.now());
+  out.imc_read_bytes =
+      (telemetry::Snapshot::capture(platform).xp_total() - s0)
+          .imc_read_bytes;
+  return out;
+}
+
+// The shipped tuning runs the §5.1 read path: a default sharded lsmkv
+// and a default nova adapter return what their read-path-off twins
+// return, and move fewer iMC read bytes over the same gets.
+//
+// The nova load stays within one read-cache shard (256 lines). Each key
+// is a file whose value sits at the same offset of its own 4 KB log
+// page, and ReadCache shards by the low bits of the line index, so
+// every value lands in the same shard; past 256 keys that shard
+// thrashes and a default get moves more iMC bytes than a stock one.
+TEST(WorkloadReadPath, DefaultTuningGetsReadFewerImcBytes) {
+  struct Case {
+    workload::StoreKind kind;
+    bool sharded;
+    int records;
+  };
+  for (const Case c : {Case{workload::StoreKind::kLsmkv, true, 2000},
+                       Case{workload::StoreKind::kNova, false, 200}}) {
+    const auto stock = adapter_gets(c.kind, c.sharded, true, c.records);
+    const auto dflt = adapter_gets(c.kind, c.sharded, false, c.records);
+    const char* name = workload::store_kind_name(c.kind);
+    EXPECT_EQ(std::count(stock.values.begin(), stock.values.end(), "<miss>"),
+              0)
+        << name;
+    EXPECT_EQ(dflt.values, stock.values) << name;
+    EXPECT_LT(dflt.imc_read_bytes, stock.imc_read_bytes) << name;
+  }
 }
 
 // -------------------------------------------------------------- pmemkv ---

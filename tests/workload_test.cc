@@ -179,11 +179,11 @@ workload::Result run_once(workload::StoreKind kind, char wl,
   workload::ShardOptions so;
   so.kind = kind;
   so.tuning.memtable_bytes = 8 << 10;
-  if (knobs) {
-    so.tuning.write_combine = true;
-    so.tuning.read_path = true;
-    so.tuning.background_compaction = kind == workload::StoreKind::kLsmkv;
-  }
+  // knobs = false is the stock configuration, whatever the defaults.
+  so.tuning.write_combine = knobs;
+  so.tuning.read_path = knobs;
+  so.tuning.background_compaction =
+      knobs && kind == workload::StoreKind::kLsmkv;
   workload::ShardedStore store(ns, so);
   workload::Spec spec = workload::ycsb(wl);
   spec.records = 200;
