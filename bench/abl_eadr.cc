@@ -8,8 +8,6 @@
 // explicit flushes, write-backs leave the cache in shuffled order, so
 // the XPBuffer sees less sequential traffic.
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -21,25 +19,15 @@ std::size_t g_point = 0;
 lat::Result run_case(bool eadr, lat::Op op) {
   hw::Timing timing;
   timing.eadr = eadr;
-  hw::Platform platform(timing);
-  const auto tel = g_trace.session(platform, g_point++);
-  hw::NamespaceOptions o;
-  o.device = hw::Device::kXp;
-  o.size = 8ull << 30;
-  o.discard_data = true;
-  auto& ns = platform.add_namespace(o);
-  lat::WorkloadSpec spec;
-  spec.op = op;
-  spec.pattern = lat::Pattern::kSeq;
-  spec.access_size = 256;
-  spec.threads = 6;
-  spec.fence_each_op = true;
-  spec.region_size = o.size;
-  // Cached stores must stream well past the LLC before the
-  // natural-eviction steady state is reached.
-  spec.warmup = op == lat::Op::kStore ? sim::ms(14) : sim::us(50);
-  spec.duration = sim::ms(4);
-  return lat::run(platform, ns, spec);
+  return g_trace.run(
+      g_point++, {.size = 8ull << 30, .discard_data = true},
+      {.op = op, .access_size = 256, .region_size = 8ull << 30,
+       .threads = 6, .fence_each_op = true,
+       // Cached stores must stream well past the LLC before the
+       // natural-eviction steady state is reached.
+       .warmup = op == lat::Op::kStore ? sim::ms(14) : sim::us(50),
+       .duration = sim::ms(4)},
+      timing);
 }
 
 }  // namespace

@@ -7,8 +7,6 @@
 // XPLine read-modify-write penalty; a working set far beyond the cache
 // degrades Memory Mode back toward raw XP behavior.
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -23,25 +21,17 @@ double point(bool memory_mode, lat::Op op, std::uint64_t region) {
   // array reaches steady state within the simulated window; worksets are
   // scaled accordingly.
   timing.memory_mode_near_bytes = 512ull << 20;
-  hw::Platform platform(timing);
-  const auto tel = g_trace.session(platform, g_point++);
-  hw::NamespaceOptions o;
-  o.device = hw::Device::kXp;
-  o.memory_mode = memory_mode;
-  o.size = 16ull << 30;
-  o.discard_data = true;
-  auto& ns = platform.add_namespace(o);
-  lat::WorkloadSpec spec;
-  spec.op = op;
-  spec.pattern = lat::Pattern::kRand;
-  spec.access_size = 64;
-  spec.threads = 8;
-  spec.region_size = region;
-  // Long warmup so the near-memory cache (and CPU cache) reach steady
-  // state before the measured window.
-  spec.warmup = sim::ms(25);
-  spec.duration = sim::ms(3);
-  return lat::run(platform, ns, spec).bandwidth_gbps;
+  return g_trace
+      .run(g_point++,
+           {.size = 16ull << 30, .memory_mode = memory_mode,
+            .discard_data = true},
+           {.op = op, .pattern = lat::Pattern::kRand, .access_size = 64,
+            .region_size = region, .threads = 8,
+            // Long warmup so the near-memory cache (and CPU cache) reach
+            // steady state before the measured window.
+            .warmup = sim::ms(25), .duration = sim::ms(3)},
+           timing)
+      .bandwidth_gbps;
 }
 
 }  // namespace

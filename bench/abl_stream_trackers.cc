@@ -6,8 +6,6 @@
 // if future controllers track more streams, the "limit concurrent
 // threads" guideline relaxes (paper §6).
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -19,21 +17,14 @@ std::size_t g_point = 0;
 double point(unsigned streams, unsigned threads) {
   hw::Timing timing;
   timing.xp_write_streams = streams;
-  hw::Platform platform(timing);
-  const auto tel = g_trace.session(platform, g_point++);
-  hw::NamespaceOptions o;
-  o.device = hw::Device::kXp;
-  o.interleaved = false;
-  o.size = 2ull << 30;
-  o.discard_data = true;
-  auto& ns = platform.add_namespace(o);
-  lat::WorkloadSpec spec;
-  spec.op = lat::Op::kNtStore;
-  spec.access_size = 256;
-  spec.threads = threads;
-  spec.region_size = o.size;
-  spec.duration = sim::ms(1);
-  return lat::run(platform, ns, spec).bandwidth_gbps;
+  return g_trace
+      .run(g_point++,
+           {.interleaved = false, .size = 2ull << 30, .discard_data = true},
+           {.op = lat::Op::kNtStore, .access_size = 256,
+            .region_size = 2ull << 30, .threads = threads,
+            .duration = sim::ms(1)},
+           timing)
+      .bandwidth_gbps;
 }
 
 }  // namespace

@@ -6,8 +6,6 @@
 // single-thread ntstore bandwidth to one DIMM plus the Fig 16 spreading
 // penalty.
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -17,40 +15,23 @@ benchutil::TraceOpts g_trace;
 std::size_t g_point = 0;
 
 double ni_1thread(const hw::Timing& timing) {
-  hw::Platform platform(timing);
-  const auto tel = g_trace.session(platform, g_point++);
-  hw::NamespaceOptions o;
-  o.device = hw::Device::kXp;
-  o.interleaved = false;
-  o.size = 2ull << 30;
-  o.discard_data = true;
-  auto& ns = platform.add_namespace(o);
-  lat::WorkloadSpec spec;
-  spec.op = lat::Op::kNtStore;
-  spec.access_size = 256;
-  spec.threads = 1;
-  spec.region_size = o.size;
-  spec.duration = sim::ms(1);
-  return lat::run(platform, ns, spec).bandwidth_gbps;
+  return g_trace
+      .run(g_point++,
+           {.interleaved = false, .size = 2ull << 30, .discard_data = true},
+           {.op = lat::Op::kNtStore, .access_size = 256,
+            .region_size = 2ull << 30, .duration = sim::ms(1)},
+           timing)
+      .bandwidth_gbps;
 }
 
 double spread(const hw::Timing& timing, unsigned dimms_per_thread) {
-  hw::Platform platform(timing);
-  const auto tel = g_trace.session(platform, g_point++);
-  hw::NamespaceOptions o;
-  o.device = hw::Device::kXp;
-  o.size = 8ull << 30;
-  o.discard_data = true;
-  auto& ns = platform.add_namespace(o);
-  lat::WorkloadSpec spec;
-  spec.op = lat::Op::kNtStore;
-  spec.pattern = lat::Pattern::kRand;
-  spec.access_size = 256;
-  spec.threads = 6;
-  spec.dimms_per_thread = dimms_per_thread;
-  spec.region_size = o.size;
-  spec.duration = sim::ms(1);
-  return lat::run(platform, ns, spec).bandwidth_gbps;
+  return g_trace
+      .run(g_point++, {.size = 8ull << 30, .discard_data = true},
+           {.op = lat::Op::kNtStore, .pattern = lat::Pattern::kRand,
+            .access_size = 256, .region_size = 8ull << 30, .threads = 6,
+            .dimms_per_thread = dimms_per_thread, .duration = sim::ms(1)},
+           timing)
+      .bandwidth_gbps;
 }
 
 }  // namespace

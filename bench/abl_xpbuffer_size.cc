@@ -6,16 +6,9 @@
 // capacity probe and (b) random 64 B ntstore EWR/bandwidth.
 #include "bench/bench_util.h"
 #include "lattester/kernels.h"
-#include "lattester/runner.h"
-#include "xpsim/platform.h"
-
-namespace {
-
-using namespace xp;
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace xp;
   const auto trace = benchutil::TraceOpts::from_args(argc, argv);
   std::size_t point = 0;
   benchutil::banner("Ablation", "XPBuffer capacity sensitivity");
@@ -31,22 +24,13 @@ int main(int argc, char** argv) {
     const double wa16 = lat::xpbuffer_write_amp_probe(p1, probe_ns, 16384);
     const double wa64 = lat::xpbuffer_write_amp_probe(p1, probe_ns, 65536);
 
-    hw::Platform p2(timing);
-    const auto tel2 = trace.session(p2, point++);
-    hw::NamespaceOptions o;
-    o.device = hw::Device::kXp;
-    o.interleaved = false;
-    o.size = 2ull << 30;
-    o.discard_data = true;
-    auto& ns = p2.add_namespace(o);
-    lat::WorkloadSpec spec;
-    spec.op = lat::Op::kNtStore;
-    spec.pattern = lat::Pattern::kRand;
-    spec.access_size = 64;
-    spec.threads = 1;
-    spec.region_size = o.size;
-    spec.duration = sim::ms(1);
-    const lat::Result r = lat::run(p2, ns, spec);
+    const lat::Result r = trace.run(
+        point++,
+        {.interleaved = false, .size = 2ull << 30, .discard_data = true},
+        {.op = lat::Op::kNtStore, .pattern = lat::Pattern::kRand,
+         .access_size = 64, .region_size = 2ull << 30,
+         .duration = sim::ms(1)},
+        timing);
 
     benchutil::row("%9uL %14.2f %14.2f %12.2f %12.2f", lines, wa16, wa64,
                    r.ewr, r.bandwidth_gbps);

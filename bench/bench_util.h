@@ -1,4 +1,5 @@
-// Shared output helpers for the figure-reproduction benches.
+// Shared helpers for the figure-reproduction benches: trace plumbing,
+// the lattester point builder, and output formatting.
 //
 // Every bench prints (a) a banner naming the paper figure it regenerates,
 // (b) the measured series in the same rows/units the paper reports, and
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "lattester/runner.h"
 #include "telemetry/session.h"
 #include "xpsim/platform.h"
 
@@ -38,6 +40,17 @@ struct TraceOpts {
     telemetry::Options o;
     o.trace_path = telemetry::trace_point_path(base, point);
     return std::make_unique<telemetry::Session>(platform, std::move(o));
+  }
+
+  // Sweep point `point` of a lattester bench: `spec` on a fresh platform
+  // (cold caches, empty queues) built from `timing`, with one namespace
+  // made from `ns_opts` and the point's trace session attached.
+  lat::Result run(std::size_t point, const hw::NamespaceOptions& ns_opts,
+                  const lat::WorkloadSpec& spec,
+                  const hw::Timing& timing = {}) const {
+    hw::Platform platform(timing);
+    const auto tel = session(platform, point);
+    return lat::run(platform, platform.add_namespace(ns_opts), spec);
   }
 
   // Whole-bench session for single-platform benches.

@@ -6,8 +6,6 @@
 // the hotspot, the faster per-line wear accumulates and the more outliers
 // appear. DRAM shows none.
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
-#include "xpsim/platform.h"
 
 int main(int argc, char** argv) {
   using namespace xp;
@@ -18,6 +16,18 @@ int main(int argc, char** argv) {
   benchutil::row("%-10s %12s %12s %12s %12s", "hotspot", "p50(us)",
                  "p99.99(us)", "p99.999(us)", "max(us)");
 
+  auto print = [](const std::string& name, const lat::Result& r,
+                  const char* tail) {
+    benchutil::row("%-10s %12.2f %12.2f %12.2f %12.2f%s", name.c_str(),
+                   r.p_ns(0.5) / 1e3, r.p_ns(0.9999) / 1e3,
+                   r.p_ns(0.99999) / 1e3, r.p_ns(1.0) / 1e3, tail);
+  };
+  // Fenced 256 B ntstores, one at a time, over the hotspot.
+  lat::WorkloadSpec spec{.op = lat::Op::kNtStore,
+                         .access_size = 256,
+                         .mlp = 1,
+                         .fence_each_op = true,
+                         .duration = sim::ms(10)};
   for (std::uint64_t hotspot : {256ull, 2048ull, 16384ull, 131072ull,
                                 1048576ull, 8388608ull, 67108864ull}) {
     hw::Timing timing;
@@ -26,53 +36,25 @@ int main(int argc, char** argv) {
     // to the paper's multi-second runs; the outlier-frequency-vs-hotspot
     // trend is preserved, compressed to smaller hotspot sizes.
     timing.wear_threshold = 256;
-    hw::Platform platform(timing);
-    const auto tel = trace.session(platform, point++);
-    hw::NamespaceOptions o;
-    o.device = hw::Device::kXp;
-    o.size = std::max<std::uint64_t>(hotspot, 1 << 20);
-    o.discard_data = true;
-    auto& ns = platform.add_namespace(o);
-
-    lat::WorkloadSpec spec;
-    spec.op = lat::Op::kNtStore;
-    spec.pattern = lat::Pattern::kSeq;
-    spec.access_size = 256;
     spec.region_size = hotspot;
-    spec.threads = 1;
-    spec.mlp = 1;
-    spec.fence_each_op = true;
-    spec.duration = sim::ms(10);
-    const lat::Result r = lat::run(platform, ns, spec);
-
-    benchutil::row("%-10s %12.2f %12.2f %12.2f %12.2f",
-                   benchutil::human_size(hotspot).c_str(), r.p_ns(0.5) / 1e3,
-                   r.p_ns(0.9999) / 1e3, r.p_ns(0.99999) / 1e3,
-                   r.p_ns(1.0) / 1e3);
+    print(benchutil::human_size(hotspot),
+          trace.run(point++,
+                    {.size = std::max<std::uint64_t>(hotspot, 1 << 20),
+                     .discard_data = true},
+                    spec, timing),
+          "");
   }
 
   // DRAM baseline: no outliers at any hotspot size.
-  {
-    hw::Platform platform;
-    const auto tel = trace.session(platform, point++);
-    hw::NamespaceOptions o;
-    o.device = hw::Device::kDram;
-    o.size = 1 << 20;
-    o.discard_data = true;
-    auto& ns = platform.add_namespace(o);
-    lat::WorkloadSpec spec;
-    spec.op = lat::Op::kNtStore;
-    spec.access_size = 256;
-    spec.region_size = 256;
-    spec.threads = 1;
-    spec.mlp = 1;
-    spec.fence_each_op = true;
-    spec.duration = sim::ms(5);
-    const lat::Result r = lat::run(platform, ns, spec);
-    benchutil::row("%-10s %12.2f %12.2f %12.2f %12.2f  (DRAM 256B hotspot)",
-                   "DRAM", r.p_ns(0.5) / 1e3, r.p_ns(0.9999) / 1e3,
-                   r.p_ns(0.99999) / 1e3, r.p_ns(1.0) / 1e3);
-  }
+  spec.region_size = 256;
+  spec.duration = sim::ms(5);
+  print("DRAM",
+        trace.run(point++,
+                  {.device = hw::Device::kDram,
+                   .size = 1 << 20,
+                   .discard_data = true},
+                  spec),
+        "  (DRAM 256B hotspot)");
 
   benchutil::note("paper: rare outliers up to ~50 us (100x the common "
                   "case), frequency falling as the hotspot grows; absent "

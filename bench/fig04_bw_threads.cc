@@ -8,9 +8,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
 #include "sweep/sweep.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -26,23 +24,13 @@ struct Cfg {
 benchutil::TraceOpts g_trace;
 
 double point(const Cfg& c, std::size_t idx) {
-  hw::Platform platform;
-  const auto tel = g_trace.session(platform, idx);
-  hw::NamespaceOptions o;
-  o.device = c.device;
-  o.interleaved = c.interleaved;
-  o.size = 8ull << 30;
-  o.discard_data = true;
-  auto& ns = platform.add_namespace(o);
-
-  lat::WorkloadSpec spec;
-  spec.op = c.op;
-  spec.pattern = lat::Pattern::kSeq;
-  spec.access_size = 256;
-  spec.threads = c.threads;
-  spec.region_size = o.size;
-  spec.duration = sim::ms(1);
-  return lat::run(platform, ns, spec).bandwidth_gbps;
+  return g_trace
+      .run(idx,
+           {.device = c.device, .interleaved = c.interleaved,
+            .size = 8ull << 30, .discard_data = true},
+           {.op = c.op, .access_size = 256, .region_size = 8ull << 30,
+            .threads = c.threads, .duration = sim::ms(1)})
+      .bandwidth_gbps;
 }
 
 struct Panel {

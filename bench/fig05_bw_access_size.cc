@@ -10,9 +10,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
 #include "sweep/sweep.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -29,24 +27,16 @@ struct Cfg {
 benchutil::TraceOpts g_trace;
 
 double point(const Cfg& c, std::size_t idx) {
-  hw::Platform platform;
-  const auto tel = g_trace.session(platform, idx);
-  hw::NamespaceOptions o;
-  o.device = c.device;
-  o.interleaved = c.interleaved;
-  o.size = 8ull << 30;
-  o.discard_data = true;
-  auto& ns = platform.add_namespace(o);
-
-  lat::WorkloadSpec spec;
-  spec.op = c.op;
-  spec.pattern = lat::Pattern::kRand;
-  spec.access_size = c.access;
-  spec.threads = c.threads;
-  spec.region_size = o.size;
   // Multi-hundred-KB accesses need a window that fits many ops.
-  spec.duration = c.access >= (256 << 10) ? sim::ms(10) : sim::ms(1);
-  return lat::run(platform, ns, spec).bandwidth_gbps;
+  const sim::Time window = c.access >= (256 << 10) ? sim::ms(10) : sim::ms(1);
+  return g_trace
+      .run(idx,
+           {.device = c.device, .interleaved = c.interleaved,
+            .size = 8ull << 30, .discard_data = true},
+           {.op = c.op, .pattern = lat::Pattern::kRand,
+            .access_size = c.access, .region_size = 8ull << 30,
+            .threads = c.threads, .duration = window})
+      .bandwidth_gbps;
 }
 
 struct Panel {

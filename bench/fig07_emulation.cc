@@ -6,8 +6,6 @@
 // The point of the figure: none of the emulations lands anywhere near
 // real Optane on either axis.
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -29,14 +27,10 @@ std::vector<Config> configs() {
   };
 }
 
-hw::PmemNamespace& make_ns(hw::Platform& platform, const Config& c) {
-  hw::NamespaceOptions o;
-  o.device = c.device;
-  o.socket = 0;
-  o.size = 8ull << 30;
-  o.emulation = c.knobs;
-  o.discard_data = true;
-  return platform.add_namespace(o);
+// Each config's timing-only namespace on socket 0.
+hw::NamespaceOptions ns_opts(const Config& c) {
+  return {.device = c.device, .size = 8ull << 30, .emulation = c.knobs,
+          .discard_data = true};
 }
 
 benchutil::TraceOpts g_trace;
@@ -53,42 +47,29 @@ int main(int argc, char** argv) {
                  "seq wr BW(GB/s)");
   for (const Config& c : configs()) {
     // Idle read latency (dependent loads).
-    hw::Platform p1;
-    const auto tel1 = g_trace.session(p1, g_point++);
-    auto& ns1 = make_ns(p1, c);
-    lat::WorkloadSpec rd;
-    rd.op = lat::Op::kLoad;
-    rd.pattern = lat::Pattern::kRand;
-    rd.access_size = 64;
-    rd.threads = 1;
-    rd.mlp = 1;
-    rd.fence_each_op = true;
-    rd.socket = c.thread_socket;
-    rd.region_size = ns1.size();
-    rd.duration = sim::ms(1);
-    const double read_lat = lat::run(p1, ns1, rd).avg_latency_ns();
+    const lat::WorkloadSpec rd{
+        .op = lat::Op::kLoad, .pattern = lat::Pattern::kRand,
+        .access_size = 64, .region_size = 8ull << 30,
+        .socket = c.thread_socket, .mlp = 1, .fence_each_op = true,
+        .duration = sim::ms(1)};
+    const double read_lat =
+        g_trace.run(g_point++, ns_opts(c), rd).avg_latency_ns();
 
     // Idle write latency.
-    hw::Platform p2;
-    const auto tel2 = g_trace.session(p2, g_point++);
-    auto& ns2 = make_ns(p2, c);
     lat::WorkloadSpec wr = rd;
     wr.op = lat::Op::kNtStore;
     wr.pattern = lat::Pattern::kSeq;
-    const double write_lat = lat::run(p2, ns2, wr).avg_latency_ns();
+    const double write_lat =
+        g_trace.run(g_point++, ns_opts(c), wr).avg_latency_ns();
 
     // Peak sequential ntstore bandwidth (8 threads, pipelined).
-    hw::Platform p3;
-    const auto tel3 = g_trace.session(p3, g_point++);
-    auto& ns3 = make_ns(p3, c);
-    lat::WorkloadSpec bw;
-    bw.op = lat::Op::kNtStore;
-    bw.access_size = 256;
-    bw.threads = 8;
-    bw.socket = c.thread_socket;
-    bw.region_size = ns3.size();
-    bw.duration = sim::ms(1);
-    const double wbw = lat::run(p3, ns3, bw).bandwidth_gbps;
+    const double wbw =
+        g_trace
+            .run(g_point++, ns_opts(c),
+                 {.op = lat::Op::kNtStore, .access_size = 256,
+                  .region_size = 8ull << 30, .threads = 8,
+                  .socket = c.thread_socket, .duration = sim::ms(1)})
+            .bandwidth_gbps;
 
     benchutil::row("%-12s %12.0f %12.0f %16.2f", c.name, read_lat,
                    write_lat, wbw);
@@ -101,21 +82,16 @@ int main(int argc, char** argv) {
   for (const Config& c : configs()) {
     double bw[3];
     int i = 0;
-    for (double read_fraction : {0.0, 0.5, 1.0}) {
-      hw::Platform platform;
-      const auto tel = g_trace.session(platform, g_point++);
-      auto& ns = make_ns(platform, c);
-      lat::WorkloadSpec spec;
-      spec.op = lat::Op::kMixed;
-      spec.read_fraction = read_fraction;
-      spec.pattern = lat::Pattern::kRand;
-      spec.access_size = 256;
-      spec.threads = 8;
-      spec.socket = c.thread_socket;
-      spec.region_size = ns.size();
-      spec.duration = sim::ms(1);
-      bw[i++] = lat::run(platform, ns, spec).bandwidth_gbps;
-    }
+    for (double read_fraction : {0.0, 0.5, 1.0})
+      bw[i++] = g_trace
+                    .run(g_point++, ns_opts(c),
+                         {.op = lat::Op::kMixed,
+                          .pattern = lat::Pattern::kRand,
+                          .access_size = 256, .region_size = 8ull << 30,
+                          .threads = 8, .socket = c.thread_socket,
+                          .read_fraction = read_fraction,
+                          .duration = sim::ms(1)})
+                    .bandwidth_gbps;
     benchutil::row("%-12s %12.1f %12.1f %12.1f", c.name, bw[0], bw[1],
                    bw[2]);
   }

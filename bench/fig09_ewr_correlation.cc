@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -27,26 +25,16 @@ std::vector<PointR> sweep(lat::Op op) {
   for (std::size_t access : {64u, 128u, 256u, 1024u, 4096u}) {
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
       for (lat::Pattern pattern : {lat::Pattern::kSeq, lat::Pattern::kRand}) {
-        hw::Platform platform;
-        const auto tel = g_trace.session(platform, g_point++);
-        hw::NamespaceOptions o;
-        o.device = hw::Device::kXp;
-        o.interleaved = false;
-        o.size = 2ull << 30;
-        o.discard_data = true;
-        auto& ns = platform.add_namespace(o);
-        lat::WorkloadSpec spec;
-        spec.op = op;
-        spec.pattern = pattern;
-        spec.access_size = access;
-        spec.threads = threads;
-        spec.region_size = o.size;
         // Cached-store curves only reach the natural-eviction steady
         // state after streaming past the LLC capacity.
         const bool cached = op != lat::Op::kNtStore;
-        spec.warmup = cached ? sim::ms(3) : sim::us(50);
-        spec.duration = cached ? sim::ms(3) : sim::ms(1);
-        const lat::Result r = lat::run(platform, ns, spec);
+        const lat::Result r = g_trace.run(
+            g_point++,
+            {.interleaved = false, .size = 2ull << 30, .discard_data = true},
+            {.op = op, .pattern = pattern, .access_size = access,
+             .region_size = 2ull << 30, .threads = threads,
+             .warmup = cached ? sim::ms(3) : sim::us(50),
+             .duration = cached ? sim::ms(3) : sim::ms(1)});
         if (r.xp_delta.media_write_bytes > 0)
           points.push_back({std::min(r.ewr, 1.5), r.bandwidth_gbps});
       }

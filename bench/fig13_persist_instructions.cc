@@ -9,9 +9,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
 #include "sweep/sweep.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -27,34 +25,23 @@ struct Cfg {
 benchutil::TraceOpts g_trace;
 
 lat::Result run_case(const Cfg& c, std::size_t idx) {
-  hw::Platform platform;
-  const auto tel = g_trace.session(platform, idx);
-  hw::NamespaceOptions o;
-  o.device = hw::Device::kXp;
-  o.size = 8ull << 30;
-  o.discard_data = true;
-  auto& ns = platform.add_namespace(o);
-  lat::WorkloadSpec spec;
-  spec.op = c.op;
-  spec.pattern = lat::Pattern::kSeq;
-  spec.access_size = c.access;
-  spec.threads = c.threads;
-  spec.mlp = c.fenced ? 1 : 0;
-  spec.fence_each_op = c.fenced;
+  lat::WorkloadSpec spec{.op = c.op, .access_size = c.access,
+                         .threads = c.threads, .mlp = c.fenced ? 1u : 0u,
+                         .fence_each_op = c.fenced};
   if (c.fenced) {
     // Latency methodology: warm, cache-resident lines (Fig 2 style).
     spec.region_size = 128 << 10;
     spec.warmup = sim::us(500);
     spec.duration = sim::ms(1);
   } else {
-    spec.region_size = o.size;
+    spec.region_size = 8ull << 30;
     // Bare stores need to stream well past the LLC capacity before the
     // natural-eviction steady state (the regime the paper measures) is
     // reached.
     spec.warmup = c.op == lat::Op::kStore ? sim::ms(4) : sim::us(50);
     spec.duration = sim::ms(4);
   }
-  return lat::run(platform, ns, spec);
+  return g_trace.run(idx, {.size = 8ull << 30, .discard_data = true}, spec);
 }
 
 constexpr std::size_t kBwSizes[] = {64u, 128u, 256u, 512u, 1024u, 4096u};

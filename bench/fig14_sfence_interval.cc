@@ -10,9 +10,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
 #include "sweep/sweep.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -27,26 +25,18 @@ struct Cfg {
 benchutil::TraceOpts g_trace;
 
 double point(const Cfg& c, std::size_t idx) {
-  hw::Platform platform;
-  const auto tel = g_trace.session(platform, idx);
-  hw::NamespaceOptions o;
-  o.device = hw::Device::kXp;
-  o.interleaved = false;
-  o.size = 2ull << 30;
-  o.discard_data = true;
-  auto& ns = platform.add_namespace(o);
-  lat::WorkloadSpec spec;
-  spec.op = c.op;
-  spec.flush_every = c.flush_every;
-  spec.pattern = lat::Pattern::kSeq;
-  spec.access_size = c.write_size;
-  spec.threads = 1;
-  spec.fence_each_op = true;  // one sfence per write
-  spec.region_size = o.size;
   // Multi-MB writes take ~10 ms each; give the window room for several.
-  spec.duration = c.write_size >= (1 << 20) ? sim::ms(120) : sim::ms(2);
-  spec.warmup = c.write_size >= (1 << 20) ? 0 : spec.warmup;
-  return lat::run(platform, ns, spec).bandwidth_gbps;
+  const bool multi_mb = c.write_size >= (1 << 20);
+  return g_trace
+      .run(idx,
+           {.interleaved = false, .size = 2ull << 30, .discard_data = true},
+           {.op = c.op, .access_size = c.write_size,
+            .region_size = 2ull << 30,
+            .fence_each_op = true,  // one sfence per write
+            .flush_every = c.flush_every,
+            .warmup = multi_mb ? 0 : sim::us(50),
+            .duration = multi_mb ? sim::ms(120) : sim::ms(2)})
+      .bandwidth_gbps;
 }
 
 constexpr std::size_t kSizes[] = {64u,    256u,     1024u,    4096u,

@@ -9,9 +9,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
 #include "sweep/sweep.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -27,22 +25,13 @@ struct Cfg {
 benchutil::TraceOpts g_trace;
 
 double point(const Cfg& c, std::size_t idx) {
-  hw::Platform platform;
-  const auto tel = g_trace.session(platform, idx);
-  hw::NamespaceOptions o;
-  o.device = hw::Device::kXp;
-  o.size = 8ull << 30;
-  o.discard_data = true;
-  auto& ns = platform.add_namespace(o);
-  lat::WorkloadSpec spec;
-  spec.op = c.op;
-  spec.pattern = lat::Pattern::kRand;
-  spec.access_size = c.access;
-  spec.threads = c.threads;
-  spec.dimms_per_thread = c.dimms_per_thread;
-  spec.region_size = o.size;
-  spec.duration = sim::ms(1);
-  return lat::run(platform, ns, spec).bandwidth_gbps;
+  return g_trace
+      .run(idx, {.size = 8ull << 30, .discard_data = true},
+           {.op = c.op, .pattern = lat::Pattern::kRand,
+            .access_size = c.access, .region_size = 8ull << 30,
+            .threads = c.threads, .dimms_per_thread = c.dimms_per_thread,
+            .duration = sim::ms(1)})
+      .bandwidth_gbps;
 }
 
 struct Panel {

@@ -6,8 +6,6 @@
 // outbound lane until the (slow, write-pressured) XP DIMM admits them —
 // collapsing multi-threaded mixed workloads.
 #include "bench/bench_util.h"
-#include "lattester/runner.h"
-#include "xpsim/platform.h"
 
 namespace {
 
@@ -17,27 +15,16 @@ benchutil::TraceOpts g_trace;
 std::size_t g_point = 0;
 
 double point(unsigned socket, unsigned threads, double read_fraction) {
-  hw::Platform platform;
-  const auto tel = g_trace.session(platform, g_point++);
-  hw::NamespaceOptions o;
-  o.device = hw::Device::kXp;
-  o.socket = 0;
-  o.size = 8ull << 30;
-  o.discard_data = true;
-  auto& ns = platform.add_namespace(o);
-  lat::WorkloadSpec spec;
-  spec.op = read_fraction >= 1.0
-                ? lat::Op::kLoad
-                : (read_fraction <= 0.0 ? lat::Op::kNtStore
-                                        : lat::Op::kMixed);
-  spec.read_fraction = read_fraction;
-  spec.pattern = lat::Pattern::kRand;
-  spec.access_size = 256;
-  spec.threads = threads;
-  spec.socket = socket;
-  spec.region_size = o.size;
-  spec.duration = sim::ms(1);
-  return lat::run(platform, ns, spec).bandwidth_gbps;
+  const lat::Op op = read_fraction >= 1.0   ? lat::Op::kLoad
+                     : read_fraction <= 0.0 ? lat::Op::kNtStore
+                                            : lat::Op::kMixed;
+  return g_trace
+      .run(g_point++, {.size = 8ull << 30, .discard_data = true},
+           {.op = op, .pattern = lat::Pattern::kRand, .access_size = 256,
+            .region_size = 8ull << 30, .threads = threads,
+            .socket = socket, .read_fraction = read_fraction,
+            .duration = sim::ms(1)})
+      .bandwidth_gbps;
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 //
 // Formats NOVA on an Optane namespace, demonstrates atomic small writes,
 // crash-remount, and the paper's §5.1.2 point: embedding sub-page writes
-// in the log makes 64 B random overwrites several times faster.
+// in the log makes 64 B random overwrites several times faster. Exits 1
+// if the datalog is not the faster of the two.
 //
 // Build & run:  build/examples/fsdemo
 #include <cstdio>
@@ -80,5 +81,5 @@ int main() {
   std::printf("  NOVA (4 KB copy-on-write): %6.2f us\n", cow);
   std::printf("  NOVA-datalog (embedded):   %6.2f us  (%.1fx faster)\n",
               datalog, cow / datalog);
-  return 0;
+  return datalog < cow ? 0 : 1;
 }

@@ -4,6 +4,8 @@
 // Useful as a template for characterizing a new (simulated) memory
 // configuration: pass different hw::Timing values and see which
 // guidelines still matter (compare bench/abl_* for systematic sweeps).
+// Exits 1 if any guideline's comparison does not come out the way the
+// guideline says on the default device.
 //
 // Build & run:  build/examples/guideline_advisor
 #include <cstdio>
@@ -35,6 +37,7 @@ lat::Result quick(hw::Platform& platform, hw::PmemNamespace& ns,
 int main() {
   using namespace xp;
   std::printf("Characterizing the simulated 3D XPoint DIMM...\n\n");
+  bool ok = true;
 
   // Guideline 1: avoid random accesses smaller than 256 B.
   {
@@ -54,6 +57,7 @@ int main() {
                 small.bandwidth_gbps, small.ewr);
     std::printf("   random 256 B stores: %.2f GB/s at EWR %.2f\n\n",
                 line.bandwidth_gbps, line.ewr);
+    ok &= small.bandwidth_gbps < line.bandwidth_gbps;
   }
 
   // Guideline 2: use ntstore for large transfers.
@@ -72,6 +76,7 @@ int main() {
     std::printf("   4 KB ntstore:     %.1f GB/s\n", nt.bandwidth_gbps);
     std::printf("   4 KB store+clwb:  %.1f GB/s (pays the RFO read)\n\n",
                 clwb.bandwidth_gbps);
+    ok &= nt.bandwidth_gbps > clwb.bandwidth_gbps;
   }
 
   // Guideline 3: limit threads per DIMM.
@@ -93,6 +98,7 @@ int main() {
     std::printf("   2 writers:  %.2f GB/s\n", few.bandwidth_gbps);
     std::printf("   16 writers: %.2f GB/s (more threads, less bandwidth)\n\n",
                 many.bandwidth_gbps);
+    ok &= many.bandwidth_gbps < few.bandwidth_gbps;
   }
 
   // Guideline 4: avoid NUMA, especially mixed multi-threaded access.
@@ -109,9 +115,11 @@ int main() {
                    socket)
           .bandwidth_gbps;
     };
+    const double local = mixed(0), remote = mixed(1);
     std::printf("#4 Avoid mixed accesses to remote NUMA nodes\n");
-    std::printf("   local 1:1 mix, 4 threads:  %.2f GB/s\n", mixed(0));
-    std::printf("   remote 1:1 mix, 4 threads: %.2f GB/s\n", mixed(1));
+    std::printf("   local 1:1 mix, 4 threads:  %.2f GB/s\n", local);
+    std::printf("   remote 1:1 mix, 4 threads: %.2f GB/s\n", remote);
+    ok &= remote < local;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

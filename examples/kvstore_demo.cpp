@@ -2,7 +2,8 @@
 //
 // Creates a store with the FLEX write-ahead log, loads data, kills the
 // power mid-run, recovers, and prints the paper's Fig 8 comparison of
-// the three persistence strategies on this device.
+// the three persistence strategies on this device. Exits 1 if a key is
+// recovered wrong or the FLEX WAL does not beat the POSIX one.
 //
 // Build & run:  build/examples/kvstore_demo
 #include <cstdio>
@@ -54,24 +55,28 @@ int main() {
     kv::Db recovered(ns, kv::DbOptions{});
     recovered.open(t);  // replays the WAL
     std::string v;
-    std::printf("paper    -> %s\n",
-                recovered.get(t, "paper", &v) ? v.c_str() : "(missing!)");
+    const bool paper = recovered.get(t, "paper", &v);
+    std::printf("paper    -> %s\n", paper ? v.c_str() : "(missing!)");
+    const bool language = recovered.get(t, "language", &v);
     std::printf("language -> %s (deleted before the crash)\n",
-                recovered.get(t, "language", &v) ? v.c_str() : "(gone)");
+                language ? v.c_str() : "(gone)");
+    if (!paper || language) return 1;
   }
 
   // --- the Fig 8 strategy comparison on this device ---------------------
   std::printf("\nSET throughput on simulated Optane (KOps/s):\n");
-  std::printf("  WAL (POSIX file):     %7.0f\n",
-              set_kops(platform.optane(1ull << 30), kv::WalMode::kPosix,
-                       kv::MemtableMode::kVolatile));
-  std::printf("  WAL (FLEX):           %7.0f\n",
-              set_kops(platform.optane(1ull << 30), kv::WalMode::kFlex,
-                       kv::MemtableMode::kVolatile));
+  const double posix = set_kops(platform.optane(1ull << 30),
+                                kv::WalMode::kPosix,
+                                kv::MemtableMode::kVolatile);
+  std::printf("  WAL (POSIX file):     %7.0f\n", posix);
+  const double flex = set_kops(platform.optane(1ull << 30),
+                               kv::WalMode::kFlex,
+                               kv::MemtableMode::kVolatile);
+  std::printf("  WAL (FLEX):           %7.0f\n", flex);
   std::printf("  persistent skiplist:  %7.0f\n",
               set_kops(platform.optane(1ull << 30), kv::WalMode::kNone,
                        kv::MemtableMode::kPersistent));
   std::printf("(on DRAM-backed pmem the persistent skiplist would win — "
               "run bench/fig08_rocksdb for the full comparison)\n");
-  return 0;
+  return flex > posix ? 0 : 1;
 }

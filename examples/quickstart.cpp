@@ -6,6 +6,8 @@
 //  4. Pull the power. See what survived.
 //  5. Read the DIMM hardware counters (EWR).
 //
+// Exits 1 if a printed check says "bug!" or the EWR is not below 1.
+//
 // Build & run:  build/examples/quickstart
 #include <cstdio>
 #include <vector>
@@ -38,13 +40,17 @@ int main() {
   platform.crash();
 
   std::vector<std::uint8_t> out(64);
+  bool ok = true;
   pmem.peek(0, out);
+  ok &= out[0] != 'A';
   std::printf("unflushed store survived?   %s\n",
               out[0] == 'A' ? "yes (bug!)" : "no  (lost with the cache)");
   pmem.peek(64, out);
+  ok &= out[0] == 'B';
   std::printf("store_persist survived?     %s\n",
               out[0] == 'B' ? "yes" : "no (bug!)");
   pmem.peek(128, out);
+  ok &= out[0] == 'C';
   std::printf("ntstore+sfence survived?    %s\n",
               out[0] == 'C' ? "yes" : "no (bug!)");
 
@@ -66,5 +72,5 @@ int main() {
               delta.ewr());
   std::printf("(EWR < 1 is internal write amplification — the paper's "
               "guideline #1: avoid random accesses under 256 B)\n");
-  return 0;
+  return ok && delta.ewr() < 1 ? 0 : 1;
 }

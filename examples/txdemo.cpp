@@ -2,7 +2,8 @@
 //
 // A bank-transfer toy: two persistent account balances updated in a
 // transaction. We inject a power failure between the two updates and
-// show that recovery rolls the half-done transfer back.
+// show that recovery rolls the half-done transfer back. Exits 1 if
+// either balance check fails.
 //
 // Build & run:  build/examples/txdemo
 #include <cstdio>
@@ -57,6 +58,7 @@ int main() {
               "half-done transfer was rolled back)\n",
               static_cast<unsigned long long>(balance(0)),
               static_cast<unsigned long long>(balance(1)));
+  if (balance(0) != 1000 || balance(1) != 0) return 1;
 
   // Retry, completing this time.
   {
@@ -70,5 +72,5 @@ int main() {
               "survives)\n",
               static_cast<unsigned long long>(balance(0)),
               static_cast<unsigned long long>(balance(1)));
-  return 0;
+  return balance(0) == 600 && balance(1) == 400 ? 0 : 1;
 }

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Build Release, run the self-measurement harnesses (bench_timing writes
-# BENCH_sweep.json, bench_stores writes BENCH_stores.json, bench_ycsb
-# writes BENCH_YCSB.json), hash the output of every figure and ablation
-# bench into BENCH_figs.sha256, record the repository benchmark's
-# simulated metrics (perfbench, every workload at seed 1 for one second)
-# in BENCH_perfbench_sim.txt and the crash/fault/schedule panel tables in
-# BENCH_panels.txt, and guard the sweep engine's determinism
-# contract: every converted figure bench must print byte-identical
-# tables with --jobs 1 and --jobs N. Intended for CI and for refreshing
-# the committed baselines.
+# Build Release, run the self-measurement harnesses (bench_stores writes
+# BENCH_stores.json, bench_ycsb writes BENCH_YCSB.json), hash the output
+# of every figure and ablation bench into BENCH_figs.sha256, record the
+# repository benchmark's simulated metrics (perfbench, every workload at
+# seed 1 for one second) in BENCH_perfbench_sim.txt and the
+# crash/fault/schedule panel tables in BENCH_panels.txt, and guard the
+# sweep engine's determinism contract: every converted figure bench must
+# print byte-identical tables with --jobs 1 and --jobs N. Intended for CI
+# and for refreshing the committed baselines. Nothing here records host
+# speed; perfbench's host_kops measures it.
 #
 # Usage: scripts/run_benches.sh [--check] [jobs]
 #   --check  write the baselines to a temp dir instead of the repo root,
@@ -18,7 +18,6 @@
 #            BENCH_perfbench_sim.txt or BENCH_panels.txt differs. All of
 #            them are simulated quantities, so every change to them must
 #            be re-recorded.
-#            BENCH_sweep.json holds host timings and is not compared.
 #   jobs     defaults to the machine's core count (or XP_JOBS if set).
 set -euo pipefail
 
@@ -50,14 +49,9 @@ FIGS=(fig02_idle_latency fig03_tail_latency fig04_bw_threads
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target \
-    bench_timing bench_stores bench_ycsb crashmc_sweep schedmc_sweep \
+    bench_stores bench_ycsb crashmc_sweep schedmc_sweep \
     "${FIGS[@]}" > /dev/null
 
-echo "== bench_timing (jobs=$JOBS) =="
-"$BUILD/bench/bench_timing" --jobs "$JOBS" --host-cores "$CORES" \
-    --out "$OUT/BENCH_sweep.json"
-
-echo
 echo "== bench_stores (jobs=$JOBS) =="
 # Write-combining grid plus the §5.1 read grid (stock vs combined point
 # reads per store and the lsmkv read-cache capacity sweep). Exits
@@ -129,8 +123,9 @@ run_panels "$BUILD" | awk '{
 echo "  $(wc -l < "$OUT/BENCH_panels.txt") lines recorded"
 
 # Determinism guard: byte-identical tables regardless of job count. The
-# quick benches run their full sweeps; the long ones are already covered
-# point-for-point by bench_timing's identical-results check above.
+# quick benches run their full sweeps here. The long fig04 and fig05
+# grids are not diffed; the tier-1 test Sweep.ParallelMatchesSerialBitForBit
+# runs their point shapes (and fig16's) through a serial and a 4-job pool.
 echo
 echo "== determinism: --jobs 1 vs --jobs $JOBS =="
 status=0

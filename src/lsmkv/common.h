@@ -66,11 +66,10 @@ struct DbOptions {
   // it runs when some thread donates a turn via Db::background_work()
   // (the workload engine runs one such thread per store). Writes keep
   // flowing against the growing L0 while the debt is pending; if L0
-  // reaches l0_stall_trigger before a background turn arrives, the next
-  // write pays the merge inline — the classic write-stall admission gate,
-  // which also keeps the manifest's fixed L0 array from overflowing.
+  // reaches Db::kL0StallTrigger before a background turn arrives, the
+  // next write pays the merge inline — the classic write-stall admission
+  // gate, which also keeps the manifest's fixed L0 array from overflowing.
   bool background_compaction = false;
-  unsigned l0_stall_trigger = 12;  // must stay < Db::kMaxL0
 };
 
 // CPU-side costs (simulated time) for work that doesn't touch the memory

@@ -479,16 +479,9 @@ void Db::maybe_flush(sim::ThreadCtx& ctx) {
   // Write-stall admission gate: a writer that finds the deferred-
   // compaction debt at the stall trigger pays the merge inline rather
   // than letting L0 grow toward the manifest's fixed capacity.
-  if (compaction_pending_) {
-    const Manifest m = load_manifest(ctx);
-    // Clamp to the manifest's capacity so a misconfigured trigger can
-    // never let L0 overflow the fixed array.
-    const unsigned stall_at =
-        std::min<unsigned>(opts_.l0_stall_trigger, kMaxL0 - 1);
-    if (m.n_l0 >= stall_at) {
-      ++stats_.write_stalls;
-      background_work(ctx);
-    }
+  if (compaction_pending_ && load_manifest(ctx).n_l0 >= kL0StallTrigger) {
+    ++stats_.write_stalls;
+    background_work(ctx);
   }
 }
 

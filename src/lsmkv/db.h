@@ -37,6 +37,11 @@ class Db {
  public:
   static constexpr unsigned kMaxL0 = 16;
   static constexpr unsigned kMaxL1 = 16;
+  // With background_compaction, the L0 run count at which the next write
+  // pays the pending merge inline (maybe_flush's write-stall gate). Below
+  // kMaxL0, so L0 never overflows the manifest's fixed array.
+  static constexpr unsigned kL0StallTrigger = 12;
+  static_assert(kL0StallTrigger < kMaxL0);
   // Size-tiered compaction absorbs the next-older L1 run while it holds
   // at most this many times the bytes the merge has gathered so far.
   static constexpr std::uint64_t kTierRatio = 2;

@@ -231,7 +231,12 @@ FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
     std::memcpy(&klen, e, 4);
     std::memcpy(&vraw, e + 4, 4);
     const std::uint32_t vlen = vraw & ~kTombstoneBit;
-    bound(ns, at, 8 + std::uint64_t{klen}, end);
+    // The entry must end where the DRAM offset array says the next one
+    // starts (the table's end for the last), inside the table.
+    const std::uint64_t stop =
+        mid + 1 < res.count ? data_at + res.offsets[mid + 1] : end;
+    if (at + 8 + std::uint64_t{klen} + vlen != stop || stop > end)
+      fail(ns, at);
     const std::uint8_t* kb = reader.fetch(ctx, ns, at + 8, klen);
     const std::size_t n = std::min<std::size_t>(klen, key.size());
     int c = n == 0 ? 0 : std::memcmp(kb, key.data(), n);
@@ -241,7 +246,6 @@ FindResult SsTable::get_ex(sim::ThreadCtx& ctx, hw::PmemNamespace& ns,
     } else if (c > 0) {
       hi = mid;
     } else {
-      bound(ns, at, 8 + std::uint64_t{klen} + vlen, end);
       if (vraw & kTombstoneBit) return FindResult::kTombstone;
       if (value != nullptr) {
         value->resize(vlen);

@@ -19,7 +19,13 @@
 //
 // Every reader holds an entry to its table: lengths that run past the
 // header's total_bytes, or a walk that does not end exactly there, throw
-// hw::MediaError, as a header without the magic does.
+// hw::MediaError, as a header without the magic does. get_ex holds each
+// probed entry to the offset array too: its lengths must end exactly
+// where the next entry starts (total_bytes for the last), which catches
+// a damaged length that stays inside the table. The stock get and the
+// cursor's seek do not: they read offsets from PM, so the same check
+// would cost them one more timed load per probe and move the stock
+// baselines.
 #pragma once
 
 #include <cstdint>

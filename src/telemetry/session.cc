@@ -371,8 +371,9 @@ std::string Session::summary_json() const {
   append_u64(out, crash_points_);
 
   // Media error-model section — present only when the fault-injection
-  // subsystem produced events, so fault-free summaries (and the checked-in
-  // BENCH_sweep.json formats) are unchanged byte for byte.
+  // subsystem produced events, so fault-free summaries (such as the one
+  // fig09 prints, hashed in BENCH_figs.sha256) are unchanged byte for
+  // byte.
   {
     std::uint64_t any = 0;
     for (const std::uint64_t c : media_fault_counts_) any += c;

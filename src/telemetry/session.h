@@ -12,7 +12,8 @@
 //
 // When NO session is attached the platform's telemetry pointer is null
 // and the hot-path cost is a single predictable branch per data-path
-// call — bench_timing's hot-path canaries guard this.
+// call; perfbench's host_kops measures the untraced hot paths
+// (device-calib runs lattester with no sink attached).
 //
 // finish() detaches from the platform, closes the last sample interval,
 // and writes the trace file; the destructor calls it if the caller did

@@ -5,8 +5,9 @@
 // that xpsim carries no dependency on the telemetry subsystem. A Platform
 // holds at most one sink; every emission site is guarded by a single
 // null-pointer branch, so a platform with no sink attached pays one
-// predictable branch per data-path call and nothing else (verified by the
-// bench_timing hot-path canaries).
+// predictable branch per data-path call and nothing else (perfbench's
+// host_kops measures that path; Session.TimingNeutral checks that an
+// attached sink changes no simulated result).
 //
 // Sinks must be timing-neutral: they may read counters and record events
 // but never touch simulated clocks or device state, so an instrumented

@@ -127,29 +127,39 @@ TEST(Jobs, EnvFallback) {
 // The engine's core guarantee: a grid evaluated with jobs=1 and jobs=4
 // produces identical lat::Result vectors — each point owns its Platform
 // and RNG streams, so host scheduling must not leak into the simulation.
+// The grid has the shapes of the figure sweeps: Fig 4's thread scaling
+// of loads, ntstores and store+clwb on one DIMM, plus an interleaved
+// random point (Fig 5) and DIMM-restricted threads (Fig 16).
 TEST(Sweep, ParallelMatchesSerialBitForBit) {
   struct Cfg {
     lat::Op op;
     unsigned threads;
+    bool interleaved = false;
+    lat::Pattern pattern = lat::Pattern::kSeq;
+    unsigned dimms_per_thread = 0;
   };
   sweep::Grid<Cfg> grid;
   for (unsigned threads : {1u, 2u, 4u})
-    for (lat::Op op : {lat::Op::kLoad, lat::Op::kNtStore})
+    for (lat::Op op :
+         {lat::Op::kLoad, lat::Op::kNtStore, lat::Op::kStoreClwb})
       grid.add({op, threads});
+  grid.add({lat::Op::kNtStore, 4, true, lat::Pattern::kRand});
+  grid.add({lat::Op::kLoad, 8, true, lat::Pattern::kRand, 2});
 
   auto point = [](const Cfg& c) {
     hw::Platform platform;
     hw::NamespaceOptions o;
     o.device = hw::Device::kXp;
-    o.interleaved = false;
+    o.interleaved = c.interleaved;
     o.size = 1ull << 30;
     o.discard_data = true;
     auto& ns = platform.add_namespace(o);
     lat::WorkloadSpec spec;
     spec.op = c.op;
-    spec.pattern = lat::Pattern::kSeq;
+    spec.pattern = c.pattern;
     spec.access_size = 256;
     spec.threads = c.threads;
+    spec.dimms_per_thread = c.dimms_per_thread;
     spec.region_size = o.size;
     spec.warmup = sim::us(20);
     spec.duration = sim::us(200);

@@ -367,17 +367,56 @@ TEST(Session, EvictionHistogramMatchesCounters) {
 TEST(Session, TimingNeutral) {
   // A platform with a session attached must produce byte-identical
   // simulated results to one without: sinks observe, never perturb.
-  auto run_once = [](bool with_session) {
+  // Besides the mixed run, the simulator's hot paths: sequential loads
+  // and ntstores, a 1 MB store+clwb flushed at its end on one DIMM, and
+  // 8-thread random loads.
+  auto result = [](const lat::Result& r) {
+    return std::make_tuple(r.ops, r.bytes, r.latency.count(),
+                           r.latency.max(), r.latency.mean(),
+                           r.xp_delta.media_write_bytes,
+                           r.xp_delta.imc_read_bytes, r.ewr);
+  };
+  auto mixed = [&](bool with_session) {
     Platform platform(hw::Timing{}, /*seed=*/123);
     std::unique_ptr<telemetry::Session> session;
     if (with_session)
       session = std::make_unique<telemetry::Session>(platform);
-    const lat::Result r = seeded_run(platform, lat::Op::kMixed);
-    return std::make_tuple(r.ops, r.bytes, r.latency.count(),
-                           r.latency.max(), r.xp_delta.media_write_bytes,
-                           r.xp_delta.imc_read_bytes);
+    return result(seeded_run(platform, lat::Op::kMixed));
   };
-  EXPECT_EQ(run_once(false), run_once(true));
+  EXPECT_EQ(mixed(false), mixed(true));
+
+  struct HotPath {
+    bool interleaved;
+    lat::WorkloadSpec spec;
+  };
+  constexpr std::uint64_t kRegion = 1ull << 30;
+  for (const HotPath& h : {
+           HotPath{true, {.op = lat::Op::kLoad, .access_size = 256,
+                          .region_size = kRegion, .duration = sim::us(400)}},
+           HotPath{true, {.op = lat::Op::kNtStore, .access_size = 256,
+                          .region_size = kRegion, .duration = sim::us(400)}},
+           HotPath{false, {.op = lat::Op::kStoreClwb, .access_size = 1 << 20,
+                           .region_size = kRegion, .flush_every = 0,
+                           .duration = sim::ms(2)}},
+           HotPath{true, {.op = lat::Op::kLoad, .pattern = lat::Pattern::kRand,
+                          .access_size = 256, .region_size = kRegion,
+                          .threads = 8, .duration = sim::us(200)}},
+       }) {
+    SCOPED_TRACE(static_cast<int>(h.spec.op));
+    auto run_once = [&](bool with_session) {
+      Platform platform;
+      std::unique_ptr<telemetry::Session> session;
+      if (with_session)
+        session = std::make_unique<telemetry::Session>(platform);
+      auto& ns = platform.add_namespace({.interleaved = h.interleaved,
+                                         .size = kRegion,
+                                         .discard_data = true});
+      return result(lat::run(platform, ns, h.spec));
+    };
+    const auto plain = run_once(false);
+    EXPECT_GT(std::get<0>(plain), 0u);  // the window completed ops
+    EXPECT_EQ(plain, run_once(true));
+  }
 }
 
 TEST(Session, CrashPointEmitsTraceEvent) {

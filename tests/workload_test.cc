@@ -355,15 +355,14 @@ Tuple run_db_workload(kv::DbOptions o, kv::DbStats* stats = nullptr,
   return fingerprint(telemetry::Snapshot::capture(platform) - s0, t.now());
 }
 
-// Off-path identity: with the knob off, the new DbOptions fields are
-// inert — a run with explicit background_compaction=false and a wild
-// stall trigger is byte- and timing-identical to the defaults.
+// Off-path identity: with the knob off, the deferred-compaction path is
+// inert — a run with explicit background_compaction=false is byte- and
+// timing-identical to the defaults.
 TEST(BackgroundCompaction, OffPathTelemetryIdentical) {
   kv::DbOptions defaults;
   defaults.memtable_bytes = 4 << 10;  // force flushes + compactions
   kv::DbOptions off = defaults;
   off.background_compaction = false;
-  off.l0_stall_trigger = 5;  // unused with the knob off
 
   kv::DbStats s_def, s_off;
   EXPECT_EQ(run_db_workload(defaults, &s_def), run_db_workload(off, &s_off));
@@ -382,7 +381,6 @@ TEST(BackgroundCompaction, StallGateBoundsL0AndPreservesData) {
 
   kv::DbOptions bg = base;
   bg.background_compaction = true;
-  bg.l0_stall_trigger = 4;
 
   std::map<std::string, std::string> state_inline, state_bg;
   kv::DbStats s_inline, s_bg;
