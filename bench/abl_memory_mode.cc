@@ -43,12 +43,15 @@ int main(int argc, char** argv) {
   benchutil::row("%10s %18s %18s %18s %18s", "workset", "AppDirect rd",
                  "MemMode rd", "AppDirect wr", "MemMode wr");
   for (std::uint64_t region : {96ull << 20, 8ull << 30}) {
+    // Locals, not arguments: points (and their trace files) are numbered
+    // in grid order only if they run in it.
+    const double ad_rd = point(false, lat::Op::kLoad, region),
+                 mm_rd = point(true, lat::Op::kLoad, region),
+                 ad_wr = point(false, lat::Op::kNtStore, region),
+                 mm_wr = point(true, lat::Op::kNtStore, region);
     benchutil::row("%10s %18.1f %18.1f %18.1f %18.1f",
-                   benchutil::human_size(region).c_str(),
-                   point(false, lat::Op::kLoad, region),
-                   point(true, lat::Op::kLoad, region),
-                   point(false, lat::Op::kNtStore, region),
-                   point(true, lat::Op::kNtStore, region));
+                   benchutil::human_size(region).c_str(), ad_rd, mm_rd, ad_wr,
+                   mm_wr);
   }
   benchutil::note("expected: with a cache-resident working set Memory "
                   "Mode runs near DRAM speed, hiding the small-access "

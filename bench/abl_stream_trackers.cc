@@ -36,9 +36,13 @@ int main(int argc, char** argv) {
   benchutil::row("%10s %8s %8s %8s %8s %8s", "trackers", "1 thr", "2 thr",
                  "4 thr", "8 thr", "16 thr");
   for (unsigned streams : {1u, 2u, 4u, 8u, 24u}) {
-    benchutil::row("%10u %8.2f %8.2f %8.2f %8.2f %8.2f", streams,
-                   point(streams, 1), point(streams, 2), point(streams, 4),
-                   point(streams, 8), point(streams, 16));
+    // Locals, not arguments: points (and their trace files) are numbered
+    // in grid order only if they run in it.
+    const double t1 = point(streams, 1), t2 = point(streams, 2),
+                 t4 = point(streams, 4), t8 = point(streams, 8),
+                 t16 = point(streams, 16);
+    benchutil::row("%10u %8.2f %8.2f %8.2f %8.2f %8.2f", streams, t1, t2, t4,
+                   t8, t16);
   }
   benchutil::note("expected: with few trackers the curve peaks early and "
                   "collapses; with many it saturates flat at the media "

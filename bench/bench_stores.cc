@@ -27,8 +27,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -39,7 +39,6 @@
 #include "sim/scheduler.h"
 #include "sweep/sweep.h"
 #include "telemetry/registry.h"
-#include "telemetry/session.h"
 #include "xpsim/platform.h"
 
 namespace {
@@ -89,32 +88,31 @@ struct Row {
   double err = 0;  // media read bytes / iMC read bytes (0/0 -> 1)
   std::uint64_t imc_read_bytes = 0;
   std::uint64_t media_read_bytes = 0;
-  std::vector<double> dimm_ewr;  // socket-major; NaN for idle DIMMs
-};
+  std::vector<std::optional<double>> dimm_ewr;  // socket-major; idle: empty
 
-bool rows_equal(const std::vector<Row>& a, const std::vector<Row>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].store != b[i].store || a[i].name != b[i].name ||
-        a[i].ops != b[i].ops || a[i].bytes != b[i].bytes ||
-        a[i].gbps != b[i].gbps || a[i].kops != b[i].kops ||
-        a[i].ewr != b[i].ewr ||
-        a[i].imc_write_bytes != b[i].imc_write_bytes ||
-        a[i].media_write_bytes != b[i].media_write_bytes ||
-        a[i].err != b[i].err ||
-        a[i].imc_read_bytes != b[i].imc_read_bytes ||
-        a[i].media_read_bytes != b[i].media_read_bytes ||
-        a[i].dimm_ewr.size() != b[i].dimm_ewr.size())
-      return false;
-    for (std::size_t d = 0; d < a[i].dimm_ewr.size(); ++d) {
-      const bool an = std::isnan(a[i].dimm_ewr[d]);
-      const bool bn = std::isnan(b[i].dimm_ewr[d]);
-      if (an != bn || (!an && a[i].dimm_ewr[d] != b[i].dimm_ewr[d]))
-        return false;
-    }
+  bool operator==(const Row&) const = default;
+
+  void json(std::FILE* f) const {
+    std::fprintf(f,
+                 "{\"store\": \"%s\", \"name\": \"%s\", "
+                 "\"ops\": %llu, \"bytes\": %llu, \"gbps\": %.4f, "
+                 "\"kops\": %.2f, \"ewr\": %.4f, "
+                 "\"imc_write_bytes\": %llu, \"media_write_bytes\": %llu, "
+                 "\"err\": %.4f, "
+                 "\"imc_read_bytes\": %llu, \"media_read_bytes\": %llu, "
+                 "\"dimm_ewr\": ",
+                 store.c_str(), name.c_str(),
+                 static_cast<unsigned long long>(ops),
+                 static_cast<unsigned long long>(bytes), gbps, kops, ewr,
+                 static_cast<unsigned long long>(imc_write_bytes),
+                 static_cast<unsigned long long>(media_write_bytes),
+                 std::isfinite(err) ? err : -1.0,
+                 static_cast<unsigned long long>(imc_read_bytes),
+                 static_cast<unsigned long long>(media_read_bytes));
+    benchutil::json_numbers(f, dimm_ewr);
+    std::fprintf(f, "}");
   }
-  return true;
-}
+};
 
 void fill_counters(Row& r, const telemetry::Delta& d, sim::Time elapsed) {
   const hw::XpCounters xc = d.xp_total();
@@ -129,9 +127,34 @@ void fill_counters(Row& r, const telemetry::Delta& d, sim::Time elapsed) {
   for (unsigned s = 0; s < d.sockets(); ++s)
     for (unsigned c = 0; c < d.channels(); ++c) {
       const hw::XpCounters& dc = d.xp[s][c].counters;
-      r.dimm_ewr.push_back(dc.media_write_bytes == 0 ? std::nan("")
-                                                     : dc.ewr());
+      r.dimm_ewr.push_back(dc.media_write_bytes == 0
+                               ? std::nullopt
+                               : std::optional(dc.ewr()));
     }
+}
+
+// A measured window on one thread: `body` runs on `t`, its writes
+// drain to the media, and `r` takes the window's counters and time.
+template <typename Fn>
+void window(hw::Platform& platform, sim::ThreadCtx& t, Row& r, Fn&& body) {
+  const auto s0 = telemetry::Snapshot::capture(platform);
+  const sim::Time t0 = t.now();
+  body();
+  t.drain();
+  platform.flush_xp_buffers(t.now());
+  fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
+                t.now() - t0);
+}
+
+// The read runners' window: a new timing epoch, and the setup's writes
+// retire before the window opens.
+template <typename Fn>
+void read_window(hw::Platform& platform, sim::ThreadCtx& t, Row& r,
+                 Fn&& body) {
+  platform.reset_timing();
+  t.drain();
+  platform.flush_xp_buffers(t.now());
+  window(platform, t, r, body);
 }
 
 // ---------------------------------------------------------------------
@@ -215,22 +238,17 @@ Row run_novafs(const Cfg& c) {
   if (std::strcmp(c.fs_op, "write") == 0) {
     const int ino = fs.create(ctx, "bench.dat");
     platform.reset_timing();
-    const auto s0 = telemetry::Snapshot::capture(platform);
-    const sim::Time t0 = ctx.now();
     // Each write straddles a page boundary mid-page: always exactly two
     // embedded sub-page entries, small enough that both (plus the batch
     // terminator) coalesce into one log page.
-    const std::size_t wlen = 3072;
-    std::vector<std::uint8_t> buf(wlen, 0xab);
-    for (int i = 0; i < c.fs_ops; ++i) {
-      fs.write(ctx, ino, 2560 + static_cast<std::uint64_t>(i) * 4096, buf);
-      r.bytes += wlen;
-      ++r.ops;
-    }
-    ctx.drain();
-    platform.flush_xp_buffers(ctx.now());
-    fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
-                  ctx.now() - t0);
+    const std::vector<std::uint8_t> buf(3072, 0xab);
+    window(platform, ctx, r, [&] {
+      for (int i = 0; i < c.fs_ops; ++i) {
+        fs.write(ctx, ino, 2560 + static_cast<std::uint64_t>(i) * 4096, buf);
+        r.bytes += buf.size();
+        ++r.ops;
+      }
+    });
     return r;
   }
 
@@ -242,21 +260,18 @@ Row run_novafs(const Cfg& c) {
     fs.create(ctx, fname);
   }
   platform.reset_timing();
-  const auto s0 = telemetry::Snapshot::capture(platform);
-  const sim::Time t0 = ctx.now();
-  for (int i = 0; i < c.fs_ops; ++i) {
-    const int f = i % kFiles;
-    char from[16], to[16];
-    std::snprintf(from, sizeof from, "%c%03d", (i / kFiles) % 2 ? 'b' : 'a',
-                  f);
-    std::snprintf(to, sizeof to, "%c%03d", (i / kFiles) % 2 ? 'a' : 'b', f);
-    fs.rename(ctx, from, to);
-    ++r.ops;
-  }
-  ctx.drain();
-  platform.flush_xp_buffers(ctx.now());
-  fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
-                ctx.now() - t0);
+  window(platform, ctx, r, [&] {
+    for (int i = 0; i < c.fs_ops; ++i) {
+      const int f = i % kFiles;
+      char from[16], to[16];
+      std::snprintf(from, sizeof from, "%c%03d",
+                    (i / kFiles) % 2 ? 'b' : 'a', f);
+      std::snprintf(to, sizeof to, "%c%03d", (i / kFiles) % 2 ? 'a' : 'b',
+                    f);
+      fs.rename(ctx, from, to);
+      ++r.ops;
+    }
+  });
   return r;
 }
 
@@ -277,39 +292,13 @@ Row run_pmemkv(const Cfg& c) {
   r.name = name;
 
   hw::Platform platform;
-  const unsigned pool_socket =
-      pmemkv::placement_socket(c.placement, c.server_socket);
-  auto& ns = platform.optane(1024ull << 20, pool_socket);
-  pmem::Pool pool(ns);
-  pmemkv::CMap map(pool);
-  {
-    sim::ThreadCtx t({.id = 100, .socket = pool_socket, .mlp = 16,
-                      .seed = 1});
-    pool.create(t, 64);
-    map.create(t);
-    for (int i = 0; i < 4000; ++i)
-      map.put(t, "key" + std::to_string(i), std::string(512, 'x'));
-  }
-  platform.reset_timing();
-
+  benchutil::CmapOverwrite overwrite(
+      platform,
+      platform.optane(1024ull << 20, pmemkv::placement_socket(
+                                         c.placement, c.server_socket)));
   const auto s0 = telemetry::Snapshot::capture(platform);
-  sim::Scheduler sched;
-  for (unsigned j = 0; j < c.threads; ++j) {
-    sched.spawn({.id = j, .socket = c.server_socket, .mlp = 16,
-                 .seed = j + 5},
-                [&, this_window = c.window](sim::ThreadCtx& ctx) {
-                  if (ctx.now() >= this_window) return false;
-                  const int k = static_cast<int>(ctx.rng().uniform(4000));
-                  std::string v;
-                  map.get(ctx, "key" + std::to_string(k), &v);
-                  map.put(ctx, "key" + std::to_string(k),
-                          std::string(512, 'y'));
-                  r.bytes += 1024;
-                  ++r.ops;
-                  return true;
-                });
-  }
-  sched.run();
+  r.ops = overwrite.run(c.server_socket, c.threads, c.window);
+  r.bytes = r.ops * 1024;
   platform.flush_xp_buffers(c.window);
   fill_counters(r, telemetry::Snapshot::capture(platform) - s0, c.window);
   return r;
@@ -322,12 +311,6 @@ Row run_pmemkv(const Cfg& c) {
 // Working sets are sized past the aggregate XPBuffer capacity
 // (6 DIMMs x 16 KB) so the uncombined path pays media reads each round.
 
-hw::Timing small_llc_timing() {
-  hw::Timing tm;
-  tm.llc_lines = 512;  // 32 KB
-  return tm;
-}
-
 // lsmkv point gets: per-probe uncombined binary search vs combined
 // fetches + DRAM-resident filters/offsets + line cache.
 Row run_lsmkv_read(const Cfg& c) {
@@ -339,7 +322,7 @@ Row run_lsmkv_read(const Cfg& c) {
                 c.optimized ? c.cache_lines : 0);
   r.name = name;
 
-  hw::Platform platform(small_llc_timing(), /*seed=*/1);
+  hw::Platform platform(benchutil::small_llc_timing(), /*seed=*/1);
   auto& ns = platform.optane(256ull << 20);
   sim::ThreadCtx t({.id = 0, .socket = 0, .mlp = 8, .seed = 1});
   kv::DbOptions o;
@@ -358,22 +341,15 @@ Row run_lsmkv_read(const Cfg& c) {
     db.put(t, key_of(i), std::string(vlen, 'v'));
   db.flush(t);
 
-  platform.reset_timing();
-  t.drain();
-  platform.flush_xp_buffers(t.now());
-  const auto s0 = telemetry::Snapshot::capture(platform);
-  const sim::Time t0 = t.now();
-  std::string v;
-  for (int round = 0; round < c.rounds; ++round)
-    for (int i = 0; i < c.records; i += 2)
-      if (db.get(t, key_of(i), &v)) {
-        r.bytes += vlen;
-        ++r.ops;
-      }
-  t.drain();
-  platform.flush_xp_buffers(t.now());
-  fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
-                t.now() - t0);
+  read_window(platform, t, r, [&] {
+    std::string v;
+    for (int round = 0; round < c.rounds; ++round)
+      for (int i = 0; i < c.records; i += 2)
+        if (db.get(t, key_of(i), &v)) {
+          r.bytes += vlen;
+          ++r.ops;
+        }
+  });
   // The read-path headline is measured on one L1 run: a compaction policy
   // that leaves this setup another layout fails here, not by moving the
   // speedup ratio.
@@ -390,7 +366,7 @@ Row run_novafs_read(const Cfg& c) {
   r.store = "novafs";
   r.name = std::string("read-") + (c.optimized ? "combined" : "stock");
 
-  hw::Platform platform(small_llc_timing(), /*seed=*/1);
+  hw::Platform platform(benchutil::small_llc_timing(), /*seed=*/1);
   auto& ns = platform.optane(128ull << 20);
   sim::ThreadCtx t({.id = 0, .socket = 0, .mlp = 8, .seed = 1});
   nova::NovaOptions wo;
@@ -406,22 +382,15 @@ Row run_novafs_read(const Cfg& c) {
   ro.read_combine = c.optimized;
   ro.read_cache_lines = c.optimized ? c.cache_lines : 0;
   nova::NovaFs fs2(ns, ro);
-  platform.reset_timing();
-  t.drain();
-  platform.flush_xp_buffers(t.now());
-  const auto s0 = telemetry::Snapshot::capture(platform);
-  const sim::Time t0 = t.now();
-  fs2.mount(t);
-  const int fd2 = fs2.open(t, "bench.dat");
-  std::vector<std::uint8_t> out(64 << 10);
-  for (int round = 0; round < c.rounds; ++round) {
-    r.bytes += fs2.read(t, fd2, 0, out);
-    ++r.ops;
-  }
-  t.drain();
-  platform.flush_xp_buffers(t.now());
-  fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
-                t.now() - t0);
+  read_window(platform, t, r, [&] {
+    fs2.mount(t);
+    const int fd2 = fs2.open(t, "bench.dat");
+    std::vector<std::uint8_t> out(64 << 10);
+    for (int round = 0; round < c.rounds; ++round) {
+      r.bytes += fs2.read(t, fd2, 0, out);
+      ++r.ops;
+    }
+  });
   return r;
 }
 
@@ -434,7 +403,7 @@ Row run_pmemkv_read(const Cfg& c) {
   r.name = stree ? "get-combined-cache" + std::to_string(c.cache_lines)
                  : "get-stock-cache0";
 
-  hw::Platform platform(small_llc_timing(), /*seed=*/1);
+  hw::Platform platform(benchutil::small_llc_timing(), /*seed=*/1);
   auto& ns = platform.optane(256ull << 20);
   sim::ThreadCtx t({.id = 0, .socket = 0, .mlp = 8, .seed = 1});
   pmem::Pool pool(ns);
@@ -445,22 +414,15 @@ Row run_pmemkv_read(const Cfg& c) {
     map.create(t);
     for (int i = 0; i < keys; ++i)
       map.put(t, "key" + std::to_string(i), std::string(vlen, 'x'));
-    platform.reset_timing();
-    t.drain();
-    platform.flush_xp_buffers(t.now());
-    const auto s0 = telemetry::Snapshot::capture(platform);
-    const sim::Time t0 = t.now();
-    std::string v;
-    for (int round = 0; round < c.rounds; ++round)
-      for (int i = 0; i < keys; ++i)
-        if (map.get(t, "key" + std::to_string(i), &v)) {
-          r.bytes += vlen;
-          ++r.ops;
-        }
-    t.drain();
-    platform.flush_xp_buffers(t.now());
-    fill_counters(r, telemetry::Snapshot::capture(platform) - s0,
-                  t.now() - t0);
+    read_window(platform, t, r, [&] {
+      std::string v;
+      for (int round = 0; round < c.rounds; ++round)
+        for (int i = 0; i < keys; ++i)
+          if (map.get(t, "key" + std::to_string(i), &v)) {
+            r.bytes += vlen;
+            ++r.ops;
+          }
+    });
   };
   if (stree) {
     pmemkv::STreeOptions o;
@@ -499,51 +461,6 @@ Row run_point(const Cfg& c) {
   return {};
 }
 
-// ---------------------------------------------------------------------
-
-void json_rows(std::FILE* f, const std::vector<Row>& rows) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"store\": \"%s\", \"name\": \"%s\", "
-                 "\"ops\": %llu, \"bytes\": %llu, \"gbps\": %.4f, "
-                 "\"kops\": %.2f, \"ewr\": %.4f, "
-                 "\"imc_write_bytes\": %llu, \"media_write_bytes\": %llu, "
-                 "\"err\": %.4f, "
-                 "\"imc_read_bytes\": %llu, \"media_read_bytes\": %llu, "
-                 "\"dimm_ewr\": [",
-                 r.store.c_str(), r.name.c_str(),
-                 static_cast<unsigned long long>(r.ops),
-                 static_cast<unsigned long long>(r.bytes), r.gbps, r.kops,
-                 r.ewr, static_cast<unsigned long long>(r.imc_write_bytes),
-                 static_cast<unsigned long long>(r.media_write_bytes),
-                 std::isfinite(r.err) ? r.err : -1.0,
-                 static_cast<unsigned long long>(r.imc_read_bytes),
-                 static_cast<unsigned long long>(r.media_read_bytes));
-    for (std::size_t d = 0; d < r.dimm_ewr.size(); ++d) {
-      if (std::isnan(r.dimm_ewr[d]))
-        std::fprintf(f, "null%s", d + 1 < r.dimm_ewr.size() ? "," : "");
-      else
-        std::fprintf(f, "%.4f%s", r.dimm_ewr[d],
-                     d + 1 < r.dimm_ewr.size() ? "," : "");
-    }
-    std::fprintf(f, "]}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-}
-
-const Row* find_row(const std::vector<Row>& rows, const char* name) {
-  for (const Row& r : rows)
-    if (r.name == name) return &r;
-  return nullptr;
-}
-
-const Row* find_row(const std::vector<Row>& rows, const char* store,
-                    const char* name) {
-  for (const Row& r : rows)
-    if (r.store == store && r.name == name) return &r;
-  return nullptr;
-}
-
 // ERR normalized to user-requested bytes: media read traffic per byte
 // the application actually asked for. (The raw media/iMC ratio is
 // floored near 1.0 for line-aligned combined fetches; what the §5.1
@@ -557,43 +474,34 @@ double user_err(const Row* r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_stores.json";
-  bool mini = false;
-  unsigned host_cores = std::thread::hardware_concurrency();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-      out_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--mini") == 0) mini = true;
-    if (std::strcmp(argv[i], "--host-cores") == 0 && i + 1 < argc)
-      host_cores = static_cast<unsigned>(std::atoi(argv[i + 1]));
-  }
-  const unsigned jobs = sweep::jobs_from_args(argc, argv);
+  const auto args =
+      benchutil::StoreArgs::parse(argc, argv, "BENCH_stores.json");
 
   benchutil::banner("bench_stores",
                     "store-level write combining: off vs on, per store");
-  benchutil::note("host cores %u, jobs %u%s", host_cores, jobs,
-                  mini ? ", mini" : "");
+  benchutil::note("host cores %u, jobs %u%s", args.host_cores, args.jobs,
+                  args.mini ? ", mini" : "");
 
   sweep::Grid<Cfg> grid;
   // lsmkv: both WAL modes, small and page-ish values, thread scaling.
-  const int nrec = mini ? 2000 : 8000;
+  const int nrec = args.mini ? 2000 : 8000;
   for (kv::WalMode wal : {kv::WalMode::kFlex, kv::WalMode::kPosix})
-    for (std::size_t vlen : mini ? std::vector<std::size_t>{24}
+    for (std::size_t vlen : args.mini ? std::vector<std::size_t>{24}
                                  : std::vector<std::size_t>{24, 256})
-      for (unsigned threads : mini ? std::vector<unsigned>{1, 8}
+      for (unsigned threads : args.mini ? std::vector<unsigned>{1, 8}
                                    : std::vector<unsigned>{1, 4, 8})
         for (bool opt : {false, true})
           grid.add({.store = Store::kLsmkv, .optimized = opt, .wal = wal,
                     .vlen = vlen, .threads = threads, .records = nrec});
   // novafs: multi-segment writes and renames.
-  const int fs_ops = mini ? 100 : 400;
+  const int fs_ops = args.mini ? 100 : 400;
   for (const char* op : {"write", "rename"})
     for (bool opt : {false, true})
       grid.add({.store = Store::kNovafs, .optimized = opt, .fs_op = op,
                 .fs_ops = fs_ops});
   // pmemkv: stock (remote pool) vs NUMA-local placement at the collapse
   // thread count.
-  const unsigned kv_threads = mini ? 4 : 8;
+  const unsigned kv_threads = args.mini ? 4 : 8;
   grid.add({.store = Store::kPmemkv, .threads = kv_threads});
   grid.add({.store = Store::kPmemkv, .threads = kv_threads,
             .placement = pmemkv::Placement::kNumaLocal});
@@ -622,30 +530,23 @@ int main(int argc, char** argv) {
     grid.add({.store = st, .read = true, .rounds = read_rounds + 1,
               .records = kv_read_keys});
 
-  // Determinism guard: the whole grid serial, then parallel; the result
-  // vectors must match bit for bit.
-  sweep::Pool serial(1);
-  sweep::Pool parallel(jobs);
-  const auto rows = sweep::run_points(serial, grid, run_point);
-  const auto rows_par = sweep::run_points(parallel, grid, run_point);
-  const bool identical = rows_equal(rows, rows_par);
+  const auto [rows, identical] =
+      benchutil::run_serial_then_parallel(grid, args.jobs, run_point);
 
   benchutil::row("%-28s %10s %10s %8s", "point", "GB/s", "kops/s", "EWR");
   for (const Row& r : rows)
     benchutil::row("%-28s %10.3f %10.1f %8.3f",
                    (r.store + "/" + r.name).c_str(), r.gbps, r.kops, r.ewr);
   benchutil::row("");
-  benchutil::row("determinism (--jobs 1 vs --jobs %u): %s", jobs,
+  benchutil::row("determinism (--jobs 1 vs --jobs %u): %s", args.jobs,
                  identical ? "identical" : "MISMATCH");
 
   // Headline ratios the acceptance criteria key on: small-value group
   // commit vs per-record appends at the highest thread count.
-  const Row* base = find_row(rows, "flex-per-record-v24-t8");
-  const Row* group = find_row(rows, "flex-group-v24-t8");
-  const double speedup =
-      (base != nullptr && group != nullptr && base->gbps > 0)
-          ? group->gbps / base->gbps
-          : 0;
+  const Row* base =
+      benchutil::find_row(rows, "lsmkv", "flex-per-record-v24-t8");
+  const Row* group = benchutil::find_row(rows, "lsmkv", "flex-group-v24-t8");
+  const double speedup = benchutil::ratio(group, base, &Row::gbps);
   if (base != nullptr && group != nullptr)
     benchutil::row("lsmkv small-value group commit: %.2fx throughput, "
                    "EWR %.3f -> %.3f",
@@ -653,12 +554,10 @@ int main(int argc, char** argv) {
 
   // Read-path headline: stock vs combined+cached point gets. Same op
   // count both sides, so the kops ratio is the point-get speedup.
-  const Row* rd_off = find_row(rows, "lsmkv", "get-stock-cache0");
-  const Row* rd_on = find_row(rows, "lsmkv", "get-combined-cache4096");
-  const double read_speedup =
-      (rd_off != nullptr && rd_on != nullptr && rd_off->kops > 0)
-          ? rd_on->kops / rd_off->kops
-          : 0;
+  const Row* rd_off = benchutil::find_row(rows, "lsmkv", "get-stock-cache0");
+  const Row* rd_on =
+      benchutil::find_row(rows, "lsmkv", "get-combined-cache4096");
+  const double read_speedup = benchutil::ratio(rd_on, rd_off, &Row::kops);
   if (rd_off != nullptr && rd_on != nullptr)
     benchutil::row("lsmkv point gets (read path on): %.2fx throughput, "
                    "ERR/user-byte %.3f -> %.3f",
@@ -667,13 +566,9 @@ int main(int argc, char** argv) {
   // One instrumented run's summary rides along: per-DIMM timelines for
   // the group-commit WAL under telemetry, with a coarse sample interval
   // to keep the file small.
-  std::string summary;
-  {
-    hw::Platform platform;
-    telemetry::Options topt;
-    topt.sample_interval = sim::ms(1);
-    telemetry::Session tel(platform, topt);
-    auto& ns = platform.optane(256ull << 20);
+  hw::Platform tel_platform;
+  const std::string summary = benchutil::telemetry_summary(tel_platform, [&] {
+    auto& ns = tel_platform.optane(256ull << 20);
     kv::DbOptions o;
     o.wal = kv::WalMode::kFlex;
     o.wal_group_commit = true;
@@ -681,46 +576,24 @@ int main(int argc, char** argv) {
     sim::ThreadCtx t({.id = 0, .socket = 0, .mlp = 8, .seed = 1});
     db.create(t);
     const std::string value(24, 'v');
-    for (int i = 0; i < (mini ? 500 : 2000); ++i) {
+    for (int i = 0; i < (args.mini ? 500 : 2000); ++i) {
       char key[16];
       std::snprintf(key, sizeof key, "k%06d", i);
       db.put(t, key, value);
     }
     db.commit_pending(t);
     t.drain();
-    tel.finish();
-    summary = tel.summary_json();
-  }
+  });
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
+  if (!benchutil::write_json(
+          args, "stores", identical,
+          {{"lsmkv_group_speedup", speedup, 3},
+           {"lsmkv_baseline_ewr", base != nullptr ? base->ewr : 0, 4},
+           {"lsmkv_group_ewr", group != nullptr ? group->ewr : 0, 4},
+           {"lsmkv_read_speedup", read_speedup, 3},
+           {"lsmkv_read_err_stock", user_err(rd_off), 4},
+           {"lsmkv_read_err_combined", user_err(rd_on), 4}},
+          rows, summary))
     return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"stores\",\n");
-  std::fprintf(f, "  \"host_cores\": %u,\n", host_cores);
-  std::fprintf(f, "  \"jobs\": %u,\n", jobs);
-  std::fprintf(f, "  \"mini\": %s,\n", mini ? "true" : "false");
-  std::fprintf(f, "  \"deterministic\": %s,\n",
-               identical ? "true" : "false");
-  std::fprintf(f, "  \"headline\": {\"lsmkv_group_speedup\": %.3f, "
-               "\"lsmkv_baseline_ewr\": %.4f, "
-               "\"lsmkv_group_ewr\": %.4f, "
-               "\"lsmkv_read_speedup\": %.3f, "
-               "\"lsmkv_read_err_stock\": %.4f, "
-               "\"lsmkv_read_err_combined\": %.4f},\n",
-               speedup, base != nullptr ? base->ewr : 0,
-               group != nullptr ? group->ewr : 0, read_speedup,
-               user_err(rd_off), user_err(rd_on));
-  std::fprintf(f, "  \"rows\": [\n");
-  json_rows(f, rows);
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"telemetry_summary\": %s\n", summary.c_str());
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  benchutil::row("");
-  benchutil::note("wrote %s", out_path);
-
   return identical ? 0 : 1;
 }

@@ -32,16 +32,13 @@
 //                   [--host-cores N]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "sweep/sweep.h"
 #include "telemetry/registry.h"
-#include "telemetry/session.h"
 #include "workload/engine.h"
 #include "workload/shard.h"
 #include "xpsim/fault.h"
@@ -70,42 +67,28 @@ struct Row {
   std::uint64_t p50 = 0, p99 = 0;  // simulated ps
   double kops = 0;
   double ewr = 0, err = 0;
-  std::vector<double> shard_ewr, shard_err;
+  std::vector<std::optional<double>> shard_ewr, shard_err;  // idle: empty
+
+  bool operator==(const Row&) const = default;
+
+  void json(std::FILE* f) const {
+    std::fprintf(f,
+                 "{\"store\": \"%s\", \"name\": \"%s\", \"ops\": %llu, "
+                 "\"checksum\": \"%016llx\", \"kops\": %.2f, "
+                 "\"p50_ns\": %.1f, \"p99_ns\": %.1f, "
+                 "\"ewr\": %.4f, \"err\": %.4f, \"shard_ewr\": ",
+                 store.c_str(), name.c_str(),
+                 static_cast<unsigned long long>(ops),
+                 static_cast<unsigned long long>(checksum), kops,
+                 sim::to_ns(p50), sim::to_ns(p99),
+                 std::isfinite(ewr) ? ewr : -1.0,
+                 std::isfinite(err) ? err : -1.0);
+    benchutil::json_numbers(f, shard_ewr);
+    std::fprintf(f, ", \"shard_err\": ");
+    benchutil::json_numbers(f, shard_err);
+    std::fprintf(f, "}");
+  }
 };
-
-// Bitwise-equal doubles, with NaN == NaN (idle shards report NaN).
-bool deq(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const bool an = std::isnan(a[i]), bn = std::isnan(b[i]);
-    if (an != bn || (!an && a[i] != b[i])) return false;
-  }
-  return true;
-}
-
-bool rows_equal(const std::vector<Row>& a, const std::vector<Row>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].store != b[i].store || a[i].name != b[i].name ||
-        a[i].ops != b[i].ops || a[i].read_hits != b[i].read_hits ||
-        a[i].checksum != b[i].checksum || a[i].p50 != b[i].p50 ||
-        a[i].p99 != b[i].p99 || a[i].kops != b[i].kops ||
-        a[i].ewr != b[i].ewr || a[i].err != b[i].err ||
-        !deq(a[i].shard_ewr, b[i].shard_ewr) ||
-        !deq(a[i].shard_err, b[i].shard_err))
-      return false;
-  }
-  return true;
-}
-
-// The read benches' regime: LLC below the working set so repeat reads
-// actually reach the DIMMs (paper §5.1); used for every YCSB row so
-// read-heavy and update-heavy mixes are measured on one platform.
-hw::Timing small_llc_timing() {
-  hw::Timing tm;
-  tm.llc_lines = 512;  // 32 KB
-  return tm;
-}
 
 // Every switch is set from `c.knobs`, so a `-stock` row stays knobs-off
 // whatever the library defaults are.
@@ -127,7 +110,9 @@ Row run_point(const Cfg& c) {
                 c.threads, c.knobs ? "knobs" : "stock");
   r.name = name;
 
-  hw::Platform platform(small_llc_timing(), /*seed=*/1);
+  // Every row runs in the §5.1 read regime, so read-heavy and
+  // update-heavy mixes are measured on one platform.
+  hw::Platform platform(benchutil::small_llc_timing(), /*seed=*/1);
   const auto shard_ns = workload::ShardedStore::make_namespaces(
       platform, c.shards, 64ull << 20);
   workload::ShardOptions so;
@@ -170,48 +155,12 @@ Row run_point(const Cfg& c) {
   for (unsigned s = 0; s < c.shards; ++s) {
     // Shard s lives alone on DIMM (socket 0, channel s % channels).
     const hw::XpCounters& sc = d.xp[0][s % channels].counters;
-    r.shard_ewr.push_back(sc.media_write_bytes == 0 ? std::nan("")
-                                                    : sc.ewr());
-    r.shard_err.push_back(sc.imc_read_bytes == 0 ? std::nan("") : sc.err());
+    r.shard_ewr.push_back(sc.media_write_bytes == 0 ? std::nullopt
+                                                    : std::optional(sc.ewr()));
+    r.shard_err.push_back(sc.imc_read_bytes == 0 ? std::nullopt
+                                                 : std::optional(sc.err()));
   }
   return r;
-}
-
-void json_rows(std::FILE* f, const std::vector<Row>& rows) {
-  auto arr = [&](const std::vector<double>& v) {
-    std::fprintf(f, "[");
-    for (std::size_t i = 0; i < v.size(); ++i)
-      if (std::isnan(v[i]))
-        std::fprintf(f, "null%s", i + 1 < v.size() ? "," : "");
-      else
-        std::fprintf(f, "%.4f%s", v[i], i + 1 < v.size() ? "," : "");
-    std::fprintf(f, "]");
-  };
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"store\": \"%s\", \"name\": \"%s\", \"ops\": %llu, "
-                 "\"checksum\": \"%016llx\", \"kops\": %.2f, "
-                 "\"p50_ns\": %.1f, \"p99_ns\": %.1f, "
-                 "\"ewr\": %.4f, \"err\": %.4f, \"shard_ewr\": ",
-                 r.store.c_str(), r.name.c_str(),
-                 static_cast<unsigned long long>(r.ops),
-                 static_cast<unsigned long long>(r.checksum), r.kops,
-                 sim::to_ns(r.p50), sim::to_ns(r.p99),
-                 std::isfinite(r.ewr) ? r.ewr : -1.0,
-                 std::isfinite(r.err) ? r.err : -1.0);
-    arr(r.shard_ewr);
-    std::fprintf(f, ", \"shard_err\": ");
-    arr(r.shard_err);
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-}
-
-const Row* find_row(const std::vector<Row>& rows, const char* store,
-                    const char* name) {
-  for (const Row& r : rows)
-    if (r.store == store && r.name == name) return &r;
-  return nullptr;
 }
 
 // ---- --faults: degraded-mode grid and resilience gates ------------------
@@ -234,6 +183,28 @@ struct FaultRow {
   workload::ResilienceStats stats;
   bool healthy_at_end = false;
   bool rebuild_verified = true;  // vacuous on fault-free rows
+
+  void json(std::FILE* f) const {
+    std::fprintf(
+        f,
+        "{\"name\": \"%s\", \"kops\": %.2f, \"checksum\": \"%016llx\", "
+        "\"corruptions\": %llu, \"typed_errors\": %llu, "
+        "\"failovers\": %llu, \"retries\": %llu, "
+        "\"keys_resilvered\": %llu, \"keys_lost\": %llu, "
+        "\"lines_healed\": %llu, \"recovered\": %llu, "
+        "\"healthy_at_end\": %s, \"rebuild_verified\": %s}",
+        name.c_str(), kops, static_cast<unsigned long long>(checksum),
+        static_cast<unsigned long long>(corruptions),
+        static_cast<unsigned long long>(typed_errors),
+        static_cast<unsigned long long>(failovers),
+        static_cast<unsigned long long>(retries),
+        static_cast<unsigned long long>(stats.keys_resilvered),
+        static_cast<unsigned long long>(stats.keys_lost),
+        static_cast<unsigned long long>(stats.lines_healed),
+        static_cast<unsigned long long>(stats.recovered),
+        healthy_at_end ? "true" : "false",
+        rebuild_verified ? "true" : "false");
+  }
 };
 
 FaultRow run_fault_point(const char* name, bool degraded, unsigned replicas,
@@ -242,7 +213,7 @@ FaultRow run_fault_point(const char* name, bool degraded, unsigned replicas,
   FaultRow row;
   row.name = name;
 
-  hw::Platform platform(small_llc_timing(), /*seed=*/1);
+  hw::Platform platform(benchutil::small_llc_timing(), /*seed=*/1);
   const auto shard_ns =
       workload::ShardedStore::make_namespaces(platform, 4, 64ull << 20);
   workload::ShardOptions so;
@@ -324,41 +295,31 @@ FaultRow run_fault_point(const char* name, bool degraded, unsigned replicas,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_YCSB.json";
-  bool mini = false;
-  bool faults = false;
-  unsigned host_cores = std::thread::hardware_concurrency();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-      out_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--mini") == 0) mini = true;
-    if (std::strcmp(argv[i], "--faults") == 0) faults = true;
-    if (std::strcmp(argv[i], "--host-cores") == 0 && i + 1 < argc)
-      host_cores = static_cast<unsigned>(std::atoi(argv[i + 1]));
-  }
-  const unsigned jobs = sweep::jobs_from_args(argc, argv);
+  const auto args = benchutil::StoreArgs::parse(argc, argv, "BENCH_YCSB.json");
+  const bool faults = benchutil::has_flag(argc, argv, "--faults");
 
   benchutil::banner("bench_ycsb",
                     "YCSB A-F over the four stores + sharded frontend");
-  benchutil::note("host cores %u, jobs %u%s", host_cores, jobs,
-                  mini ? ", mini" : "");
+  benchutil::note("host cores %u, jobs %u%s", args.host_cores, args.jobs,
+                  args.mini ? ", mini" : "");
 
   // Working sets sized past the 32 KB LLC and the aggregate XPBuffer so
   // the stock read path pays media loads (the regime §5.1 targets).
-  const std::uint64_t recs = mini ? 1200 : 2000;
-  const std::uint64_t ops = mini ? 2000 : 4000;
+  const std::uint64_t recs = args.mini ? 1200 : 2000;
+  const std::uint64_t ops = args.mini ? 2000 : 4000;
 
   sweep::Grid<Cfg> grid;
   // Stock single-shard A-F per family (lsmkv-only in mini runs; the
   // other families ride in the full grid and the differential oracle).
   const auto families =
-      mini ? std::vector<workload::StoreKind>{workload::StoreKind::kLsmkv}
-           : std::vector<workload::StoreKind>{
-                 workload::StoreKind::kLsmkv, workload::StoreKind::kCmap,
-                 workload::StoreKind::kStree, workload::StoreKind::kNova};
-  const auto workloads = mini ? std::vector<char>{'A', 'B'}
-                              : std::vector<char>{'A', 'B', 'C',
-                                                  'D', 'E', 'F'};
+      args.mini
+          ? std::vector<workload::StoreKind>{workload::StoreKind::kLsmkv}
+          : std::vector<workload::StoreKind>{
+                workload::StoreKind::kLsmkv, workload::StoreKind::kCmap,
+                workload::StoreKind::kStree, workload::StoreKind::kNova};
+  const auto workloads = args.mini ? std::vector<char>{'A', 'B'}
+                                   : std::vector<char>{'A', 'B', 'C',
+                                                       'D', 'E', 'F'};
   for (workload::StoreKind k : families)
     for (char wl : workloads)
       grid.add({.kind = k, .wl = wl, .records = recs, .ops = ops});
@@ -375,11 +336,8 @@ int main(int argc, char** argv) {
   grid.add({.kind = workload::StoreKind::kLsmkv, .wl = 'B', .shards = 4,
             .threads = 8, .knobs = true, .records = recs, .ops = ops});
 
-  sweep::Pool serial(1);
-  sweep::Pool parallel(jobs);
-  const auto rows = sweep::run_points(serial, grid, run_point);
-  const auto rows_par = sweep::run_points(parallel, grid, run_point);
-  const bool identical = rows_equal(rows, rows_par);
+  const auto [rows, identical] =
+      benchutil::run_serial_then_parallel(grid, args.jobs, run_point);
 
   benchutil::row("%-26s %10s %10s %10s %8s", "point", "kops/s", "p50 ns",
                  "p99 ns", "EWR");
@@ -388,23 +346,18 @@ int main(int argc, char** argv) {
                    (r.store + "/" + r.name).c_str(), r.kops,
                    sim::to_ns(r.p50), sim::to_ns(r.p99), r.ewr);
   benchutil::row("");
-  benchutil::row("determinism (--jobs 1 vs --jobs %u): %s", jobs,
+  benchutil::row("determinism (--jobs 1 vs --jobs %u): %s", args.jobs,
                  identical ? "identical" : "MISMATCH");
 
-  const Row* a1 = find_row(rows, "lsmkv", "A-s1-t8-knobs");
-  const Row* a4 = find_row(rows, "lsmkv", "A-s4-t8-knobs");
-  const double scaling =
-      (a1 != nullptr && a4 != nullptr && a1->kops > 0) ? a4->kops / a1->kops
-                                                       : 0;
+  const Row* a1 = benchutil::find_row(rows, "lsmkv", "A-s1-t8-knobs");
+  const Row* a4 = benchutil::find_row(rows, "lsmkv", "A-s4-t8-knobs");
+  const double scaling = benchutil::ratio(a4, a1, &Row::kops);
   if (a1 != nullptr && a4 != nullptr)
     benchutil::row("workload A shards 4 vs 1 (update-heavy): %.2fx", scaling);
 
-  const Row* b_stock = find_row(rows, "lsmkv", "B-s1-t8-stock");
-  const Row* b_fast = find_row(rows, "lsmkv", "B-s4-t8-knobs");
-  const double b_speedup =
-      (b_stock != nullptr && b_fast != nullptr && b_stock->kops > 0)
-          ? b_fast->kops / b_stock->kops
-          : 0;
+  const Row* b_stock = benchutil::find_row(rows, "lsmkv", "B-s1-t8-stock");
+  const Row* b_fast = benchutil::find_row(rows, "lsmkv", "B-s4-t8-knobs");
+  const double b_speedup = benchutil::ratio(b_fast, b_stock, &Row::kops);
   if (b_stock != nullptr && b_fast != nullptr)
     benchutil::row("workload B read-path + sharding vs stock: %.2fx",
                    b_speedup);
@@ -415,8 +368,8 @@ int main(int argc, char** argv) {
   double degraded_ratio = 0;
   bool identity_ok = true;
   if (faults) {
-    const std::uint64_t frecs = mini ? 800 : 2000;
-    const std::uint64_t fops = mini ? 1600 : 4000;
+    const std::uint64_t frecs = args.mini ? 800 : 2000;
+    const std::uint64_t fops = args.mini ? 1600 : 4000;
     fault_rows.push_back(run_fault_point("B-r2-healthy", /*degraded=*/false,
                                          /*replicas=*/2, 8, frecs, fops));
     fault_rows.push_back(run_fault_point("B-r2-degraded", /*degraded=*/true,
@@ -425,9 +378,11 @@ int main(int argc, char** argv) {
     // interleaving is a pure function of program order), replicas=1 and
     // replicas=2 must observe byte-identical results.
     fault_rows.push_back(run_fault_point("B-r1-identity", false, 1, 1,
-                                         mini ? 300 : 600, mini ? 600 : 1200));
+                                         args.mini ? 300 : 600,
+                                         args.mini ? 600 : 1200));
     fault_rows.push_back(run_fault_point("B-r2-identity", false, 2, 1,
-                                         mini ? 300 : 600, mini ? 600 : 1200));
+                                         args.mini ? 300 : 600,
+                                         args.mini ? 600 : 1200));
     // Bind references only once the vector is final: push_back may
     // reallocate and would leave earlier references dangling.
     const FaultRow& healthy = fault_rows[0];
@@ -485,21 +440,17 @@ int main(int argc, char** argv) {
 
   // One instrumented sharded run's telemetry summary rides along: the
   // per-DIMM (= per-shard) EWR/ERR timelines under workload A.
-  std::string summary;
-  {
-    hw::Platform platform(small_llc_timing(), /*seed=*/1);
-    telemetry::Options topt;
-    topt.sample_interval = sim::ms(1);
-    telemetry::Session tel(platform, topt);
+  hw::Platform tel_platform(benchutil::small_llc_timing(), /*seed=*/1);
+  const std::string summary = benchutil::telemetry_summary(tel_platform, [&] {
     const auto shard_ns =
-        workload::ShardedStore::make_namespaces(platform, 4, 64ull << 20);
+        workload::ShardedStore::make_namespaces(tel_platform, 4, 64ull << 20);
     workload::ShardOptions so;
     so.kind = workload::StoreKind::kLsmkv;
     so.tuning = tuning_for({.knobs = true});
     workload::ShardedStore store(shard_ns, so);
     workload::Spec spec = workload::ycsb('A');
-    spec.records = mini ? 300 : 500;
-    spec.ops = mini ? 600 : 1000;
+    spec.records = args.mini ? 300 : 500;
+    spec.ops = args.mini ? 600 : 1000;
     sim::ThreadCtx setup({.id = 100, .socket = 0, .mlp = 8, .seed = 1});
     store.create(setup);
     workload::load(store, spec, setup);
@@ -507,66 +458,23 @@ int main(int argc, char** argv) {
     eo.threads = 4;
     eo.background_thread = true;
     workload::run(store, spec, eo);
-    tel.finish();
-    summary = tel.summary_json();
-  }
+  });
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"ycsb\",\n");
-  std::fprintf(f, "  \"host_cores\": %u,\n", host_cores);
-  std::fprintf(f, "  \"jobs\": %u,\n", jobs);
-  std::fprintf(f, "  \"mini\": %s,\n", mini ? "true" : "false");
-  std::fprintf(f, "  \"deterministic\": %s,\n", identical ? "true" : "false");
-  std::fprintf(f,
-               "  \"headline\": {\"ycsb_update_scaling\": %.3f, "
-               "\"lsmkv_b_speedup\": %.3f},\n",
-               scaling, b_speedup);
-  std::fprintf(f, "  \"rows\": [\n");
-  json_rows(f, rows);
-  std::fprintf(f, "  ],\n");
-  if (faults) {
+  const auto resilience = [&](std::FILE* f) {
+    if (!faults) return;
     std::fprintf(f,
                  "  \"resilience\": {\"gates_ok\": %s, "
                  "\"degraded_ratio\": %.3f, \"identity_ok\": %s, "
                  "\"fault_rows\": [\n",
                  fault_gates_ok ? "true" : "false", degraded_ratio,
                  identity_ok ? "true" : "false");
-    for (std::size_t i = 0; i < fault_rows.size(); ++i) {
-      const FaultRow& r = fault_rows[i];
-      std::fprintf(
-          f,
-          "    {\"name\": \"%s\", \"kops\": %.2f, \"checksum\": \"%016llx\", "
-          "\"corruptions\": %llu, \"typed_errors\": %llu, "
-          "\"failovers\": %llu, \"retries\": %llu, "
-          "\"keys_resilvered\": %llu, \"keys_lost\": %llu, "
-          "\"lines_healed\": %llu, \"recovered\": %llu, "
-          "\"healthy_at_end\": %s, \"rebuild_verified\": %s}%s\n",
-          r.name.c_str(), r.kops,
-          static_cast<unsigned long long>(r.checksum),
-          static_cast<unsigned long long>(r.corruptions),
-          static_cast<unsigned long long>(r.typed_errors),
-          static_cast<unsigned long long>(r.failovers),
-          static_cast<unsigned long long>(r.retries),
-          static_cast<unsigned long long>(r.stats.keys_resilvered),
-          static_cast<unsigned long long>(r.stats.keys_lost),
-          static_cast<unsigned long long>(r.stats.lines_healed),
-          static_cast<unsigned long long>(r.stats.recovered),
-          r.healthy_at_end ? "true" : "false",
-          r.rebuild_verified ? "true" : "false",
-          i + 1 < fault_rows.size() ? "," : "");
-    }
+    benchutil::json_objects(f, fault_rows);
     std::fprintf(f, "  ]},\n");
-  }
-  std::fprintf(f, "  \"telemetry_summary\": %s\n", summary.c_str());
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  benchutil::row("");
-  benchutil::note("wrote %s", out_path);
-
+  };
+  if (!benchutil::write_json(args, "ycsb", identical,
+                             {{"ycsb_update_scaling", scaling, 3},
+                              {"lsmkv_b_speedup", b_speedup, 3}},
+                             rows, summary, resilience))
+    return 1;
   return identical && fault_gates_ok ? 0 : 1;
 }

@@ -42,11 +42,14 @@ int main(int argc, char** argv) {
   for (const Mix& m : {Mix{"R", 1.0}, Mix{"R:W 4:1", 0.8},
                        Mix{"R:W 3:1", 0.75}, Mix{"R:W 2:1", 0.667},
                        Mix{"R:W 1:1", 0.5}, Mix{"W", 0.0}}) {
-    benchutil::row("%-10s %10.2f %16.2f %10.2f %16.2f", m.name,
-                   point(0, 1, m.read_fraction),
-                   point(1, 1, m.read_fraction),
-                   point(0, 4, m.read_fraction),
-                   point(1, 4, m.read_fraction));
+    // Locals, not arguments: points (and their trace files) are numbered
+    // in grid order only if they run in it.
+    const double local1 = point(0, 1, m.read_fraction),
+                 remote1 = point(1, 1, m.read_fraction),
+                 local4 = point(0, 4, m.read_fraction),
+                 remote4 = point(1, 4, m.read_fraction);
+    benchutil::row("%-10s %10.2f %16.2f %10.2f %16.2f", m.name, local1,
+                   remote1, local4, remote4);
   }
   benchutil::note("paper: single-threaded local ~= remote; with 4 threads "
                   "remote falls off sharply as store intensity rises; "

@@ -2,8 +2,11 @@
 // the numbers that justify them *on that device*.
 //
 // Useful as a template for characterizing a new (simulated) memory
-// configuration: pass different hw::Timing values and see which
-// guidelines still matter (compare bench/abl_* for systematic sweeps).
+// configuration: change a settable hw::Timing field (the LLC size, eADR,
+// the WPQ credit, the XPBuffer size, the write-stream trackers, the wear
+// threshold, the Memory Mode cache) or a calibration constant in
+// xpsim/timing.h, and see which guidelines still matter (compare
+// bench/abl_* for systematic sweeps).
 // Exits 1 if any guideline's comparison does not come out the way the
 // guideline says on the default device.
 //

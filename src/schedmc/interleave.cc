@@ -75,11 +75,7 @@ Interleaver::RunResult Interleaver::run(const std::vector<ThreadSpec>& specs,
   runnable_at_.clear();
   signature_ = 0xcbf29ce484222325ULL;
   decisions_ = 0;
-  preemptions_ = 0;
-  points_.fill(0);
-  crashed_ = false;
   deadlocked_ = false;
-  budget_exhausted_ = false;
   error_.clear();
 
   ctxs_.reserve(n);
@@ -111,11 +107,7 @@ Interleaver::RunResult Interleaver::run(const std::vector<ThreadSpec>& specs,
   r.runnable_at = std::move(runnable_at_);
   r.signature = signature_;
   r.decisions = decisions_;
-  r.preemptions = preemptions_;
-  r.points = points_;
-  r.crashed = crashed_;
   r.deadlocked = deadlocked_;
-  r.budget_exhausted = budget_exhausted_;
   r.error = error_;
   return r;
 }
@@ -133,7 +125,6 @@ void Interleaver::thread_main(
     // Normal unwind of an aborted run.
   } catch (const hw::CrashPointHit&) {
     std::lock_guard<std::mutex> g(mu_);
-    crashed_ = true;
     abort_ = true;
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> g(mu_);
@@ -158,10 +149,10 @@ unsigned Interleaver::decide(unsigned current, sim::SchedPoint point) {
     abort_ = true;
     return kNobody;
   }
-  if (budget_exhausted_ || decisions_ >= kMaxDecisions) {
+  if (decisions_ >= kMaxDecisions) {
     // Out of decision budget: stop branching and finish the run serially
-    // (keep the current thread while it can run).
-    budget_exhausted_ = true;
+    // (keep the current thread while it can run). Past the budget no
+    // decision is counted, so this stays true for the rest of the run.
     if (current != SchedulePolicy::kNone &&
         std::find(runnable.begin(), runnable.end(), current) !=
             runnable.end())
@@ -180,9 +171,6 @@ unsigned Interleaver::decide(unsigned current, sim::SchedPoint point) {
   signature_ = (signature_ ^ ((static_cast<std::uint64_t>(choice) << 8) ^
                               static_cast<std::uint64_t>(point) ^ 0x9e37)) *
                0x100000001b3ULL;
-  if (current != SchedulePolicy::kNone && choice != current &&
-      std::find(runnable.begin(), runnable.end(), current) != runnable.end())
-    ++preemptions_;
   ++decisions_;
   return choice;
 }
@@ -247,7 +235,6 @@ void Interleaver::yield(sim::ThreadCtx& ctx, sim::SchedPoint point) {
   // must not be thrown across it.
   if (std::uncaught_exceptions() > 0) return;
   std::unique_lock<std::mutex> lk(mu_);
-  ++points_[static_cast<unsigned>(point)];
   if (opts_.sink != nullptr)
     opts_.sink->sched_point(static_cast<unsigned>(point), ctx.id());
   if (abort_) throw AbortRun{};
@@ -264,7 +251,6 @@ void Interleaver::yield(sim::ThreadCtx& ctx, sim::SchedPoint point) {
 void Interleaver::lock(sim::ThreadCtx& ctx, const void* id) {
   if (std::uncaught_exceptions() > 0) return;  // cleanup never blocks
   std::unique_lock<std::mutex> lk(mu_);
-  ++points_[static_cast<unsigned>(sim::SchedPoint::kLockAcquire)];
   if (opts_.sink != nullptr)
     opts_.sink->sched_point(
         static_cast<unsigned>(sim::SchedPoint::kLockAcquire), ctx.id());
@@ -297,7 +283,6 @@ void Interleaver::lock(sim::ThreadCtx& ctx, const void* id) {
 
 void Interleaver::unlock(sim::ThreadCtx& ctx, const void* id) {
   std::unique_lock<std::mutex> lk(mu_);
-  ++points_[static_cast<unsigned>(sim::SchedPoint::kLockRelease)];
   if (opts_.sink != nullptr)
     opts_.sink->sched_point(
         static_cast<unsigned>(sim::SchedPoint::kLockRelease), ctx.id());

@@ -25,7 +25,6 @@
 // cleanup (Tx rollback against the frozen platform) stays safe.
 #pragma once
 
-#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -125,11 +124,7 @@ class Interleaver final : public sim::SchedHook {
     std::vector<std::vector<unsigned>> runnable_at;  // per early decision
     std::uint64_t signature = 0;  // hash of (thread, point) decisions
     std::uint64_t decisions = 0;
-    std::uint64_t preemptions = 0;
-    std::array<std::uint64_t, sim::kNumSchedPoints> points{};
-    bool crashed = false;       // a CrashPointHit fired mid-run
     bool deadlocked = false;    // every live thread blocked on a SchedLock
-    bool budget_exhausted = false;  // kMaxDecisions hit; finished serially
     std::string error;          // unexpected exception text ("" = none)
   };
 
@@ -173,11 +168,7 @@ class Interleaver final : public sim::SchedHook {
   std::vector<std::vector<unsigned>> runnable_at_;
   std::uint64_t signature_ = 0;
   std::uint64_t decisions_ = 0;
-  std::uint64_t preemptions_ = 0;
-  std::array<std::uint64_t, sim::kNumSchedPoints> points_{};
-  bool crashed_ = false;
   bool deadlocked_ = false;
-  bool budget_exhausted_ = false;
   std::string error_;
 };
 

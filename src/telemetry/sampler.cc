@@ -45,9 +45,10 @@ void Sampler::sample(sim::Time now) {
 
   if (samples_.size() >= capacity_) {
     // Ring full: keep every 2nd sample and double the interval. The
-    // retained timeline still spans the whole run.
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < samples_.size(); r += 2)
+    // retained timeline still spans the whole run. Sample 0 stays where
+    // it is: moving it onto itself would empty its DIMM vector.
+    std::size_t w = 1;
+    for (std::size_t r = 2; r < samples_.size(); r += 2)
       samples_[w++] = std::move(samples_[r]);
     samples_.resize(w);
     interval_ *= 2;

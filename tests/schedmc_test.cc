@@ -181,6 +181,26 @@ TEST(Interleaver, DifferentSeedsReachDifferentSchedules) {
   EXPECT_GT(sigs.size(), 4u);
 }
 
+// The runaway guard: past kMaxDecisions a run stops consulting its policy
+// and finishes serially, and no later yield counts as a decision.
+TEST(Interleaver, RunawayRunFinishesSerially) {
+  const std::uint64_t yields = Interleaver::kMaxDecisions + 1000;
+  std::uint64_t done = 0;
+  ReplayPolicy policy({});
+  Interleaver il;
+  const auto rr = il.run({{.opts = {.id = 0},
+                           .body =
+                               [&](sim::ThreadCtx& ctx) {
+                                 for (; done < yields; ++done)
+                                   ctx.sched_point(sim::SchedPoint::kFence);
+                               }}},
+                         policy, {});
+  EXPECT_TRUE(rr.error.empty()) << rr.error;
+  EXPECT_EQ(done, yields);
+  EXPECT_EQ(rr.decisions, Interleaver::kMaxDecisions);
+  EXPECT_EQ(rr.trace.size(), Interleaver::kMaxDecisions);
+}
+
 // Schedule-point telemetry: hooked runs announce yield points to the
 // session, which buckets them per kind and emits a schedmc section.
 TEST(Interleaver, TelemetryCountsSchedPoints) {

@@ -529,8 +529,11 @@ TEST(Sampler, DecimationBoundsMemoryAndKeepsCoverage) {
   EXPECT_GE(sampler.samples().size(), 4u);
   EXPECT_GT(sampler.decimations(), 0u);
   EXPECT_GT(sampler.interval(), sim::us(1)) << "interval must coarsen";
-  // The surviving timeline still spans the run.
+  // The surviving timeline still spans the run, and every sample keeps
+  // every DIMM (the trace's counter tracks index them all).
   EXPECT_GE(sampler.samples().back().t, sim::us(2048));
+  for (const telemetry::Sampler::Sample& s : sampler.samples())
+    EXPECT_EQ(s.dimms.size(), sampler.dimms()) << "sample at " << s.t;
 }
 
 TEST(Sampler, SamplesAreMonotone) {
