@@ -102,6 +102,32 @@ workload::StoreTuning tuning_for(const Cfg& c) {
   return t;
 }
 
+// The setup every run here shares: `shards` namespaces of 64 MiB on
+// `platform`, a sharded store of `kind` over them, created and loaded
+// with the records of YCSB workload `wl` by the setup thread. Each
+// caller takes its own steps between the load and the measured run.
+struct LoadedStore {
+  LoadedStore(hw::Platform& platform, workload::StoreKind kind,
+              unsigned shards, const workload::StoreTuning& tuning,
+              unsigned replicas, char wl, std::uint64_t records,
+              std::uint64_t ops)
+      : shard_ns(workload::ShardedStore::make_namespaces(platform, shards,
+                                                         64ull << 20)),
+        store(shard_ns,
+              {.kind = kind, .tuning = tuning, .replicas = replicas}),
+        spec(workload::ycsb(wl)) {
+    spec.records = records;
+    spec.ops = ops;
+    store.create(setup);
+    workload::load(store, spec, setup);
+  }
+
+  std::vector<hw::PmemNamespace*> shard_ns;
+  workload::ShardedStore store;
+  workload::Spec spec;
+  sim::ThreadCtx setup{{.id = 100, .socket = 0, .mlp = 8, .seed = 1}};
+};
+
 Row run_point(const Cfg& c) {
   Row r;
   r.store = workload::store_kind_name(c.kind);
@@ -113,32 +139,21 @@ Row run_point(const Cfg& c) {
   // Every row runs in the §5.1 read regime, so read-heavy and
   // update-heavy mixes are measured on one platform.
   hw::Platform platform(benchutil::small_llc_timing(), /*seed=*/1);
-  const auto shard_ns = workload::ShardedStore::make_namespaces(
-      platform, c.shards, 64ull << 20);
-  workload::ShardOptions so;
-  so.kind = c.kind;
-  so.tuning = tuning_for(c);
-  workload::ShardedStore store(shard_ns, so);
-
-  workload::Spec spec = workload::ycsb(c.wl);
-  spec.records = c.records;
-  spec.ops = c.ops;
-
-  sim::ThreadCtx setup({.id = 100, .socket = 0, .mlp = 8, .seed = 1});
-  store.create(setup);
-  workload::load(store, spec, setup);
+  const workload::StoreTuning tuning = tuning_for(c);
+  LoadedStore loaded(platform, c.kind, c.shards, tuning, /*replicas=*/1,
+                     c.wl, c.records, c.ops);
   // Finish the load before the measured epoch starts: its last accesses
   // and buffered lines retire at the setup thread's clock, so resetting
   // first would make every worker's first op wait for the whole load.
-  setup.drain();
-  platform.flush_xp_buffers(setup.now());
+  loaded.setup.drain();
+  platform.flush_xp_buffers(loaded.setup.now());
   platform.reset_timing();
 
   const auto s0 = telemetry::Snapshot::capture(platform);
   workload::EngineOptions eo;
   eo.threads = c.threads;
-  eo.background_thread = so.tuning.background_compaction;
-  const workload::Result res = workload::run(store, spec, eo);
+  eo.background_thread = tuning.background_compaction;
+  const workload::Result res = workload::run(loaded.store, loaded.spec, eo);
   platform.flush_xp_buffers(res.elapsed);
   const telemetry::Delta d = telemetry::Snapshot::capture(platform) - s0;
 
@@ -214,39 +229,28 @@ FaultRow run_fault_point(const char* name, bool degraded, unsigned replicas,
   row.name = name;
 
   hw::Platform platform(benchutil::small_llc_timing(), /*seed=*/1);
-  const auto shard_ns =
-      workload::ShardedStore::make_namespaces(platform, 4, 64ull << 20);
-  workload::ShardOptions so;
-  so.kind = workload::StoreKind::kLsmkv;
-  so.tuning = tuning_for({.knobs = true});
-  so.replicas = replicas;
-  workload::ShardedStore store(shard_ns, so);
-
-  workload::Spec spec = workload::ycsb('B');
-  spec.records = records;
-  spec.ops = ops;
-
-  sim::ThreadCtx setup({.id = 100, .socket = 0, .mlp = 8, .seed = 1});
-  store.create(setup);
-  workload::load(store, spec, setup);
+  LoadedStore loaded(platform, workload::StoreKind::kLsmkv, 4,
+                     tuning_for({.knobs = true}), replicas, 'B', records,
+                     ops);
+  workload::ShardedStore& store = loaded.store;
   if (degraded) {
     // One of four failure domains goes bad under live traffic: the shard
     // is pulled from service and its DIMM carries at-rest poison the
     // online rebuild must scrub and heal.
-    store.quarantine_shard(setup, 0);
-    hw::FaultInjector(platform).poison_live(*shard_ns[0], 16,
+    store.quarantine_shard(loaded.setup, 0);
+    hw::FaultInjector(platform).poison_live(*loaded.shard_ns[0], 16,
                                             /*stride=*/4);
   }
   // As in run_point: finish the setup before the measured epoch starts.
-  setup.drain();
-  platform.flush_xp_buffers(setup.now());
+  loaded.setup.drain();
+  platform.flush_xp_buffers(loaded.setup.now());
   platform.reset_timing();
 
   workload::EngineOptions eo;
   eo.threads = threads;
   eo.background_thread = true;
   eo.validate_reads = true;
-  const workload::Result res = workload::run(store, spec, eo);
+  const workload::Result res = workload::run(store, loaded.spec, eo);
 
   row.ops = res.ops;
   row.kops = res.kops();
@@ -442,22 +446,13 @@ int main(int argc, char** argv) {
   // per-DIMM (= per-shard) EWR/ERR timelines under workload A.
   hw::Platform tel_platform(benchutil::small_llc_timing(), /*seed=*/1);
   const std::string summary = benchutil::telemetry_summary(tel_platform, [&] {
-    const auto shard_ns =
-        workload::ShardedStore::make_namespaces(tel_platform, 4, 64ull << 20);
-    workload::ShardOptions so;
-    so.kind = workload::StoreKind::kLsmkv;
-    so.tuning = tuning_for({.knobs = true});
-    workload::ShardedStore store(shard_ns, so);
-    workload::Spec spec = workload::ycsb('A');
-    spec.records = args.mini ? 300 : 500;
-    spec.ops = args.mini ? 600 : 1000;
-    sim::ThreadCtx setup({.id = 100, .socket = 0, .mlp = 8, .seed = 1});
-    store.create(setup);
-    workload::load(store, spec, setup);
+    LoadedStore loaded(tel_platform, workload::StoreKind::kLsmkv, 4,
+                       tuning_for({.knobs = true}), /*replicas=*/1, 'A',
+                       args.mini ? 300 : 500, args.mini ? 600 : 1000);
     workload::EngineOptions eo;
     eo.threads = 4;
     eo.background_thread = true;
-    workload::run(store, spec, eo);
+    workload::run(loaded.store, loaded.spec, eo);
   });
 
   const auto resilience = [&](std::FILE* f) {

@@ -41,20 +41,16 @@ class CrashTraceSink : public xp::hw::TelemetrySink {
   }
 
   void crash_fired(xp::sim::Time t, std::uint64_t seq) override {
-    char args[64];
-    std::snprintf(args, sizeof(args), "{\"seq\":%llu}",
-                  static_cast<unsigned long long>(seq));
-    writer_->instant("crash_point", "crashmc", t, pid_, 0, args);
+    writer_->instant("crash_point", "crashmc", t, pid_, 0,
+                     xp::telemetry::trace_args("seq", seq));
   }
 
   void media_fault(xp::hw::MediaFaultKind kind, xp::sim::Time t,
                    unsigned /*socket*/, unsigned channel,
                    std::uint64_t line_off) override {
-    char args[64];
-    std::snprintf(args, sizeof(args), "{\"line_off\":%llu}",
-                  static_cast<unsigned long long>(line_off));
-    writer_->instant(xp::telemetry::media_fault_kind_name(kind),
-                     "media_fault", t, pid_, channel, args);
+    writer_->instant(xp::hw::kMediaFaultNames[static_cast<unsigned>(kind)],
+                     "media_fault", t, pid_, channel,
+                     xp::telemetry::trace_args("line_off", line_off));
   }
 
  private:

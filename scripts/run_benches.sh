@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build Release, run the self-measurement harnesses (bench_stores writes
 # BENCH_stores.json, bench_ycsb writes BENCH_YCSB.json), hash the output
-# of every figure and ablation bench into BENCH_figs.sha256, record the
+# of every figure and ablation bench and fig13's per-point trace set into
+# BENCH_figs.sha256, record the
 # repository benchmark's simulated metrics (perfbench, every workload at
 # seed 1 for one second) in BENCH_perfbench_sim.txt and the
 # crash/fault/schedule panel tables in BENCH_panels.txt, and guard the
@@ -146,7 +147,9 @@ done
 
 # Golden-trace guard: the per-point Chrome-trace files a traced sweep
 # writes must be byte-identical at --jobs 1 and --jobs N (point indices
-# name the files, so the file set is job-count-invariant too).
+# name the files, so the file set is job-count-invariant too). The set's
+# bytes, concatenated in file-name order, are hashed into
+# BENCH_figs.sha256 too, so a change to any trace byte fails --check.
 echo
 echo "== golden traces: fig13 --trace, --jobs 1 vs --jobs $JOBS =="
 t1=$(mktemp -d) tn=$(mktemp -d)
@@ -161,6 +164,8 @@ else
   diff -rq "$t1" "$tn" | head -10
   status=1
 fi
+sum=$(cd "$t1" && cat $(LC_ALL=C ls) | sha256sum | cut -d' ' -f1)
+echo "$sum  fig13_persist_instructions --trace" >> "$OUT/BENCH_figs.sha256"
 rm -rf "$t1" "$tn"
 
 if [ "$CHECK" = 1 ]; then

@@ -28,9 +28,9 @@
 
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/flat_index.h"
 #include "sim/scheduler.h"
 #include "sim/simtime.h"
 #include "xpsim/platform.h"
@@ -73,14 +73,13 @@ class ReadCache final : public hw::StoreObserver {
   bool lookup(sim::ThreadCtx& ctx, std::uint64_t line_off,
               std::uint8_t* out) {
     Shard& s = shard_of(line_off);
-    auto it = s.index.find(line_off);
-    if (it == s.index.end()) {
+    const std::uint32_t slot = s.find(line_off);
+    if (slot == sim::FlatIndex::kNone) {
       ++stats_.misses;
       return false;
     }
-    Entry& e = s.entries[it->second];
-    e.referenced = true;
-    std::memcpy(out, s.data.data() + it->second * kLine, kLine);
+    s.entries[slot].referenced = true;
+    std::memcpy(out, s.data.data() + slot * kLine, kLine);
     ++stats_.hits;
     // A hit is a host-memory access: CPU-cache latency if the line is in
     // the shard's recent set, DRAM latency otherwise — and it pipelines
@@ -101,20 +100,17 @@ class ReadCache final : public hw::StoreObserver {
   void insert(sim::ThreadCtx& ctx, std::uint64_t line_off,
               const std::uint8_t* data) {
     Shard& s = shard_of(line_off);
-    auto it = s.index.find(line_off);
-    std::size_t slot;
-    if (it != s.index.end()) {
-      slot = it->second;  // refresh in place
-    } else {
+    std::uint32_t slot = s.find(line_off);  // hit: refresh in place
+    if (slot == sim::FlatIndex::kNone) {
       slot = reclaim(s);
       Entry& victim = s.entries[slot];
       if (victim.valid) {
-        s.index.erase(victim.line_off);
+        s.index.erase(victim.line_off, slot);
         ++stats_.evictions;
       }
       victim.valid = true;
       victim.line_off = line_off;
-      s.index.emplace(line_off, slot);
+      s.index.insert(line_off, slot);
     }
     Entry& e = s.entries[slot];
     e.referenced = true;
@@ -131,11 +127,11 @@ class ReadCache final : public hw::StoreObserver {
     const std::uint64_t last = (off + len - 1) / kLine * kLine;
     for (std::uint64_t line = first;; line += kLine) {
       Shard& s = shard_of(line);
-      auto it = s.index.find(line);
-      if (it != s.index.end()) {
-        s.entries[it->second].valid = false;
-        s.entries[it->second].referenced = false;
-        s.index.erase(it);
+      if (const std::uint32_t slot = s.find(line);
+          slot != sim::FlatIndex::kNone) {
+        s.entries[slot].valid = false;
+        s.entries[slot].referenced = false;
+        s.index.erase(line, slot);
         forget_recent(s, line);
         ++stats_.invalidations;
         if (hw::TelemetrySink* sink = ns_.platform().telemetry())
@@ -179,12 +175,17 @@ class ReadCache final : public hw::StoreObserver {
   struct Shard {
     std::vector<Entry> entries;
     std::vector<std::uint8_t> data;  // entries.size() * kLine payload bytes
-    std::unordered_map<std::uint64_t, std::size_t> index;  // line -> slot
+    sim::FlatIndex index;  // line_off of each valid entry -> slot
     std::size_t hand = 0;
     // Ring of the last kHotLinesPerShard distinct lines served — the
     // approximation of which payload lines are still CPU-cache resident.
     std::vector<std::uint64_t> recent;
     std::size_t recent_pos = 0;
+
+    // Slot of the valid entry caching `line_off`, or sim::FlatIndex::kNone.
+    std::uint32_t find(std::uint64_t line_off) const {
+      return index.find(line_off, entries, &Entry::line_off);
+    }
   };
 
   // True if `line_off` is in the shard's recent set; records it otherwise.
@@ -208,10 +209,10 @@ class ReadCache final : public hw::StoreObserver {
 
   // Clock sweep: prefer an invalid slot, give referenced entries one
   // second chance, otherwise reclaim.
-  std::size_t reclaim(Shard& s) {
+  std::uint32_t reclaim(Shard& s) {
     for (;;) {
       Entry& e = s.entries[s.hand];
-      const std::size_t slot = s.hand;
+      const auto slot = static_cast<std::uint32_t>(s.hand);
       s.hand = (s.hand + 1) % s.entries.size();
       if (!e.valid) return slot;
       if (e.referenced) {

@@ -9,9 +9,9 @@
 // gauges are taken from `end` (gauges are levels, not flows — they do not
 // subtract meaningfully).
 //
-// This is the one place that knows how to walk the Platform topology;
-// everything above (sampler, conservation tests, summary JSON) works on
-// Snapshots and Deltas only.
+// The conservation tests and the summary's counter totals work on
+// Snapshots and Deltas. The Sampler walks the topology too: it copies the
+// few per-DIMM fields its timeline needs straight into its ring.
 #pragma once
 
 #include <cstddef>

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <numeric>
+#include <span>
 
 #include "xpsim/platform.h"
 
@@ -15,52 +18,6 @@ namespace {
 // Sampler ring slots, and the cap on events one trace file holds.
 constexpr std::size_t kRingCapacity = 1024;
 constexpr std::size_t kMaxTraceEvents = std::size_t{1} << 20;
-
-const char* persist_kind_name(hw::PersistEventKind k) {
-  switch (k) {
-    case hw::PersistEventKind::kWpqEntry: return "wpq_entry";
-    case hw::PersistEventKind::kNtStoreDrain: return "ntstore_drain";
-    case hw::PersistEventKind::kWriteback: return "writeback";
-    case hw::PersistEventKind::kCoherenceFlush: return "coherence_flush";
-    case hw::PersistEventKind::kSfence: return "sfence";
-  }
-  return "unknown";
-}
-
-const char* evict_kind_name(hw::EvictKind k) {
-  switch (k) {
-    case hw::EvictKind::kClean: return "evict_clean";
-    case hw::EvictKind::kFull: return "evict_full";
-    case hw::EvictKind::kPartial: return "evict_partial";
-    case hw::EvictKind::kRewrite: return "evict_rewrite";
-  }
-  return "evict_unknown";
-}
-
-const char* read_path_kind_name(hw::ReadPathEventKind k) {
-  switch (k) {
-    case hw::ReadPathEventKind::kCombinedFetch: return "combined_fetches";
-    case hw::ReadPathEventKind::kStagedServe: return "staged_serves";
-    case hw::ReadPathEventKind::kCacheHitLine: return "cache_hit_lines";
-    case hw::ReadPathEventKind::kCacheFillLine: return "cache_fill_lines";
-    case hw::ReadPathEventKind::kCacheInvalidate: return "cache_invalidations";
-  }
-  return "read_path_unknown";
-}
-
-const char* resilience_kind_name(hw::ResilienceEventKind k) {
-  switch (k) {
-    case hw::ResilienceEventKind::kDegraded: return "shards_degraded";
-    case hw::ResilienceEventKind::kQuarantined: return "shards_quarantined";
-    case hw::ResilienceEventKind::kRebuilding: return "shards_rebuilding";
-    case hw::ResilienceEventKind::kRecovered: return "shards_recovered";
-    case hw::ResilienceEventKind::kFailoverRead: return "failover_reads";
-    case hw::ResilienceEventKind::kRetry: return "op_retries";
-    case hw::ResilienceEventKind::kUnavailable: return "ops_unavailable";
-    case hw::ResilienceEventKind::kResilverKey: return "keys_resilvered";
-  }
-  return "resilience_unknown";
-}
 
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
@@ -80,6 +37,15 @@ void append_double(std::string& out, double v) {
   out += buf;
 }
 
+// num / den, or null where den is zero.
+void append_ratio(std::string& out, std::uint64_t num, std::uint64_t den) {
+  if (den == 0) {
+    out += "null";
+    return;
+  }
+  append_double(out, static_cast<double>(num) / static_cast<double>(den));
+}
+
 void append_kv(std::string& out, const char* key, std::uint64_t v,
                bool* first) {
   if (!*first) out += ',';
@@ -90,28 +56,151 @@ void append_kv(std::string& out, const char* key, std::uint64_t v,
   append_u64(out, v);
 }
 
-}  // namespace
-
-const char* media_fault_kind_name(hw::MediaFaultKind k) {
-  switch (k) {
-    case hw::MediaFaultKind::kCorrected: return "ecc_corrected";
-    case hw::MediaFaultKind::kPoisoned: return "poisoned";
-    case hw::MediaFaultKind::kUncorrectable: return "uncorrectable";
-    case hw::MediaFaultKind::kClearedByWrite: return "cleared_by_write";
-    case hw::MediaFaultKind::kScrubFound: return "scrub_found";
+// [e0,e1,...]: `element(i)` appends element i of n.
+template <typename Element>
+void append_list(std::string& out, std::size_t n, Element element) {
+  out += '[';
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) out += ',';
+    element(i);
   }
-  return "media_fault_unknown";
+  out += ']';
 }
 
-std::string trace_path_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-      return argv[i + 1];
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) return argv[i] + 8;
+// ,"key":v — an extra field of a count section.
+std::string field(const char* key, std::uint64_t v) {
+  return std::string(",\"") + key + "\":" + std::to_string(v);
+}
+
+std::uint64_t sum(std::span<const std::uint64_t> counts) {
+  return std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
+}
+
+// The count section ,"section":{"<kind>":n,...<extra>}: one field per
+// kind, then `extra` (pre-rendered ,"key":value fields). An `optional`
+// section whose counts are all zero is left out, so fault-free,
+// default-configuration summaries (such as the one fig09 prints, hashed
+// in BENCH_figs.sha256) carry only the sections every run has.
+void append_counts(std::string& out, const char* section,
+                   std::span<const char* const> names,
+                   std::span<const std::uint64_t> counts, bool optional,
+                   const std::string& extra = {}) {
+  if (optional && sum(counts) == 0) return;
+  out += ",\"";
+  out += section;
+  out += "\":{";
+  bool first = true;
+  for (std::size_t k = 0; k < counts.size(); ++k)
+    append_kv(out, names[k], counts[k], &first);
+  out += extra;
+  out += '}';
+}
+
+// One sample of the timeline and the interval it closes: its time, each
+// DIMM's gauges at that time and byte-counter growth since the sample
+// before, and that growth's iMC bytes summed over DIMMs. The first sample
+// opens the timeline and closes nothing (dt 0, no growth).
+struct Interval {
+  sim::Time t = 0;
+  sim::Time dt = 0;
+  std::vector<Sampler::DimmSample> dimms;
+  std::uint64_t imc_write_bytes = 0;
+  std::uint64_t imc_read_bytes = 0;
+};
+
+// The one walk over the sampled timeline; finish()'s counter tracks and
+// the summary timeline both read it.
+std::vector<Interval> intervals(const Sampler& sampler) {
+  const auto& ss = sampler.samples();
+  std::vector<Interval> out(ss.size());
+  for (std::size_t i = 0; i < ss.size(); ++i) {
+    const Sampler::Sample& prev = ss[i > 0 ? i - 1 : 0];
+    Interval& iv = out[i];
+    iv.t = ss[i].t;
+    iv.dt = ss[i].t - prev.t;
+    iv.dimms = ss[i].dimms;
+    for (std::size_t d = 0; d < iv.dimms.size(); ++d) {
+      Sampler::DimmSample& g = iv.dimms[d];
+      g.imc_read_bytes -= prev.dimms[d].imc_read_bytes;
+      g.imc_write_bytes -= prev.dimms[d].imc_write_bytes;
+      g.media_read_bytes -= prev.dimms[d].media_read_bytes;
+      g.media_write_bytes -= prev.dimms[d].media_write_bytes;
+      iv.imc_write_bytes += g.imc_write_bytes;
+      iv.imc_read_bytes += g.imc_read_bytes;
+    }
   }
-  if (const char* env = std::getenv("XP_TRACE"); env != nullptr && *env)
-    return env;
-  return {};
+  return out;
+}
+
+// "write_gbps":w,"read_gbps":r — the interval's iMC bandwidth.
+void append_bandwidth(std::string& out, const Interval& iv) {
+  out += "\"write_gbps\":";
+  append_double(out, sim::gbps(iv.imc_write_bytes, iv.dt));
+  out += ",\"read_gbps\":";
+  append_double(out, sim::gbps(iv.imc_read_bytes, iv.dt));
+}
+
+// The summary timeline, one entry per interval the samples close (every
+// entry of `ivs` but the first): per-DIMM EWR (null where no media writes
+// happened) and ERR = media read bytes / iMC read bytes (null where the
+// DIMM served no interface reads), aggregate iMC bandwidth, and per-DIMM
+// gauges at interval end.
+void append_timeline(std::string& out, const std::vector<Interval>& ivs) {
+  append_list(out, ivs.empty() ? 0 : ivs.size() - 1, [&](std::size_t k) {
+    const Interval& iv = ivs[k + 1];
+    const auto per_dimm = [&](const char* key, auto value) {
+      out += key;
+      append_list(out, iv.dimms.size(),
+                  [&](std::size_t d) { value(iv.dimms[d]); });
+    };
+    out += "{\"t_us\":";
+    append_double(out, sim::to_us(iv.t));
+    per_dimm(",\"ewr\":", [&](const Sampler::DimmSample& g) {
+      append_ratio(out, g.imc_write_bytes, g.media_write_bytes);
+    });
+    per_dimm(",\"err\":", [&](const Sampler::DimmSample& g) {
+      append_ratio(out, g.media_read_bytes, g.imc_read_bytes);
+    });
+    out += ',';
+    append_bandwidth(out, iv);
+    per_dimm(",\"wpq\":", [&](const Sampler::DimmSample& g) {
+      append_u64(out, g.wpq_occupancy);
+    });
+    per_dimm(",\"buffer_dirty\":", [&](const Sampler::DimmSample& g) {
+      append_u64(out, g.buffer_dirty_lines);
+    });
+    out += '}';
+  });
+}
+
+}  // namespace
+
+std::string trace_path_from_args(int argc, char** argv) {
+  const char* path = nullptr;
+  const char* source = "--trace";
+  for (int i = 1; i < argc && path == nullptr; ++i) {
+    if (std::strcmp(argv[i], "--trace") == 0)
+      path = i + 1 < argc ? argv[i + 1] : "";
+    else if (std::strncmp(argv[i], "--trace=", 8) == 0)
+      path = argv[i] + 8;
+  }
+  if (path == nullptr) {
+    path = std::getenv("XP_TRACE");
+    source = "XP_TRACE";
+    if (path == nullptr || *path == '\0') return {};
+  }
+  // The trace is written when the run ends: refuse a path it cannot take
+  // now, rather than lose the trace then.
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  std::error_code ec;
+  if (*path != '\0' &&
+      std::filesystem::is_directory(dir.empty() ? "." : dir, ec))
+    return path;
+  std::fprintf(stderr,
+               "%s: invalid trace path '%s' from %s (want a file in an "
+               "existing directory)\n",
+               argv[0], path, source);
+  std::exit(2);
 }
 
 std::string trace_point_path(const std::string& base, std::size_t index) {
@@ -153,49 +242,42 @@ Session::Session(hw::Platform& platform, Options opts)
 
 Session::~Session() { finish(); }
 
+void Session::event(std::uint64_t& count, const char* name,
+                    const char* category, sim::Time t, unsigned pid,
+                    unsigned tid, const char* arg_key, std::uint64_t arg) {
+  ++count;
+  last_event_time_ = std::max(last_event_time_, t);
+  if (trace_)
+    trace_->instant(name, category, t, pid, tid,
+                    arg_key == nullptr ? std::string()
+                                       : trace_args(arg_key, arg));
+}
+
 void Session::persist_event(hw::PersistEventKind kind, sim::Time t,
                             std::uint64_t seq) {
-  ++persist_counts_[static_cast<unsigned>(kind)];
-  last_event_time_ = std::max(last_event_time_, t);
-  if (trace_) {
-    std::string args = "{\"seq\":";
-    append_u64(args, seq);
-    args += '}';
-    trace_->instant(persist_kind_name(kind), "persist", t, 0, 0,
-                    std::move(args));
-  }
+  const auto k = static_cast<unsigned>(kind);
+  event(persist_counts_[k], hw::kPersistEventNames[k], "persist", t, 0, 0,
+        "seq", seq);
 }
 
 void Session::buffer_eviction(hw::EvictKind kind, sim::Time t, unsigned socket,
                               unsigned channel) {
-  ++evict_counts_[static_cast<unsigned>(kind)];
-  last_event_time_ = std::max(last_event_time_, t);
-  if (trace_)
-    trace_->instant(evict_kind_name(kind), "xpbuffer", t, socket, channel);
+  const auto k = static_cast<unsigned>(kind);
+  event(evict_counts_[k], hw::kEvictNames[k], "xpbuffer", t, socket, channel);
 }
 
 void Session::ait_miss(sim::Time t, unsigned socket, unsigned channel) {
-  ++ait_misses_;
-  last_event_time_ = std::max(last_event_time_, t);
-  if (trace_) trace_->instant("ait_miss", "ait", t, socket, channel);
+  event(ait_misses_, "ait_miss", "ait", t, socket, channel);
 }
 
 void Session::crash_fired(sim::Time t, std::uint64_t seq) {
-  ++crash_points_;
-  last_event_time_ = std::max(last_event_time_, t);
-  if (trace_) {
-    std::string args = "{\"persist_event\":";
-    append_u64(args, seq);
-    args += '}';
-    trace_->instant("crash_point", "crashmc", t, 0, 0, std::move(args));
-  }
+  event(crash_points_, "crash_point", "crashmc", t, 0, 0, "persist_event",
+        seq);
 }
 
 void Session::media_fault(hw::MediaFaultKind kind, sim::Time t,
                           unsigned socket, unsigned channel,
                           std::uint64_t line_off) {
-  ++media_fault_counts_[static_cast<unsigned>(kind)];
-  last_event_time_ = std::max(last_event_time_, t);
   if (kind == hw::MediaFaultKind::kScrubFound) {
     // Keep the ARS bad-line list sorted and unique; repeated scrubs of a
     // still-poisoned namespace re-report the same lines.
@@ -205,45 +287,26 @@ void Session::media_fault(hw::MediaFaultKind kind, sim::Time t,
     if (it == ars_bad_lines_.end() || *it != line_off)
       ars_bad_lines_.insert(it, line_off);
   }
-  if (trace_) {
-    std::string args = "{\"line_off\":";
-    append_u64(args, line_off);
-    args += '}';
-    trace_->instant(media_fault_kind_name(kind), "media_fault", t, socket,
-                    channel, std::move(args));
-  }
+  const auto k = static_cast<unsigned>(kind);
+  event(media_fault_counts_[k], hw::kMediaFaultNames[k], "media_fault", t,
+        socket, channel, "line_off", line_off);
 }
 
 void Session::read_path(hw::ReadPathEventKind kind, sim::Time t,
                         std::uint64_t bytes) {
-  ++read_path_counts_[static_cast<unsigned>(kind)];
-  read_path_bytes_[static_cast<unsigned>(kind)] += bytes;
-  last_event_time_ = std::max(last_event_time_, t);
-  if (trace_) {
-    std::string args = "{\"bytes\":";
-    append_u64(args, bytes);
-    args += '}';
-    trace_->instant(read_path_kind_name(kind), "read_path", t, 0, 0,
-                    std::move(args));
-  }
+  const auto k = static_cast<unsigned>(kind);
+  read_path_bytes_[k] += bytes;
+  event(read_path_counts_[k], hw::kReadPathEventNames[k], "read_path", t, 0,
+        0, "bytes", bytes);
 }
 
 void Session::resilience(hw::ResilienceEventKind kind, sim::Time t,
                          unsigned shard) {
-  ++resilience_counts_[static_cast<unsigned>(kind)];
-  last_event_time_ = std::max(last_event_time_, t);
-  if (trace_) {
-    // Op-level events carry the no-shard sentinel: emit no shard field
-    // rather than a plausible-looking out-of-range index.
-    std::string args = "{";
-    if (shard != hw::kResilienceNoShard) {
-      args += "\"shard\":";
-      append_u64(args, shard);
-    }
-    args += '}';
-    trace_->instant(resilience_kind_name(kind), "resilience", t, 0, 0,
-                    std::move(args));
-  }
+  // Op-level events carry the no-shard sentinel: trace an empty argument
+  // object rather than a plausible-looking out-of-range index.
+  const auto k = static_cast<unsigned>(kind);
+  event(resilience_counts_[k], hw::kResilienceEventNames[k], "resilience", t,
+        0, 0, shard == hw::kResilienceNoShard ? "" : "shard", shard);
 }
 
 void Session::sched_point(unsigned kind, unsigned /*thread*/) {
@@ -269,51 +332,39 @@ bool Session::finish() {
   const auto& samples = sampler_.samples();
   if (samples.empty() || samples.back().t < last_event_time_)
     sampler_.sample(last_event_time_);
+  if (!trace_) return true;
 
-  bool ok = true;
-  if (trace_) {
-    // Queue-depth and bandwidth counter tracks, derived from the sampled
-    // timeline so the trace stays bounded.
-    const auto& ss = sampler_.samples();
-    const unsigned channels = sampler_.channels_per_socket();
-    for (std::size_t i = 0; i < ss.size(); ++i) {
-      for (unsigned d = 0; d < sampler_.dimms(); ++d) {
-        const Sampler::DimmSample& ds = ss[i].dimms[d];
-        std::string series = "{\"wpq\":";
-        append_u64(series, ds.wpq_occupancy);
-        series += ",\"rpq\":";
-        append_u64(series, ds.rpq_occupancy);
-        series += ",\"dirty_lines\":";
-        append_u64(series, ds.buffer_dirty_lines);
-        series += '}';
-        trace_->counter("queues", ss[i].t, d / channels, d % channels,
-                        std::move(series));
-      }
-      if (i > 0) {
-        std::uint64_t dw = 0, dr = 0;
-        for (unsigned d = 0; d < sampler_.dimms(); ++d) {
-          dw += ss[i].dimms[d].imc_write_bytes -
-                ss[i - 1].dimms[d].imc_write_bytes;
-          dr += ss[i].dimms[d].imc_read_bytes -
-                ss[i - 1].dimms[d].imc_read_bytes;
-        }
-        const sim::Time dt = ss[i].t - ss[i - 1].t;
-        std::string series = "{\"write_gbps\":";
-        append_double(series, sim::gbps(dw, dt));
-        series += ",\"read_gbps\":";
-        append_double(series, sim::gbps(dr, dt));
-        series += '}';
-        trace_->counter("imc_bandwidth", ss[i].t, 0, 0, std::move(series));
-      }
+  // Queue-depth and bandwidth counter tracks, derived from the sampled
+  // timeline so the trace stays bounded. The first sample closes no
+  // interval, so it has no bandwidth.
+  const unsigned channels = sampler_.channels_per_socket();
+  for (const Interval& iv : intervals(sampler_)) {
+    for (unsigned d = 0; d < iv.dimms.size(); ++d) {
+      const Sampler::DimmSample& g = iv.dimms[d];
+      std::string series = "{";
+      bool first = true;
+      append_kv(series, "wpq", g.wpq_occupancy, &first);
+      append_kv(series, "rpq", g.rpq_occupancy, &first);
+      append_kv(series, "dirty_lines", g.buffer_dirty_lines, &first);
+      series += '}';
+      trace_->counter("queues", iv.t, d / channels, d % channels,
+                      std::move(series));
     }
-    ok = trace_->write_file(opts_.trace_path);
+    if (iv.dt > 0) {
+      std::string series = "{";
+      append_bandwidth(series, iv);
+      series += '}';
+      trace_->counter("imc_bandwidth", iv.t, 0, 0, std::move(series));
+    }
   }
-  return ok;
+  if (trace_->write_file(opts_.trace_path)) return true;
+  std::fprintf(stderr, "telemetry: failed to write trace to %s\n",
+               opts_.trace_path.c_str());
+  return false;
 }
 
 std::string Session::summary_json() const {
-  const Snapshot snap = Snapshot::capture(platform_);
-  const hw::XpCounters total = snap.xp_total();
+  const hw::XpCounters total = Snapshot::capture(platform_).xp_total();
   const unsigned channels = sampler_.channels_per_socket();
 
   std::string out;
@@ -338,196 +389,53 @@ std::string Session::summary_json() const {
   out += ",\"err\":";
   append_double(out, total.err());
 
-  out += ",\"persist_events\":{";
-  {
-    bool first = true;
-    std::uint64_t sum = 0;
-    for (unsigned k = 0; k < hw::kPersistEventKinds; ++k) {
-      append_kv(out, persist_kind_name(static_cast<hw::PersistEventKind>(k)),
-                persist_counts_[k], &first);
-      sum += persist_counts_[k];
-    }
-    append_kv(out, "total", sum, &first);
-  }
-  out += "},\"buffer_evictions\":{";
-  {
-    bool first = true;
-    append_kv(out, "clean",
-              evict_counts_[static_cast<unsigned>(hw::EvictKind::kClean)],
-              &first);
-    append_kv(out, "full",
-              evict_counts_[static_cast<unsigned>(hw::EvictKind::kFull)],
-              &first);
-    append_kv(out, "partial",
-              evict_counts_[static_cast<unsigned>(hw::EvictKind::kPartial)],
-              &first);
-    append_kv(out, "rewrite",
-              evict_counts_[static_cast<unsigned>(hw::EvictKind::kRewrite)],
-              &first);
-  }
-  out += "},\"ait_misses\":";
+  // Per-kind event counts. Evictions are keyed by kind without their
+  // trace names' "evict_" prefix.
+  std::array<const char*, hw::kEvictKinds> evict_keys{};
+  for (unsigned k = 0; k < hw::kEvictKinds; ++k)
+    evict_keys[k] = hw::kEvictNames[k] + std::strlen("evict_");
+  std::array<const char*, sim::kNumSchedPoints> sched_names{};
+  for (unsigned k = 0; k < sim::kNumSchedPoints; ++k)
+    sched_names[k] = sim::sched_point_name(static_cast<sim::SchedPoint>(k));
+  std::string ars = ",\"ars_bad_lines\":";
+  append_list(ars, ars_bad_lines_.size(),
+              [&](std::size_t i) { append_u64(ars, ars_bad_lines_[i]); });
+
+  append_counts(out, "persist_events", hw::kPersistEventNames,
+                persist_counts_, false, field("total", sum(persist_counts_)));
+  append_counts(out, "buffer_evictions", evict_keys, evict_counts_, false);
+  out += ",\"ait_misses\":";
   append_u64(out, ait_misses_);
   out += ",\"crash_points\":";
   append_u64(out, crash_points_);
+  append_counts(out, "media_faults", hw::kMediaFaultNames,
+                media_fault_counts_, true, ars);
+  append_counts(out, "resilience", hw::kResilienceEventNames,
+                resilience_counts_, true);
+  append_counts(
+      out, "read_path", hw::kReadPathEventNames, read_path_counts_, true,
+      field("combined_fetch_bytes",
+            read_path_bytes(hw::ReadPathEventKind::kCombinedFetch)) +
+          field("staged_serve_bytes",
+                read_path_bytes(hw::ReadPathEventKind::kStagedServe)));
+  append_counts(out, "schedmc", sched_names, sched_point_counts_, true,
+                field("total", sum(sched_point_counts_)));
 
-  // Media error-model section — present only when the fault-injection
-  // subsystem produced events, so fault-free summaries (such as the one
-  // fig09 prints, hashed in BENCH_figs.sha256) are unchanged byte for
-  // byte.
-  {
-    std::uint64_t any = 0;
-    for (const std::uint64_t c : media_fault_counts_) any += c;
-    if (any != 0 || !ars_bad_lines_.empty()) {
-      out += ",\"media_faults\":{";
-      bool first = true;
-      for (unsigned k = 0; k < hw::kMediaFaultKinds; ++k) {
-        append_kv(out,
-                  media_fault_kind_name(static_cast<hw::MediaFaultKind>(k)),
-                  media_fault_counts_[k], &first);
-      }
-      out += ",\"ars_bad_lines\":[";
-      for (std::size_t i = 0; i < ars_bad_lines_.size(); ++i) {
-        if (i > 0) out += ',';
-        append_u64(out, ars_bad_lines_[i]);
-      }
-      out += "]}";
-    }
-  }
-
-  // Serving-layer resilience section — present only when the sharded
-  // frontend took a health transition or a request-level resilience
-  // outcome, so fault-free summaries are unchanged byte for byte.
-  {
-    std::uint64_t any = 0;
-    for (const std::uint64_t c : resilience_counts_) any += c;
-    if (any != 0) {
-      out += ",\"resilience\":{";
-      bool first = true;
-      for (unsigned k = 0; k < hw::kResilienceEventKinds; ++k) {
-        append_kv(out,
-                  resilience_kind_name(static_cast<hw::ResilienceEventKind>(k)),
-                  resilience_counts_[k], &first);
-      }
-      out += '}';
-    }
-  }
-
-  // Software read-path section — present only when a store ran with read
-  // combining or caching enabled, so default-configuration summaries are
-  // unchanged byte for byte.
-  {
-    std::uint64_t any = 0;
-    for (const std::uint64_t c : read_path_counts_) any += c;
-    if (any != 0) {
-      out += ",\"read_path\":{";
-      bool first = true;
-      for (unsigned k = 0; k < hw::kReadPathEventKinds; ++k) {
-        append_kv(out,
-                  read_path_kind_name(static_cast<hw::ReadPathEventKind>(k)),
-                  read_path_counts_[k], &first);
-      }
-      append_kv(out, "combined_fetch_bytes",
-                read_path_bytes_[static_cast<unsigned>(
-                    hw::ReadPathEventKind::kCombinedFetch)],
-                &first);
-      append_kv(out, "staged_serve_bytes",
-                read_path_bytes_[static_cast<unsigned>(
-                    hw::ReadPathEventKind::kStagedServe)],
-                &first);
-      out += '}';
-    }
-  }
-
-  // Schedule-exploration section — present only when a schedmc interleaver
-  // drove the run, so ordinary summaries are unchanged byte for byte.
-  {
-    std::uint64_t any = 0;
-    for (const std::uint64_t c : sched_point_counts_) any += c;
-    if (any != 0) {
-      out += ",\"schedmc\":{";
-      bool first = true;
-      for (unsigned k = 0; k < sim::kNumSchedPoints; ++k) {
-        append_kv(out, sim::sched_point_name(static_cast<sim::SchedPoint>(k)),
-                  sched_point_counts_[k], &first);
-      }
-      append_kv(out, "total", any, &first);
-      out += '}';
-    }
-  }
-
-  out += ",\"dimm_labels\":[";
-  for (unsigned d = 0; d < sampler_.dimms(); ++d) {
-    if (d > 0) out += ',';
+  out += ",\"dimm_labels\":";
+  append_list(out, sampler_.dimms(), [&](std::size_t d) {
     char buf[32];
-    std::snprintf(buf, sizeof buf, "\"s%uc%u\"", d / channels, d % channels);
+    std::snprintf(buf, sizeof buf, "\"s%zuc%zu\"", d / channels,
+                  d % channels);
     out += buf;
-  }
-  out += "],\"sample_interval_us\":";
+  });
+  out += ",\"sample_interval_us\":";
   append_double(out, sim::to_us(sampler_.interval()));
   out += ",\"decimations\":";
   append_u64(out, sampler_.decimations());
 
-  // Interval timeline: entry k covers (sample[k-1], sample[k]]. Per-DIMM
-  // interval EWR (null where no media writes happened), aggregate iMC
-  // bandwidth, and per-DIMM gauges at interval end.
-  out += ",\"timeline\":[";
-  const auto& ss = sampler_.samples();
-  for (std::size_t i = 1; i < ss.size(); ++i) {
-    if (i > 1) out += ',';
-    const sim::Time dt = ss[i].t - ss[i - 1].t;
-    out += "{\"t_us\":";
-    append_double(out, sim::to_us(ss[i].t));
-    out += ",\"ewr\":[";
-    std::uint64_t dw_total = 0, dr_total = 0;
-    for (unsigned d = 0; d < sampler_.dimms(); ++d) {
-      if (d > 0) out += ',';
-      const std::uint64_t imc_w =
-          ss[i].dimms[d].imc_write_bytes - ss[i - 1].dimms[d].imc_write_bytes;
-      const std::uint64_t media_w = ss[i].dimms[d].media_write_bytes -
-                                    ss[i - 1].dimms[d].media_write_bytes;
-      dw_total += imc_w;
-      dr_total +=
-          ss[i].dimms[d].imc_read_bytes - ss[i - 1].dimms[d].imc_read_bytes;
-      if (media_w == 0) {
-        out += "null";
-      } else {
-        append_double(out, static_cast<double>(imc_w) /
-                               static_cast<double>(media_w));
-      }
-    }
-    // Per-DIMM interval ERR = media read bytes / iMC read bytes (null
-    // where the DIMM served no interface reads this interval).
-    out += "],\"err\":[";
-    for (unsigned d = 0; d < sampler_.dimms(); ++d) {
-      if (d > 0) out += ',';
-      const std::uint64_t imc_r =
-          ss[i].dimms[d].imc_read_bytes - ss[i - 1].dimms[d].imc_read_bytes;
-      const std::uint64_t media_r = ss[i].dimms[d].media_read_bytes -
-                                    ss[i - 1].dimms[d].media_read_bytes;
-      if (imc_r == 0) {
-        out += "null";
-      } else {
-        append_double(out, static_cast<double>(media_r) /
-                               static_cast<double>(imc_r));
-      }
-    }
-    out += "],\"write_gbps\":";
-    append_double(out, sim::gbps(dw_total, dt));
-    out += ",\"read_gbps\":";
-    append_double(out, sim::gbps(dr_total, dt));
-    out += ",\"wpq\":[";
-    for (unsigned d = 0; d < sampler_.dimms(); ++d) {
-      if (d > 0) out += ',';
-      append_u64(out, ss[i].dimms[d].wpq_occupancy);
-    }
-    out += "],\"buffer_dirty\":[";
-    for (unsigned d = 0; d < sampler_.dimms(); ++d) {
-      if (d > 0) out += ',';
-      append_u64(out, ss[i].dimms[d].buffer_dirty_lines);
-    }
-    out += "]}";
-  }
-  out += "]}";
+  out += ",\"timeline\":";
+  append_timeline(out, intervals(sampler_));
+  out += '}';
   return out;
 }
 

@@ -4,11 +4,14 @@
 // Platform on construction. It
 //  * samples EWR / bandwidth / queue-depth timelines on simulated time
 //    (Sampler, fixed-cost ring with decimation);
-//  * histograms persist events, XPBuffer evictions, and AIT misses by
-//    kind;
-//  * optionally records a Chrome-trace event stream (durability
-//    boundaries, evictions, AIT misses, crash points) when a trace path
-//    is configured via --trace / XP_TRACE.
+//  * counts every event family by kind (persist events, XPBuffer
+//    evictions, AIT misses, crash points, media faults, read-path,
+//    resilience and schedule-point events), named by the tables in
+//    xpsim/telemetry_sink.h;
+//  * optionally records a Chrome-trace event stream when a trace path is
+//    configured via --trace / XP_TRACE: one instant per event of every
+//    family but schedule points, a span per measured run, and queue-depth
+//    and iMC-bandwidth counter tracks from the sampled timeline.
 //
 // When NO session is attached the platform's telemetry pointer is null
 // and the hot-path cost is a single predictable branch per data-path
@@ -48,7 +51,8 @@ struct Options {
 
 // Resolve the trace path for a bench/test binary: an explicit
 // `--trace <file>` argument wins, else the XP_TRACE environment
-// variable, else "" (disabled).
+// variable, else "" (disabled). A `--trace` without a path, or a path
+// whose directory does not exist, prints an error and exits 2.
 std::string trace_path_from_args(int argc, char** argv);
 
 // Derive a per-sweep-point trace path from a base path by inserting the
@@ -56,10 +60,6 @@ std::string trace_path_from_args(int argc, char** argv);
 // "out/run.point0007.json". Point indices are grid order, so the file
 // set is identical at any --jobs count. Returns "" for an empty base.
 std::string trace_point_path(const std::string& base, std::size_t index);
-
-// The trace and summary name of a media-fault kind ("ecc_corrected",
-// "poisoned", ...): the one table for every sink that reports them.
-const char* media_fault_kind_name(hw::MediaFaultKind k);
 
 class Session final : public hw::TelemetrySink {
  public:
@@ -70,8 +70,8 @@ class Session final : public hw::TelemetrySink {
   Session& operator=(const Session&) = delete;
 
   // Detach from the platform, close the final sample interval, and write
-  // the trace file (if configured). Idempotent. Returns false if the
-  // trace file could not be written.
+  // the trace file (if configured). Idempotent. Returns false, and names
+  // the path on stderr, if the trace file could not be written.
   bool finish();
 
   // Machine-readable run summary: counter totals, per-kind event
@@ -129,12 +129,19 @@ class Session final : public hw::TelemetrySink {
   void run_complete(const char* name, sim::Time start, sim::Time end) override;
 
  private:
+  // The one event path: count the event, advance the last event time
+  // and, when tracing, emit its instant with the one-number argument
+  // object trace_args(arg_key, arg), or none when arg_key is null.
+  void event(std::uint64_t& count, const char* name, const char* category,
+             sim::Time t, unsigned pid, unsigned tid,
+             const char* arg_key = nullptr, std::uint64_t arg = 0);
+
   hw::Platform& platform_;
   Options opts_;
   Sampler sampler_;
   std::unique_ptr<TraceWriter> trace_;  // null when not tracing
   std::array<std::uint64_t, hw::kPersistEventKinds> persist_counts_{};
-  std::array<std::uint64_t, 4> evict_counts_{};
+  std::array<std::uint64_t, hw::kEvictKinds> evict_counts_{};
   std::uint64_t ait_misses_ = 0;
   std::uint64_t crash_points_ = 0;
   std::array<std::uint64_t, hw::kMediaFaultKinds> media_fault_counts_{};

@@ -33,6 +33,11 @@ void append_escaped(std::string& out, const std::string& s) {
 
 }  // namespace
 
+std::string trace_args(const char* key, std::uint64_t value) {
+  if (*key == '\0') return "{}";
+  return std::string("{\"") + key + "\":" + std::to_string(value) + '}';
+}
+
 bool TraceWriter::push(Event e) {
   if (events_.size() >= max_events_) {
     ++dropped_;

@@ -21,6 +21,10 @@
 
 namespace xp::telemetry {
 
+// An event's one-number argument object, {"key":value}; an empty key
+// gives the empty object {}.
+std::string trace_args(const char* key, std::uint64_t value);
+
 class TraceWriter {
  public:
   explicit TraceWriter(std::size_t max_events = std::size_t{1} << 20)

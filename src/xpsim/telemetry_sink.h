@@ -30,6 +30,10 @@ enum class PersistEventKind : std::uint8_t {
   kSfence,           // sfence/mfence retirement
 };
 inline constexpr unsigned kPersistEventKinds = 5;
+// Each family's kind names, indexed by kind: the trace event names and
+// the summary keys of every sink that reports the family.
+inline constexpr const char* kPersistEventNames[kPersistEventKinds] = {
+    "wpq_entry", "ntstore_drain", "writeback", "coherence_flush", "sfence"};
 
 // What kind of XPBuffer slot release occurred.
 enum class EvictKind : std::uint8_t {
@@ -38,6 +42,10 @@ enum class EvictKind : std::uint8_t {
   kPartial,  // partially dirty: read-modify-write (256 B read + write)
   kRewrite,  // fully dirty line rewritten in place: flushed, fresh round
 };
+inline constexpr unsigned kEvictKinds = 4;
+// Trace names; summaries key the counts without the "evict_" prefix.
+inline constexpr const char* kEvictNames[kEvictKinds] = {
+    "evict_clean", "evict_full", "evict_partial", "evict_rewrite"};
 
 // Media (XPLine) error-model events, emitted by the fault-injection
 // subsystem (src/xpsim/fault.h). Only produced when faults are in use, so
@@ -50,6 +58,9 @@ enum class MediaFaultKind : std::uint8_t {
   kScrubFound,      // ARS reported this line in its bad-line list
 };
 inline constexpr unsigned kMediaFaultKinds = 5;
+inline constexpr const char* kMediaFaultNames[kMediaFaultKinds] = {
+    "ecc_corrected", "poisoned", "uncorrectable", "cleared_by_write",
+    "scrub_found"};
 
 // Software read-path events, emitted by the shared read-combining layer
 // (src/pmemlib/linereader.h, readcache.h). Only produced when a store has
@@ -63,6 +74,9 @@ enum class ReadPathEventKind : std::uint8_t {
   kCacheInvalidate,  // a write dropped a cached line
 };
 inline constexpr unsigned kReadPathEventKinds = 5;
+inline constexpr const char* kReadPathEventNames[kReadPathEventKinds] = {
+    "combined_fetches", "staged_serves", "cache_hit_lines",
+    "cache_fill_lines", "cache_invalidations"};
 
 // Serving-layer resilience events, emitted by the self-healing sharded
 // frontend (src/workload/shard.h). The first four are the per-shard
@@ -81,6 +95,10 @@ enum class ResilienceEventKind : std::uint8_t {
   kResilverKey,   // one key copied back into a rebuilding shard
 };
 inline constexpr unsigned kResilienceEventKinds = 8;
+inline constexpr const char* kResilienceEventNames[kResilienceEventKinds] = {
+    "shards_degraded", "shards_quarantined", "shards_rebuilding",
+    "shards_recovered", "failover_reads", "op_retries", "ops_unavailable",
+    "keys_resilvered"};
 // Op-level events (kRetry, kUnavailable) describe a request, not one
 // physical store; they carry this sentinel in the `shard` argument.
 inline constexpr unsigned kResilienceNoShard = ~0u;

@@ -517,6 +517,149 @@ TEST(Session, MediaFaultSectionAppearsOnlyWithFaults) {
   EXPECT_NE(trace.find("\"line_off\":256"), std::string::npos);
 }
 
+// The instant events ("ph":"i") of a Chrome-trace document, in order.
+std::vector<std::string> trace_instants(const std::string& json) {
+  std::vector<std::string> out;
+  int depth = 0;
+  std::size_t start = 0;
+  for (std::size_t i = json.find('[') + 1; i < json.size(); ++i) {
+    if (json[i] == '{' && depth++ == 0) start = i;
+    if (json[i] != '}' || --depth != 0) continue;
+    std::string event = json.substr(start, i + 1 - start);
+    if (event.find("\"ph\":\"i\"") != std::string::npos)
+      out.push_back(std::move(event));
+  }
+  return out;
+}
+
+TEST(Session, SummaryAndTraceNameEveryEventKind) {
+  // One event of every kind of every family, sent straight through the
+  // sink interface, pins the bytes each kind leaves in the summary's count
+  // sections and in the trace. ARS scrubs and cache invalidations carry
+  // t == 0, as the devices emit them.
+  Platform platform;
+  const std::string path = ::testing::TempDir() + "every_kind_trace.json";
+  telemetry::Session session(platform, {.trace_path = path});
+  hw::TelemetrySink& sink = session;
+  sim::Time t = 0;
+  const auto next = [&t] { return t += sim::ns(1); };
+  for (unsigned k = 0; k < hw::kPersistEventKinds; ++k)
+    sink.persist_event(static_cast<hw::PersistEventKind>(k), next(), 100 + k);
+  for (unsigned k = 0; k < 4; ++k)
+    sink.buffer_eviction(static_cast<hw::EvictKind>(k), next(), 1, k);
+  sink.ait_miss(next(), 0, 5);
+  sink.crash_fired(next(), 104);
+  for (unsigned k = 0; k < hw::kMediaFaultKinds; ++k) {
+    const auto kind = static_cast<hw::MediaFaultKind>(k);
+    const bool ars = kind == hw::MediaFaultKind::kScrubFound;
+    sink.media_fault(kind, ars ? 0 : next(), 1, 2, 256 * (k + 1));
+  }
+  sink.media_fault(hw::MediaFaultKind::kScrubFound, 0, 1, 2, 1280);
+  const std::uint64_t read_bytes[] = {512, 24, 256, 256, 256};
+  for (unsigned k = 0; k < hw::kReadPathEventKinds; ++k) {
+    const auto kind = static_cast<hw::ReadPathEventKind>(k);
+    const bool untimed = kind == hw::ReadPathEventKind::kCacheInvalidate;
+    sink.read_path(kind, untimed ? 0 : next(), read_bytes[k]);
+  }
+  for (unsigned k = 0; k < hw::kResilienceEventKinds; ++k) {
+    const auto kind = static_cast<hw::ResilienceEventKind>(k);
+    sink.resilience(kind, next(),
+                    kind == hw::ResilienceEventKind::kUnavailable
+                        ? hw::kResilienceNoShard
+                        : k);
+  }
+  for (unsigned k = 0; k < sim::kNumSchedPoints; ++k) sink.sched_point(k, 0);
+  ASSERT_TRUE(session.finish());
+  std::remove(path.c_str());
+
+  const std::string j = session.summary_json();
+  const std::size_t from = j.find("\"persist_events\"");
+  const std::size_t to = j.find("\"dimm_labels\"");
+  ASSERT_NE(from, std::string::npos);
+  ASSERT_NE(to, std::string::npos);
+  EXPECT_EQ(
+      j.substr(from, to - from),
+      R"("persist_events":{"wpq_entry":1,"ntstore_drain":1,"writeback":1,)"
+      R"("coherence_flush":1,"sfence":1,"total":5},)"
+      R"("buffer_evictions":{"clean":1,"full":1,"partial":1,"rewrite":1},)"
+      R"("ait_misses":1,"crash_points":1,)"
+      R"("media_faults":{"ecc_corrected":1,"poisoned":1,"uncorrectable":1,)"
+      R"("cleared_by_write":1,"scrub_found":2,"ars_bad_lines":[1280]},)"
+      R"("resilience":{"shards_degraded":1,"shards_quarantined":1,)"
+      R"("shards_rebuilding":1,"shards_recovered":1,"failover_reads":1,)"
+      R"("op_retries":1,"ops_unavailable":1,"keys_resilvered":1},)"
+      R"("read_path":{"combined_fetches":1,"staged_serves":1,)"
+      R"("cache_hit_lines":1,"cache_fill_lines":1,"cache_invalidations":1,)"
+      R"("combined_fetch_bytes":512,"staged_serve_bytes":24},)"
+      R"("schedmc":{"op_begin":1,"fence":1,"batch_commit":1,)"
+      R"("cache_invalidate":1,"lock_acquire":1,"lock_release":1,)"
+      R"("lane_acquire":1,"lane_release":1,"handoff":1,"total":9},)");
+
+  const std::vector<std::string> expected = {
+      R"({"name":"wpq_entry","cat":"persist","ph":"i",)"
+      R"("ts":0.001000,"s":"t","pid":0,"tid":0,"args":{"seq":100}})",
+      R"({"name":"ntstore_drain","cat":"persist","ph":"i",)"
+      R"("ts":0.002000,"s":"t","pid":0,"tid":0,"args":{"seq":101}})",
+      R"({"name":"writeback","cat":"persist","ph":"i",)"
+      R"("ts":0.003000,"s":"t","pid":0,"tid":0,"args":{"seq":102}})",
+      R"({"name":"coherence_flush","cat":"persist","ph":"i",)"
+      R"("ts":0.004000,"s":"t","pid":0,"tid":0,"args":{"seq":103}})",
+      R"({"name":"sfence","cat":"persist","ph":"i",)"
+      R"("ts":0.005000,"s":"t","pid":0,"tid":0,"args":{"seq":104}})",
+      R"({"name":"evict_clean","cat":"xpbuffer","ph":"i",)"
+      R"("ts":0.006000,"s":"t","pid":1,"tid":0})",
+      R"({"name":"evict_full","cat":"xpbuffer","ph":"i",)"
+      R"("ts":0.007000,"s":"t","pid":1,"tid":1})",
+      R"({"name":"evict_partial","cat":"xpbuffer","ph":"i",)"
+      R"("ts":0.008000,"s":"t","pid":1,"tid":2})",
+      R"({"name":"evict_rewrite","cat":"xpbuffer","ph":"i",)"
+      R"("ts":0.009000,"s":"t","pid":1,"tid":3})",
+      R"({"name":"ait_miss","cat":"ait","ph":"i",)"
+      R"("ts":0.010000,"s":"t","pid":0,"tid":5})",
+      R"({"name":"crash_point","cat":"crashmc","ph":"i",)"
+      R"("ts":0.011000,"s":"t","pid":0,"tid":0,"args":{"persist_event":104}})",
+      R"({"name":"ecc_corrected","cat":"media_fault","ph":"i",)"
+      R"("ts":0.012000,"s":"t","pid":1,"tid":2,"args":{"line_off":256}})",
+      R"({"name":"poisoned","cat":"media_fault","ph":"i",)"
+      R"("ts":0.013000,"s":"t","pid":1,"tid":2,"args":{"line_off":512}})",
+      R"({"name":"uncorrectable","cat":"media_fault","ph":"i",)"
+      R"("ts":0.014000,"s":"t","pid":1,"tid":2,"args":{"line_off":768}})",
+      R"({"name":"cleared_by_write","cat":"media_fault","ph":"i",)"
+      R"("ts":0.015000,"s":"t","pid":1,"tid":2,"args":{"line_off":1024}})",
+      R"({"name":"scrub_found","cat":"media_fault","ph":"i",)"
+      R"("ts":0.000000,"s":"t","pid":1,"tid":2,"args":{"line_off":1280}})",
+      R"({"name":"scrub_found","cat":"media_fault","ph":"i",)"
+      R"("ts":0.000000,"s":"t","pid":1,"tid":2,"args":{"line_off":1280}})",
+      R"({"name":"combined_fetches","cat":"read_path","ph":"i",)"
+      R"("ts":0.016000,"s":"t","pid":0,"tid":0,"args":{"bytes":512}})",
+      R"({"name":"staged_serves","cat":"read_path","ph":"i",)"
+      R"("ts":0.017000,"s":"t","pid":0,"tid":0,"args":{"bytes":24}})",
+      R"({"name":"cache_hit_lines","cat":"read_path","ph":"i",)"
+      R"("ts":0.018000,"s":"t","pid":0,"tid":0,"args":{"bytes":256}})",
+      R"({"name":"cache_fill_lines","cat":"read_path","ph":"i",)"
+      R"("ts":0.019000,"s":"t","pid":0,"tid":0,"args":{"bytes":256}})",
+      R"({"name":"cache_invalidations","cat":"read_path","ph":"i",)"
+      R"("ts":0.000000,"s":"t","pid":0,"tid":0,"args":{"bytes":256}})",
+      R"({"name":"shards_degraded","cat":"resilience","ph":"i",)"
+      R"("ts":0.020000,"s":"t","pid":0,"tid":0,"args":{"shard":0}})",
+      R"({"name":"shards_quarantined","cat":"resilience","ph":"i",)"
+      R"("ts":0.021000,"s":"t","pid":0,"tid":0,"args":{"shard":1}})",
+      R"({"name":"shards_rebuilding","cat":"resilience","ph":"i",)"
+      R"("ts":0.022000,"s":"t","pid":0,"tid":0,"args":{"shard":2}})",
+      R"({"name":"shards_recovered","cat":"resilience","ph":"i",)"
+      R"("ts":0.023000,"s":"t","pid":0,"tid":0,"args":{"shard":3}})",
+      R"({"name":"failover_reads","cat":"resilience","ph":"i",)"
+      R"("ts":0.024000,"s":"t","pid":0,"tid":0,"args":{"shard":4}})",
+      R"({"name":"op_retries","cat":"resilience","ph":"i",)"
+      R"("ts":0.025000,"s":"t","pid":0,"tid":0,"args":{"shard":5}})",
+      R"({"name":"ops_unavailable","cat":"resilience","ph":"i",)"
+      R"("ts":0.026000,"s":"t","pid":0,"tid":0,"args":{}})",
+      R"({"name":"keys_resilvered","cat":"resilience","ph":"i",)"
+      R"("ts":0.027000,"s":"t","pid":0,"tid":0,"args":{"shard":7}})",
+  };
+  EXPECT_EQ(trace_instants(session.trace()->to_json()), expected);
+}
+
 // --------------------------------------------------------- sampler ------
 
 TEST(Sampler, DecimationBoundsMemoryAndKeepsCoverage) {
@@ -659,6 +802,40 @@ TEST(Trace, PathFromArgsAndEnvironment) {
                                             const_cast<char**>(argv1)),
             "x.json");
   unsetenv("XP_TRACE");
+}
+
+TEST(Trace, PathFromArgsRejectsMissingPath) {
+  const char* a1[] = {"bench", "--trace"};
+  EXPECT_EXIT(telemetry::trace_path_from_args(2, const_cast<char**>(a1)),
+              ::testing::ExitedWithCode(2),
+              "invalid trace path '' from --trace");
+  const char* a2[] = {"bench", "--trace="};
+  EXPECT_EXIT(telemetry::trace_path_from_args(2, const_cast<char**>(a2)),
+              ::testing::ExitedWithCode(2),
+              "invalid trace path '' from --trace");
+}
+
+TEST(Trace, PathFromArgsRejectsMissingDirectory) {
+  const char* a1[] = {"bench", "--trace", "/no/such/dir/t.json"};
+  EXPECT_EXIT(telemetry::trace_path_from_args(3, const_cast<char**>(a1)),
+              ::testing::ExitedWithCode(2),
+              "invalid trace path '/no/such/dir/t.json' from --trace");
+  ASSERT_EQ(setenv("XP_TRACE", "/no/such/dir/t.json", 1), 0);
+  const char* a2[] = {"bench"};
+  EXPECT_EXIT(telemetry::trace_path_from_args(1, const_cast<char**>(a2)),
+              ::testing::ExitedWithCode(2),
+              "invalid trace path '/no/such/dir/t.json' from XP_TRACE");
+  unsetenv("XP_TRACE");
+}
+
+TEST(Trace, FailedWriteNamesThePath) {
+  Platform platform;
+  const std::string path = ::testing::TempDir() + "no_such_dir/t.json";
+  telemetry::Session session(platform, {.trace_path = path});
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(session.finish());
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(path),
+            std::string::npos);
 }
 
 TEST(Trace, FileWriteRoundTrip) {
